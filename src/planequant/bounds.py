@@ -18,6 +18,11 @@ from dataclasses import dataclass
 TWO_PI = 2.0 * math.pi
 
 
+def _is_real_number(v) -> bool:
+    """int or float, but not bool (True would otherwise pass as a length of 1)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class PhysicalScales:
     """Characteristic and minimal scales of a concrete system (SI units)."""
@@ -30,9 +35,11 @@ class PhysicalScales:
     def __post_init__(self):
         for name in ("l_c", "p_c", "l_m"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0.0 and math.isfinite(v)):
+            if not (_is_real_number(v) and v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if self.theta is not None and not (self.theta > 0.0 and math.isfinite(self.theta)):
+        if self.theta is not None and not (
+            _is_real_number(self.theta) and self.theta > 0.0 and math.isfinite(self.theta)
+        ):
             raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
         if self.l_c < self.l_m:
             raise ValueError(

@@ -32,6 +32,10 @@ _TABLE_DIMS = [10, 55, 100, 551, 1000, 5555, 10000, 55255, 100000, 500555, 10000
 
 _GRID_DEFAULT_DIM = {"Q2": 12, "P2": 12, "H": 5, "UNCERTAINTY": 10, "C": 12}
 
+_TOL_HELP = ("relative tolerance on the extreme eigenvalues, finite and > 0 "
+             "(default 1e-13); the LAPACK bisection always converges to about "
+             "2 ulp, which meets any tolerance down to that level")
+
 
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -53,6 +57,7 @@ def _cmd_spectrum(args) -> int:
         print(f"error: need n >= 2 for a spectrum with positive eigenvalues, got {n}",
               file=sys.stderr)
         return EXIT_USAGE
+    spectra.validate_tol(args.tol)
     method = args.method
     if method == "auto":
         method = "qr" if n <= args.dense_cap else "bisect"
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("auto", "qr", "bisect"), default="auto")
     sp.add_argument("--dense-cap", type=int, default=20000,
                     help="largest n diagonalized in full (default 20000)")
-    sp.add_argument("--tol", type=float, default=1e-13, help="bisection relative tolerance")
+    sp.add_argument("--tol", type=float, default=1e-13, help=_TOL_HELP)
     sp.add_argument("--out", default="spectrum.csv")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=_cmd_spectrum)
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated dimensions (default: the built-in ladder to 10^6)")
     st.add_argument("--geometric", nargs=3, type=int, default=None,
                     metavar=("LO", "HI", "COUNT"), help="geometric ladder of dimensions")
-    st.add_argument("--tol", type=float, default=1e-13)
+    st.add_argument("--tol", type=float, default=1e-13, help=_TOL_HELP)
     st.add_argument("--out", default="sigma_table.csv")
     st.add_argument("--format", choices=("csv", "json"), default="csv")
     st.add_argument("--emit-plot", action="store_true",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,21 @@ NORM_TOL = 1e-12
 # Dimension up to which cumulative 1/sqrt(n!) factors are reliable; beyond
 # this the log-gamma path is used for coefficient formation.
 _DIRECT_FACTORIAL_DIM = 170
+
+
+def as_dimension(value, minimum: int = 1, name: str = "dim") -> int:
+    """``value`` as a plain ``int`` dimension >= ``minimum``.
+
+    Python and numpy integers are accepted; ``bool``, floats and other
+    non-integers raise ``ValueError`` like an out-of-range dimension does.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -68,8 +84,7 @@ class FrameConfig:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", as_dimension(self.dim))
 
     @cached_property
     def inv_sqrt_fact(self) -> np.ndarray:

@@ -28,7 +28,8 @@ from scipy.special import gammaln
 from .errors import DimensionMismatchError
 from .frame import QuadratureSpec, monomial_state_matrix, phase_plane_quadrature
 
-# Hermiticity detection threshold for OperatorMatrix.
+# Hermiticity detection threshold for OperatorMatrix, relative to the
+# largest entry: entries grow like (k+a)!/k!, so no absolute bound fits.
 HERMITIAN_TOL = 1e-12
 
 # Dense matrices beyond this size are almost certainly a mistake here; the
@@ -50,28 +51,43 @@ def _check_dim(n_dim: int, max_dim: int) -> None:
         )
 
 
+def _merge_coefficients(cs: list[complex]) -> complex:
+    """Sum of coefficients, each part zeroed where it cancels to roundoff.
+
+    Summing m terms errs by at most (m-1) half-ulps of the magnitudes summed;
+    a part no larger than m ulps of them is indistinguishable from zero.
+    """
+    total = sum(cs, 0j)
+    slack = len(cs) * np.finfo(float).eps
+    re, im = total.real, total.imag
+    if abs(re) <= slack * sum(abs(c.real) for c in cs):
+        re = 0.0
+    if abs(im) <= slack * sum(abs(c.imag) for c in cs):
+        im = 0.0
+    return complex(re, im)
+
+
 @dataclass(frozen=True)
 class PolynomialSymbol:
     """Finite sum of monomials c * z^a * conj(z)^b on the phase plane.
 
     Terms are canonicalized: sorted by (a, b), duplicates merged, zero
-    coefficients dropped.
+    coefficients dropped.  A real or imaginary part that merging cancels to
+    roundoff of the magnitudes summed counts as zero.
     """
 
     terms: tuple[tuple[int, int, complex], ...]
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int, complex]]) -> "PolynomialSymbol":
-        merged: dict[tuple[int, int], complex] = {}
+        parts: dict[tuple[int, int], list[complex]] = {}
         for a, b, c in terms:
             a, b = int(a), int(b)
             if a < 0 or b < 0:
                 raise ValueError(f"monomial exponents must be nonnegative, got ({a}, {b})")
-            merged[(a, b)] = merged.get((a, b), 0j) + complex(c)
-        canon = tuple(
-            (a, b, c) for (a, b), c in sorted(merged.items()) if c != 0
-        )
-        return cls(terms=canon)
+            parts.setdefault((a, b), []).append(complex(c))
+        merged = ((a, b, _merge_coefficients(cs)) for (a, b), cs in sorted(parts.items()))
+        return cls(terms=tuple((a, b, c) for a, b, c in merged if c != 0))
 
     @classmethod
     def zero(cls) -> "PolynomialSymbol":
@@ -140,7 +156,9 @@ class OperatorMatrix:
 
     @cached_property
     def is_hermitian(self) -> bool:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= HERMITIAN_TOL
+        """A == A^H up to HERMITIAN_TOL times the largest |entry|."""
+        scale = float(np.max(np.abs(self.entries)))
+        return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= HERMITIAN_TOL * scale
 
     def to_json(self) -> str:
         return json.dumps(

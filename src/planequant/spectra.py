@@ -3,14 +3,22 @@
 The position matrix is symmetric tridiagonal with zero diagonal and
 off-diagonal sqrt(k/2); its eigenvalues are the zeros of the degree-N
 Hermite polynomial, symmetric about the origin.  Two independent routes are
-provided:
+provided, both LAPACK:
 
-* ``eig_all``       - full spectrum via the implicit-shift QL/QR iteration
-                      (LAPACK sterf), eigenvalues only, for moderate N;
-* ``sturm_count`` / ``extreme_eigenvalues``
-                    - Sturm-sequence pivot counting plus certified bisection
-                      for the extreme positive eigenvalues, O(N) per count,
-                      practical to N = 10^6.
+* ``eig_all``             - full spectrum via the implicit-shift QL/QR
+                            iteration (sterf), eigenvalues only, for
+                            moderate N;
+* ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
+                            by index-selected Sturm bisection (stebz), O(N)
+                            per count, practical to N = 10^6.  A zero-diagonal
+                            tridiagonal is permutation-similar to a bidiagonal
+                            (Demmel & Kahan 1990), so with an absolute
+                            tolerance at the underflow threshold each
+                            eigenvalue, the smallest included, is accurate to
+                            a few ulps relative.
+
+``sturm_count`` is a pure-Python pivot count kept as the independent oracle
+that the tests and the ``verify`` checks hold both routes against.
 
 From the smallest and largest positive eigenvalues the summary assembles
 the minimal forbidden cell delta_N (lambda_m for odd N, 2*lambda_m for even
@@ -20,8 +28,9 @@ each parity class.  A closed-form semicircle density and a scaled
 three-term recurrence for the characteristic polynomial provide the
 remaining cross-checks.
 
-Bisection is deterministic: identical brackets and midpoints for identical
-inputs, independent of thread count.
+Both routes are deterministic: sterf and stebz are serial LAPACK code, so
+identical inputs give identical brackets and midpoints whatever the thread
+count.
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
-from .errors import BracketError, ConvergenceError, VerificationError
+from .errors import ConvergenceError, VerificationError
+from .frame import as_dimension
 from .operators import OperatorMatrix
 
 TWO_PI = 2.0 * math.pi
@@ -46,13 +57,13 @@ DENSE_SPECTRUM_CAP = 20_000
 # Default relative tolerance on bisected eigenvalues.
 DEFAULT_EIG_TOL = 1e-13
 
+# Absolute tolerance for stebz.  It must be positive: at <= 0 LAPACK uses
+# ulp * ||T||, which moves lambda_m by 5e-11 relative at N = 10^6.  Just
+# above underflow, only the routine's relative 2-ulp test stops bisection.
+_STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
+
 # Rescale cadence for the characteristic-polynomial recurrence.
 _RESCALE_EVERY = 16
-
-# sigma_table switches to the vectorized multi-dimension bisection when the
-# batch is wide enough and every matrix is small enough to pad.
-_BATCH_MIN_SIZE = 16
-_BATCH_MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -123,8 +134,7 @@ class SymTridiagonal:
 
 def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     """Tridiagonal data of the position matrix: zero diagonal, sqrt(k/2) off."""
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     return SymTridiagonal(
         diag=np.zeros(n_dim),
         offdiag=np.sqrt(np.arange(1, n_dim) / 2.0),
@@ -251,29 +261,23 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
     return count
 
 
-def _bisect_eigenvalue(t: SymTridiagonal, index: int, lo: float, hi: float, tol: float) -> float:
-    """Eigenvalue with 0-based ascending index via Sturm-count bisection.
+def validate_tol(tol: float) -> None:
+    """Raise ValueError unless the eigenvalue tolerance is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
-    Requires count(lo) <= index < count(hi); certified before refinement.
-    """
-    c_lo = sturm_count(t, lo)
-    c_hi = sturm_count(t, hi)
-    if not (c_lo <= index < c_hi):
-        raise BracketError(
-            f"bracket [{lo}, {hi}] does not enclose eigenvalue {index}: "
-            f"counts are {c_lo} and {c_hi} for dim {t.dim}"
+
+def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
+    """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
+    m, w, _, _, info = dstebz(
+        t.diag, t.offdiag, 3, 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL, b"E"
+    )
+    if info != 0 or m != 1:
+        raise ConvergenceError(
+            f"stebz returned info = {info} and {m} eigenvalue(s) for index {index} "
+            f"of dim {t.dim}"
         )
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # interval no longer splittable in floating point
-        if sturm_count(t, mid) <= index:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    return float(w[0])
 
 
 def _extreme_indices(n_dim: int) -> tuple[int, int]:
@@ -290,73 +294,21 @@ def _extreme_indices(n_dim: int) -> tuple[int, int]:
 def extreme_eigenvalues(t: SymTridiagonal, tol: float = DEFAULT_EIG_TOL) -> tuple[float, float]:
     """(smallest positive, largest) eigenvalue of a zero-diagonal tridiagonal.
 
-    Each bisection costs O(N) per count; total O(N log(1/tol)), practical at
-    N = 10^6.  Requires the symmetric-spectrum structure (zero diagonal).
+    Index-selected Sturm bisection (LAPACK stebz), O(N) per count, practical
+    at N = 10^6.  Requires the symmetric-spectrum structure (zero diagonal).
+
+    ``tol`` must be finite and positive.  The bisection always runs to
+    stebz's own criterion, about 2 ulp relative, which meets any ``tol``
+    down to that level; a smaller ``tol`` gets the same result, as close as
+    a bracket of floating-point numbers can be split.
     """
     if t.dim < 2:
         raise ValueError(f"need dim >= 2 for a positive eigenvalue, got {t.dim}")
     if float(np.max(np.abs(t.diag))) != 0.0:
         raise ValueError("extreme_eigenvalues expects a zero-diagonal (sign-symmetric) matrix")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    ub = t.gershgorin_bound() + 1.0
+    validate_tol(tol)
     idx_m, idx_max = _extreme_indices(t.dim)
-    lam_max = _bisect_eigenvalue(t, idx_max, 0.0, ub, tol)
-    lam_min = _bisect_eigenvalue(t, idx_m, 0.0, ub, tol)
-    return lam_min, lam_max
-
-
-def _batch_position_counts(lams: np.ndarray, dims: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
-    """Sturm counts for the position family, vectorized over problems.
-
-    Problem j has dimension dims[j] and shift lams[j]; the off-diagonal
-    squares k/2 are shared by the whole family, so the recurrences advance
-    in lockstep with a per-problem active mask.
-    """
-    n_max = int(dims.max())
-    d = -lams.copy()
-    neg = d <= 0.0
-    d[neg & (d > -pivmin)] = -pivmin[neg & (d > -pivmin)]
-    pos_floor = ~neg & (d < pivmin)
-    d[pos_floor] = pivmin[pos_floor]
-    counts = neg.astype(np.int64)
-    for k in range(1, n_max):
-        active = dims > k
-        if not active.any():
-            break
-        dn = -lams - (0.5 * k) / d
-        neg = dn <= 0.0
-        dn = np.where(neg & (dn > -pivmin), -pivmin, dn)
-        dn = np.where(~neg & (dn < pivmin), pivmin, dn)
-        counts += (neg & active).astype(np.int64)
-        d = np.where(active, dn, d)
-    return counts
-
-
-def _batch_extremes(dims: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min_positive, lambda_max) for many position matrices at once."""
-    dims = np.asarray(dims, dtype=np.int64)
-    idx_m = np.where(dims % 2 == 0, dims // 2, dims // 2 + 1)
-    targets = np.concatenate([idx_m, dims - 1])
-    both_dims = np.concatenate([dims, dims])
-    pivmin = np.finfo(float).tiny * np.maximum((both_dims - 1) / 2.0, 1.0)
-    lo = np.zeros(both_dims.shape)
-    hi = np.sqrt(2.0 * both_dims) + 1.0
-    c_hi = _batch_position_counts(hi, both_dims, pivmin)
-    if not np.all(c_hi == both_dims):
-        bad = int(both_dims[np.argmax(c_hi != both_dims)])
-        raise BracketError(f"upper bracket failed to capture all eigenvalues at dim {bad}")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        counts = _batch_position_counts(mid, both_dims, pivmin)
-        go_up = counts <= targets
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-        if np.all(hi - lo <= tol * np.maximum(np.abs(lo), np.abs(hi))):
-            break
-    res = 0.5 * (lo + hi)
-    half = dims.shape[0]
-    return res[:half], res[half:]
+    return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +352,12 @@ class SpectrumSummary:
 
 
 def spectrum_summary(n_dim: int, tol: float = DEFAULT_EIG_TOL, method: str = "bisect") -> SpectrumSummary:
-    """Assemble the forbidden-cell/width summary for one dimension."""
-    if n_dim < 2:
-        raise ValueError(f"need n_dim >= 2 for a positive eigenvalue, got {n_dim}")
+    """Assemble the forbidden-cell/width summary for one dimension.
+
+    ``tol`` is validated on both methods; see ``extreme_eigenvalues``.
+    """
+    n_dim = as_dimension(n_dim, 2, "n_dim")
+    validate_tol(tol)
     t = position_tridiagonal(n_dim)
     if method == "bisect":
         lam_min, lam_max = extreme_eigenvalues(t, tol=tol)
@@ -416,20 +371,10 @@ def spectrum_summary(n_dim: int, tol: float = DEFAULT_EIG_TOL, method: str = "bi
 
 
 def sigma_table(n_list, tol: float = DEFAULT_EIG_TOL) -> list[SpectrumSummary]:
-    """Summaries for a batch of dimensions, vectorized when profitable."""
-    n_list = [int(n) for n in n_list]
+    """One ``spectrum_summary`` per dimension, every dimension validated first."""
+    n_list = [as_dimension(n, 2, "n") for n in n_list]
     if not n_list:
         raise ValueError("empty dimension list")
-    for n in n_list:
-        if n < 2:
-            raise ValueError(f"need n >= 2 in sigma_table, got {n}")
-    if len(n_list) >= _BATCH_MIN_SIZE and max(n_list) <= _BATCH_MAX_DIM:
-        dims = np.array(n_list, dtype=np.int64)
-        lam_min, lam_max = _batch_extremes(dims, tol)
-        return [
-            SpectrumSummary.from_extremes(n, float(lm), float(lx))
-            for n, lm, lx in zip(n_list, lam_min, lam_max)
-        ]
     return [spectrum_summary(n, tol=tol) for n in n_list]
 
 

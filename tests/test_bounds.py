@@ -30,6 +30,13 @@ class TestPhysicalScales:
         with pytest.raises(ValueError):
             PhysicalScales(**kwargs)
 
+    @pytest.mark.parametrize("field", ["l_c", "p_c", "l_m", "theta"])
+    def test_rejects_bool(self, field):
+        kwargs = {"l_c": 1.0, "p_c": 1.0, "l_m": 1.0}
+        kwargs[field] = True
+        with pytest.raises(ValueError):
+            PhysicalScales(**kwargs)
+
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             PhysicalScales(l_c=1.0, p_c=1.0, l_m=0.5, theta=-1.0)

@@ -49,6 +49,9 @@ class TestSpectrumCommand:
     def test_degenerate_dim_is_usage_error(self, tmp_path):
         assert main(["spectrum", "--n", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_bad_tol_is_usage_error(self, tmp_path):
+        assert main(["spectrum", "--n", "3", "--tol", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["spectrum", "--n", "3", "--out", str(missing)]) == 3
@@ -78,6 +81,10 @@ class TestSigmaTableCommand:
 
     def test_bad_dim_is_usage_error(self, tmp_path):
         assert main(["sigma-table", "--n-list", "5,1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_bad_tol_is_usage_error(self, tmp_path):
+        assert main(["sigma-table", "--n-list", "5,6", "--tol", "nan",
+                     "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_emit_plot_writes_scripts(self, tmp_path):
         out = tmp_path / "sigma.csv"

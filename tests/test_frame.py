@@ -25,6 +25,17 @@ from planequant.frame import (
 SQRT2 = math.sqrt(2.0)
 
 
+class TestFrameConfig:
+    def test_accepts_numpy_integer(self):
+        config = FrameConfig(np.int64(5))
+        assert config.dim == 5 and type(config.dim) is int
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 2.0, 0])
+    def test_rejects_bool_float_and_nonpositive(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            FrameConfig(bad)
+
+
 class TestPhasePoint:
     def test_z_and_r2(self):
         x = PhasePoint(q=1.0, p=1.0)

@@ -54,6 +54,13 @@ class TestPolynomialSymbol:
         parsed = json.loads(sym.to_json())
         assert set(parsed[0]) == {"a", "b", "re", "im"}
 
+    def test_cancelled_terms_leave_no_roundoff_ghost(self):
+        # 1j + 1.936j - 1j - 1.936j sums to -2.2e-16j in floating point
+        sym = PolynomialSymbol.from_terms([(5, 5, 1j), (5, 5, 1.936j), (5, 5, -1j), (5, 5, -1.936j)])
+        assert sym.terms == ()
+        sym = PolynomialSymbol.from_terms([(1, 0, 0.1), (1, 0, 0.2), (1, 0, -0.3), (1, 0, 2j)])
+        assert sym.terms == ((1, 0, 2j),)
+
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             PolynomialSymbol.from_terms([(-1, 0, 1.0)])
@@ -144,6 +151,13 @@ class TestQuantize:
         sym = PolynomialSymbol.from_terms(terms)
         assert sym.is_real_symbol()
         assert quantize(sym, n).is_hermitian
+
+    def test_hermitian_relative_to_largest_entry(self):
+        # entries reach ~1e38 here; the log-gamma transposes differ by ~1e-14 relative
+        sym = PolynomialSymbol.from_terms([(21, 20, 1.0), (20, 21, 1.0)])
+        assert quantize(sym, 64).is_hermitian
+        tiny = OperatorMatrix(2, np.array([[0.0, 1e-20], [0.0, 0.0]]))
+        assert not tiny.is_hermitian
 
     def test_non_real_symbol_not_hermitian(self):
         op = quantize(PolynomialSymbol.monomial(2, 0, 1.0), 6)

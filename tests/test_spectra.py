@@ -1,10 +1,13 @@
 """Tests for the tridiagonal spectral machinery.
 
-Two independent routes are cross-checked throughout: the implicit-shift
-QL/QR full spectrum and the Sturm-count bisection.
+The two LAPACK routes, the implicit-shift QL/QR full spectrum and the
+bisection for the extreme eigenvalues, are cross-checked throughout, and
+both are held against the pure-Python Sturm count.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +37,20 @@ from planequant.spectra import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
+
+
+def _extreme_indices(n: int) -> tuple[int, int]:
+    """0-based ascending indices of the smallest positive and largest eigenvalue."""
+    return (n + 1) // 2, n - 1
+
+
+def _assert_sturm_bracketed(t: SymTridiagonal, lam_min: float, lam_max: float) -> None:
+    """Exactly one eigenvalue, the expected one, within 8 ulps of each result."""
+    for lam, index in zip((lam_min, lam_max), _extreme_indices(t.dim)):
+        below = sturm_count(t, lam * (1.0 - 8.0 * EPS))
+        above = sturm_count(t, lam * (1.0 + 8.0 * EPS))
+        assert (below, above) == (index, index + 1), (t.dim, lam)
 
 
 def _value(mantissa_exp: tuple[float, int]) -> float:
@@ -202,6 +219,30 @@ class TestExtremeEigenvalues:
         t = position_tridiagonal(500)
         assert extreme_eigenvalues(t) == extreme_eigenvalues(t)
 
+    def test_matches_full_spectrum_on_every_small_dim(self):
+        # sterf is accurate to ~eps * ||T|| absolutely, which is up to 1.5e-14
+        # relative for lambda_m near N = 280, so compare on that scale
+        for n in range(2, 301):
+            ev = eig_all(position_tridiagonal(n))
+            idx_m, idx_max = _extreme_indices(n)
+            lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n))
+            assert abs(lam_min - ev[idx_m]) <= 1e-14 * ev[-1]
+            assert abs(lam_max - ev[idx_max]) <= 1e-14 * ev[-1]
+
+    def test_sturm_brackets_every_small_dim(self):
+        for n in range(2, 301):
+            t = position_tridiagonal(n)
+            _assert_sturm_bracketed(t, *extreme_eigenvalues(t))
+
+    def test_sturm_brackets_at_one_million(self):
+        t = position_tridiagonal(1_000_000)
+        _assert_sturm_bracketed(t, *extreme_eigenvalues(t))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            extreme_eigenvalues(position_tridiagonal(10), tol=tol)
+
     def test_matches_full_spectrum_to_tolerance(self):
         for n in (17, 64, 333):
             ev = eig_all(position_tridiagonal(n))
@@ -238,6 +279,29 @@ class TestSpectrumSummary:
         with pytest.raises(ValueError):
             spectrum_summary(1)
 
+    @pytest.mark.parametrize("method", ["bisect", "qr"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tol_on_both_methods(self, method, tol):
+        with pytest.raises(ValueError, match="tol"):
+            spectrum_summary(10, tol=tol, method=method)
+
+    def test_numpy_integer_dimensions(self):
+        assert position_tridiagonal(np.int64(5)).dim == 5
+        s = spectrum_summary(np.int32(10))
+        assert type(s.dim) is int
+        assert json.loads(summaries_to_json([s]))[0]["N"] == 10
+        assert [t.dim for t in sigma_table([np.int64(10), np.uint16(11)])] == [10, 11]
+
+    @pytest.mark.parametrize("call", [
+        lambda: position_tridiagonal(True),
+        lambda: spectrum_summary(np.True_),
+        lambda: sigma_table([3, True]),
+        lambda: sigma_table([3, 4.0]),
+    ])
+    def test_rejects_bool_and_float_dimensions(self, call):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
     def test_invariant_guard(self):
         with pytest.raises(Exception):
             SpectrumSummary(
@@ -269,6 +333,17 @@ class TestSigmaTable:
             sigma_table([])
         with pytest.raises(ValueError):
             sigma_table([2, 1])
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            sigma_table(range(2, 20), tol=tol)
+
+    def test_no_runtime_warnings_on_survey_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summaries = sigma_table(range(2, 2001))
+        assert len(summaries) == 1999
 
 
 class TestGapProperties:
