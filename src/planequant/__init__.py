@@ -9,7 +9,6 @@ spectral-width product that stays below 2*pi.
 
 from .bounds import BoundsReport, PhysicalScales, bounds_report, solve_characteristic_length
 from .errors import (
-    BracketError,
     ConvergenceError,
     DimensionMismatchError,
     PlanequantError,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticReport",
     "BoundsReport",
-    "BracketError",
     "CheckResult",
     "CoherentState",
     "ConvergenceError",

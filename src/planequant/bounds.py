@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-TWO_PI = 2.0 * math.pi
+from .spectra import TWO_PI
 
 
 def _is_real_number(v) -> bool:

@@ -17,7 +17,6 @@ invocation to pin the linear-algebra thread pool.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -70,7 +69,7 @@ def _cmd_spectrum(args) -> int:
         text = (spectra.spectrum_to_csv(eigenvalues) if args.format == "csv"
                 else spectra.spectrum_to_json(eigenvalues) + "\n")
     else:
-        summary = spectra.spectrum_summary(n, tol=args.tol, method="bisect")
+        summary = spectra.spectrum_summary(n, tol=args.tol)
         text = (spectra.summaries_to_csv([summary], include_two_pi=True)
                 if args.format == "csv"
                 else spectra.summaries_to_json([summary], include_two_pi=True) + "\n")
@@ -145,7 +144,7 @@ def _cmd_bounds(args) -> int:
     from . import bounds, spectra
 
     scales = bounds.PhysicalScales(l_c=args.l_c, p_c=args.p_c, l_m=args.l_m, theta=args.theta)
-    sigma = 2.0 * math.pi
+    sigma = spectra.TWO_PI
     if args.sigma_n is not None:
         sigma = spectra.spectrum_summary(args.sigma_n).sigma
     report = bounds.bounds_report(scales, sigma=sigma)

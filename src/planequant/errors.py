@@ -25,9 +25,5 @@ class ConvergenceError(PlanequantError, RuntimeError):
     """Raised when an iterative eigenvalue computation fails to converge."""
 
 
-class BracketError(PlanequantError, RuntimeError):
-    """Raised when a bisection bracket does not enclose the requested root."""
-
-
 class VerificationError(PlanequantError, RuntimeError):
     """Raised when a built-in mathematical invariant is violated."""

@@ -7,6 +7,11 @@ N(x) = sum_{n<N} x^n/n! is the truncated exponential series.  Everything
 here is dimensionless (unit mass, unit frequency, unit action); physical
 scales enter only in the bounds calculator of the CLI.
 
+Every coefficient vector comes from ``monomial_state_matrix``, the one place
+that switches between direct powers and a log-domain fill, and every
+quadrature integral over the frame is the one chunked sum V w V^H of
+``frame_sandwich``.
+
 All functions are pure and the per-dimension caches on ``FrameConfig`` are
 immutable after construction, so concurrent use from multiple threads is
 safe.
@@ -32,7 +37,7 @@ OVERFLOW_R2 = 700.0
 NORM_TOL = 1e-12
 
 # Dimension up to which cumulative 1/sqrt(n!) factors are reliable; beyond
-# this the log-gamma path is used for coefficient formation.
+# this monomial_state_matrix fills the coefficients in the log domain.
 _DIRECT_FACTORIAL_DIM = 170
 
 
@@ -98,7 +103,7 @@ class FrameConfig:
 
     @cached_property
     def half_log_fact(self) -> np.ndarray:
-        """0.5 * log(n!) for n = 0..N-1, for the log-domain coefficient path."""
+        """0.5 * log(n!) for n = 0..N-1, the package's one log-factorial table."""
         out = 0.5 * np.array([math.lgamma(n + 1.0) for n in range(self.dim)])
         out.setflags(write=False)
         return out
@@ -130,8 +135,7 @@ def normalization_factor(n_dim: int, r2: float) -> float:
     r2 beyond the overflow threshold; use ``log_normalization_factor``
     there instead.
     """
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     if not (r2 >= 0.0):
         raise ValueError(f"r2 must be nonnegative, got {r2!r}")
     if r2 > OVERFLOW_R2:
@@ -153,14 +157,13 @@ def normalization_factor(n_dim: int, r2: float) -> float:
 
 def log_normalization_factor(n_dim: int, r2: float) -> float:
     """log of the truncated exponential series, stable for any r2 >= 0."""
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     if not (r2 >= 0.0):
         raise ValueError(f"r2 must be nonnegative, got {r2!r}")
     if r2 == 0.0:
         return 0.0
     n = np.arange(n_dim)
-    logs = n * math.log(r2) - np.array([math.lgamma(k + 1.0) for k in range(n_dim)])
+    logs = n * math.log(r2) - 2.0 * FrameConfig(n_dim).half_log_fact
     top = logs.max()
     return top + math.log(np.exp(logs - top).sum())
 
@@ -173,25 +176,9 @@ def coherent_state(cfg: FrameConfig, x: PhasePoint) -> CoherentState:
             f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}; "
             "use coherent_state_log"
         )
-    n = cfg.dim
-    z = x.z
-    if z == 0:
-        coeffs = np.zeros(n, dtype=complex)
-        coeffs[0] = 1.0
-        return CoherentState(dim=n, coeffs=coeffs, source=x)
-
-    # Direct path while z^n and 1/sqrt(n!) are individually representable;
-    # otherwise assemble each coefficient in the log domain (the result is
-    # a unit vector, so the exponentials themselves never overflow).
-    direct = n <= _DIRECT_FACTORIAL_DIM and (n - 1) * math.log(max(abs(z), 1.0)) < 600.0
-    if direct:
-        powers = z ** np.arange(n)
-        raw = powers * cfg.inv_sqrt_fact
-        coeffs = raw / math.sqrt(normalization_factor(n, r2))
-    else:
-        logmag, phase = coherent_state_log(cfg, x)
-        coeffs = np.exp(logmag) * np.exp(1j * phase)
-    return CoherentState(dim=n, coeffs=coeffs, source=x)
+    raw = monomial_state_matrix(cfg.dim, [x.z])[:, 0]
+    coeffs = raw / math.sqrt(normalization_factor(cfg.dim, r2))
+    return CoherentState(dim=cfg.dim, coeffs=coeffs, source=x)
 
 
 def coherent_state_log(cfg: FrameConfig, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +259,17 @@ def monomial_state_matrix(dim: int, z: np.ndarray) -> np.ndarray:
     """Matrix V with V[n, j] = z_j^n / sqrt(n!) for n = 0..dim-1.
 
     These are the unnormalized coherent-state coefficients at each node;
-    quadrature sandwiches V * w * V^H reproduce frame integrals.
+    quadrature sandwiches V * w * V^H reproduce frame integrals.  Direct
+    powers are used while z^n and 1/sqrt(n!) are individually representable,
+    a log-domain fill otherwise.
     """
     z = np.asarray(z, dtype=complex)
     ns = np.arange(dim)
-    amax = float(np.max(np.abs(z))) if z.size else 0.0
-    if dim <= _DIRECT_FACTORIAL_DIM and (dim - 1) * math.log(max(amax, 1.0)) < 600.0:
-        cfg = FrameConfig(dim)
-        return z[None, :] ** ns[:, None] * cfg.inv_sqrt_fact[:, None]
-    # log-domain fill for large dimensions / large nodes
     cfg = FrameConfig(dim)
     absz = np.abs(z)
+    amax = float(absz.max()) if z.size else 0.0
+    if dim <= _DIRECT_FACTORIAL_DIM and (dim - 1) * math.log(max(amax, 1.0)) < 600.0:
+        return z[None, :] ** ns[:, None] * cfg.inv_sqrt_fact[:, None]
     safe = np.where(absz == 0.0, 1.0, absz)
     logmag = ns[:, None] * np.log(safe)[None, :] - cfg.half_log_fact[:, None]
     v = np.exp(logmag) * np.exp(1j * ns[:, None] * np.angle(z)[None, :])
@@ -291,6 +278,19 @@ def monomial_state_matrix(dim: int, z: np.ndarray) -> np.ndarray:
         v[:, cols] = 0.0
         v[0, cols] = 1.0
     return v
+
+
+def frame_sandwich(dim: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j v_j v_j^H over the columns v_j of ``monomial_state_matrix``.
+
+    The nodes are processed in chunks to bound the Vandermonde workspace.
+    """
+    out = np.zeros((dim, dim), dtype=complex)
+    chunk = 16384
+    for start in range(0, z.size, chunk):
+        v = monomial_state_matrix(dim, z[start:start + chunk])
+        out += (v * w[start:start + chunk]) @ v.conj().T
+    return out
 
 
 def verify_identity_resolution(
@@ -308,13 +308,7 @@ def verify_identity_resolution(
     if quad is None:
         quad = QuadratureSpec.default_for(cfg.dim)
     z, w = phase_plane_quadrature(quad)
-    gram = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    # chunk the nodes to bound the Vandermonde workspace
-    chunk = 16384
-    for start in range(0, z.size, chunk):
-        zs = z[start:start + chunk]
-        v = monomial_state_matrix(cfg.dim, zs)
-        gram += (v * w[start:start + chunk]) @ v.conj().T
+    gram = frame_sandwich(cfg.dim, z, w)
     dev = float(np.max(np.abs(gram - np.eye(cfg.dim))))
     if tol is not None and dev > tol:
         raise QuadratureOrderError(

@@ -23,10 +23,9 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatchError
-from .frame import QuadratureSpec, monomial_state_matrix, phase_plane_quadrature
+from .frame import FrameConfig, QuadratureSpec, as_dimension, frame_sandwich, phase_plane_quadrature
 
 # Hermiticity detection threshold for OperatorMatrix, relative to the
 # largest entry: entries grow like (k+a)!/k!, so no absolute bound fits.
@@ -37,18 +36,19 @@ HERMITIAN_TOL = 1e-12
 MAX_DENSE_DIM = 4096
 
 # Largest a+b for which factorial ratios are formed as exact small products;
-# larger shifts fall back to log-gamma.
+# larger shifts use the log-factorial table of FrameConfig.
 _EXACT_PRODUCT_DEGREE = 40
 
 
-def _check_dim(n_dim: int, max_dim: int) -> None:
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
-    if n_dim > max_dim:
+def _check_dim(n_dim: int) -> int:
+    """``n_dim`` as a plain int in 1..MAX_DENSE_DIM."""
+    n_dim = as_dimension(n_dim, 1, "n_dim")
+    if n_dim > MAX_DENSE_DIM:
         raise ValueError(
-            f"dense operator dimension {n_dim} exceeds the cap {max_dim}; "
+            f"dense operator dimension {n_dim} exceeds the cap {MAX_DENSE_DIM}; "
             "use the tridiagonal spectral routines for large dimensions"
         )
+    return n_dim
 
 
 def _merge_coefficients(cs: list[complex]) -> complex:
@@ -190,8 +190,9 @@ class OperatorMatrix:
 def _transition_amplitudes(ks: np.ndarray, ls: np.ndarray, a: int, b: int) -> np.ndarray:
     """(k+a)! / sqrt(k! l!) along the surviving diagonal l = k + a - b.
 
-    Small integer products keep full precision for moderate a+b; log-gamma
-    handles larger shifts where the products would lose nothing anyway.
+    Small integer products keep full precision for moderate a+b; the
+    log-factorial table handles larger shifts where the products would lose
+    nothing anyway.
     """
     if a + b <= _EXACT_PRODUCT_DEGREE:
         prod = np.ones(len(ks))
@@ -200,13 +201,13 @@ def _transition_amplitudes(ks: np.ndarray, ls: np.ndarray, a: int, b: int) -> np
         for t in range(1, b + 1):
             prod *= ls + t
         return np.sqrt(prod)
-    logs = gammaln(ks + a + 1.0) - 0.5 * gammaln(ks + 1.0) - 0.5 * gammaln(ls + 1.0)
-    return np.exp(logs)
+    half = FrameConfig(int(ks[-1]) + a + 1).half_log_fact
+    return np.exp(2.0 * half[ks + a] - half[ks] - half[ls])
 
 
-def quantize_monomial(n_dim: int, a: int, b: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatrix:
+def quantize_monomial(n_dim: int, a: int, b: int) -> OperatorMatrix:
     """Quantize z^a conj(z)^b: single nonzero diagonal at offset a - b."""
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     if a < 0 or b < 0:
         raise ValueError(f"monomial exponents must be nonnegative, got ({a}, {b})")
     entries = np.zeros((n_dim, n_dim), dtype=complex)
@@ -220,12 +221,12 @@ def quantize_monomial(n_dim: int, a: int, b: int, max_dim: int = MAX_DENSE_DIM) 
     return OperatorMatrix(dim=n_dim, entries=entries)
 
 
-def quantize(sym: PolynomialSymbol, n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatrix:
+def quantize(sym: PolynomialSymbol, n_dim: int) -> OperatorMatrix:
     """Quantize a polynomial symbol by linearity over its monomials."""
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
     for a, b, c in sym.terms:
-        entries += c * quantize_monomial(n_dim, a, b, max_dim=max_dim).entries
+        entries += c * quantize_monomial(n_dim, a, b).entries
     return OperatorMatrix(dim=n_dim, entries=entries)
 
 
@@ -233,7 +234,6 @@ def quantize_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     n_dim: int,
     quad: QuadratureSpec | None = None,
-    max_dim: int = MAX_DENSE_DIM,
 ) -> OperatorMatrix:
     """Quantize a black-box phase-space function by plane quadrature.
 
@@ -241,25 +241,19 @@ def quantize_quadrature(
     polynomial f within the quadrature's exactness this matches ``quantize``
     to roundoff and serves as its independent oracle.
     """
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     if quad is None:
         quad = QuadratureSpec.default_for(n_dim)
     z, w = phase_plane_quadrature(quad)
     fz = np.asarray(f(z), dtype=complex)
     if fz.shape != z.shape:
         raise ValueError("symbol function must return one value per quadrature node")
-    entries = np.zeros((n_dim, n_dim), dtype=complex)
-    chunk = 16384
-    for start in range(0, z.size, chunk):
-        zs = z[start:start + chunk]
-        v = monomial_state_matrix(n_dim, zs)
-        entries += (v * (w[start:start + chunk] * fz[start:start + chunk])) @ v.conj().T
-    return OperatorMatrix(dim=n_dim, entries=entries)
+    return OperatorMatrix(dim=n_dim, entries=frame_sandwich(n_dim, z, w * fz))
 
 
-def position_operator(n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatrix:
+def position_operator(n_dim: int) -> OperatorMatrix:
     """Symmetric tridiagonal position matrix with off-diagonal sqrt(k/2)."""
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     off = np.sqrt(np.arange(1, n_dim) / 2.0)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
     idx = np.arange(n_dim - 1)
@@ -268,9 +262,9 @@ def position_operator(n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatri
     return OperatorMatrix(dim=n_dim, entries=entries)
 
 
-def momentum_operator(n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatrix:
+def momentum_operator(n_dim: int) -> OperatorMatrix:
     """Hermitian momentum matrix: -i sqrt(k/2) above, +i sqrt(k/2) below."""
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     off = np.sqrt(np.arange(1, n_dim) / 2.0)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
     idx = np.arange(n_dim - 1)
@@ -279,22 +273,22 @@ def momentum_operator(n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatri
     return OperatorMatrix(dim=n_dim, entries=entries)
 
 
-def hamiltonian(n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatrix:
+def hamiltonian(n_dim: int) -> OperatorMatrix:
     """Truncated oscillator energy (P^2 + Q^2)/2, diagonal in the Fock basis.
 
     Diagonal entries are k + 1/2 for k = 0..N-2 and (N-1)/2 for the last
     level, which sits below the preceding one: degenerate with it for even N,
     halfway between the last two oscillator levels for odd N.
     """
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     diag = np.arange(n_dim) + 0.5
     diag[n_dim - 1] = (n_dim - 1) / 2.0
     return OperatorMatrix(dim=n_dim, entries=np.diag(diag).astype(complex))
 
 
-def last_level_projector(n_dim: int, max_dim: int = MAX_DENSE_DIM) -> OperatorMatrix:
+def last_level_projector(n_dim: int) -> OperatorMatrix:
     """Rank-one projector onto the highest Fock level."""
-    _check_dim(n_dim, max_dim)
+    n_dim = _check_dim(n_dim)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
     entries[n_dim - 1, n_dim - 1] = 1.0
     return OperatorMatrix(dim=n_dim, entries=entries)
@@ -307,9 +301,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(dim=a.dim, entries=a.entries @ b.entries - b.entries @ a.entries)
 
 
-def hall_coordinates(
-    n_dim: int, theta: float, max_dim: int = MAX_DENSE_DIM
-) -> tuple[OperatorMatrix, OperatorMatrix]:
+def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Planar coordinate pair with commutator i*theta*(I - N |N-1><N-1|).
 
     Scaling both position and momentum by sqrt(theta) is the unique choice
@@ -318,9 +310,9 @@ def hall_coordinates(
     if not (theta > 0.0):
         raise ValueError(f"theta must be positive, got {theta!r}")
     s = math.sqrt(theta)
-    q = position_operator(n_dim, max_dim=max_dim)
-    p = momentum_operator(n_dim, max_dim=max_dim)
+    q = position_operator(n_dim)
+    p = momentum_operator(n_dim)
     return (
-        OperatorMatrix(dim=n_dim, entries=s * q.entries),
-        OperatorMatrix(dim=n_dim, entries=s * p.entries),
+        OperatorMatrix(dim=q.dim, entries=s * q.entries),
+        OperatorMatrix(dim=q.dim, entries=s * p.entries),
     )

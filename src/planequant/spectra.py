@@ -24,9 +24,11 @@ From the smallest and largest positive eigenvalues the summary assembles
 the minimal forbidden cell delta_N (lambda_m for odd N, 2*lambda_m for even
 N), the spectral width Delta_N = 2*lambda_M and their product
 sigma_N = delta_N * Delta_N, which stays below 2*pi and increases within
-each parity class.  A closed-form semicircle density and a scaled
-three-term recurrence for the characteristic polynomial provide the
-remaining cross-checks.
+each parity class.  A closed-form semicircle density and the three-term
+recurrence for the characteristic polynomial provide the remaining
+cross-checks.  The recurrence is written once, vectorized and rescaled by
+exact powers of two; ``char_poly_recurrence`` reads it at one point and
+``hermite_residual`` at many.
 
 Both routes are deterministic: sterf and stebz are serial LAPACK code, so
 identical inputs give identical brackets and midpoints whatever the thread
@@ -145,29 +147,41 @@ def position_tridiagonal(n_dim: int) -> SymTridiagonal:
 # characteristic polynomial recurrence
 # ---------------------------------------------------------------------------
 
+def _scaled_recurrence(n_dim: int, lams):
+    """(p_N, p_{N-1}, exp2) at each lam (array or scalar), p_k = value * 2**exp2.
+
+    p_0 = 1, p_1 = -lam, p_{k+1} = -lam p_k - (k/2) p_{k-1}.  Every
+    _RESCALE_EVERY steps a pair that has left [2^-500, 2^500] is rescaled by a
+    power of two, which is exact, so the recurrence stays in range for any N.
+    """
+    p_prev = np.ones_like(lams)
+    p = neg = -lams
+    exp2 = np.zeros(np.shape(lams), dtype=int)
+    for k in range(1, n_dim):
+        p, p_prev = neg * p - 0.5 * k * p_prev, p
+        if k % _RESCALE_EVERY == 0:
+            m = np.maximum(np.abs(p), np.abs(p_prev))
+            out = (m > 0.0) & ((m > 2.0**500) | (m < 2.0**-500))
+            if out.any():
+                shift = np.where(out, np.frexp(m)[1], 0)
+                p = np.ldexp(p, -shift)
+                p_prev = np.ldexp(p_prev, -shift)
+                exp2 += shift
+    return p, p_prev, exp2
+
+
 def char_poly_recurrence(n_dim: int, lam: float) -> tuple[float, int]:
     """Characteristic polynomial p_N(lam) of the position matrix, scaled.
 
-    p_0 = 1, p_1 = -lam, p_{k+1} = -lam p_k - (k/2) p_{k-1}.  Returned as
-    (mantissa, exp2) with p_N(lam) = mantissa * 2**exp2; periodic rescaling
-    keeps the recurrence in range for any N.
+    Returned as (mantissa, exp2) with p_N(lam) = mantissa * 2**exp2; see
+    ``_scaled_recurrence``.
     """
     if n_dim < 0:
         raise ValueError(f"n_dim must be >= 0, got {n_dim}")
-    p_prev, p = 1.0, -lam
     if n_dim == 0:
         return 1.0, 0
-    exp2 = 0
-    for k in range(1, n_dim):
-        p, p_prev = -lam * p - 0.5 * k * p_prev, p
-        if k % _RESCALE_EVERY == 0:
-            m = max(abs(p), abs(p_prev))
-            if m > 0.0 and (m > 2.0**500 or m < 2.0**-500):
-                shift = math.frexp(m)[1]
-                p = math.ldexp(p, -shift)
-                p_prev = math.ldexp(p_prev, -shift)
-                exp2 += shift
-    return p, exp2
+    p, _, exp2 = _scaled_recurrence(n_dim, np.float64(lam))
+    return float(p), int(exp2)
 
 
 def hermite_value(n_dim: int, lam: float) -> tuple[float, int]:
@@ -187,16 +201,7 @@ def hermite_residual(n_dim: int, lams) -> np.ndarray:
     consecutive orders interlace), so the ratio measures closeness to a zero
     relative to the local polynomial scale.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    p_prev = np.ones_like(lams)
-    p = -lams.copy()
-    for k in range(1, n_dim):
-        p, p_prev = -lams * p - 0.5 * k * p_prev, p
-        if k % _RESCALE_EVERY == 0:
-            scale = np.maximum(np.abs(p), np.abs(p_prev))
-            scale[scale == 0.0] = 1.0
-            p = p / scale
-            p_prev = p_prev / scale
+    p, p_prev, _ = _scaled_recurrence(n_dim, np.atleast_1d(np.asarray(lams, dtype=float)))
     denom = np.maximum(np.abs(p), np.abs(p_prev))
     denom[denom == 0.0] = 1.0
     return np.abs(p) / denom
@@ -351,22 +356,13 @@ class SpectrumSummary:
         )
 
 
-def spectrum_summary(n_dim: int, tol: float = DEFAULT_EIG_TOL, method: str = "bisect") -> SpectrumSummary:
+def spectrum_summary(n_dim: int, tol: float = DEFAULT_EIG_TOL) -> SpectrumSummary:
     """Assemble the forbidden-cell/width summary for one dimension.
 
-    ``tol`` is validated on both methods; see ``extreme_eigenvalues``.
+    ``tol`` is validated; see ``extreme_eigenvalues``.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
-    validate_tol(tol)
-    t = position_tridiagonal(n_dim)
-    if method == "bisect":
-        lam_min, lam_max = extreme_eigenvalues(t, tol=tol)
-    elif method == "qr":
-        ev = eig_all(t)
-        idx_m, idx_max = _extreme_indices(n_dim)
-        lam_min, lam_max = float(ev[idx_m]), float(ev[idx_max])
-    else:
-        raise ValueError(f"method must be 'bisect' or 'qr', got {method!r}")
+    lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n_dim), tol=tol)
     return SpectrumSummary.from_extremes(n_dim, lam_min, lam_max)
 
 
@@ -398,17 +394,16 @@ class GapReport:
         return self.gaps_ok and self.interlacing_ok
 
 
-def gap_properties(n_dim: int, max_dense_dim: int = DENSE_SPECTRUM_CAP) -> GapReport:
+def gap_properties(n_dim: int) -> GapReport:
     """Check consecutive-gap lower bounds and interlacing with order N+1.
 
     Every gap between consecutive positive eigenvalues exceeds the smallest
     positive one (odd N) or twice it (even N), and the order-N and order-N+1
     spectra strictly interlace.
     """
-    if n_dim < 2:
-        raise ValueError(f"need n_dim >= 2, got {n_dim}")
-    ev_n = eig_all(position_tridiagonal(n_dim), max_dense_dim)
-    ev_n1 = eig_all(position_tridiagonal(n_dim + 1), max_dense_dim)
+    n_dim = as_dimension(n_dim, 2, "n_dim")
+    ev_n = eig_all(position_tridiagonal(n_dim))
+    ev_n1 = eig_all(position_tridiagonal(n_dim + 1))
     pos = ev_n[ev_n > 1e-10 * math.sqrt(2.0 * n_dim)]
     lam1 = float(pos[0])
     bound = lam1 if n_dim % 2 else 2.0 * lam1
@@ -437,8 +432,7 @@ def semicircle_density(n_dim: int, x1: float, x2: float) -> float:
     reaching outside the support [-sqrt(2N), sqrt(2N)] are clipped with a
     warning.
     """
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     if not x1 < x2:
         raise ValueError(f"need x1 < x2, got ({x1}, {x2})")
     a = math.sqrt(2.0 * n_dim)
@@ -587,18 +581,5 @@ def gnuplot_extremes_script(csv_name: str) -> str:
             f"     '{csv_name}' every ::1 using 1:(strcol(7) eq 'odd' ? $2 : 1/0) "
             "with points title 'smallest positive (odd N)', \\",
             f"     '{csv_name}' every ::1 using 1:3 with lines title 'largest'",
-        ]
-    ) + "\n"
-
-
-def gnuplot_interlacing_script(csv_name: str) -> str:
-    """Plot the smallest positive eigenvalue for consecutive dimensions."""
-    return "\n".join(
-        [
-            "# interlacing of the smallest positive eigenvalues across dimensions",
-            "set datafile separator ','",
-            "set xlabel 'N'",
-            "set ylabel 'smallest positive eigenvalue'",
-            f"plot '{csv_name}' every ::1 using 1:2 with linespoints notitle",
         ]
     ) + "\n"

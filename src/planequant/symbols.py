@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeOverflowError
-from .frame import OVERFLOW_R2, FrameConfig, PhasePoint, coherent_state
+from .frame import OVERFLOW_R2, FrameConfig, PhasePoint, as_dimension, coherent_state
 from .operators import OperatorMatrix
 
 # Tiny negative variances from roundoff are clamped to zero; anything more
@@ -40,12 +40,12 @@ def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
     return complex(np.vdot(state.coeffs, op.entries @ state.coeffs))
 
 
-def _ingredient_sums(n_dim: int, r2):
-    """Partial exponential sums and the energy-weighted sum, vectorized.
+def _closed_forms(n_dim: int, r2, q, p):
+    """(C, A, B) at the points (q, p) with r2 = (q^2 + p^2)/2, vectorized.
 
-    Returns (S_N, S_{N-1}, S_{N-2}, A_num) where S_m = sum_{j<m} r2^j/j! and
-    A_num = sum_{k=1..N} r2^{k-1}/(k-1)! * e_k with e_k the k-th diagonal
-    energy (k - 1/2, except (N-1)/2 at k = N).
+    C = S_{N-1}/S_N, A = A_num/S_N and B = (q^2 - p^2)/2 * S_{N-2}/S_N, where
+    S_m = sum_{j<m} r2^j/j! and A_num = sum_{k=1..N} r2^{k-1}/(k-1)! * e_k
+    with e_k the k-th diagonal energy (k - 1/2, except (N-1)/2 at k = N).
     """
     r2 = np.asarray(r2, dtype=float)
     term = np.ones_like(r2)
@@ -64,7 +64,7 @@ def _ingredient_sums(n_dim: int, r2):
             s_nm2 = total.copy()
         if j == n_dim - 2:
             s_nm1 = total.copy()
-    return total, s_nm1, s_nm2, a_num
+    return s_nm1 / total, a_num / total, s_nm2 / total * (q * q - p * p) / 2.0
 
 
 def _check_range(r2: float) -> None:
@@ -79,25 +79,21 @@ def corrective_factor(n_dim: int, r: float) -> float:
 
     C(r) = S_{N-1}(r^2) / S_N(r^2) tends to 1 as N grows.
     """
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     if not (r >= 0.0):
         raise ValueError(f"r must be nonnegative, got {r!r}")
     _check_range(r * r)
-    s_n, s_nm1, _, _ = _ingredient_sums(n_dim, r * r)
-    return float(s_nm1 / s_n)
+    c, _, _ = _closed_forms(n_dim, r * r, r, 0.0)
+    return float(c)
 
 
 def quadratic_symbols(n_dim: int, x: PhasePoint) -> tuple[float, float]:
     """The pair (A, B) with <z|Q^2|z> = A + B, <z|P^2|z> = A - B, <z|H|z> = A."""
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     r2 = x.r2
     _check_range(r2)
-    s_n, _, s_nm2, a_num = _ingredient_sums(n_dim, r2)
-    a_val = float(a_num / s_n)
-    b_val = float(s_nm2 / s_n) * (x.q * x.q - x.p * x.p) / 2.0
-    return a_val, b_val
+    _, a_val, b_val = _closed_forms(n_dim, r2, x.q, x.p)
+    return float(a_val), float(b_val)
 
 
 def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
@@ -106,14 +102,10 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     Equals exactly 1/2 at the origin for every N >= 2; for N = 2 the value
     1/2 is a supremum approached from below at large |z|.
     """
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     r2 = x.r2
     _check_range(r2)
-    s_n, s_nm1, s_nm2, a_num = _ingredient_sums(n_dim, r2)
-    c = s_nm1 / s_n
-    a_val = a_num / s_n
-    b_val = s_nm2 / s_n * (x.q * x.q - x.p * x.p) / 2.0
+    c, a_val, b_val = _closed_forms(n_dim, r2, x.q, x.p)
     var_q = float(a_val + b_val - (c * x.q) ** 2)
     var_p = float(a_val - b_val - (c * x.p) ** 2)
     for name, v in (("Q", var_q), ("P", var_p)):
@@ -171,8 +163,7 @@ def symbol_grid(
     """Evaluate one of Q2 | P2 | H | UNCERTAINTY | C over a (q, p) grid."""
     if which not in GRID_KINDS:
         raise ValueError(f"unknown grid kind {which!r}; expected one of {GRID_KINDS}")
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     q = np.linspace(*q_range[:2], q_range[2])
     p = np.linspace(*p_range[:2], p_range[2])
     qg, pg = np.meshgrid(q, p, indexing="ij")
@@ -181,9 +172,7 @@ def symbol_grid(
         raise RangeOverflowError(
             f"grid reaches |z|^2 = {float(r2.max()):.1f} beyond the linear-scale limit"
         )
-    s_n, s_nm1, s_nm2, a_num = _ingredient_sums(n_dim, r2)
-    a_val = a_num / s_n
-    b_val = s_nm2 / s_n * (qg * qg - pg * pg) / 2.0
+    c, a_val, b_val = _closed_forms(n_dim, r2, qg, pg)
     if which == "Q2":
         vals = a_val + b_val
     elif which == "P2":
@@ -191,9 +180,8 @@ def symbol_grid(
     elif which == "H":
         vals = a_val
     elif which == "C":
-        vals = s_nm1 / s_n
+        vals = c
     else:  # UNCERTAINTY
-        c = s_nm1 / s_n
         var_q = np.maximum(a_val + b_val - (c * qg) ** 2, 0.0)
         var_p = np.maximum(a_val - b_val - (c * pg) ** 2, 0.0)
         vals = np.sqrt(var_q) * np.sqrt(var_p)

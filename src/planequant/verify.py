@@ -23,8 +23,7 @@ from .operators import (
     momentum_operator,
     position_operator,
 )
-
-TWO_PI = 2.0 * math.pi
+from .spectra import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,7 @@ class CheckResult:
 
 def _dims_ladder(limit: int) -> list[int]:
     base = [1, 2, 3, 4, 5, 8, 12, 13, 32, 33, 64, 100, 101]
-    dims = sorted({d for d in base if d <= limit} | {limit})
-    return [d for d in dims if d >= 1]
+    return sorted({d for d in base if d <= limit} | {limit})
 
 
 def _check_commutator(limit: int) -> CheckResult:
@@ -123,7 +121,7 @@ def _structural_tridiagonal(n: int, inject_fault: bool) -> spectra.SymTridiagona
 
 
 def _check_symmetry(limit: int, inject_fault: bool) -> CheckResult:
-    n = min(401, limit if limit >= 3 else 3)
+    n = min(401, limit)
     t = _structural_tridiagonal(n, inject_fault)
     ev = spectra.eig_all(t)
     dev = float(np.max(np.abs(ev + ev[::-1])))
@@ -137,7 +135,7 @@ def _check_symmetry(limit: int, inject_fault: bool) -> CheckResult:
 
 
 def _check_interlacing(limit: int, inject_fault: bool) -> CheckResult:
-    n = min(200, limit if limit >= 3 else 3)
+    n = min(200, limit)
     ev_n = spectra.eig_all(_structural_tridiagonal(n, inject_fault))
     ev_n1 = spectra.eig_all(spectra.position_tridiagonal(n + 1))
     margin = float(min((ev_n - ev_n1[:-1]).min(), (ev_n1[1:] - ev_n).min()))
@@ -147,8 +145,6 @@ def _check_interlacing(limit: int, inject_fault: bool) -> CheckResult:
 def _check_gaps(limit: int) -> CheckResult:
     worst = math.inf
     for n in sorted({5, 12, min(150, limit)}):
-        if n < 2:
-            continue
         report = spectra.gap_properties(n)
         if not report.gaps_ok:
             return CheckResult("gap", False, f"gap bound violated at dim {n}")
@@ -157,7 +153,7 @@ def _check_gaps(limit: int) -> CheckResult:
 
 
 def _check_sigma(limit: int) -> CheckResult:
-    dims = list(range(2, min(200, max(limit, 4)) + 1))
+    dims = list(range(2, min(200, limit) + 1))
     summaries = spectra.sigma_table(dims, tol=1e-11)
     sigmas = {s.dim: s.sigma for s in summaries}
     below = all(s.sigma < TWO_PI for s in summaries)

@@ -113,6 +113,13 @@ class TestCoherentState:
         cs = coherent_state(FrameConfig(3), PhasePoint(0.0, 0.0))
         assert np.allclose(cs.coeffs, [1.0, 0.0, 0.0])
 
+    def test_vacuum_on_the_log_domain_fill(self):
+        # beyond the direct-factorial cap the zero node is the e_0 column
+        cs = coherent_state(FrameConfig(200), PhasePoint(0.0, 0.0))
+        expected = np.zeros(200, dtype=complex)
+        expected[0] = 1.0
+        assert np.array_equal(cs.coeffs, expected)
+
     def test_two_level_at_unit_z(self):
         cs = coherent_state(FrameConfig(2), PhasePoint(q=SQRT2, p=0.0))
         assert np.allclose(cs.coeffs, [1 / SQRT2, 1 / SQRT2], atol=1e-15)

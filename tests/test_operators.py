@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planequant.errors import DimensionMismatchError
+from planequant.frame import PhasePoint, log_normalization_factor, normalization_factor
 from planequant.operators import (
     OperatorMatrix,
     PolynomialSymbol,
@@ -22,6 +24,7 @@ from planequant.operators import (
     quantize_monomial,
     quantize_quadrature,
 )
+from planequant.symbols import corrective_factor, quadratic_symbols, symbol_grid, uncertainty_product
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,6 +103,21 @@ class TestQuantizeMonomial:
             quad=QuadratureSpec(radial_order=60, angular_order=120),
         )
         assert _max_dev(closed.entries, oracle.entries) <= 1e-6 * np.max(np.abs(closed.entries))
+
+    @pytest.mark.parametrize("n,a,b", [(64, 25, 20), (64, 20, 25), (300, 30, 31), (200, 0, 45)])
+    def test_large_shift_matches_exact_factorials(self, n, a, b):
+        # (k+a)!/sqrt(k! l!) from 50-digit decimal factorials on every entry
+        entries = quantize_monomial(n, a, b).entries
+        assert not np.any(entries.imag)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for k in range(max(0, b - a), n - max(0, a - b)):
+                l = k + a - b
+                exact = Decimal(math.factorial(k + a)) / (
+                    Decimal(math.factorial(k)) * Decimal(math.factorial(l))
+                ).sqrt()
+                rel = abs(Decimal(float(entries[k, l].real)) - exact) / exact
+                assert rel <= Decimal("1e-12"), (k, l, rel)
 
     def test_dense_cap(self):
         with pytest.raises(ValueError):
@@ -250,3 +268,34 @@ class TestOperatorMatrix:
         op = position_operator(3)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+
+_DIMENSION_TAKERS = {
+    "quantize_monomial": lambda n: quantize_monomial(n, 0, 0),
+    "quantize": lambda n: quantize(PolynomialSymbol.position(), n),
+    "position_operator": position_operator,
+    "hamiltonian": hamiltonian,
+    "normalization_factor": lambda n: normalization_factor(n, 1.0),
+    "log_normalization_factor": lambda n: log_normalization_factor(n, 1.0),
+    "corrective_factor": lambda n: corrective_factor(n, 1.0),
+    "quadratic_symbols": lambda n: quadratic_symbols(n, PhasePoint(1.0, 0.5)),
+    "uncertainty_product": lambda n: uncertainty_product(n, PhasePoint(1.0, 0.5)),
+    "symbol_grid": lambda n: symbol_grid(n, "C", (-1.0, 1.0, 3), (-1.0, 1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 4.0, 0, -3, "4"])
+@pytest.mark.parametrize("name", sorted(_DIMENSION_TAKERS))
+def test_dimensions_are_checked_alike(name, bad):
+    # bool and float dimensions raise ValueError, not a numpy TypeError;
+    # numpy integers are accepted like Python ints
+    call = _DIMENSION_TAKERS[name]
+    with pytest.raises(ValueError, match="n_dim"):
+        call(bad)
+    got, want = call(np.int64(5)), call(5)
+    assert type(getattr(got, "dim", 5)) is int
+    assert np.array_equal(_payload(got), _payload(want))
+
+
+def _payload(result) -> np.ndarray:
+    return np.asarray(getattr(result, "entries", getattr(result, "values", result)))

@@ -98,6 +98,24 @@ class TestCharPolyRecurrence:
         root = math.sqrt(1.5)
         assert abs(_value(hermite_value(3, root))) < 1e-13
 
+    def test_matches_the_scalar_loop_bit_for_bit(self):
+        def scalar_loop(n, lam):
+            # the plain-float recurrence, rescaled by 2^-frexp every 16 steps
+            p_prev, p, exp2 = 1.0, -lam, 0
+            for k in range(1, n):
+                p, p_prev = -lam * p - 0.5 * k * p_prev, p
+                if k % 16 == 0:
+                    m = max(abs(p), abs(p_prev))
+                    if m > 0.0 and (m > 2.0**500 or m < 2.0**-500):
+                        shift = math.frexp(m)[1]
+                        p, p_prev = math.ldexp(p, -shift), math.ldexp(p_prev, -shift)
+                        exp2 += shift
+            return p, exp2
+
+        for n in (1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 600, 1000, 5000):
+            for lam in (0.0, 1e-3, 0.35, 1.0, -2.5, 7.1, 30.0, 123.4, -400.0):
+                assert char_poly_recurrence(n, lam) == scalar_loop(n, lam), (n, lam)
+
     def test_rescaling_keeps_range(self):
         mantissa, exp2 = char_poly_recurrence(600, 0.35)
         assert math.isfinite(mantissa)
@@ -107,6 +125,20 @@ class TestCharPolyRecurrence:
         for n in (12, 200, 1000):
             ev = eig_all(position_tridiagonal(n))
             assert hermite_residual(n, ev).max() <= 1e-8
+
+    def test_residual_reads_the_same_recurrence(self):
+        # zeros, midpoints and points far outside the spectrum, where the
+        # recurrence is rescaled many times
+        ev = eig_all(position_tridiagonal(600))
+        lams = np.concatenate([ev, (ev[:-1] + ev[1:]) / 2.0, [-80.0, 45.5, 200.0]])
+        expected = []
+        for lam in lams:
+            p_n, e_n = char_poly_recurrence(600, float(lam))
+            p_m, e_m = char_poly_recurrence(599, float(lam))
+            top = abs(p_n)
+            other = math.ldexp(abs(p_m), e_m - e_n)
+            expected.append(top / max(top, other))
+        assert np.array_equal(hermite_residual(600, lams), np.array(expected))
 
     def test_residual_large_away_from_eigenvalues(self):
         ev = eig_all(position_tridiagonal(12))
@@ -269,21 +301,14 @@ class TestSpectrumSummary:
         s = spectrum_summary(1000)
         assert s.sigma == pytest.approx(6.209670, abs=1e-5)
 
-    def test_qr_method_agrees(self):
-        for n in (10, 33):
-            assert spectrum_summary(n, method="qr").sigma == pytest.approx(
-                spectrum_summary(n, method="bisect").sigma, abs=1e-11
-            )
-
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             spectrum_summary(1)
 
-    @pytest.mark.parametrize("method", ["bisect", "qr"])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_tol_on_both_methods(self, method, tol):
+    def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            spectrum_summary(10, tol=tol, method=method)
+            spectrum_summary(10, tol=tol)
 
     def test_numpy_integer_dimensions(self):
         assert position_tridiagonal(np.int64(5)).dim == 5
@@ -436,8 +461,5 @@ class TestExports:
         assert len(lines) == 4
 
     def test_gnuplot_scripts_reference_csv(self):
-        from planequant.spectra import gnuplot_interlacing_script
-
         assert "'s.csv'" in gnuplot_sigma_script("s.csv")
         assert "strcol(7)" in gnuplot_extremes_script("s.csv")
-        assert "using 1:2" in gnuplot_interlacing_script("s.csv")
