@@ -188,7 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues of the position matrix")
     sp.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
-    sp.add_argument("--method", choices=("auto", "qr", "bisect"), default="auto")
+    sp.add_argument("--method", choices=("auto", "qr", "bisect"), default="auto",
+                    help="qr: the full spectrum, every eigenvalue, by dqds on the "
+                         "half-size bidiagonal (n <= --dense-cap); bisect: the "
+                         "extreme-eigenvalue summary by LAPACK bisection, any n "
+                         "that fits in memory; auto (default): qr up to the cap, "
+                         "bisect beyond")
     sp.add_argument("--dense-cap", type=int, default=20000,
                     help="largest n diagonalized in full (default 20000)")
     sp.add_argument("--tol", type=float, default=1e-13, help=_TOL_HELP)

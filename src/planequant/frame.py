@@ -93,11 +93,14 @@ class FrameConfig:
 
     @cached_property
     def inv_sqrt_fact(self) -> np.ndarray:
-        """1/sqrt(n!) for n = 0..N-1, by cumulative product (exact to ~N*eps)."""
-        out = np.empty(self.dim)
-        out[0] = 1.0
-        for n in range(1, self.dim):
-            out[n] = out[n - 1] / math.sqrt(n)
+        """1/sqrt(n!) for n = 0..N-1, by running division (exact to ~N*eps).
+
+        out[n] = out[n-1] / sqrt(n) with out[0] = 1, as one sequential
+        ``np.divide.accumulate`` over 1, sqrt(1), ..., sqrt(N-1).
+        """
+        roots = np.sqrt(np.arange(self.dim, dtype=float))
+        roots[0] = 1.0
+        out = np.divide.accumulate(roots)
         out.setflags(write=False)
         return out
 

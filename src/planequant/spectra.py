@@ -2,20 +2,21 @@
 
 The position matrix is symmetric tridiagonal with zero diagonal and
 off-diagonal sqrt(k/2); its eigenvalues are the zeros of the degree-N
-Hermite polynomial, symmetric about the origin.  Two independent routes are
-provided, both LAPACK:
+Hermite polynomial, symmetric about the origin.  A zero-diagonal tridiagonal
+is permutation-similar to [[0, B], [B^T, 0]] with B bidiagonal of size
+ceil(N/2), so its eigenvalues are exactly +- the singular values of B
+(Demmel & Kahan 1990).  Two independent routes are provided, both LAPACK:
 
-* ``eig_all``             - full spectrum via the implicit-shift QL/QR
-                            iteration (sterf), eigenvalues only, for
-                            moderate N;
+* ``eig_all``             - full spectrum as +- the singular values of the
+                            half-size bidiagonal B by dqds (dlasq1, Fernando
+                            & Parlett 1994), every eigenvalue to high
+                            relative accuracy, O(N^2) work, for moderate N;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
                             by index-selected Sturm bisection (stebz), O(N)
-                            per count, practical to N = 10^6.  A zero-diagonal
-                            tridiagonal is permutation-similar to a bidiagonal
-                            (Demmel & Kahan 1990), so with an absolute
-                            tolerance at the underflow threshold each
-                            eigenvalue, the smallest included, is accurate to
-                            a few ulps relative.
+                            per count, practical to N = 10^6.  With an
+                            absolute tolerance at the underflow threshold
+                            each eigenvalue, the smallest included, is
+                            accurate to a few ulps relative.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -30,21 +31,24 @@ cross-checks.  The recurrence is written once, vectorized and rescaled by
 exact powers of two; ``char_poly_recurrence`` reads it at one point and
 ``hermite_residual`` at many.
 
-Both routes are deterministic: sterf and stebz are serial LAPACK code, so
-identical inputs give identical brackets and midpoints whatever the thread
-count.
+Both routes are deterministic: dlasq1 and stebz are serial LAPACK code, so
+identical inputs give identical results whatever the thread count.  Before
+building a tridiagonal, ``position_tridiagonal`` checks that the arrays of
+either route fit in physical memory.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dstebz
 
 from .errors import ConvergenceError, VerificationError
@@ -66,6 +70,37 @@ _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 
 # Rescale cadence for the characteristic-polynomial recurrence.
 _RESCALE_EVERY = 16
+
+# Peak bytes per dimension of the larger route: the tridiagonal (16 N) plus
+# stebz's w, iblock, isplit, work and iwork (8 + 4 + 4 + 32 + 12 = 60 N).
+# eig_all needs 48 N (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).
+_BYTES_PER_DIM = 76
+
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+def _bind_dlasq1():
+    """LAPACK dlasq1 (singular values of a bidiagonal by dqds) as a ctypes call.
+
+    scipy.linalg.lapack does not wrap it; scipy.linalg.cython_lapack exports
+    it as a PyCapsule holding the function pointer.
+    """
+    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.argtypes = [ctypes.py_object]
+    get_name.restype = ctypes.c_char_p
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    get_pointer.restype = ctypes.c_void_p
+    int_p = ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(None, int_p, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, int_p)
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+# dlasq1(n, d, e, work, info): d (n) holds the diagonal on entry and the
+# singular values in descending order on exit, e (n) the off-diagonal in its
+# first n - 1 entries, work 4 n doubles.
+_dlasq1 = _bind_dlasq1()
 
 
 @dataclass(frozen=True)
@@ -134,9 +169,33 @@ class SymTridiagonal:
         return float(np.max(np.abs(self.diag) + radius))
 
 
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where os.sysconf does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(n_dim: int) -> None:
+    """Raise ValueError, before anything is allocated, if n_dim cannot fit."""
+    need = _BYTES_PER_DIM * n_dim
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"dim {n_dim} needs about {need / 2**30:.3g} GiB for its spectral arrays, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def position_tridiagonal(n_dim: int) -> SymTridiagonal:
-    """Tridiagonal data of the position matrix: zero diagonal, sqrt(k/2) off."""
+    """Tridiagonal data of the position matrix: zero diagonal, sqrt(k/2) off.
+
+    Raises ValueError if the arrays of either spectral route at this
+    dimension would not fit in physical memory.
+    """
     n_dim = as_dimension(n_dim, 1, "n_dim")
+    _check_memory(n_dim)
     return SymTridiagonal(
         diag=np.zeros(n_dim),
         offdiag=np.sqrt(np.arange(1, n_dim) / 2.0),
@@ -208,30 +267,49 @@ def hermite_residual(n_dim: int, lams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# full spectrum (implicit-shift QL/QR, eigenvalues only)
+# full spectrum (dqds on the half-size bidiagonal)
 # ---------------------------------------------------------------------------
 
 def eig_all(t: SymTridiagonal, max_dense_dim: int = DENSE_SPECTRUM_CAP) -> np.ndarray:
-    """All eigenvalues in ascending order via implicit-shift QL/QR iteration.
+    """All eigenvalues of a zero-diagonal tridiagonal, in ascending order.
 
-    Eigenvalues only (no eigenvector accumulation), O(N^2) work, accuracy a
-    small multiple of machine epsilon times the spectral width.  Dimensions
-    beyond ``max_dense_dim`` are rejected; use the bisection routines there.
+    Ordering the rows odd indices first turns T into [[0, B], [B^T, 0]],
+    with B bidiagonal of size ceil(N/2): diagonal offdiag[0::2],
+    off-diagonal offdiag[1::2], and for odd N a zero last row.  The
+    eigenvalues are -sigma, (0 for odd N,) +sigma over the singular values
+    sigma of B (Demmel & Kahan 1990), which dqds (LAPACK dlasq1, Fernando &
+    Parlett 1994) computes to high relative accuracy.  O(N^2) work; the
+    spectrum is exactly sign-symmetric and the odd-N middle value is +0.0.
+    Dimensions beyond ``max_dense_dim`` are rejected; use the bisection
+    routines there.
     """
     if t.dim > max_dense_dim:
         raise ValueError(
             f"dim {t.dim} exceeds the full-spectrum cap {max_dense_dim}; "
             "use extreme_eigenvalues/sturm_count instead"
         )
-    if t.dim == 1:
-        return t.diag.copy()
-    try:
-        return eigvalsh_tridiagonal(t.diag, t.offdiag, lapack_driver="sterf")
-    except LinAlgError as exc:
+    if np.any(t.diag != 0.0):
+        raise ValueError("eig_all expects a zero-diagonal (sign-symmetric) matrix")
+    n = t.dim
+    half, pairs = (n + 1) // 2, n // 2
+    d = np.zeros(half)
+    e = np.zeros(half)
+    d[:pairs] = t.offdiag[0::2]
+    e[: (n - 1) // 2] = t.offdiag[1::2]
+    work = np.empty(4 * half)
+    info = ctypes.c_int(0)
+    _dlasq1(ctypes.c_int(half), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
+            work.ctypes.data_as(_DOUBLE_P), info)
+    if info.value != 0:
         raise ConvergenceError(
-            f"implicit QL/QR failed to converge within {30 * t.dim} implicit steps "
-            f"for dim {t.dim}: {exc}"
-        ) from exc
+            f"dqds (dlasq1) on the half-size bidiagonal failed with info = {info.value} "
+            f"for dim {n}"
+        )
+    sigma = d[:pairs]
+    ev = np.zeros(n)
+    np.negative(sigma, out=ev[:pairs])
+    ev[n - pairs:] = sigma[::-1]
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +445,14 @@ def spectrum_summary(n_dim: int, tol: float = DEFAULT_EIG_TOL) -> SpectrumSummar
 
 
 def sigma_table(n_list, tol: float = DEFAULT_EIG_TOL) -> list[SpectrumSummary]:
-    """One ``spectrum_summary`` per dimension, every dimension validated first."""
+    """One ``spectrum_summary`` per dimension, every dimension validated first.
+
+    Dimensions and memory are checked for the whole list before any work.
+    """
     n_list = [as_dimension(n, 2, "n") for n in n_list]
     if not n_list:
         raise ValueError("empty dimension list")
+    _check_memory(max(n_list))
     return [spectrum_summary(n, tol=tol) for n in n_list]
 
 

@@ -120,17 +120,22 @@ def _structural_tridiagonal(n: int, inject_fault: bool) -> spectra.SymTridiagona
     return spectra.SymTridiagonal(diag=np.zeros(n), offdiag=off)
 
 
-def _check_symmetry(limit: int, inject_fault: bool) -> CheckResult:
+def _check_symmetry(limit: int, inject_fault: bool, rng: np.random.Generator) -> CheckResult:
+    # eig_all returns +-sigma, so the spectrum's sign symmetry is checked on
+    # the Sturm count: #(ev < lam) + #(ev < -lam) = n away from eigenvalues.
     n = min(401, limit)
     t = _structural_tridiagonal(n, inject_fault)
-    ev = spectra.eig_all(t)
-    dev = float(np.max(np.abs(ev + ev[::-1])))
-    zero_gap = float(np.min(np.abs(ev)))
+    bound = t.gershgorin_bound() + 1.0
+    mism = sum(
+        spectra.sturm_count(t, lam) + spectra.sturm_count(t, -lam) != n
+        for lam in rng.uniform(0.0, bound, size=50).tolist()
+    )
+    zero_gap = float(np.min(np.abs(spectra.eig_all(t))))
     parity_ok = zero_gap <= 1e-12 if n % 2 else zero_gap > 1e-6
     return CheckResult(
         "symmetry",
-        dev <= 1e-12 and parity_ok,
-        f"max |ev + reversed| {dev:.3e}, smallest |ev| {zero_gap:.3e}",
+        mism == 0 and parity_ok,
+        f"{mism} of 50 Sturm count pairs at +-lam miss {n}, smallest |ev| {zero_gap:.3e}",
     )
 
 
@@ -185,6 +190,6 @@ def run_verification(
         _check_sturm_qr(n_max_dense, rng),
         _check_interlacing(n_max_dense, inject_fault),
         _check_gaps(n_max_dense),
-        _check_symmetry(n_max_dense, inject_fault),
+        _check_symmetry(n_max_dense, inject_fault, rng),
         _check_sigma(n_max_dense),
     ]

@@ -56,6 +56,16 @@ class TestSpectrumCommand:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["spectrum", "--n", "3", "--out", str(missing)]) == 3
 
+    def test_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        from planequant import spectra
+
+        monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 8 * 2**30)
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--n", "1000000000", "--out", str(out)]) == 2
+        assert main(["sigma-table", "--n-list", "10,1000000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("physical memory") == 2
+        assert not out.exists()
+
 
 class TestSigmaTableCommand:
     def test_explicit_list_matches_reference(self, tmp_path):
@@ -201,6 +211,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "FAIL interlacing" in captured.out
         assert "interlacing" in captured.err
+
+    def test_symmetry_reads_the_sturm_counts(self, monkeypatch):
+        from planequant import spectra, verify
+
+        assert verify._check_symmetry(64, False, np.random.default_rng(0)).passed
+        count = spectra.sturm_count
+        monkeypatch.setattr(spectra, "sturm_count", lambda t, lam: count(t, lam - 0.5))
+        result = verify._check_symmetry(64, False, np.random.default_rng(0))
+        assert not result.passed and not result.detail.startswith("0 of 50")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         assert main(["verify", "--n-max-dense", "32", "--seed", "7"]) == 0

@@ -35,6 +35,13 @@ class TestFrameConfig:
         with pytest.raises(ValueError, match="integer"):
             FrameConfig(bad)
 
+    def test_inv_sqrt_fact_matches_the_division_loop_bit_for_bit(self):
+        for n in [*range(1, 200), 500, 1000, 5000]:
+            expected = [1.0]
+            for k in range(1, n):
+                expected.append(expected[-1] / math.sqrt(k))
+            assert np.array_equal(FrameConfig(n).inv_sqrt_fact, np.array(expected)), n
+
 
 class TestPhasePoint:
     def test_z_and_r2(self):

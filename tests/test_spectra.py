@@ -1,8 +1,8 @@
 """Tests for the tridiagonal spectral machinery.
 
-The two LAPACK routes, the implicit-shift QL/QR full spectrum and the
-bisection for the extreme eigenvalues, are cross-checked throughout, and
-both are held against the pure-Python Sturm count.
+The two LAPACK routes, the full spectrum by dqds on the half-size
+bidiagonal and the bisection for the extreme eigenvalues, are cross-checked
+throughout, and both are held against the pure-Python Sturm count.
 """
 
 import json
@@ -11,7 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dstebz
 
+from planequant import spectra
+from planequant.errors import ConvergenceError
 from planequant.operators import momentum_operator
 from planequant.spectra import (
     SpectrumSummary,
@@ -194,6 +197,39 @@ class TestEigAll:
     def test_dim_one(self):
         assert eig_all(position_tridiagonal(1)).tolist() == [0.0]
 
+    def test_matches_stebz_relative_on_every_small_dim(self):
+        tiny = np.finfo(float).tiny
+        for n in range(2, 301):
+            t = position_tridiagonal(n)
+            m, w, _, _, info = dstebz(t.diag, t.offdiag, 1, 0.0, math.inf, 0, 0,
+                                      2.0 * tiny, b"E")
+            assert info == 0 and m == n // 2
+            positive = eig_all(t)[n - m:]
+            assert np.all(np.abs(positive - w[:m]) <= 1e-14 * w[:m]), n
+
+    def test_exactly_sign_symmetric_with_positive_zero(self):
+        for n in range(1, 301):
+            ev = eig_all(position_tridiagonal(n))
+            assert np.array_equal(ev, -ev[::-1]), n
+            if n % 2:
+                middle = ev[n // 2]
+                assert middle == 0.0 and not np.signbit(middle), n
+        rows = spectrum_to_csv(eig_all(position_tridiagonal(101))).splitlines()
+        assert rows[1 + 50] == "50,0"
+
+    def test_rejects_nonzero_diagonal(self):
+        t = SymTridiagonal(diag=np.array([0.0, 1e-300, 0.0]), offdiag=np.ones(2))
+        with pytest.raises(ValueError, match="zero-diagonal"):
+            eig_all(t)
+
+    def test_dqds_failure_is_convergence_error(self, monkeypatch):
+        def failing_dlasq1(n, d, e, work, info):
+            info.value = 2
+
+        monkeypatch.setattr(spectra, "_dlasq1", failing_dlasq1)
+        with pytest.raises(ConvergenceError, match="info = 2"):
+            eig_all(position_tridiagonal(10))
+
 
 class TestSturmCount:
     def test_half_below_zero_for_even_dim(self):
@@ -252,8 +288,8 @@ class TestExtremeEigenvalues:
         assert extreme_eigenvalues(t) == extreme_eigenvalues(t)
 
     def test_matches_full_spectrum_on_every_small_dim(self):
-        # sterf is accurate to ~eps * ||T|| absolutely, which is up to 1.5e-14
-        # relative for lambda_m near N = 280, so compare on that scale
+        # compared on the lambda_M scale; the relative agreement of every
+        # positive eigenvalue is test_matches_stebz_relative_on_every_small_dim
         for n in range(2, 301):
             ev = eig_all(position_tridiagonal(n))
             idx_m, idx_max = _extreme_indices(n)
@@ -326,6 +362,31 @@ class TestSpectrumSummary:
     def test_rejects_bool_and_float_dimensions(self, call):
         with pytest.raises(ValueError, match="integer"):
             call()
+
+    def test_physical_memory_is_reported(self):
+        assert spectra._physical_memory_bytes() > 0
+
+    def test_memory_guard_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 8 * 2**30)
+        for call in (lambda: position_tridiagonal(10**9),
+                     lambda: spectrum_summary(10**9),
+                     lambda: sigma_table([10, 10**9])):
+            with pytest.raises(ValueError, match="physical memory"):
+                call()
+
+    def test_memory_guard_checks_the_whole_list_first(self, monkeypatch):
+        room = spectra._BYTES_PER_DIM * 1000
+        monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: room)
+        assert position_tridiagonal(1000).dim == 1000
+        with pytest.raises(ValueError, match="dim 1001"):
+            position_tridiagonal(1001)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("spectrum_summary ran before the memory check")
+
+        monkeypatch.setattr(spectra, "spectrum_summary", no_work)
+        with pytest.raises(ValueError, match="dim 1001"):
+            sigma_table([10, 1001])
 
     def test_invariant_guard(self):
         with pytest.raises(Exception):
