@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-spectrum       full spectrum (moderate N) or extreme-value summary (any N)
+spectrum       full spectrum (N <= 20000) or extreme-value summary (larger N)
 sigma-table    forbidden-cell/width products for a list or ladder of N
 lower-symbols  phase-space grids of the symbol family, optional plot script
 bounds         dimensioned inequalities for concrete physical scales
@@ -10,8 +10,8 @@ verify         cross-module invariant suite, nonzero exit on failure
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 I/O failure.  Output is deterministic for fixed flags (and seed), so CSV
-artifacts are byte-identical across runs.  Set PLANEQUANT_THREADS before
-invocation to pin the linear-algebra thread pool.
+artifacts are byte-identical across runs.  To pin the linear-algebra
+thread pool, set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before launch.
 """
 
 from __future__ import annotations
@@ -31,21 +31,10 @@ _TABLE_DIMS = [10, 55, 100, 551, 1000, 5555, 10000, 55255, 100000, 500555, 10000
 
 _GRID_DEFAULT_DIM = {"Q2": 12, "P2": 12, "H": 5, "UNCERTAINTY": 10, "C": 12}
 
-_TOL_HELP = ("relative tolerance on the extreme eigenvalues, finite and > 0 "
-             "(default 1e-13); the LAPACK bisection always converges to about "
-             "2 ulp, which meets any tolerance down to that level")
-
 
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("PLANEQUANT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def _cmd_spectrum(args) -> int:
@@ -56,20 +45,12 @@ def _cmd_spectrum(args) -> int:
         print(f"error: need n >= 2 for a spectrum with positive eigenvalues, got {n}",
               file=sys.stderr)
         return EXIT_USAGE
-    spectra.validate_tol(args.tol)
-    method = args.method
-    if method == "auto":
-        method = "qr" if n <= args.dense_cap else "bisect"
-    if method == "qr":
-        if n > args.dense_cap:
-            print(f"error: n = {n} exceeds the dense cap {args.dense_cap} for method qr",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        eigenvalues = spectra.eig_all(spectra.position_tridiagonal(n), args.dense_cap)
+    if n <= spectra.DENSE_SPECTRUM_CAP:
+        eigenvalues = spectra.eig_all(spectra.position_tridiagonal(n))
         text = (spectra.spectrum_to_csv(eigenvalues) if args.format == "csv"
                 else spectra.spectrum_to_json(eigenvalues) + "\n")
     else:
-        summary = spectra.spectrum_summary(n, tol=args.tol)
+        summary = spectra.spectrum_summary(n)
         text = (spectra.summaries_to_csv([summary], include_two_pi=True)
                 if args.format == "csv"
                 else spectra.summaries_to_json([summary], include_two_pi=True) + "\n")
@@ -102,7 +83,7 @@ def _cmd_sigma_table(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    summaries = spectra.sigma_table(dims, tol=args.tol)
+    summaries = spectra.sigma_table(dims)
     text = (spectra.summaries_to_csv(summaries, include_two_pi=True)
             if args.format == "csv"
             else spectra.summaries_to_json(summaries, include_two_pi=True) + "\n")
@@ -186,17 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="eigenvalues of the position matrix")
+    sp = sub.add_parser(
+        "spectrum", help="eigenvalues of the position matrix",
+        description="Every eigenvalue (index,eigenvalue) by dqds on the half-size "
+                    "bidiagonal for n <= 20000; beyond, the extreme-eigenvalue "
+                    "summary by LAPACK bisection, the same row as sigma-table.")
     sp.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
-    sp.add_argument("--method", choices=("auto", "qr", "bisect"), default="auto",
-                    help="qr: the full spectrum, every eigenvalue, by dqds on the "
-                         "half-size bidiagonal (n <= --dense-cap); bisect: the "
-                         "extreme-eigenvalue summary by LAPACK bisection, any n "
-                         "that fits in memory; auto (default): qr up to the cap, "
-                         "bisect beyond")
-    sp.add_argument("--dense-cap", type=int, default=20000,
-                    help="largest n diagonalized in full (default 20000)")
-    sp.add_argument("--tol", type=float, default=1e-13, help=_TOL_HELP)
     sp.add_argument("--out", default="spectrum.csv")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=_cmd_spectrum)
@@ -206,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated dimensions (default: the built-in ladder to 10^6)")
     st.add_argument("--geometric", nargs=3, type=int, default=None,
                     metavar=("LO", "HI", "COUNT"), help="geometric ladder of dimensions")
-    st.add_argument("--tol", type=float, default=1e-13, help=_TOL_HELP)
     st.add_argument("--out", default="sigma_table.csv")
     st.add_argument("--format", choices=("csv", "json"), default="csv")
     st.add_argument("--emit-plot", action="store_true",
@@ -250,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,13 +10,15 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
 * ``eig_all``             - full spectrum as +- the singular values of the
                             half-size bidiagonal B by dqds (dlasq1, Fernando
                             & Parlett 1994), every eigenvalue to high
-                            relative accuracy, O(N^2) work, for moderate N;
+                            relative accuracy, O(N^2) work, for N up to
+                            ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
                             by index-selected Sturm bisection (stebz), O(N)
                             per count, practical to N = 10^6.  With an
                             absolute tolerance at the underflow threshold
                             each eigenvalue, the smallest included, is
-                            accurate to a few ulps relative.
+                            accurate to a few ulps relative; there is no
+                            tolerance to choose.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -57,11 +59,8 @@ from .operators import OperatorMatrix
 
 TWO_PI = 2.0 * math.pi
 
-# Full-spectrum routine cap; extreme eigenvalues use bisection beyond.
+# Largest dimension eig_all accepts; extreme eigenvalues use bisection beyond.
 DENSE_SPECTRUM_CAP = 20_000
-
-# Default relative tolerance on bisected eigenvalues.
-DEFAULT_EIG_TOL = 1e-13
 
 # Absolute tolerance for stebz.  It must be positive: at <= 0 LAPACK uses
 # ulp * ||T||, which moves lambda_m by 5e-11 relative at N = 10^6.  Just
@@ -117,6 +116,8 @@ class SymTridiagonal:
             raise ValueError(
                 f"need diag length N and offdiag length N-1, got {diag.shape} and {off.shape}"
             )
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise ValueError("diagonal and off-diagonal entries must be finite")
         if off.size and not np.all(off > 0.0):
             raise ValueError("off-diagonal entries must be strictly positive (unreduced matrix)")
         diag.setflags(write=False)
@@ -235,8 +236,7 @@ def char_poly_recurrence(n_dim: int, lam: float) -> tuple[float, int]:
     Returned as (mantissa, exp2) with p_N(lam) = mantissa * 2**exp2; see
     ``_scaled_recurrence``.
     """
-    if n_dim < 0:
-        raise ValueError(f"n_dim must be >= 0, got {n_dim}")
+    n_dim = as_dimension(n_dim, 0, "n_dim")
     if n_dim == 0:
         return 1.0, 0
     p, _, exp2 = _scaled_recurrence(n_dim, np.float64(lam))
@@ -248,6 +248,7 @@ def hermite_value(n_dim: int, lam: float) -> tuple[float, int]:
 
     Same (mantissa, exp2) convention as ``char_poly_recurrence``.
     """
+    n_dim = as_dimension(n_dim, 0, "n_dim")
     p, exp2 = char_poly_recurrence(n_dim, lam)
     sign = -1.0 if n_dim % 2 else 1.0
     return sign * p, exp2 + n_dim
@@ -260,6 +261,7 @@ def hermite_residual(n_dim: int, lams) -> np.ndarray:
     consecutive orders interlace), so the ratio measures closeness to a zero
     relative to the local polynomial scale.
     """
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     p, p_prev, _ = _scaled_recurrence(n_dim, np.atleast_1d(np.asarray(lams, dtype=float)))
     denom = np.maximum(np.abs(p), np.abs(p_prev))
     denom[denom == 0.0] = 1.0
@@ -270,7 +272,7 @@ def hermite_residual(n_dim: int, lams) -> np.ndarray:
 # full spectrum (dqds on the half-size bidiagonal)
 # ---------------------------------------------------------------------------
 
-def eig_all(t: SymTridiagonal, max_dense_dim: int = DENSE_SPECTRUM_CAP) -> np.ndarray:
+def eig_all(t: SymTridiagonal) -> np.ndarray:
     """All eigenvalues of a zero-diagonal tridiagonal, in ascending order.
 
     Ordering the rows odd indices first turns T into [[0, B], [B^T, 0]],
@@ -280,12 +282,12 @@ def eig_all(t: SymTridiagonal, max_dense_dim: int = DENSE_SPECTRUM_CAP) -> np.nd
     sigma of B (Demmel & Kahan 1990), which dqds (LAPACK dlasq1, Fernando &
     Parlett 1994) computes to high relative accuracy.  O(N^2) work; the
     spectrum is exactly sign-symmetric and the odd-N middle value is +0.0.
-    Dimensions beyond ``max_dense_dim`` are rejected; use the bisection
-    routines there.
+    Dimensions beyond ``DENSE_SPECTRUM_CAP`` are rejected; use
+    ``extreme_eigenvalues`` there.
     """
-    if t.dim > max_dense_dim:
+    if t.dim > DENSE_SPECTRUM_CAP:
         raise ValueError(
-            f"dim {t.dim} exceeds the full-spectrum cap {max_dense_dim}; "
+            f"dim {t.dim} exceeds the full-spectrum cap {DENSE_SPECTRUM_CAP}; "
             "use extreme_eigenvalues/sturm_count instead"
         )
     if np.any(t.diag != 0.0):
@@ -344,12 +346,6 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
     return count
 
 
-def validate_tol(tol: float) -> None:
-    """Raise ValueError unless the eigenvalue tolerance is finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-
-
 def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
     m, w, _, _, info = dstebz(
@@ -374,22 +370,17 @@ def _extreme_indices(n_dim: int) -> tuple[int, int]:
     return idx_m, n_dim - 1
 
 
-def extreme_eigenvalues(t: SymTridiagonal, tol: float = DEFAULT_EIG_TOL) -> tuple[float, float]:
+def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
     """(smallest positive, largest) eigenvalue of a zero-diagonal tridiagonal.
 
     Index-selected Sturm bisection (LAPACK stebz), O(N) per count, practical
     at N = 10^6.  Requires the symmetric-spectrum structure (zero diagonal).
-
-    ``tol`` must be finite and positive.  The bisection always runs to
-    stebz's own criterion, about 2 ulp relative, which meets any ``tol``
-    down to that level; a smaller ``tol`` gets the same result, as close as
-    a bracket of floating-point numbers can be split.
+    The bisection runs to stebz's own criterion, about 2 ulp relative.
     """
     if t.dim < 2:
         raise ValueError(f"need dim >= 2 for a positive eigenvalue, got {t.dim}")
     if float(np.max(np.abs(t.diag))) != 0.0:
         raise ValueError("extreme_eigenvalues expects a zero-diagonal (sign-symmetric) matrix")
-    validate_tol(tol)
     idx_m, idx_max = _extreme_indices(t.dim)
     return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
 
@@ -434,17 +425,14 @@ class SpectrumSummary:
         )
 
 
-def spectrum_summary(n_dim: int, tol: float = DEFAULT_EIG_TOL) -> SpectrumSummary:
-    """Assemble the forbidden-cell/width summary for one dimension.
-
-    ``tol`` is validated; see ``extreme_eigenvalues``.
-    """
+def spectrum_summary(n_dim: int) -> SpectrumSummary:
+    """Assemble the forbidden-cell/width summary for one dimension."""
     n_dim = as_dimension(n_dim, 2, "n_dim")
-    lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n_dim), tol=tol)
+    lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n_dim))
     return SpectrumSummary.from_extremes(n_dim, lam_min, lam_max)
 
 
-def sigma_table(n_list, tol: float = DEFAULT_EIG_TOL) -> list[SpectrumSummary]:
+def sigma_table(n_list) -> list[SpectrumSummary]:
     """One ``spectrum_summary`` per dimension, every dimension validated first.
 
     Dimensions and memory are checked for the whole list before any work.
@@ -453,7 +441,7 @@ def sigma_table(n_list, tol: float = DEFAULT_EIG_TOL) -> list[SpectrumSummary]:
     if not n_list:
         raise ValueError("empty dimension list")
     _check_memory(max(n_list))
-    return [spectrum_summary(n, tol=tol) for n in n_list]
+    return [spectrum_summary(n) for n in n_list]
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +546,11 @@ class AsymptoticReport:
     sigma_ratio: float         # sigma / (2*pi)
 
 
-def asymptotic_check(n_dim: int, tol: float = DEFAULT_EIG_TOL) -> AsymptoticReport:
+def asymptotic_check(n_dim: int) -> AsymptoticReport:
     """Ratios of the extreme eigenvalues to their large-N laws."""
     if n_dim < 100:
         raise ValueError(f"asymptotic ratios need n_dim >= 100, got {n_dim}")
-    summary = spectrum_summary(n_dim, tol=tol)
+    summary = spectrum_summary(n_dim)
     scale = math.sqrt(2.0 * n_dim)
     even = n_dim % 2 == 0
     small = summary.lambda_min_pos * scale / math.pi

@@ -122,7 +122,8 @@ def _structural_tridiagonal(n: int, inject_fault: bool) -> spectra.SymTridiagona
 
 def _check_symmetry(limit: int, inject_fault: bool, rng: np.random.Generator) -> CheckResult:
     # eig_all returns +-sigma, so the spectrum's sign symmetry is checked on
-    # the Sturm count: #(ev < lam) + #(ev < -lam) = n away from eigenvalues.
+    # the Sturm count: #(ev < lam) + #(ev < -lam) = n away from eigenvalues,
+    # and exactly n % 2 eigenvalues (the odd-n zero) lie in [-1e-9, 1e-9).
     n = min(401, limit)
     t = _structural_tridiagonal(n, inject_fault)
     bound = t.gershgorin_bound() + 1.0
@@ -130,12 +131,12 @@ def _check_symmetry(limit: int, inject_fault: bool, rng: np.random.Generator) ->
         spectra.sturm_count(t, lam) + spectra.sturm_count(t, -lam) != n
         for lam in rng.uniform(0.0, bound, size=50).tolist()
     )
-    zero_gap = float(np.min(np.abs(spectra.eig_all(t))))
-    parity_ok = zero_gap <= 1e-12 if n % 2 else zero_gap > 1e-6
+    near_zero = spectra.sturm_count(t, 1e-9) - spectra.sturm_count(t, -1e-9)
     return CheckResult(
         "symmetry",
-        mism == 0 and parity_ok,
-        f"{mism} of 50 Sturm count pairs at +-lam miss {n}, smallest |ev| {zero_gap:.3e}",
+        mism == 0 and near_zero == n % 2,
+        f"{mism} of 50 Sturm count pairs at +-lam miss {n}, "
+        f"{near_zero} eigenvalue(s) in [-1e-9, 1e-9), expected {n % 2}",
     )
 
 
@@ -159,7 +160,7 @@ def _check_gaps(limit: int) -> CheckResult:
 
 def _check_sigma(limit: int) -> CheckResult:
     dims = list(range(2, min(200, limit) + 1))
-    summaries = spectra.sigma_table(dims, tol=1e-11)
+    summaries = spectra.sigma_table(dims)
     sigmas = {s.dim: s.sigma for s in summaries}
     below = all(s.sigma < TWO_PI for s in summaries)
     monotone = all(

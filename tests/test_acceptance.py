@@ -82,7 +82,7 @@ def extended_table():
 
 @pytest.fixture(scope="module")
 def exhaustive_table():
-    return sigma_table(list(range(2, 2001)), tol=1e-11)
+    return sigma_table(list(range(2, 2001)))
 
 
 def test_criterion_1_reference_products(base_table, extended_table):

@@ -24,21 +24,14 @@ class TestSpectrumCommand:
         values = sorted(float(line.split(",")[1]) for line in lines[1:])
         assert values == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
-    def test_bisect_summary(self, tmp_path):
-        out = tmp_path / "s.csv"
-        assert main(["spectrum", "--n", "5000", "--method", "bisect", "--out", str(out)]) == 0
-        lines = _read(out).strip().splitlines()
-        header = lines[0].split(",")
-        row = dict(zip(header, lines[1].split(",")))
-        assert row["N"] == "5000"
-        assert float(row["sigma"]) < TWO_PI
-
-    def test_auto_switches_to_bisect_beyond_cap(self, tmp_path):
-        out = tmp_path / "s.csv"
-        assert main([
-            "spectrum", "--n", "3000", "--dense-cap", "1000", "--out", str(out),
-        ]) == 0
-        assert _read(out).startswith("N,lambda_m")
+    def test_summary_beyond_the_dense_cap(self, tmp_path):
+        # every eigenvalue up to the cap, the sigma-table row beyond it
+        full, beyond, table = (tmp_path / name for name in ("f.csv", "b.csv", "t.csv"))
+        assert main(["spectrum", "--n", "20000", "--out", str(full)]) == 0
+        assert _read(full).startswith("index,eigenvalue\n0,")
+        assert main(["spectrum", "--n", "20001", "--out", str(beyond)]) == 0
+        assert main(["sigma-table", "--n-list", "20001", "--out", str(table)]) == 0
+        assert beyond.read_bytes() == table.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -48,9 +41,6 @@ class TestSpectrumCommand:
 
     def test_degenerate_dim_is_usage_error(self, tmp_path):
         assert main(["spectrum", "--n", "1", "--out", str(tmp_path / "x.csv")]) == 2
-
-    def test_bad_tol_is_usage_error(self, tmp_path):
-        assert main(["spectrum", "--n", "3", "--tol", "-1", "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
@@ -91,10 +81,6 @@ class TestSigmaTableCommand:
 
     def test_bad_dim_is_usage_error(self, tmp_path):
         assert main(["sigma-table", "--n-list", "5,1", "--out", str(tmp_path / "x.csv")]) == 2
-
-    def test_bad_tol_is_usage_error(self, tmp_path):
-        assert main(["sigma-table", "--n-list", "5,6", "--tol", "nan",
-                     "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_emit_plot_writes_scripts(self, tmp_path):
         out = tmp_path / "sigma.csv"
@@ -220,6 +206,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(spectra, "sturm_count", lambda t, lam: count(t, lam - 0.5))
         result = verify._check_symmetry(64, False, np.random.default_rng(0))
         assert not result.passed and not result.detail.startswith("0 of 50")
+
+    def test_symmetry_counts_the_zero_eigenvalue(self, monkeypatch):
+        from planequant import spectra, verify
+
+        assert verify._check_symmetry(65, False, np.random.default_rng(0)).passed
+        count = spectra.sturm_count
+        monkeypatch.setattr(spectra, "sturm_count",
+                            lambda t, lam: count(t, lam) + (0.0 <= lam < 1e-3))
+        for n in (64, 65):
+            assert not verify._check_symmetry(n, False, np.random.default_rng(0)).passed
 
     def test_deterministic_for_fixed_seed(self, capsys):
         assert main(["verify", "--n-max-dense", "32", "--seed", "7"]) == 0

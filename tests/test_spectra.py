@@ -71,6 +71,14 @@ class TestSymTridiagonal:
         with pytest.raises(ValueError):
             SymTridiagonal(diag=np.zeros(3), offdiag=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("diag, offdiag", [
+        ([0.0, 0.0, 0.0], [math.inf, 1.0]),
+        ([0.0, math.nan, 0.0], [1.0, 1.0]),
+    ])
+    def test_rejects_non_finite_entries(self, diag, offdiag):
+        with pytest.raises(ValueError, match="finite"):
+            SymTridiagonal(diag=np.array(diag), offdiag=np.array(offdiag))
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             SymTridiagonal(diag=np.zeros(3), offdiag=np.zeros(3))
@@ -182,7 +190,7 @@ class TestEigAll:
     def test_matches_bisection_and_interlaces_neighbors(self):
         n = 12
         ev = eig_all(position_tridiagonal(n))
-        lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n), tol=1e-15)
+        lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n))
         assert ev[-1] == pytest.approx(lam_max, abs=1e-12)
         assert ev[n // 2] == pytest.approx(lam_min, abs=1e-12)
         ev_lo = eig_all(position_tridiagonal(n - 1))
@@ -191,8 +199,8 @@ class TestEigAll:
         assert np.all(ev > ev_hi[:-1]) and np.all(ev < ev_hi[1:])
 
     def test_dense_cap_enforced(self):
-        with pytest.raises(ValueError):
-            eig_all(position_tridiagonal(40), max_dense_dim=20)
+        with pytest.raises(ValueError, match="full-spectrum cap"):
+            eig_all(position_tridiagonal(spectra.DENSE_SPECTRUM_CAP + 1))
 
     def test_dim_one(self):
         assert eig_all(position_tridiagonal(1)).tolist() == [0.0]
@@ -306,15 +314,10 @@ class TestExtremeEigenvalues:
         t = position_tridiagonal(1_000_000)
         _assert_sturm_bracketed(t, *extreme_eigenvalues(t))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            extreme_eigenvalues(position_tridiagonal(10), tol=tol)
-
     def test_matches_full_spectrum_to_tolerance(self):
         for n in (17, 64, 333):
             ev = eig_all(position_tridiagonal(n))
-            lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n), tol=1e-14)
+            lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n))
             assert lam_max == pytest.approx(ev[-1], abs=1e-12)
             positive = ev[ev > 1e-9]
             assert lam_min == pytest.approx(positive[0], abs=1e-12)
@@ -341,23 +344,23 @@ class TestSpectrumSummary:
         with pytest.raises(ValueError):
             spectrum_summary(1)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            spectrum_summary(10, tol=tol)
-
     def test_numpy_integer_dimensions(self):
         assert position_tridiagonal(np.int64(5)).dim == 5
         s = spectrum_summary(np.int32(10))
         assert type(s.dim) is int
         assert json.loads(summaries_to_json([s]))[0]["N"] == 10
         assert [t.dim for t in sigma_table([np.int64(10), np.uint16(11)])] == [10, 11]
+        assert type(hermite_value(np.int64(3), 0.3)[1]) is int
 
     @pytest.mark.parametrize("call", [
         lambda: position_tridiagonal(True),
         lambda: spectrum_summary(np.True_),
         lambda: sigma_table([3, True]),
         lambda: sigma_table([3, 4.0]),
+        lambda: char_poly_recurrence(True, 0.3),
+        lambda: char_poly_recurrence(2.5, 0.3),
+        lambda: hermite_residual(0, [0.3]),
+        lambda: hermite_residual(-2, [0.3]),
     ])
     def test_rejects_bool_and_float_dimensions(self, call):
         with pytest.raises(ValueError, match="integer"):
@@ -419,11 +422,6 @@ class TestSigmaTable:
             sigma_table([])
         with pytest.raises(ValueError):
             sigma_table([2, 1])
-
-    @pytest.mark.parametrize("tol", [math.nan, -1.0])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            sigma_table(range(2, 20), tol=tol)
 
     def test_no_runtime_warnings_on_survey_range(self):
         with warnings.catch_warnings():
