@@ -24,7 +24,17 @@ class TestSpectrumCommand:
         values = sorted(float(line.split(",")[1]) for line in lines[1:])
         assert values == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
-    def test_summary_beyond_the_dense_cap(self, tmp_path):
+    def test_bisect_summary(self, tmp_path):
+        # beyond the cap the extreme eigenvalues come from bisection
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--n", "20001", "--out", str(out)]) == 0
+        lines = _read(out).strip().splitlines()
+        header = lines[0].split(",")
+        row = dict(zip(header, lines[1].split(",")))
+        assert row["N"] == "20001"
+        assert float(row["sigma"]) < TWO_PI
+
+    def test_auto_switches_to_bisect_beyond_cap(self, tmp_path):
         # every eigenvalue up to the cap, the sigma-table row beyond it
         full, beyond, table = (tmp_path / name for name in ("f.csv", "b.csv", "t.csv"))
         assert main(["spectrum", "--n", "20000", "--out", str(full)]) == 0
