@@ -13,12 +13,20 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             relative accuracy, O(N^2) work, for N up to
                             ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
-                            by index-selected Sturm bisection (stebz), O(N)
-                            per count, practical to N = 10^6.  With an
-                            absolute tolerance at the underflow threshold
-                            each eigenvalue, the smallest included, is
-                            accurate to a few ulps relative; there is no
-                            tolerance to choose.
+                            by Sturm bisection (stebz), O(N) per count,
+                            practical to N = 10^6.  From N = 100 on, stebz
+                            starts on a bracket of relative half-width 1e-9
+                            around the Hermite-zero asymptotics, and LAPACK
+                            counts prove the index of what it returns; a
+                            result they do not prove comes from
+                            index-selected bisection.  With an absolute
+                            tolerance at the underflow threshold there is no
+                            tolerance to choose.  lambda_M is accurate to a
+                            few ulps relative.  lambda_m is not: stebz's
+                            relative error against 40-digit Newton on the
+                            three-term recurrence is 1.8e-14 at N = 10^4,
+                            2.4e-13 at 10^5 and 4.5e-12 at 10^6, which the
+                            bracket is sized to contain.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import logging
 import math
 import os
 import warnings
@@ -57,6 +66,8 @@ from .errors import ConvergenceError, VerificationError
 from .frame import as_dimension
 from .operators import OperatorMatrix
 
+_log = logging.getLogger(__name__)
+
 TWO_PI = 2.0 * math.pi
 
 # Largest dimension eig_all accepts; extreme eigenvalues use bisection beyond.
@@ -66,6 +77,21 @@ DENSE_SPECTRUM_CAP = 20_000
 # ulp * ||T||, which moves lambda_m by 5e-11 relative at N = 10^6.  Just
 # above underflow, only the routine's relative 2-ulp test stops bisection.
 _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
+
+# From this dimension on, extreme_eigenvalues starts stebz on the asymptotic
+# bracket of _extreme_guesses; below it the Airy expansion's error approaches
+# the half-width (1.7e-9 at N = 50).
+_BRACKET_MIN_DIM = 100
+
+# Relative half-width of that bracket.  From N = 100 the expansions are within
+# 1e-10 of the true extreme eigenvalues.  The bracket must contain stebz's own
+# value, and its lambda_m lies 4.5e-12 from the true one at N = 10^6, a
+# distance that grows 13-19 times per decade of N; a bracket that misses it
+# at larger N costs the index route, not a wrong result.
+_BRACKET_HALF_WIDTH = 1e-9
+
+# First zero of the Airy function Ai, for the largest-zero expansion.
+_AIRY_A1 = -2.338107410459767
 
 # Rescale cadence for the characteristic-polynomial recurrence.
 _RESCALE_EVERY = 16
@@ -359,6 +385,72 @@ def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     return float(w[0])
 
 
+def _stebz_in_interval(t: SymTridiagonal, lo: float, hi: float,
+                       abstol: float) -> tuple[int, float, int]:
+    """(count, lowest eigenvalue, info) of stebz in value mode on (lo, hi].
+
+    Only scalars leave, so stebz's N-sized output arrays are freed before
+    the next call allocates its own.
+    """
+    m, w, _, _, info = dstebz(t.diag, t.offdiag, 1, lo, hi, 0, 0, abstol, b"E")
+    return m, float(w[0]), info
+
+
+def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Asymptotic ((lambda_m, half-width), (lambda_M, half-width)) of the position matrix.
+
+    The position eigenvalues are the Hermite zeros, whose squares are the
+    zeros of the Laguerre polynomial L_k^(alpha) with k = floor(N/2) and
+    alpha = -1/2 (even N) or +1/2 (odd N); both expansions run in
+    nu = 2N + 1.  lambda_M^2 is Gatteschi's Airy-type expansion of the
+    largest Laguerre zero (Gatteschi 2002; the initial guesses of Chebfun's
+    hermpts, Townsend, Trogdon & Olver 2016).  lambda_m^2 is the
+    Bessel-type expansion of the smallest one, j^2/nu (1 + (j^2 - 3/2)/(3 nu^2)
+    + ...), at the first zero j of J_alpha: pi/2 or pi.  Its nu^-4 term follows
+    from the perturbation series of the Hermite equation
+    psi'' + (nu - x^2) psi = 0 about x = 0.  From N = 100 on both are within
+    1e-10 relative; each comes with the relative half-width of the bracket
+    that stebz starts from.
+    """
+    nu = 2.0 * n_dim + 1.0
+    a, c = _AIRY_A1, 2.0 ** (1.0 / 3.0)
+    big2 = (nu + c * c * a * nu ** (1.0 / 3.0) + 0.2 * c**4 * a * a * nu ** (-1.0 / 3.0)
+            + (11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a**3) / nu
+            + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * c * c * nu ** (-5.0 / 3.0)
+            - (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a * a) * c * nu ** (-7.0 / 3.0))
+    j2 = (math.pi if n_dim % 2 else 0.5 * math.pi) ** 2
+    e = 1.0 / (nu * nu)
+    small2 = j2 / nu * (1.0 + (j2 - 1.5) / 3.0 * e
+                        + (11.0 / 45.0 * j2 * j2 - 13.0 / 12.0 * j2 + 11.0 / 8.0) * e * e)
+    return (math.sqrt(small2), _BRACKET_HALF_WIDTH), (math.sqrt(big2), _BRACKET_HALF_WIDTH)
+
+
+def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_width: float) -> float:
+    """Eigenvalue ``index`` (>= N/2) by stebz on an asymptotic bracket, proved by counts.
+
+    stebz in value mode refines the one eigenvalue in (lo, hi] =
+    (guess (1 - half_width), guess (1 + half_width)].  The result is taken
+    only if LAPACK's counts prove its index: the bracket holds exactly one
+    eigenvalue, and (-lo, lo] exactly 2 index - N.  The spectrum of a
+    zero-diagonal matrix is symmetric, so the second count leaves N - index
+    eigenvalues above lo, and the one in the bracket is the lowest of them.
+    An absolute tolerance wider than (-lo, lo] stops that second call right
+    after its counts.  Any other outcome is logged and answered by the index
+    route.
+    """
+    lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
+    m = inside = None
+    if 0.0 < lo < hi:
+        m, value, info = _stebz_in_interval(t, lo, hi, _STEBZ_ABSTOL)
+        if info == 0 and m == 1:
+            inside, _, info = _stebz_in_interval(t, -lo, lo, 4.0 * lo)
+            if info == 0 and inside == 2 * index - t.dim:
+                return value
+    _log.debug("dim %d, index %d: bracket (%r, %r] held %s eigenvalue(s) and (-lo, lo] %s; "
+               "using the index route", t.dim, index, lo, hi, m, inside)
+    return _stebz_eigenvalue(t, index)
+
+
 def _extreme_indices(n_dim: int) -> tuple[int, int]:
     """0-based indices of the smallest positive and the largest eigenvalue.
 
@@ -373,16 +465,30 @@ def _extreme_indices(n_dim: int) -> tuple[int, int]:
 def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
     """(smallest positive, largest) eigenvalue of a zero-diagonal tridiagonal.
 
-    Index-selected Sturm bisection (LAPACK stebz), O(N) per count, practical
-    at N = 10^6.  Requires the symmetric-spectrum structure (zero diagonal).
-    The bisection runs to stebz's own criterion, about 2 ulp relative.
+    LAPACK Sturm bisection (stebz), O(N) per count, practical at N = 10^6.
+    Requires the symmetric-spectrum structure (zero diagonal).  From
+    N = 100 on, stebz starts on the bracket of the position matrix's
+    asymptotic guesses, which skips most of its bisection steps; LAPACK
+    counts prove each bracketed result's index, and a result they do not prove
+    (another matrix, a missed bracket) comes from index-selected bisection.
+    Either way the bisection runs to stebz's own criterion, 2 ulp relative
+    around the point where its Sturm count changes.  For lambda_M that point
+    is within a few ulps of the true eigenvalue; for lambda_m of the position
+    matrix it is not: against 40-digit Newton on the three-term recurrence
+    its relative error is 1.8e-14 at N = 10^4, 2.4e-13 at N = 10^5 and
+    4.5e-12 at N = 10^6.  The bracket is sized to contain stebz's value,
+    not only the true one.
     """
     if t.dim < 2:
         raise ValueError(f"need dim >= 2 for a positive eigenvalue, got {t.dim}")
     if float(np.max(np.abs(t.diag))) != 0.0:
         raise ValueError("extreme_eigenvalues expects a zero-diagonal (sign-symmetric) matrix")
     idx_m, idx_max = _extreme_indices(t.dim)
-    return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
+    if t.dim < _BRACKET_MIN_DIM:
+        return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
+    guess_m, guess_max = _extreme_guesses(t.dim)
+    return (_bracketed_eigenvalue(t, idx_m, *guess_m),
+            _bracketed_eigenvalue(t, idx_max, *guess_max))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +653,8 @@ class AsymptoticReport:
 
 
 def asymptotic_check(n_dim: int) -> AsymptoticReport:
-    """Ratios of the extreme eigenvalues to their large-N laws."""
-    if n_dim < 100:
-        raise ValueError(f"asymptotic ratios need n_dim >= 100, got {n_dim}")
+    """Ratios of the extreme eigenvalues to their large-N laws; needs n_dim >= 100."""
+    n_dim = as_dimension(n_dim, 100, "n_dim")
     summary = spectrum_summary(n_dim)
     scale = math.sqrt(2.0 * n_dim)
     even = n_dim % 2 == 0

@@ -116,6 +116,15 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     return math.sqrt(var_q) * math.sqrt(var_p)
 
 
+def _check_axes(*ranges: tuple[float, float, int]) -> None:
+    """Raise ValueError unless every (min, max, steps) axis has min < max, steps >= 2."""
+    for lo, hi, steps in ranges:
+        if steps < 2:
+            raise ValueError(f"grid needs at least 2 steps per axis, got {steps}")
+        if not lo < hi:
+            raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class SymbolGrid:
     """Dense phase-space evaluation of one symbol family member.
@@ -131,11 +140,7 @@ class SymbolGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        for lo, hi, steps in (self.q_range, self.p_range):
-            if steps < 2:
-                raise ValueError(f"grid needs at least 2 steps per axis, got {steps}")
-            if not lo < hi:
-                raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
+        _check_axes(self.q_range, self.p_range)
         vals = np.asarray(self.values, dtype=float)
         expected = (self.q_range[2], self.p_range[2])
         if vals.shape != expected:
@@ -160,10 +165,14 @@ def symbol_grid(
     q_range: tuple[float, float, int],
     p_range: tuple[float, float, int],
 ) -> SymbolGrid:
-    """Evaluate one of Q2 | P2 | H | UNCERTAINTY | C over a (q, p) grid."""
+    """Evaluate one of Q2 | P2 | H | UNCERTAINTY | C over a (q, p) grid.
+
+    Every argument is checked before the grid is allocated.
+    """
     if which not in GRID_KINDS:
         raise ValueError(f"unknown grid kind {which!r}; expected one of {GRID_KINDS}")
     n_dim = as_dimension(n_dim, 1, "n_dim")
+    _check_axes(q_range, p_range)
     q = np.linspace(*q_range[:2], q_range[2])
     p = np.linspace(*p_range[:2], p_range[2])
     qg, pg = np.meshgrid(q, p, indexing="ij")

@@ -153,6 +153,17 @@ class TestLowerSymbolsCommand:
             "--out", str(tmp_path / "x.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize("bounds, message", [
+        (["--steps", "0"], "at least 2 steps per axis, got 0"),
+        (["--steps", "1"], "at least 2 steps per axis, got 1"),
+        (["--q-min", "1", "--q-max", "-1"], "min < max, got (1.0, -1.0)"),
+    ])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, bounds, message):
+        out = tmp_path / "x.csv"
+        assert main(["lower-symbols", "--which", "H", *bounds, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "c.json"
         assert main([

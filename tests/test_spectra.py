@@ -6,6 +6,7 @@ throughout, and both are held against the pure-Python Sturm count.
 """
 
 import json
+import logging
 import math
 import warnings
 
@@ -14,6 +15,7 @@ import pytest
 from scipy.linalg.lapack import dstebz
 
 from planequant import spectra
+from planequant.cli import _TABLE_DIMS as TABLE_DIMS
 from planequant.errors import ConvergenceError
 from planequant.operators import momentum_operator
 from planequant.spectra import (
@@ -323,6 +325,71 @@ class TestExtremeEigenvalues:
             assert lam_min == pytest.approx(positive[0], abs=1e-12)
 
 
+class TestBracketedRoute:
+    """The asymptotic bracket must hit on every dimension it serves, agree
+    with the index route to 2 ulp, and fall back to that route exactly when
+    LAPACK's counts do not prove the bracketed index."""
+
+    @staticmethod
+    def _index_route(t: SymTridiagonal) -> tuple[float, float]:
+        return tuple(spectra._stebz_eigenvalue(t, i) for i in _extreme_indices(t.dim))
+
+    def test_guesses_within_a_tenth_of_the_half_width(self):
+        for n in (spectra._BRACKET_MIN_DIM, spectra._BRACKET_MIN_DIM + 1, 1000, 1001, 5000):
+            ev = eig_all(position_tridiagonal(n))
+            for (guess, half_width), index in zip(spectra._extreme_guesses(n),
+                                                  _extreme_indices(n)):
+                assert abs(guess / ev[index] - 1.0) <= 0.1 * half_width, (n, index)
+
+    def test_no_fallback_on_ladder_and_survey(self, caplog):
+        dims = TABLE_DIMS + list(range(spectra._BRACKET_MIN_DIM, 2001))
+        with caplog.at_level(logging.DEBUG, logger=spectra.__name__):
+            sigma_table(dims)
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_matches_index_route_to_two_ulp(self):
+        for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + TABLE_DIMS:
+            t = position_tridiagonal(n)
+            for got, want in zip(extreme_eigenvalues(t), self._index_route(t)):
+                assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
+
+    def test_index_route_below_threshold(self, monkeypatch):
+        def no_guess(n_dim):
+            raise AssertionError("asymptotic guesses used below the threshold")
+
+        monkeypatch.setattr(spectra, "_extreme_guesses", no_guess)
+        t = position_tridiagonal(spectra._BRACKET_MIN_DIM - 1)
+        assert extreme_eigenvalues(t) == self._index_route(t)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
+    def test_missed_bracket_falls_back_to_index_route(self, n, miss, monkeypatch, caplog):
+        t = position_tridiagonal(n)
+        ev = eig_all(t)
+        idx_m, idx_max = _extreme_indices(n)
+        exact = self._index_route(t)
+        width = spectra._BRACKET_HALF_WIDTH
+        guesses = {
+            # one eigenvalue in the bracket, but not the wanted one
+            "neighbour": ((ev[idx_m + 1], width), (ev[idx_max - 1], width)),
+            # several eigenvalues in the bracket
+            "wide": ((3.0 * ev[idx_m], 0.9), (0.5 * ev[idx_max], 0.9)),
+            # none in the bracket
+            "empty": ((1.5 * ev[idx_m], width), (2.0 * ev[idx_max], width)),
+            # just above stebz's value, too narrow to reach it
+            "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in exact),
+            # no interval at all
+            "degenerate": ((exact[0], 0.0), (-exact[1], width)),
+        }[miss]
+        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: guesses)
+        with caplog.at_level(logging.DEBUG, logger=spectra.__name__):
+            assert extreme_eigenvalues(t) == exact
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        for line, index in zip(lines, (idx_m, idx_max)):
+            assert line.startswith(f"dim {n}, index {index}: bracket (")
+
+
 class TestSpectrumSummary:
     def test_dim_two_product(self):
         s = spectrum_summary(2)
@@ -361,6 +428,8 @@ class TestSpectrumSummary:
         lambda: char_poly_recurrence(2.5, 0.3),
         lambda: hermite_residual(0, [0.3]),
         lambda: hermite_residual(-2, [0.3]),
+        lambda: asymptotic_check("200"),
+        lambda: asymptotic_check(200.0),
     ])
     def test_rejects_bool_and_float_dimensions(self, call):
         with pytest.raises(ValueError, match="integer"):
