@@ -45,6 +45,11 @@ Both routes are deterministic: dlasq1 and stebz are serial LAPACK code, so
 identical inputs give identical results whatever the thread count.  Before
 building a tridiagonal, ``position_tridiagonal`` checks that the arrays of
 either route fit in physical memory.
+
+Both LAPACK routines come from ``_lapack``, which imports scipy.linalg and
+binds them on the first spectral computation of a process.  Importing this
+module, and with it the package, does not load scipy, so the phase-space
+commands and ``bounds`` without a finite-N product never pay its ~0.3 s.
 """
 
 from __future__ import annotations
@@ -56,11 +61,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dstebz
 
 from .errors import ConvergenceError, VerificationError
 from .frame import as_dimension
@@ -104,12 +107,23 @@ _BYTES_PER_DIM = 76
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 
-def _bind_dlasq1():
-    """LAPACK dlasq1 (singular values of a bidiagonal by dqds) as a ctypes call.
+@cache
+def _lapack():
+    """(dstebz, dlasq1): the two LAPACK routines, imported and bound on first use.
 
-    scipy.linalg.lapack does not wrap it; scipy.linalg.cython_lapack exports
-    it as a PyCapsule holding the function pointer.
+    Importing scipy.linalg costs about 0.3 s, so a process that never
+    computes a spectrum (lower symbols, bounds without a sigma dimension)
+    never pays it.  dstebz is scipy.linalg.lapack's f2py wrapper.  dlasq1
+    (singular values of a bidiagonal by dqds) has no such wrapper;
+    scipy.linalg.cython_lapack exports it as a PyCapsule holding the function
+    pointer, which is bound here once as a ctypes call
+    dlasq1(n, d, e, work, info): d (n) holds the diagonal on entry and the
+    singular values in descending order on exit, e (n) the off-diagonal in
+    its first n - 1 entries, work 4 n doubles.
     """
+    from scipy.linalg import cython_lapack
+    from scipy.linalg.lapack import dstebz
+
     capsule = cython_lapack.__pyx_capi__["dlasq1"]
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.argtypes = [ctypes.py_object]
@@ -119,13 +133,7 @@ def _bind_dlasq1():
     get_pointer.restype = ctypes.c_void_p
     int_p = ctypes.POINTER(ctypes.c_int)
     prototype = ctypes.CFUNCTYPE(None, int_p, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, int_p)
-    return prototype(get_pointer(capsule, get_name(capsule)))
-
-
-# dlasq1(n, d, e, work, info): d (n) holds the diagonal on entry and the
-# singular values in descending order on exit, e (n) the off-diagonal in its
-# first n - 1 entries, work 4 n doubles.
-_dlasq1 = _bind_dlasq1()
+    return dstebz, prototype(get_pointer(capsule, get_name(capsule)))
 
 
 @dataclass(frozen=True)
@@ -326,8 +334,9 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
     e[: (n - 1) // 2] = t.offdiag[1::2]
     work = np.empty(4 * half)
     info = ctypes.c_int(0)
-    _dlasq1(ctypes.c_int(half), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-            work.ctypes.data_as(_DOUBLE_P), info)
+    _, dlasq1 = _lapack()
+    dlasq1(ctypes.c_int(half), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
+           work.ctypes.data_as(_DOUBLE_P), info)
     if info.value != 0:
         raise ConvergenceError(
             f"dqds (dlasq1) on the half-size bidiagonal failed with info = {info.value} "
@@ -374,6 +383,7 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
 
 def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
+    dstebz, _ = _lapack()
     m, w, _, _, info = dstebz(
         t.diag, t.offdiag, 3, 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL, b"E"
     )
@@ -392,6 +402,7 @@ def _stebz_in_interval(t: SymTridiagonal, lo: float, hi: float,
     Only scalars leave, so stebz's N-sized output arrays are freed before
     the next call allocates its own.
     """
+    dstebz, _ = _lapack()
     m, w, _, _, info = dstebz(t.diag, t.offdiag, 1, lo, hi, 0, 0, abstol, b"E")
     return m, float(w[0]), info
 

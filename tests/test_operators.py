@@ -104,7 +104,12 @@ class TestQuantizeMonomial:
         )
         assert _max_dev(closed.entries, oracle.entries) <= 1e-6 * np.max(np.abs(closed.entries))
 
-    @pytest.mark.parametrize("n,a,b", [(64, 25, 20), (64, 20, 25), (300, 30, 31), (200, 0, 45)])
+    @pytest.mark.parametrize("n,a,b", [
+        (64, 25, 20), (64, 20, 25), (300, 30, 31), (200, 0, 45),
+        # a+b = 40 is the last exact-product degree, 41 the first from half_log_fact
+        (2, 20, 20), (2, 20, 21), (64, 40, 0), (64, 0, 41), (300, 20, 20), (300, 21, 20),
+        (300, 1, 39), (300, 39, 2),
+    ])
     def test_large_shift_matches_exact_factorials(self, n, a, b):
         # (k+a)!/sqrt(k! l!) from 50-digit decimal factorials on every entry
         entries = quantize_monomial(n, a, b).entries

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planequant.errors import RangeOverflowError
-from planequant.frame import PhasePoint
+from planequant.frame import OVERFLOW_R2, FrameConfig, PhasePoint, coherent_state
 from planequant.operators import (
     OperatorMatrix,
     hamiltonian,
@@ -35,6 +37,60 @@ SQRT2 = math.sqrt(2.0)
 
 def _squared(op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.dim, op.entries @ op.entries)
+
+
+def _edge_point(angle: float, above: bool) -> PhasePoint:
+    """The point at ``angle`` whose |z|^2 is the last double at or below
+    OVERFLOW_R2 (above=False) or the first beyond it (above=True)."""
+    def point(radius):
+        return PhasePoint(radius * math.cos(angle), radius * math.sin(angle))
+
+    radius = math.sqrt(2.0 * OVERFLOW_R2)
+    while point(radius).r2 > OVERFLOW_R2:
+        radius = math.nextafter(radius, 0.0)
+    while point(math.nextafter(radius, math.inf)).r2 <= OVERFLOW_R2:
+        radius = math.nextafter(radius, math.inf)
+    return point(math.nextafter(radius, math.inf) if above else radius)
+
+
+def _per_cell_csv(grid: SymbolGrid) -> str:
+    """The original per-cell export over numpy scalars, kept as the byte reference."""
+    lines = ["q,p,value"]
+    for i, qv in enumerate(grid.q_axis):
+        for j, pv in enumerate(grid.p_axis):
+            lines.append(f"{qv:.9g},{pv:.9g},{grid.values[i, j]:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+def _per_value_json(grid: SymbolGrid) -> str:
+    """The original JSON export over numpy scalars, kept as the byte reference."""
+    return json.dumps(
+        {
+            "which": grid.which,
+            "n_dim": grid.n_dim,
+            "q_range": list(grid.q_range),
+            "p_range": list(grid.p_range),
+            "values": [float(v) for v in grid.values.ravel()],
+        }
+    )
+
+
+def _export_grids() -> list:
+    """Non-square grids whose axes cross -0.0/0.0 and whose values print in
+    fixed and exponent form."""
+    odd = np.array([[-0.0, 0.0, 1e-300, -5e-7, 123456789.0],
+                    [1.5e20, -2.5e-5, 1e-4, 0.1, 999999999.5],
+                    [math.pi, -math.e, 1.0 / 3.0, 7.0, 1e9]])
+    return [
+        pytest.param(symbol_grid(12, "Q2", (-6.0, 6.0, 7), (-6.0, 6.0, 4)), id="q2-7x4"),
+        pytest.param(symbol_grid(5, "UNCERTAINTY", (-1.0, 1.0, 5), (-1e-5, -0.0, 3)),
+                     id="spread-negative-zero-p"),
+        pytest.param(symbol_grid(2, "C", (-37.0, 37.0, 3), (-0.0, 2e-5, 6)), id="c-large-z"),
+        pytest.param(symbol_grid(3, "UNCERTAINTY", (-37.0, 37.0, 4), (-1e-9, 1e-9, 5)),
+                     id="spread-tiny-p"),
+        pytest.param(SymbolGrid(which="H", n_dim=3, q_range=(-1e-7, 0.0, 3),
+                                p_range=(-2.0, 2.0, 5), values=odd), id="exponent-values"),
+    ]
 
 
 class TestLowerSymbol:
@@ -254,6 +310,14 @@ class TestGridExports:
             for cell in line.split(","):
                 assert f"{float(cell):.9g}" == cell
 
+    @pytest.mark.parametrize("grid", _export_grids())
+    def test_csv_bytes_match_per_cell_reference(self, grid):
+        assert grid_to_csv(grid) == _per_cell_csv(grid)
+
+    @pytest.mark.parametrize("grid", _export_grids())
+    def test_json_bytes_match_per_value_reference(self, grid):
+        assert grid_to_json(grid) == _per_value_json(grid)
+
     def test_json_round_trip(self, grid):
         data = json.loads(grid_to_json(grid))
         assert data["which"] == "H"
@@ -264,3 +328,69 @@ class TestGridExports:
         script = grid_gnuplot_script(grid, "h.csv")
         assert "splot 'h.csv'" in script
         assert "set dgrid3d 3,3" in script
+
+
+class TestOverflowEdge:
+    @settings(max_examples=30, deadline=None)
+    @given(angle=st.floats(0.0, 2.0 * math.pi), n=st.sampled_from([1, 2, 12, 64, 171, 400]))
+    def test_unit_norm_state_just_below(self, angle, n):
+        x = _edge_point(angle, above=False)
+        assert x.r2 <= OVERFLOW_R2
+        state = coherent_state(FrameConfig(n), x)
+        assert abs(float(np.linalg.norm(state.coeffs)) - 1.0) <= 1e-12
+        assert math.isfinite(uncertainty_product(n, x))
+        assert all(math.isfinite(v) for v in quadratic_symbols(n, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(angle=st.floats(0.0, 2.0 * math.pi), n=st.sampled_from([1, 2, 12, 64]))
+    def test_range_error_just_above(self, angle, n):
+        x = _edge_point(angle, above=True)
+        assert x.r2 > OVERFLOW_R2
+        for call in (lambda: coherent_state(FrameConfig(n), x),
+                     lambda: uncertainty_product(n, x),
+                     lambda: quadratic_symbols(n, x)):
+            with pytest.raises(RangeOverflowError):
+                call()
+
+    def test_grid_on_both_sides(self):
+        for n in (2, 64):
+            below = _edge_point(0.0, above=False).q
+            grid = symbol_grid(n, "UNCERTAINTY", (-below, below, 3), (-1e-200, 1e-200, 2))
+            assert np.all(np.isfinite(grid.values))
+            above = _edge_point(0.0, above=True).q
+            with pytest.raises(RangeOverflowError):
+                symbol_grid(n, "UNCERTAINTY", (-above, above, 3), (-1e-200, 1e-200, 2))
+
+
+class TestSmallestDimensions:
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(-20.0, 20.0), p=st.floats(-20.0, 20.0))
+    def test_one_level(self, q, p):
+        # Q, P and H all vanish on the single Fock state
+        x = PhasePoint(q, p)
+        assert coherent_state(FrameConfig(1), x).coeffs.tolist() == [1.0]
+        assert quadratic_symbols(1, x) == (0.0, 0.0)
+        assert uncertainty_product(1, x) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(-20.0, 20.0), p=st.floats(-20.0, 20.0))
+    def test_two_levels_match_the_sandwich(self, q, p):
+        x = PhasePoint(q, p)
+        state = coherent_state(FrameConfig(2), x)
+        expected = np.array([1.0, x.z]) / math.sqrt(1.0 + x.r2)
+        assert np.max(np.abs(state.coeffs - expected)) <= 1e-15
+        q_op, p_op = position_operator(2), momentum_operator(2)
+        a_val, b_val = quadratic_symbols(2, x)
+        q2, p2 = lower_symbol(_squared(q_op), x).real, lower_symbol(_squared(p_op), x).real
+        assert abs(q2 - (a_val + b_val)) <= 1e-14
+        assert abs(p2 - (a_val - b_val)) <= 1e-14
+        var_q = q2 - lower_symbol(q_op, x).real ** 2
+        var_p = p2 - lower_symbol(p_op, x).real ** 2
+        spread = uncertainty_product(2, x)
+        assert abs(spread - math.sqrt(var_q * var_p)) <= 1e-12
+        assert spread <= 0.5 * (1.0 + 4.0 * np.finfo(float).eps)
+
+    def test_two_levels_half_at_the_origin(self):
+        origin = PhasePoint(0.0, 0.0)
+        assert quadratic_symbols(2, origin) == (0.5, 0.0)
+        assert uncertainty_product(2, origin) == pytest.approx(0.5, rel=4.0 * np.finfo(float).eps)
