@@ -18,7 +18,6 @@ from .errors import (
 )
 from .frame import (
     CoherentState,
-    FrameConfig,
     PhasePoint,
     QuadratureSpec,
     coherent_state,
@@ -80,7 +79,6 @@ __all__ = [
     "CoherentState",
     "ConvergenceError",
     "DimensionMismatchError",
-    "FrameConfig",
     "GapReport",
     "OperatorMatrix",
     "PhasePoint",

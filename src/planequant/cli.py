@@ -51,9 +51,9 @@ def _cmd_spectrum(args) -> int:
                 else spectra.spectrum_to_json(eigenvalues) + "\n")
     else:
         summary = spectra.spectrum_summary(n)
-        text = (spectra.summaries_to_csv([summary], include_two_pi=True)
+        text = (spectra.summaries_to_csv([summary])
                 if args.format == "csv"
-                else spectra.summaries_to_json([summary], include_two_pi=True) + "\n")
+                else spectra.summaries_to_json([summary]) + "\n")
     _write_text(args.out, text)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -84,9 +84,9 @@ def _cmd_sigma_table(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     summaries = spectra.sigma_table(dims)
-    text = (spectra.summaries_to_csv(summaries, include_two_pi=True)
+    text = (spectra.summaries_to_csv(summaries)
             if args.format == "csv"
-            else spectra.summaries_to_json(summaries, include_two_pi=True) + "\n")
+            else spectra.summaries_to_json(summaries) + "\n")
     _write_text(args.out, text)
     print(f"wrote {args.out}")
     if args.emit_plot:

@@ -12,9 +12,9 @@ that switches between direct powers and a log-domain fill, and every
 quadrature integral over the frame is the one chunked sum V w V^H of
 ``frame_sandwich``.
 
-All functions are pure and the per-dimension caches on ``FrameConfig`` are
-immutable after construction, so concurrent use from multiple threads is
-safe.
+A dimension is a plain ``int`` N >= 1, checked by ``as_dimension``.  All
+functions are pure and keep no caches, so concurrent use from multiple
+threads is safe.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,34 +81,20 @@ class PhasePoint:
         return cls(q=math.sqrt(2.0) * z.real, p=math.sqrt(2.0) * z.imag)
 
 
-@dataclass(frozen=True)
-class FrameConfig:
-    """Truncation level N >= 1 plus derived per-dimension caches."""
+def inv_sqrt_fact(n_dim: int) -> np.ndarray:
+    """1/sqrt(n!) for n = 0..N-1, by running division (exact to ~N*eps).
 
-    dim: int
+    out[n] = out[n-1] / sqrt(n) with out[0] = 1, as one sequential
+    ``np.divide.accumulate`` over 1, sqrt(1), ..., sqrt(N-1).
+    """
+    roots = np.sqrt(np.arange(n_dim, dtype=float))
+    roots[0] = 1.0
+    return np.divide.accumulate(roots)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", as_dimension(self.dim))
 
-    @cached_property
-    def inv_sqrt_fact(self) -> np.ndarray:
-        """1/sqrt(n!) for n = 0..N-1, by running division (exact to ~N*eps).
-
-        out[n] = out[n-1] / sqrt(n) with out[0] = 1, as one sequential
-        ``np.divide.accumulate`` over 1, sqrt(1), ..., sqrt(N-1).
-        """
-        roots = np.sqrt(np.arange(self.dim, dtype=float))
-        roots[0] = 1.0
-        out = np.divide.accumulate(roots)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def half_log_fact(self) -> np.ndarray:
-        """0.5 * log(n!) for n = 0..N-1, the package's one log-factorial table."""
-        out = 0.5 * np.array([math.lgamma(n + 1.0) for n in range(self.dim)])
-        out.setflags(write=False)
-        return out
+def half_log_fact(n_dim: int) -> np.ndarray:
+    """0.5 * log(n!) for n = 0..N-1, the package's one log-factorial table."""
+    return 0.5 * np.array([math.lgamma(n + 1.0) for n in range(n_dim)])
 
 
 @dataclass(frozen=True)
@@ -166,30 +151,31 @@ def log_normalization_factor(n_dim: int, r2: float) -> float:
     if r2 == 0.0:
         return 0.0
     n = np.arange(n_dim)
-    logs = n * math.log(r2) - 2.0 * FrameConfig(n_dim).half_log_fact
+    logs = n * math.log(r2) - 2.0 * half_log_fact(n_dim)
     top = logs.max()
     return top + math.log(np.exp(logs - top).sum())
 
 
-def coherent_state(cfg: FrameConfig, x: PhasePoint) -> CoherentState:
+def coherent_state(n_dim: int, x: PhasePoint) -> CoherentState:
     """Normalized truncated coherent state attached to the phase point x."""
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     r2 = x.r2
     if r2 > OVERFLOW_R2:
         raise RangeOverflowError(
             f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}; "
             "use coherent_state_log"
         )
-    raw = monomial_state_matrix(cfg.dim, [x.z])[:, 0]
-    coeffs = raw / math.sqrt(normalization_factor(cfg.dim, r2))
-    return CoherentState(dim=cfg.dim, coeffs=coeffs, source=x)
+    raw = monomial_state_matrix(n_dim, [x.z])[:, 0]
+    coeffs = raw / math.sqrt(normalization_factor(n_dim, r2))
+    return CoherentState(dim=n_dim, coeffs=coeffs, source=x)
 
 
-def coherent_state_log(cfg: FrameConfig, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
+def coherent_state_log(n_dim: int, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Log-domain coherent state: (log-magnitude, phase) coefficient pairs.
 
     Valid for any |z|^2, including beyond the linear-scale overflow limit.
     """
-    n = cfg.dim
+    n = as_dimension(n_dim, 1, "n_dim")
     z = x.z
     ns = np.arange(n)
     if z == 0:
@@ -197,7 +183,7 @@ def coherent_state_log(cfg: FrameConfig, x: PhasePoint) -> tuple[np.ndarray, np.
         logmag[0] = 0.0
         return logmag, np.zeros(n)
     log_norm = log_normalization_factor(n, x.r2)
-    logmag = ns * math.log(abs(z)) - cfg.half_log_fact - 0.5 * log_norm
+    logmag = ns * math.log(abs(z)) - half_log_fact(n) - 0.5 * log_norm
     phase = ns * cmath.phase(z)
     return logmag, phase
 
@@ -258,23 +244,23 @@ def phase_plane_quadrature(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray
     return z.ravel(), w
 
 
-def monomial_state_matrix(dim: int, z: np.ndarray) -> np.ndarray:
-    """Matrix V with V[n, j] = z_j^n / sqrt(n!) for n = 0..dim-1.
+def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
+    """Matrix V with V[n, j] = z_j^n / sqrt(n!) for n = 0..N-1.
 
     These are the unnormalized coherent-state coefficients at each node;
     quadrature sandwiches V * w * V^H reproduce frame integrals.  Direct
     powers are used while z^n and 1/sqrt(n!) are individually representable,
     a log-domain fill otherwise.
     """
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     z = np.asarray(z, dtype=complex)
-    ns = np.arange(dim)
-    cfg = FrameConfig(dim)
+    ns = np.arange(n_dim)
     absz = np.abs(z)
     amax = float(absz.max()) if z.size else 0.0
-    if dim <= _DIRECT_FACTORIAL_DIM and (dim - 1) * math.log(max(amax, 1.0)) < 600.0:
-        return z[None, :] ** ns[:, None] * cfg.inv_sqrt_fact[:, None]
+    if n_dim <= _DIRECT_FACTORIAL_DIM and (n_dim - 1) * math.log(max(amax, 1.0)) < 600.0:
+        return z[None, :] ** ns[:, None] * inv_sqrt_fact(n_dim)[:, None]
     safe = np.where(absz == 0.0, 1.0, absz)
-    logmag = ns[:, None] * np.log(safe)[None, :] - cfg.half_log_fact[:, None]
+    logmag = ns[:, None] * np.log(safe)[None, :] - half_log_fact(n_dim)[:, None]
     v = np.exp(logmag) * np.exp(1j * ns[:, None] * np.angle(z)[None, :])
     if np.any(absz == 0.0):
         cols = absz == 0.0
@@ -297,7 +283,7 @@ def frame_sandwich(dim: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def verify_identity_resolution(
-    cfg: FrameConfig,
+    n_dim: int,
     quad: QuadratureSpec | None = None,
     tol: float | None = None,
 ) -> float:
@@ -308,15 +294,16 @@ def verify_identity_resolution(
     given and the deviation exceeds it, raises ``QuadratureOrderError`` with
     the orders needed for exactness.
     """
+    n_dim = as_dimension(n_dim, 1, "n_dim")
     if quad is None:
-        quad = QuadratureSpec.default_for(cfg.dim)
+        quad = QuadratureSpec.default_for(n_dim)
     z, w = phase_plane_quadrature(quad)
-    gram = frame_sandwich(cfg.dim, z, w)
-    dev = float(np.max(np.abs(gram - np.eye(cfg.dim))))
+    gram = frame_sandwich(n_dim, z, w)
+    dev = float(np.max(np.abs(gram - np.eye(n_dim))))
     if tol is not None and dev > tol:
         raise QuadratureOrderError(
             f"identity resolution deviates by {dev:.3e} > {tol:.1e} with radial order "
             f"{quad.radial_order}, angular order {quad.angular_order}; exactness for "
-            f"dim {cfg.dim} needs radial order >= {cfg.dim} and angular order >= {2 * cfg.dim - 1}"
+            f"dim {n_dim} needs radial order >= {n_dim} and angular order >= {2 * n_dim - 1}"
         )
     return dev

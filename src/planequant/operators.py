@@ -25,7 +25,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .frame import FrameConfig, QuadratureSpec, as_dimension, frame_sandwich, phase_plane_quadrature
+from .frame import (
+    QuadratureSpec,
+    as_dimension,
+    frame_sandwich,
+    half_log_fact,
+    phase_plane_quadrature,
+)
 
 # Hermiticity detection threshold for OperatorMatrix, relative to the
 # largest entry: entries grow like (k+a)!/k!, so no absolute bound fits.
@@ -36,7 +42,7 @@ HERMITIAN_TOL = 1e-12
 MAX_DENSE_DIM = 4096
 
 # Largest a+b for which factorial ratios are formed as exact small products;
-# larger shifts use the log-factorial table of FrameConfig.
+# larger shifts use frame's log-factorial table.
 _EXACT_PRODUCT_DEGREE = 40
 
 
@@ -201,7 +207,7 @@ def _transition_amplitudes(ks: np.ndarray, ls: np.ndarray, a: int, b: int) -> np
         for t in range(1, b + 1):
             prod *= ls + t
         return np.sqrt(prod)
-    half = FrameConfig(int(ks[-1]) + a + 1).half_log_fact
+    half = half_log_fact(int(ks[-1]) + a + 1)
     return np.exp(2.0 * half[ks + a] - half[ks] - half[ls])
 
 

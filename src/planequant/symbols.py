@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeOverflowError
-from .frame import OVERFLOW_R2, FrameConfig, PhasePoint, as_dimension, coherent_state
+from .frame import OVERFLOW_R2, PhasePoint, as_dimension, coherent_state
 from .operators import OperatorMatrix
 
 # Tiny negative variances from roundoff are clamped to zero; anything more
@@ -36,7 +36,7 @@ GRID_KINDS = ("Q2", "P2", "H", "UNCERTAINTY", "C")
 
 def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
     """<z|A|z> for the coherent state at x; real to roundoff when A is Hermitian."""
-    state = coherent_state(FrameConfig(op.dim), x)
+    state = coherent_state(op.dim, x)
     return complex(np.vdot(state.coeffs, op.entries @ state.coeffs))
 
 
@@ -111,9 +111,7 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     for name, v in (("Q", var_q), ("P", var_p)):
         if v < _VARIANCE_CLAMP:
             raise ArithmeticError(f"negative {name} variance {v} beyond roundoff clamp")
-    var_q = max(var_q, 0.0)
-    var_p = max(var_p, 0.0)
-    return math.sqrt(var_q) * math.sqrt(var_p)
+    return math.sqrt(max(var_q, 0.0) * max(var_p, 0.0))
 
 
 def _check_axes(*ranges: tuple[float, float, int]) -> None:
@@ -193,7 +191,7 @@ def symbol_grid(
     else:  # UNCERTAINTY
         var_q = np.maximum(a_val + b_val - (c * qg) ** 2, 0.0)
         var_p = np.maximum(a_val - b_val - (c * pg) ** 2, 0.0)
-        vals = np.sqrt(var_q) * np.sqrt(var_p)
+        vals = np.sqrt(var_q * var_p)
     return SymbolGrid(which=which, n_dim=n_dim, q_range=q_range, p_range=p_range, values=vals)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra, symbols
-from .frame import FrameConfig, PhasePoint, verify_identity_resolution
+from .frame import PhasePoint, verify_identity_resolution
 from .operators import (
     OperatorMatrix,
     commutator,
@@ -63,7 +63,7 @@ def _check_hamiltonian(limit: int) -> CheckResult:
 def _check_identity_resolution(limit: int) -> CheckResult:
     worst = 0.0
     for n in (1, 8, min(64, limit)):
-        worst = max(worst, verify_identity_resolution(FrameConfig(n)))
+        worst = max(worst, verify_identity_resolution(n))
     return CheckResult("identity_resolution", worst <= 1e-9, f"max deviation {worst:.3e}")
 
 
@@ -113,11 +113,12 @@ def _check_sturm_qr(limit: int, rng: np.random.Generator) -> CheckResult:
 
 
 def _structural_tridiagonal(n: int, inject_fault: bool) -> spectra.SymTridiagonal:
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    if inject_fault:
-        off = off.copy()
-        off[n // 2] *= 1.25  # the test hook: one perturbed coupling
-    return spectra.SymTridiagonal(diag=np.zeros(n), offdiag=off)
+    t = spectra.position_tridiagonal(n)
+    if not inject_fault:
+        return t
+    off = t.offdiag.copy()
+    off[n // 2] *= 1.25  # the test hook: one perturbed coupling
+    return spectra.SymTridiagonal(off)
 
 
 def _check_symmetry(limit: int, inject_fault: bool, rng: np.random.Generator) -> CheckResult:

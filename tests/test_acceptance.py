@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from planequant.frame import (
-    FrameConfig,
     PhasePoint,
     QuadratureSpec,
     monomial_state_matrix,
@@ -139,7 +138,7 @@ def test_criterion_4_energy_identity():
 def test_criterion_5_identity_resolution():
     worst = 0.0
     for n in range(1, 65):
-        worst = max(worst, verify_identity_resolution(FrameConfig(n)))
+        worst = max(worst, verify_identity_resolution(n))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 5 PASS: identity resolution to 1e-10 for N <= 64 (worst {worst:.2e})")
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from planequant.errors import DimensionMismatchError, QuadratureOrderError, RangeOverflowError
 from planequant.frame import (
     CoherentState,
-    FrameConfig,
     PhasePoint,
     QuadratureSpec,
     coherent_state,
     coherent_state_log,
     gauss_laguerre_rule,
+    inv_sqrt_fact,
     log_normalization_factor,
     normalization_factor,
     overlap,
@@ -25,22 +25,12 @@ from planequant.frame import (
 SQRT2 = math.sqrt(2.0)
 
 
-class TestFrameConfig:
-    def test_accepts_numpy_integer(self):
-        config = FrameConfig(np.int64(5))
-        assert config.dim == 5 and type(config.dim) is int
-
-    @pytest.mark.parametrize("bad", [True, np.True_, 2.0, 0])
-    def test_rejects_bool_float_and_nonpositive(self, bad):
-        with pytest.raises(ValueError, match="integer"):
-            FrameConfig(bad)
-
-    def test_inv_sqrt_fact_matches_the_division_loop_bit_for_bit(self):
-        for n in [*range(1, 200), 500, 1000, 5000]:
-            expected = [1.0]
-            for k in range(1, n):
-                expected.append(expected[-1] / math.sqrt(k))
-            assert np.array_equal(FrameConfig(n).inv_sqrt_fact, np.array(expected)), n
+def test_inv_sqrt_fact_matches_the_division_loop_bit_for_bit():
+    for n in [*range(1, 200), 500, 1000, 5000]:
+        expected = [1.0]
+        for k in range(1, n):
+            expected.append(expected[-1] / math.sqrt(k))
+        assert np.array_equal(inv_sqrt_fact(n), np.array(expected)), n
 
 
 class TestPhasePoint:
@@ -117,23 +107,23 @@ class TestNormalizationFactor:
 
 class TestCoherentState:
     def test_vacuum(self):
-        cs = coherent_state(FrameConfig(3), PhasePoint(0.0, 0.0))
+        cs = coherent_state(3, PhasePoint(0.0, 0.0))
         assert np.allclose(cs.coeffs, [1.0, 0.0, 0.0])
 
     def test_vacuum_on_the_log_domain_fill(self):
         # beyond the direct-factorial cap the zero node is the e_0 column
-        cs = coherent_state(FrameConfig(200), PhasePoint(0.0, 0.0))
+        cs = coherent_state(200, PhasePoint(0.0, 0.0))
         expected = np.zeros(200, dtype=complex)
         expected[0] = 1.0
         assert np.array_equal(cs.coeffs, expected)
 
     def test_two_level_at_unit_z(self):
-        cs = coherent_state(FrameConfig(2), PhasePoint(q=SQRT2, p=0.0))
+        cs = coherent_state(2, PhasePoint(q=SQRT2, p=0.0))
         assert np.allclose(cs.coeffs, [1 / SQRT2, 1 / SQRT2], atol=1e-15)
 
     def test_high_precision_oracle(self):
         # 50-digit evaluation of z^n/sqrt(n! * sum) at z = 1.3 + 0.7i, N = 12
-        cs = coherent_state(FrameConfig(12), PhasePoint.from_z(1.3 + 0.7j))
+        cs = coherent_state(12, PhasePoint.from_z(1.3 + 0.7j))
         assert cs.coeffs[0] == pytest.approx(0.336217041347041707 + 0.0j, abs=1e-14)
         assert cs.coeffs[1] == pytest.approx(0.43708215375115422 + 0.235351928942929195j, abs=1e-14)
         assert cs.coeffs[5] == pytest.approx(-0.16855338756875652 + 0.134055269014408824j, abs=1e-14)
@@ -148,22 +138,22 @@ class TestCoherentState:
         p=st.floats(min_value=-20, max_value=20),
     )
     def test_unit_norm_everywhere(self, n, q, p):
-        cs = coherent_state(FrameConfig(n), PhasePoint(q, p))
+        cs = coherent_state(n, PhasePoint(q, p))
         assert np.linalg.norm(cs.coeffs) == pytest.approx(1.0, abs=1e-12)
 
     def test_log_path_matches_direct_path(self):
         # dimensions beyond the direct-factorial cap go through the log branch
         x = PhasePoint(q=3.0, p=-2.0)
-        small = coherent_state(FrameConfig(171), x).coeffs
-        logmag, phase = coherent_state_log(FrameConfig(171), x)
+        small = coherent_state(171, x).coeffs
+        logmag, phase = coherent_state_log(171, x)
         rebuilt = np.exp(logmag) * np.exp(1j * phase)
         assert np.max(np.abs(small - rebuilt)) < 1e-12
 
     def test_overflow_domain(self):
         with pytest.raises(RangeOverflowError):
-            coherent_state(FrameConfig(4), PhasePoint(q=60.0, p=0.0))
+            coherent_state(4, PhasePoint(q=60.0, p=0.0))
         # the log variant still works there
-        logmag, _ = coherent_state_log(FrameConfig(4), PhasePoint(q=60.0, p=0.0))
+        logmag, _ = coherent_state_log(4, PhasePoint(q=60.0, p=0.0))
         assert np.all(np.isfinite(logmag))
 
     def test_rejects_non_unit_vector(self):
@@ -173,29 +163,29 @@ class TestCoherentState:
 
 class TestOverlap:
     def test_self_overlap_is_one(self):
-        cs = coherent_state(FrameConfig(9), PhasePoint(1.2, -0.4))
+        cs = coherent_state(9, PhasePoint(1.2, -0.4))
         assert overlap(cs, cs) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_against_unit_z(self):
-        cfg = FrameConfig(2)
-        a = coherent_state(cfg, PhasePoint(0.0, 0.0))
-        b = coherent_state(cfg, PhasePoint(SQRT2, 0.0))
+        n = 2
+        a = coherent_state(n, PhasePoint(0.0, 0.0))
+        b = coherent_state(n, PhasePoint(SQRT2, 0.0))
         assert overlap(a, b) == pytest.approx(1 / SQRT2, abs=1e-14)
 
     def test_bounded_by_one(self):
-        cfg = FrameConfig(17)
+        n = 17
         rng = np.random.default_rng(7)
         for _ in range(25):
-            a = coherent_state(cfg, PhasePoint(*rng.uniform(-3, 3, 2)))
-            b = coherent_state(cfg, PhasePoint(*rng.uniform(-3, 3, 2)))
+            a = coherent_state(n, PhasePoint(*rng.uniform(-3, 3, 2)))
+            b = coherent_state(n, PhasePoint(*rng.uniform(-3, 3, 2)))
             assert abs(overlap(a, b)) <= 1.0 + 1e-12
 
     def test_matches_gaussian_kernel_at_large_dim(self):
         # 50-digit oracle for the truncated overlap; the truncation tail at
         # N = 40 is far below double precision for these points.
-        cfg = FrameConfig(40)
-        a = coherent_state(cfg, PhasePoint.from_z(1.1 + 0.3j))
-        b = coherent_state(cfg, PhasePoint.from_z(-0.4 + 0.9j))
+        n = 40
+        a = coherent_state(n, PhasePoint.from_z(1.1 + 0.3j))
+        b = coherent_state(n, PhasePoint.from_z(-0.4 + 0.9j))
         got = overlap(a, b)
         assert got == pytest.approx(0.120579990732070093 + 0.242888883232870456j, abs=1e-13)
         z1, z2 = 1.1 + 0.3j, -0.4 + 0.9j
@@ -203,14 +193,14 @@ class TestOverlap:
         assert got == pytest.approx(kernel, abs=1e-12)
 
     def test_conjugate_symmetry_exact(self):
-        cfg = FrameConfig(23)
-        a = coherent_state(cfg, PhasePoint(0.9, 1.7))
-        b = coherent_state(cfg, PhasePoint(-1.1, 0.2))
+        n = 23
+        a = coherent_state(n, PhasePoint(0.9, 1.7))
+        b = coherent_state(n, PhasePoint(-1.1, 0.2))
         assert overlap(a, b) == np.conj(overlap(b, a))
 
     def test_dimension_mismatch(self):
-        a = coherent_state(FrameConfig(3), PhasePoint(0.1, 0.0))
-        b = coherent_state(FrameConfig(4), PhasePoint(0.1, 0.0))
+        a = coherent_state(3, PhasePoint(0.1, 0.0))
+        b = coherent_state(4, PhasePoint(0.1, 0.0))
         with pytest.raises(DimensionMismatchError):
             overlap(a, b)
 
@@ -230,15 +220,15 @@ class TestQuadrature:
 
 class TestIdentityResolution:
     def test_scalar_case(self):
-        assert verify_identity_resolution(FrameConfig(1)) <= 1e-12
+        assert verify_identity_resolution(1) <= 1e-12
 
     def test_default_quadrature_small(self):
-        assert verify_identity_resolution(FrameConfig(8)) <= 1e-10
+        assert verify_identity_resolution(8) <= 1e-10
 
     def test_default_quadrature_dim_64(self):
-        assert verify_identity_resolution(FrameConfig(64)) <= 1e-9
+        assert verify_identity_resolution(64) <= 1e-9
 
     def test_insufficient_order_raises_with_diagnostic(self):
         quad = QuadratureSpec(radial_order=3, angular_order=5)
         with pytest.raises(QuadratureOrderError, match="radial order >= 8"):
-            verify_identity_resolution(FrameConfig(8), quad=quad, tol=1e-10)
+            verify_identity_resolution(8, quad=quad, tol=1e-10)

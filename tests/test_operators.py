@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planequant.errors import DimensionMismatchError
-from planequant.frame import PhasePoint, log_normalization_factor, normalization_factor
+from planequant.frame import (
+    PhasePoint,
+    coherent_state,
+    coherent_state_log,
+    log_normalization_factor,
+    monomial_state_matrix,
+    normalization_factor,
+    verify_identity_resolution,
+)
 from planequant.operators import (
     OperatorMatrix,
     PolynomialSymbol,
@@ -286,10 +294,14 @@ _DIMENSION_TAKERS = {
     "quadratic_symbols": lambda n: quadratic_symbols(n, PhasePoint(1.0, 0.5)),
     "uncertainty_product": lambda n: uncertainty_product(n, PhasePoint(1.0, 0.5)),
     "symbol_grid": lambda n: symbol_grid(n, "C", (-1.0, 1.0, 3), (-1.0, 1.0, 3)),
+    "coherent_state": lambda n: coherent_state(n, PhasePoint(1.0, 0.5)),
+    "coherent_state_log": lambda n: coherent_state_log(n, PhasePoint(1.0, 0.5)),
+    "verify_identity_resolution": verify_identity_resolution,
+    "monomial_state_matrix": lambda n: monomial_state_matrix(n, [0.3 + 0.4j, 2.0]),
 }
 
 
-@pytest.mark.parametrize("bad", [True, 4.0, 0, -3, "4"])
+@pytest.mark.parametrize("bad", [True, 4.0, 0, -3, "4", pytest.param(np.True_, id="np.True_")])
 @pytest.mark.parametrize("name", sorted(_DIMENSION_TAKERS))
 def test_dimensions_are_checked_alike(name, bad):
     # bool and float dimensions raise ValueError, not a numpy TypeError;
@@ -303,4 +315,7 @@ def test_dimensions_are_checked_alike(name, bad):
 
 
 def _payload(result) -> np.ndarray:
-    return np.asarray(getattr(result, "entries", getattr(result, "values", result)))
+    for attr in ("entries", "values", "coeffs"):
+        if hasattr(result, attr):
+            return np.asarray(getattr(result, attr))
+    return np.asarray(result)

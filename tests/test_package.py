@@ -46,3 +46,11 @@ def test_commands_without_a_spectrum_leave_scipy_linalg_unloaded(argv, tmp_path)
 def test_commands_with_a_spectrum_load_scipy_linalg(argv, tmp_path):
     statement = f"from planequant import cli; cli.main({argv!r})"
     assert _fresh_modules(statement, cwd=tmp_path) == (False, True)
+
+
+def test_every_export_resolves_once():
+    # a stale name in __all__ (a removed class, a duplicate) fails here
+    names = planequant.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(planequant, name)]
+    assert missing == []

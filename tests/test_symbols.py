@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planequant.errors import RangeOverflowError
-from planequant.frame import OVERFLOW_R2, FrameConfig, PhasePoint, coherent_state
+from planequant.frame import OVERFLOW_R2, PhasePoint, coherent_state
 from planequant.operators import (
     OperatorMatrix,
     hamiltonian,
@@ -201,8 +201,11 @@ class TestQuadraticSymbols:
 
 class TestUncertaintyProduct:
     def test_minimal_at_origin(self):
+        # exactly 1/2, from the scalar formula and from the grid's centre cell
         for n in range(2, 65):
-            assert uncertainty_product(n, PhasePoint(0.0, 0.0)) == pytest.approx(0.5, abs=1e-12)
+            assert uncertainty_product(n, PhasePoint(0.0, 0.0)) == 0.5
+            grid = symbol_grid(n, "UNCERTAINTY", (-1.0, 1.0, 3), (-1.0, 1.0, 3))
+            assert grid.values[1, 1] == 0.5
 
     def test_two_level_supremum(self):
         for q in np.linspace(-12.0, 12.0, 121):
@@ -336,7 +339,7 @@ class TestOverflowEdge:
     def test_unit_norm_state_just_below(self, angle, n):
         x = _edge_point(angle, above=False)
         assert x.r2 <= OVERFLOW_R2
-        state = coherent_state(FrameConfig(n), x)
+        state = coherent_state(n, x)
         assert abs(float(np.linalg.norm(state.coeffs)) - 1.0) <= 1e-12
         assert math.isfinite(uncertainty_product(n, x))
         assert all(math.isfinite(v) for v in quadratic_symbols(n, x))
@@ -346,7 +349,7 @@ class TestOverflowEdge:
     def test_range_error_just_above(self, angle, n):
         x = _edge_point(angle, above=True)
         assert x.r2 > OVERFLOW_R2
-        for call in (lambda: coherent_state(FrameConfig(n), x),
+        for call in (lambda: coherent_state(n, x),
                      lambda: uncertainty_product(n, x),
                      lambda: quadratic_symbols(n, x)):
             with pytest.raises(RangeOverflowError):
@@ -368,7 +371,7 @@ class TestSmallestDimensions:
     def test_one_level(self, q, p):
         # Q, P and H all vanish on the single Fock state
         x = PhasePoint(q, p)
-        assert coherent_state(FrameConfig(1), x).coeffs.tolist() == [1.0]
+        assert coherent_state(1, x).coeffs.tolist() == [1.0]
         assert quadratic_symbols(1, x) == (0.0, 0.0)
         assert uncertainty_product(1, x) == 0.0
 
@@ -376,7 +379,7 @@ class TestSmallestDimensions:
     @given(q=st.floats(-20.0, 20.0), p=st.floats(-20.0, 20.0))
     def test_two_levels_match_the_sandwich(self, q, p):
         x = PhasePoint(q, p)
-        state = coherent_state(FrameConfig(2), x)
+        state = coherent_state(2, x)
         expected = np.array([1.0, x.z]) / math.sqrt(1.0 + x.r2)
         assert np.max(np.abs(state.coeffs - expected)) <= 1e-15
         q_op, p_op = position_operator(2), momentum_operator(2)
@@ -393,4 +396,4 @@ class TestSmallestDimensions:
     def test_two_levels_half_at_the_origin(self):
         origin = PhasePoint(0.0, 0.0)
         assert quadratic_symbols(2, origin) == (0.5, 0.0)
-        assert uncertainty_product(2, origin) == pytest.approx(0.5, rel=4.0 * np.finfo(float).eps)
+        assert uncertainty_product(2, origin) == 0.5
