@@ -7,10 +7,10 @@ N(x) = sum_{n<N} x^n/n! is the truncated exponential series.  Everything
 here is dimensionless (unit mass, unit frequency, unit action); physical
 scales enter only in the bounds calculator of the CLI.
 
-Every coefficient vector comes from ``monomial_state_matrix``, the one place
-that switches between direct powers and a log-domain fill, and every
-quadrature integral over the frame is the one chunked sum V w V^H of
-``frame_sandwich``.
+Every coefficient vector comes from ``monomial_state_matrix``, the running
+product c_n = c_{n-1} z / sqrt(n) from c_0 = 1 with no branch on N or |z|,
+and every quadrature integral over the frame is the one chunked sum V w V^H
+of ``frame_sandwich``.
 
 A dimension is a plain ``int`` N >= 1, checked by ``as_dimension``.  All
 functions are pure and keep no caches, so concurrent use from multiple
@@ -35,9 +35,9 @@ OVERFLOW_R2 = 700.0
 # Unit-norm tolerance for coherent-state coefficient vectors.
 NORM_TOL = 1e-12
 
-# Dimension up to which cumulative 1/sqrt(n!) factors are reliable; beyond
-# this monomial_state_matrix fills the coefficients in the log domain.
-_DIRECT_FACTORIAL_DIM = 170
+# Largest Gauss-Laguerre order numpy's laggauss can build: from order 187 on
+# its weight scaling overflows and the weights come back NaN.
+_MAX_LAGUERRE_ORDER = 186
 
 
 def as_dimension(value, minimum: int = 1, name: str = "dim") -> int:
@@ -81,17 +81,6 @@ class PhasePoint:
         return cls(q=math.sqrt(2.0) * z.real, p=math.sqrt(2.0) * z.imag)
 
 
-def inv_sqrt_fact(n_dim: int) -> np.ndarray:
-    """1/sqrt(n!) for n = 0..N-1, by running division (exact to ~N*eps).
-
-    out[n] = out[n-1] / sqrt(n) with out[0] = 1, as one sequential
-    ``np.divide.accumulate`` over 1, sqrt(1), ..., sqrt(N-1).
-    """
-    roots = np.sqrt(np.arange(n_dim, dtype=float))
-    roots[0] = 1.0
-    return np.divide.accumulate(roots)
-
-
 def half_log_fact(n_dim: int) -> np.ndarray:
     """0.5 * log(n!) for n = 0..N-1, the package's one log-factorial table."""
     return 0.5 * np.array([math.lgamma(n + 1.0) for n in range(n_dim)])
@@ -99,14 +88,14 @@ def half_log_fact(n_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoherentState:
-    """Unit-norm coefficient vector of a truncated coherent state."""
+    """Unit-norm coefficient vector of a truncated coherent state, held as a read-only copy."""
 
     dim: int
     coeffs: np.ndarray
     source: PhasePoint | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coefficients, got shape {coeffs.shape}")
         coeffs.setflags(write=False)
@@ -203,8 +192,8 @@ class QuadratureSpec:
     angular_order: int
 
     def __post_init__(self):
-        if self.radial_order < 1 or self.angular_order < 1:
-            raise ValueError("quadrature orders must be >= 1")
+        for name in ("radial_order", "angular_order"):
+            object.__setattr__(self, name, as_dimension(getattr(self, name), 1, name))
 
     @classmethod
     def default_for(cls, dim: int) -> "QuadratureSpec":
@@ -220,12 +209,15 @@ def gauss_laguerre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     Delegates to numpy's Newton-polished rule: the plain Jacobi-matrix
     eigenvector construction loses all relative accuracy in the tiny weights
     of the largest nodes (first eigenvector components below sqrt(eps)),
-    which wrecks moments beyond degree ~40.
+    which wrecks moments beyond degree ~40.  Orders above 186, where numpy's
+    weights overflow, raise ``QuadratureOrderError``.
     """
-    if m < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {m}")
-    nodes, weights = np.polynomial.laguerre.laggauss(m)
-    return nodes, weights
+    m = as_dimension(m, 1, "quadrature order")
+    if m > _MAX_LAGUERRE_ORDER:
+        raise QuadratureOrderError(
+            f"Gauss-Laguerre order {m} exceeds the largest supported order {_MAX_LAGUERRE_ORDER}"
+        )
+    return np.polynomial.laguerre.laggauss(m)
 
 
 def phase_plane_quadrature(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -248,25 +240,24 @@ def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
     """Matrix V with V[n, j] = z_j^n / sqrt(n!) for n = 0..N-1.
 
     These are the unnormalized coherent-state coefficients at each node;
-    quadrature sandwiches V * w * V^H reproduce frame integrals.  Direct
-    powers are used while z^n and 1/sqrt(n!) are individually representable,
-    a log-domain fill otherwise.
+    quadrature sandwiches V * w * V^H reproduce frame integrals.  Row n is
+    the running product V[n] = V[n-1] * z / sqrt(n) from V[0] = 1, one
+    ``np.multiply.accumulate`` down the rows z / sqrt(n).
+
+    One route serves every N and |z|.  |z|^n / sqrt(n!) is unimodal in n
+    with its peak near e^{|z|^2/2}, so no product overflows below
+    |z|^2 ~ 1400 (twice ``OVERFLOW_R2``); past the peak the entries only
+    shrink, and may underflow to zero.  z = 0 gives e_0 exactly.  Entry n
+    carries n rounding errors; against 40-digit mpmath the worst relative
+    error over entries above 1e-290 is 2.6e-15 at the quadrature nodes of
+    N = 64, 4.7e-15 at N = 182 and 7.0e-15 for |z|^2 <= 700 at N = 4096.
     """
     n_dim = as_dimension(n_dim, 1, "n_dim")
     z = np.asarray(z, dtype=complex)
-    ns = np.arange(n_dim)
-    absz = np.abs(z)
-    amax = float(absz.max()) if z.size else 0.0
-    if n_dim <= _DIRECT_FACTORIAL_DIM and (n_dim - 1) * math.log(max(amax, 1.0)) < 600.0:
-        return z[None, :] ** ns[:, None] * inv_sqrt_fact(n_dim)[:, None]
-    safe = np.where(absz == 0.0, 1.0, absz)
-    logmag = ns[:, None] * np.log(safe)[None, :] - half_log_fact(n_dim)[:, None]
-    v = np.exp(logmag) * np.exp(1j * ns[:, None] * np.angle(z)[None, :])
-    if np.any(absz == 0.0):
-        cols = absz == 0.0
-        v[:, cols] = 0.0
-        v[0, cols] = 1.0
-    return v
+    steps = np.empty((n_dim, z.size), dtype=complex)
+    steps[0] = 1.0
+    steps[1:] = z[None, :] / np.sqrt(np.arange(1.0, n_dim))[:, None]
+    return np.multiply.accumulate(steps, axis=0, out=steps)
 
 
 def frame_sandwich(dim: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -291,8 +282,8 @@ def verify_identity_resolution(
 
     Evaluates (1/pi) int |z><z| N(|z|^2) e^{-|z|^2} d^2z entrywise with the
     supplied (or default) quadrature and returns max |G - I|.  If ``tol`` is
-    given and the deviation exceeds it, raises ``QuadratureOrderError`` with
-    the orders needed for exactness.
+    given and the deviation exceeds it (or is NaN), raises
+    ``QuadratureOrderError`` with the orders needed for exactness.
     """
     n_dim = as_dimension(n_dim, 1, "n_dim")
     if quad is None:
@@ -300,7 +291,7 @@ def verify_identity_resolution(
     z, w = phase_plane_quadrature(quad)
     gram = frame_sandwich(n_dim, z, w)
     dev = float(np.max(np.abs(gram - np.eye(n_dim))))
-    if tol is not None and dev > tol:
+    if tol is not None and not dev <= tol:
         raise QuadratureOrderError(
             f"identity resolution deviates by {dev:.3e} > {tol:.1e} with radial order "
             f"{quad.radial_order}, angular order {quad.angular_order}; exactness for "

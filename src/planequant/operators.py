@@ -148,13 +148,13 @@ class PolynomialSymbol:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix of a quantized observable, immutable after build."""
+    """Dense complex matrix of a quantized observable: a read-only copy of ``entries``."""
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.array(self.entries, dtype=complex)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"expected shape ({self.dim}, {self.dim}), got {entries.shape}")
         entries.setflags(write=False)

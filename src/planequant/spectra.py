@@ -144,12 +144,13 @@ class SymTridiagonal:
     the origin: the precondition of ``eig_all``'s dqds split and of the index
     proof in ``extreme_eigenvalues``.  The entries must be finite and
     strictly positive (an unreduced matrix); ``dim`` is len(offdiag) + 1.
+    The matrix holds a read-only copy of the array it is given.
     """
 
     offdiag: np.ndarray
 
     def __post_init__(self):
-        off = np.asarray(self.offdiag, dtype=float)
+        off = np.array(self.offdiag, dtype=float)
         if off.ndim != 1:
             raise ValueError(f"need a 1-D off-diagonal, got shape {off.shape}")
         if not np.all(np.isfinite(off)):

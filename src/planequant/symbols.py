@@ -18,7 +18,6 @@ Grid sweeps are pure and row-major deterministic.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,21 @@ def _check_range(r2: float) -> None:
         )
 
 
+def _spread_product(c, a_val, b_val, q, p):
+    """(dQ)(dP) from the closed forms at the points (q, p), vectorized.
+
+    Variances down to ``_VARIANCE_CLAMP`` are roundoff and count as zero; a
+    more negative one raises ``ArithmeticError``.
+    """
+    var_q = a_val + b_val - (c * q) ** 2
+    var_p = a_val - b_val - (c * p) ** 2
+    for name, var in (("Q", var_q), ("P", var_p)):
+        lowest = float(np.min(var))
+        if lowest < _VARIANCE_CLAMP:
+            raise ArithmeticError(f"negative {name} variance {lowest} beyond roundoff clamp")
+    return np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_p, 0.0))
+
+
 def corrective_factor(n_dim: int, r: float) -> float:
     """Radial factor C(r) relating <z|Q|z> to q; in (0, 1], decreasing in r.
 
@@ -106,12 +120,7 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     r2 = x.r2
     _check_range(r2)
     c, a_val, b_val = _closed_forms(n_dim, r2, x.q, x.p)
-    var_q = float(a_val + b_val - (c * x.q) ** 2)
-    var_p = float(a_val - b_val - (c * x.p) ** 2)
-    for name, v in (("Q", var_q), ("P", var_p)):
-        if v < _VARIANCE_CLAMP:
-            raise ArithmeticError(f"negative {name} variance {v} beyond roundoff clamp")
-    return math.sqrt(max(var_q, 0.0) * max(var_p, 0.0))
+    return float(_spread_product(c, a_val, b_val, x.q, x.p))
 
 
 def _check_axes(*ranges: tuple[float, float, int]) -> None:
@@ -128,7 +137,7 @@ class SymbolGrid:
     """Dense phase-space evaluation of one symbol family member.
 
     ``values[i, j]`` is the value at (q_i, p_j); CSV export is row-major in
-    that order.
+    that order.  The grid holds a read-only copy of the values it is given.
     """
 
     which: str
@@ -139,7 +148,7 @@ class SymbolGrid:
 
     def __post_init__(self):
         _check_axes(self.q_range, self.p_range)
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         expected = (self.q_range[2], self.p_range[2])
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} does not match grid {expected}")
@@ -175,10 +184,7 @@ def symbol_grid(
     p = np.linspace(*p_range[:2], p_range[2])
     qg, pg = np.meshgrid(q, p, indexing="ij")
     r2 = (qg * qg + pg * pg) / 2.0
-    if float(r2.max()) > OVERFLOW_R2:
-        raise RangeOverflowError(
-            f"grid reaches |z|^2 = {float(r2.max()):.1f} beyond the linear-scale limit"
-        )
+    _check_range(float(r2.max()))
     c, a_val, b_val = _closed_forms(n_dim, r2, qg, pg)
     if which == "Q2":
         vals = a_val + b_val
@@ -189,9 +195,7 @@ def symbol_grid(
     elif which == "C":
         vals = c
     else:  # UNCERTAINTY
-        var_q = np.maximum(a_val + b_val - (c * qg) ** 2, 0.0)
-        var_p = np.maximum(a_val - b_val - (c * pg) ** 2, 0.0)
-        vals = np.sqrt(var_q * var_p)
+        vals = _spread_product(c, a_val, b_val, qg, pg)
     return SymbolGrid(which=which, n_dim=n_dim, q_range=q_range, p_range=p_range, values=vals)
 
 

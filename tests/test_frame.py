@@ -1,7 +1,9 @@
 """Tests for the truncated coherent-state frame."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,28 +11,22 @@ from hypothesis import strategies as st
 
 from planequant.errors import DimensionMismatchError, QuadratureOrderError, RangeOverflowError
 from planequant.frame import (
+    OVERFLOW_R2,
     CoherentState,
     PhasePoint,
     QuadratureSpec,
     coherent_state,
     coherent_state_log,
     gauss_laguerre_rule,
-    inv_sqrt_fact,
     log_normalization_factor,
+    monomial_state_matrix,
     normalization_factor,
     overlap,
+    phase_plane_quadrature,
     verify_identity_resolution,
 )
 
 SQRT2 = math.sqrt(2.0)
-
-
-def test_inv_sqrt_fact_matches_the_division_loop_bit_for_bit():
-    for n in [*range(1, 200), 500, 1000, 5000]:
-        expected = [1.0]
-        for k in range(1, n):
-            expected.append(expected[-1] / math.sqrt(k))
-        assert np.array_equal(inv_sqrt_fact(n), np.array(expected)), n
 
 
 class TestPhasePoint:
@@ -161,6 +157,67 @@ class TestCoherentState:
             CoherentState(dim=2, coeffs=np.array([1.0, 1.0]))
 
 
+@functools.cache
+def _mp_inv_sqrt() -> list:
+    """1/sqrt(n) at 40 digits for n = 1..4095 (index 0 unused)."""
+    with mpmath.workdps(40):
+        return [None] + [1 / mpmath.sqrt(n) for n in range(1, 4096)]
+
+
+def _mp_monomials(z: complex, n_dim: int) -> np.ndarray:
+    """z^n / sqrt(n!) at 40 digits, from n = 0 until the entries fall below 1e-290 past the peak."""
+    inv = _mp_inv_sqrt()
+    with mpmath.workdps(40):
+        zz = mpmath.mpc(z.real, z.imag)
+        tiny = mpmath.mpf("1e-290")
+        c = mpmath.mpc(1)
+        rows = [1.0]
+        for n in range(1, n_dim):
+            c = c * zz * inv[n]
+            if n > abs(z) ** 2 and abs(c) < tiny:
+                break
+            rows.append(complex(c))
+    return np.array(rows)
+
+
+class TestMonomialStateMatrix:
+    @staticmethod
+    def _worst_relative_error(n_dim, z):
+        v = monomial_state_matrix(n_dim, z)
+        worst = 0.0
+        for j, zj in enumerate(z):
+            ref = _mp_monomials(zj, n_dim)
+            keep = np.abs(ref) > 1e-290
+            err = np.abs(v[: ref.size, j][keep] - ref[keep]) / np.abs(ref[keep])
+            worst = max(worst, float(err.max()))
+        return worst
+
+    def test_quadrature_nodes_against_mpmath(self):
+        # every radial node of the default rule at a generic angle (every
+        # third at N = 182, plus the outermost six at a second angle)
+        for n in (64, 182):
+            quad = QuadratureSpec.default_for(n)
+            z = phase_plane_quadrature(quad)[0].reshape(-1, quad.angular_order)
+            if n == 64:
+                nodes = z[:, 1]
+            else:
+                nodes = np.concatenate([z[::3, 1], z[-6:, quad.angular_order // 3]])
+            assert self._worst_relative_error(n, nodes) <= 1e-13, n
+
+    def test_points_up_to_the_overflow_limit_against_mpmath(self):
+        rng = np.random.default_rng(3)
+        for n, count in ((171, 6), (1000, 4), (4096, 3)):
+            r = np.sqrt(rng.uniform(0.0, OVERFLOW_R2, count))
+            r[0] = math.sqrt(OVERFLOW_R2)
+            z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+            assert self._worst_relative_error(n, z) <= 1e-13, n
+
+    def test_no_overflow_at_the_largest_quadrature_node(self):
+        # the order-186 rule reaches |z|^2 = 712.6, above OVERFLOW_R2
+        z = np.sqrt(gauss_laguerre_rule(186)[0][-1:]).astype(complex)
+        assert np.all(np.isfinite(monomial_state_matrix(4096, z)))
+
+
 class TestOverlap:
     def test_self_overlap_is_one(self):
         cs = coherent_state(9, PhasePoint(1.2, -0.4))
@@ -217,6 +274,23 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureSpec(radial_order=0, angular_order=4)
 
+    def test_largest_supported_order(self):
+        t, w = gauss_laguerre_rule(186)
+        assert np.all(np.isfinite(t)) and w.sum() == pytest.approx(1.0, rel=1e-13)
+        # numpy's weights are NaN from order 187 on: refused before numpy runs
+        with pytest.raises(QuadratureOrderError, match="largest supported order 186"):
+            gauss_laguerre_rule(187)
+
+    @pytest.mark.parametrize("orders", [(4, 2.5), (True, 4), (4, False), ("8", 4), (4, 0)])
+    def test_spec_orders_are_dimensions(self, orders):
+        with pytest.raises(ValueError):
+            QuadratureSpec(*orders)
+
+    def test_spec_takes_numpy_integers(self):
+        quad = QuadratureSpec(np.int64(5), np.int32(7))
+        assert (quad.radial_order, quad.angular_order) == (5, 7)
+        assert type(quad.radial_order) is int and type(quad.angular_order) is int
+
 
 class TestIdentityResolution:
     def test_scalar_case(self):
@@ -232,3 +306,13 @@ class TestIdentityResolution:
         quad = QuadratureSpec(radial_order=3, angular_order=5)
         with pytest.raises(QuadratureOrderError, match="radial order >= 8"):
             verify_identity_resolution(8, quad=quad, tol=1e-10)
+
+    def test_default_rule_beyond_the_largest_order_raises(self):
+        # N = 183 needs radial order 187, whose weights numpy returns as NaN
+        with pytest.raises(QuadratureOrderError, match="186"):
+            verify_identity_resolution(183, tol=1e-9)
+
+    def test_nan_tolerance_fails_the_check(self):
+        # the check is "dev <= tol"; a NaN on either side must not pass it
+        with pytest.raises(QuadratureOrderError):
+            verify_identity_resolution(8, tol=math.nan)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planequant.errors import DimensionMismatchError
+from planequant.errors import DimensionMismatchError, QuadratureOrderError
 from planequant.frame import (
     PhasePoint,
     coherent_state,
@@ -162,6 +162,12 @@ class TestQuantize:
         sym = PolynomialSymbol.position()
         op = quantize_quadrature(sym.evaluate, 10)
         assert _max_dev(op.entries, position_operator(10).entries) <= 1e-10
+
+    def test_quadrature_beyond_the_largest_order_raises(self):
+        # the default rule at N = 183 has radial order 187; numpy's weights
+        # there are NaN, which used to give an all-NaN matrix
+        with pytest.raises(QuadratureOrderError, match="186"):
+            quantize_quadrature(lambda z: np.ones_like(z), 183)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import planequant
@@ -54,3 +55,20 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(planequant, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("build, field, given", [
+    (lambda a: planequant.SymTridiagonal(a), "offdiag", np.ones(3)),
+    (lambda a: planequant.OperatorMatrix(2, a), "entries", np.eye(2, dtype=complex)),
+    (lambda a: planequant.CoherentState(2, a), "coeffs", np.array([1.0, 0.0], dtype=complex)),
+    (lambda a: planequant.SymbolGrid("C", 2, (0.0, 1.0, 2), (0.0, 1.0, 2), a), "values",
+     np.ones((2, 2))),
+], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState", "SymbolGrid"])
+def test_frozen_containers_keep_a_private_copy(build, field, given):
+    # the container is read-only, but the caller's array stays writable and
+    # writing to it does not reach the container
+    held = getattr(build(given), field)
+    before = held.copy()
+    assert given.flags.writeable and not held.flags.writeable
+    given.flat[0] = 2.0
+    assert np.array_equal(held, before)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from planequant.errors import RangeOverflowError
 from planequant.frame import OVERFLOW_R2, PhasePoint, coherent_state
+from planequant import symbols
 from planequant.operators import (
     OperatorMatrix,
     hamiltonian,
@@ -293,6 +294,30 @@ class TestSymbolGrid:
     def test_overflow_domain(self):
         with pytest.raises(RangeOverflowError):
             symbol_grid(5, "H", (-60.0, 60.0, 5), (-1.0, 1.0, 5))
+
+    def test_uncertainty_grid_equals_the_scalar_product_bit_for_bit(self):
+        grid = symbol_grid(12, "UNCERTAINTY", (-8.0, 8.0, 17), (-6.0, 6.0, 13))
+        for i, q in enumerate(grid.q_axis.tolist()):
+            for j, p in enumerate(grid.p_axis.tolist()):
+                assert grid.values[i, j] == uncertainty_product(12, PhasePoint(q, p))
+
+    def test_negative_variance_raises_on_both_paths(self, monkeypatch):
+        # shift A by -1: the Q variance at the origin becomes -1/2, far
+        # below the roundoff clamp, and neither path may clamp it to zero
+        real = symbols._closed_forms
+        monkeypatch.setattr(symbols, "_closed_forms",
+                            lambda *args: (lambda c, a, b: (c, a - 1.0, b))(*real(*args)))
+        for call in (lambda: uncertainty_product(6, PhasePoint(0.0, 0.0)),
+                     lambda: symbol_grid(6, "UNCERTAINTY", (-1.0, 1.0, 3), (-1.0, 1.0, 3))):
+            with pytest.raises(ArithmeticError, match="negative Q variance"):
+                call()
+
+    def test_overflow_message_is_shared(self):
+        message = r"\|z\|\^2 = 800\.0 exceeds the linear-scale limit 700\.0"
+        for call in (lambda: uncertainty_product(5, PhasePoint(40.0, 0.0)),
+                     lambda: symbol_grid(5, "UNCERTAINTY", (-40.0, 40.0, 3), (-1e-200, 1e-200, 2))):
+            with pytest.raises(RangeOverflowError, match=message):
+                call()
 
 
 class TestGridExports:
