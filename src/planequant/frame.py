@@ -196,11 +196,12 @@ class QuadratureSpec:
             object.__setattr__(self, name, as_dimension(getattr(self, name), 1, name))
 
     @classmethod
-    def default_for(cls, dim: int) -> "QuadratureSpec":
+    def default_for(cls, n_dim: int) -> "QuadratureSpec":
         # Exact for matrix elements of the N-dim frame: radial degree in
         # t = |z|^2 is at most 2N-2 and angular Fourier modes satisfy
         # |m| <= N-1, with headroom for low-degree symbol factors.
-        return cls(radial_order=dim + 4, angular_order=4 * dim + 4)
+        n_dim = as_dimension(n_dim, 1, "n_dim")
+        return cls(radial_order=n_dim + 4, angular_order=4 * n_dim + 4)
 
 
 def gauss_laguerre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +240,7 @@ def phase_plane_quadrature(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray
 def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
     """Matrix V with V[n, j] = z_j^n / sqrt(n!) for n = 0..N-1.
 
+    One column per node of the 1-D array ``z``; a scalar is one node.
     These are the unnormalized coherent-state coefficients at each node;
     quadrature sandwiches V * w * V^H reproduce frame integrals.  Row n is
     the running product V[n] = V[n-1] * z / sqrt(n) from V[0] = 1, one
@@ -253,7 +255,9 @@ def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
     N = 64, 4.7e-15 at N = 182 and 7.0e-15 for |z|^2 <= 700 at N = 4096.
     """
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    z = np.asarray(z, dtype=complex)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.ndim > 1:
+        raise ValueError(f"nodes must be a scalar or a 1-D array, got shape {z.shape}")
     steps = np.empty((n_dim, z.size), dtype=complex)
     steps[0] = 1.0
     steps[1:] = z[None, :] / np.sqrt(np.arange(1.0, n_dim))[:, None]

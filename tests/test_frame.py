@@ -106,8 +106,8 @@ class TestCoherentState:
         cs = coherent_state(3, PhasePoint(0.0, 0.0))
         assert np.allclose(cs.coeffs, [1.0, 0.0, 0.0])
 
-    def test_vacuum_on_the_log_domain_fill(self):
-        # beyond the direct-factorial cap the zero node is the e_0 column
+    def test_vacuum_at_large_dimension(self):
+        # at N = 200 the zero node is still exactly the e_0 column
         cs = coherent_state(200, PhasePoint(0.0, 0.0))
         expected = np.zeros(200, dtype=complex)
         expected[0] = 1.0
@@ -137,8 +137,8 @@ class TestCoherentState:
         cs = coherent_state(n, PhasePoint(q, p))
         assert np.linalg.norm(cs.coeffs) == pytest.approx(1.0, abs=1e-12)
 
-    def test_log_path_matches_direct_path(self):
-        # dimensions beyond the direct-factorial cap go through the log branch
+    def test_log_variant_matches_linear_state(self):
+        # coherent_state_log rebuilds the linear-scale state at N = 171
         x = PhasePoint(q=3.0, p=-2.0)
         small = coherent_state(171, x).coeffs
         logmag, phase = coherent_state_log(171, x)
@@ -211,6 +211,13 @@ class TestMonomialStateMatrix:
             r[0] = math.sqrt(OVERFLOW_R2)
             z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
             assert self._worst_relative_error(n, z) <= 1e-13, n
+
+    def test_scalar_node_is_one_column(self):
+        v = monomial_state_matrix(4, 0.5)
+        assert v.shape == (4, 1)
+        assert np.array_equal(v, monomial_state_matrix(4, [0.5]))
+        with pytest.raises(ValueError, match="1-D"):
+            monomial_state_matrix(4, [[0.5, 1.0]])
 
     def test_no_overflow_at_the_largest_quadrature_node(self):
         # the order-186 rule reaches |z|^2 = 712.6, above OVERFLOW_R2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from planequant.errors import DimensionMismatchError, QuadratureOrderError
 from planequant.frame import (
     PhasePoint,
+    QuadratureSpec,
     coherent_state,
     coherent_state_log,
     log_normalization_factor,
@@ -76,6 +77,16 @@ class TestPolynomialSymbol:
         with pytest.raises(ValueError):
             PolynomialSymbol.from_terms([(-1, 0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [1.5, True, "2", pytest.param(np.float64(2.0), id="np.float64")])
+    def test_rejects_non_integer_exponents(self, bad):
+        # exponents go through as_dimension: no silent int() truncation
+        with pytest.raises(ValueError, match="exponent"):
+            PolynomialSymbol.from_terms([(bad, 0, 1.0)])
+        with pytest.raises(ValueError, match="exponent"):
+            quantize_monomial(4, bad, 0)
+        with pytest.raises(ValueError, match="exponent"):
+            quantize_monomial(4, 0, bad)
+
 
 class TestQuantizeMonomial:
     def test_constant_gives_identity(self):
@@ -99,10 +110,8 @@ class TestQuantizeMonomial:
         oracle = quantize_quadrature(lambda z: z**a * np.conj(z) ** b, n)
         assert _max_dev(closed.entries, oracle.entries) <= 1e-10
 
-    def test_large_shift_uses_log_path(self):
-        # a+b above the exact-product cutoff still matches the quadrature rule
-        from planequant.frame import QuadratureSpec
-
+    def test_large_shift_matches_quadrature_oracle(self):
+        # degree 41 still matches the independent quadrature rule
         n = 6
         closed = quantize_monomial(n, 21, 20)
         oracle = quantize_quadrature(
@@ -114,23 +123,24 @@ class TestQuantizeMonomial:
 
     @pytest.mark.parametrize("n,a,b", [
         (64, 25, 20), (64, 20, 25), (300, 30, 31), (200, 0, 45),
-        # a+b = 40 is the last exact-product degree, 41 the first from half_log_fact
         (2, 20, 20), (2, 20, 21), (64, 40, 0), (64, 0, 41), (300, 20, 20), (300, 21, 20),
-        (300, 1, 39), (300, 39, 2),
+        (300, 1, 39), (300, 39, 2), (4096, 40, 41), (4096, 60, 0), (1000, 80, 80),
     ])
     def test_large_shift_matches_exact_factorials(self, n, a, b):
-        # (k+a)!/sqrt(k! l!) from 50-digit decimal factorials on every entry
+        # ((k+a)!)^2 / (k! l!) = [(k+a)!/k!] [(l+b)!/l!] as exact integers, its
+        # square root at 50 digits; every row of short diagonals, about 300
+        # evenly spaced rows (and the last) of long ones
         entries = quantize_monomial(n, a, b).entries
         assert not np.any(entries.imag)
+        rows = range(max(0, b - a), n - max(0, a - b))
         with localcontext() as ctx:
             ctx.prec = 50
-            for k in range(max(0, b - a), n - max(0, a - b)):
+            for k in [*rows[:: max(1, len(rows) // 300)], rows[-1]]:
                 l = k + a - b
-                exact = Decimal(math.factorial(k + a)) / (
-                    Decimal(math.factorial(k)) * Decimal(math.factorial(l))
-                ).sqrt()
+                square = math.prod(range(k + 1, k + a + 1)) * math.prod(range(l + 1, l + b + 1))
+                exact = Decimal(square).sqrt()
                 rel = abs(Decimal(float(entries[k, l].real)) - exact) / exact
-                assert rel <= Decimal("1e-12"), (k, l, rel)
+                assert rel <= Decimal("1e-14"), (k, l, rel)
 
     def test_dense_cap(self):
         with pytest.raises(ValueError):
@@ -190,11 +200,23 @@ class TestQuantize:
         assert quantize(sym, n).is_hermitian
 
     def test_hermitian_relative_to_largest_entry(self):
-        # entries reach ~1e38 here; the log-gamma transposes differ by ~1e-14 relative
+        # entries reach ~1e38 here, so only a relative tolerance can pass
+        # transposes that differ in roundoff
         sym = PolynomialSymbol.from_terms([(21, 20, 1.0), (20, 21, 1.0)])
         assert quantize(sym, 64).is_hermitian
+        big = OperatorMatrix(2, np.array([[0.0, 1e38], [1e38 * (1 + 1e-14), 0.0]]))
+        assert big.is_hermitian
         tiny = OperatorMatrix(2, np.array([[0.0, 1e-20], [0.0, 0.0]]))
         assert not tiny.is_hermitian
+
+    @pytest.mark.parametrize("terms", [
+        [(21, 20, 1.0), (20, 21, 1.0)],
+        [(30, 2, 1 + 2j), (2, 30, 1 - 2j)],
+    ])
+    def test_real_symbol_is_hermitian_bit_for_bit(self, terms):
+        # a term and its conjugate partner share one running product
+        entries = quantize(PolynomialSymbol.from_terms(terms), 64).entries
+        assert np.array_equal(entries, entries.conj().T)
 
     def test_non_real_symbol_not_hermitian(self):
         op = quantize(PolynomialSymbol.monomial(2, 0, 1.0), 6)
@@ -304,6 +326,7 @@ _DIMENSION_TAKERS = {
     "coherent_state_log": lambda n: coherent_state_log(n, PhasePoint(1.0, 0.5)),
     "verify_identity_resolution": verify_identity_resolution,
     "monomial_state_matrix": lambda n: monomial_state_matrix(n, [0.3 + 0.4j, 2.0]),
+    "QuadratureSpec.default_for": QuadratureSpec.default_for,
 }
 
 
