@@ -8,9 +8,10 @@ here is dimensionless (unit mass, unit frequency, unit action); physical
 scales enter only in the bounds calculator of the CLI.
 
 Every coefficient vector comes from ``monomial_state_matrix``, the running
-product c_n = c_{n-1} z / sqrt(n) from c_0 = 1 with no branch on N or |z|,
-and every quadrature integral over the frame is the one chunked sum V w V^H
-of ``frame_sandwich``.
+product c_n = c_{n-1} z / sqrt(n) from c_0 = 1, and a state is that column
+over its own 2-norm.  Every quadrature integral over the frame is the one
+chunked sum V w V^H of ``frame_sandwich``, and every linear-scale partial
+sum S_m of the exponential series comes from ``exp_partial_sums``.
 
 A dimension is a plain ``int`` N >= 1, checked by ``as_dimension``.  All
 functions are pure and keep no caches, so concurrent use from multiple
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,24 @@ def as_dimension(value, minimum: int = 1, name: str = "dim") -> int:
     if n is None or n < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return n
+
+
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where os.sysconf does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError, before anything is allocated, if ``need`` bytes exceed physical memory."""
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{what} need about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,31 +125,50 @@ class CoherentState:
             raise ValueError(f"coherent-state coefficients must have unit norm, got {nrm!r}")
 
 
+def _check_linear_range(r2: float, log_variant: str) -> None:
+    """Raise ``RangeOverflowError`` if |z|^2 = ``r2`` is past the linear-scale limit."""
+    if r2 > OVERFLOW_R2:
+        raise RangeOverflowError(
+            f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}; use {log_variant}"
+        )
+
+
+def exp_partial_sums(n_dim: int, r2):
+    """(S_{N-2}, S_{N-1}, S_N) of S_m = sum_{j<m} r2^j / j!, elementwise; S_m = 0 for m <= 0.
+
+    The running product t_j = t_{j-1} r2 / j from t_0 = 1, summed in order,
+    over a nonnegative float or array ``r2``; a Python float stays one.
+    Once every term is 0.0 no later sum changes, so the loop stops there
+    (checked every 64 terms) with the same bits.  Rejects r2 beyond
+    ``OVERFLOW_R2``; the log-domain variants go on.
+    """
+    n_dim = as_dimension(n_dim, 1, "n_dim")
+    low, high = (r2.min(), r2.max()) if isinstance(r2, np.ndarray) else (r2, r2)
+    if not (low >= 0.0):
+        raise ValueError(f"r2 must be nonnegative, got {low!r}")
+    _check_linear_range(high, "the log-domain variants")
+    total = s_nm2 = s_nm1 = 0.0 * r2
+    term = total + 1.0
+    for j in range(n_dim):
+        if j:
+            term = term * r2 / j
+            if j % 64 == 0 and j < n_dim - 1 and not np.any(term):
+                return total, total, total
+        total = total + term
+        if j == n_dim - 3:
+            s_nm2 = total
+        elif j == n_dim - 2:
+            s_nm1 = total
+    return s_nm2, s_nm1, total
+
+
 def normalization_factor(n_dim: int, r2: float) -> float:
     """Truncated exponential series sum_{n<N} r2^n / n!.
 
-    Forward term recurrence with compensated (Kahan) summation.  Rejects
-    r2 beyond the overflow threshold; use ``log_normalization_factor``
-    there instead.
+    S_N of ``exp_partial_sums``.  Rejects r2 beyond the overflow threshold;
+    use ``log_normalization_factor`` there instead.
     """
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    if not (r2 >= 0.0):
-        raise ValueError(f"r2 must be nonnegative, got {r2!r}")
-    if r2 > OVERFLOW_R2:
-        raise RangeOverflowError(
-            f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}; "
-            "use log_normalization_factor"
-        )
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for n in range(1, n_dim):
-        term *= r2 / n
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    return float(exp_partial_sums(n_dim, r2)[2])
 
 
 def log_normalization_factor(n_dim: int, r2: float) -> float:
@@ -148,15 +187,9 @@ def log_normalization_factor(n_dim: int, r2: float) -> float:
 def coherent_state(n_dim: int, x: PhasePoint) -> CoherentState:
     """Normalized truncated coherent state attached to the phase point x."""
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    r2 = x.r2
-    if r2 > OVERFLOW_R2:
-        raise RangeOverflowError(
-            f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}; "
-            "use coherent_state_log"
-        )
+    _check_linear_range(x.r2, "coherent_state_log")
     raw = monomial_state_matrix(n_dim, [x.z])[:, 0]
-    coeffs = raw / math.sqrt(normalization_factor(n_dim, r2))
-    return CoherentState(dim=n_dim, coeffs=coeffs, source=x)
+    return CoherentState(dim=n_dim, coeffs=raw / np.linalg.norm(raw), source=x)
 
 
 def coherent_state_log(n_dim: int, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:

@@ -156,6 +156,15 @@ class OperatorMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "OperatorMatrix":
+        """Take over, read-only and uncopied, a square complex matrix this module built."""
+        entries.setflags(write=False)
+        op = cls.__new__(cls)
+        object.__setattr__(op, "dim", entries.shape[0])
+        object.__setattr__(op, "entries", entries)
+        return op
+
     @cached_property
     def is_hermitian(self) -> bool:
         """A == A^H up to HERMITIAN_TOL times the largest |entry|."""
@@ -222,7 +231,7 @@ def quantize(sym: PolynomialSymbol, n_dim: int) -> OperatorMatrix:
         m = np.arange(n_dim - abs(a - b))
         ks, ls = (m, m + a - b) if a >= b else (m + b - a, m)
         entries[ks, ls] += c * _transition_amplitudes(m, a, b)
-    return OperatorMatrix(dim=n_dim, entries=entries)
+    return OperatorMatrix._adopt(entries)
 
 
 def quantize_quadrature(
@@ -243,7 +252,7 @@ def quantize_quadrature(
     fz = np.asarray(f(z), dtype=complex)
     if fz.shape != z.shape:
         raise ValueError("symbol function must return one value per quadrature node")
-    return OperatorMatrix(dim=n_dim, entries=frame_sandwich(n_dim, z, w * fz))
+    return OperatorMatrix._adopt(frame_sandwich(n_dim, z, w * fz))
 
 
 def position_operator(n_dim: int) -> OperatorMatrix:
@@ -251,10 +260,9 @@ def position_operator(n_dim: int) -> OperatorMatrix:
     n_dim = _check_dim(n_dim)
     off = np.sqrt(np.arange(1, n_dim) / 2.0)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
-    idx = np.arange(n_dim - 1)
-    entries[idx, idx + 1] = off
-    entries[idx + 1, idx] = off
-    return OperatorMatrix(dim=n_dim, entries=entries)
+    np.fill_diagonal(entries[:, 1:], off)
+    np.fill_diagonal(entries[1:], off)
+    return OperatorMatrix._adopt(entries)
 
 
 def momentum_operator(n_dim: int) -> OperatorMatrix:
@@ -262,10 +270,9 @@ def momentum_operator(n_dim: int) -> OperatorMatrix:
     n_dim = _check_dim(n_dim)
     off = np.sqrt(np.arange(1, n_dim) / 2.0)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
-    idx = np.arange(n_dim - 1)
-    entries[idx, idx + 1] = -1j * off
-    entries[idx + 1, idx] = 1j * off
-    return OperatorMatrix(dim=n_dim, entries=entries)
+    np.fill_diagonal(entries[:, 1:], -1j * off)
+    np.fill_diagonal(entries[1:], 1j * off)
+    return OperatorMatrix._adopt(entries)
 
 
 def hamiltonian(n_dim: int) -> OperatorMatrix:
@@ -276,9 +283,9 @@ def hamiltonian(n_dim: int) -> OperatorMatrix:
     halfway between the last two oscillator levels for odd N.
     """
     n_dim = _check_dim(n_dim)
-    diag = np.arange(n_dim) + 0.5
-    diag[n_dim - 1] = (n_dim - 1) / 2.0
-    return OperatorMatrix(dim=n_dim, entries=np.diag(diag).astype(complex))
+    entries = np.diag(np.arange(n_dim) + 0.5 + 0j)
+    entries[n_dim - 1, n_dim - 1] = (n_dim - 1) / 2.0
+    return OperatorMatrix._adopt(entries)
 
 
 def last_level_projector(n_dim: int) -> OperatorMatrix:
@@ -286,14 +293,14 @@ def last_level_projector(n_dim: int) -> OperatorMatrix:
     n_dim = _check_dim(n_dim)
     entries = np.zeros((n_dim, n_dim), dtype=complex)
     entries[n_dim - 1, n_dim - 1] = 1.0
-    return OperatorMatrix(dim=n_dim, entries=entries)
+    return OperatorMatrix._adopt(entries)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """a b - b a."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dimensions differ: {a.dim} vs {b.dim}")
-    return OperatorMatrix(dim=a.dim, entries=a.entries @ b.entries - b.entries @ a.entries)
+    return OperatorMatrix._adopt(a.entries @ b.entries - b.entries @ a.entries)
 
 
 def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -307,7 +314,4 @@ def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, Operator
     s = math.sqrt(theta)
     q = position_operator(n_dim)
     p = momentum_operator(n_dim)
-    return (
-        OperatorMatrix(dim=q.dim, entries=s * q.entries),
-        OperatorMatrix(dim=q.dim, entries=s * p.entries),
-    )
+    return OperatorMatrix._adopt(s * q.entries), OperatorMatrix._adopt(s * p.entries)

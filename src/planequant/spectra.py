@@ -59,7 +59,6 @@ import json
 import logging
 import math
 import mmap
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -67,7 +66,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConvergenceError, VerificationError
-from .frame import as_dimension
+from .frame import as_dimension, check_memory
 
 _log = logging.getLogger(__name__)
 
@@ -194,25 +193,6 @@ class SymTridiagonal:
         return float(np.max(radius))
 
 
-def _physical_memory_bytes() -> int | None:
-    """Installed physical memory, or None where os.sysconf does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(n_dim: int) -> None:
-    """Raise ValueError, before anything is allocated, if n_dim cannot fit."""
-    need = _BYTES_PER_DIM * n_dim
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise ValueError(
-            f"dim {n_dim} needs about {need / 2**30:.3g} GiB for its spectral arrays, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
-
-
 def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     """Tridiagonal data of the position matrix: zero diagonal, sqrt(k/2) off.
 
@@ -220,7 +200,7 @@ def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     dimension would not fit in physical memory.
     """
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    _check_memory(n_dim)
+    check_memory(_BYTES_PER_DIM * n_dim, f"the spectral arrays of dim {n_dim}")
     return SymTridiagonal(np.sqrt(np.arange(1, n_dim) / 2.0))
 
 
@@ -541,7 +521,7 @@ def sigma_table(n_list) -> list[SpectrumSummary]:
     n_list = [as_dimension(n, 2, "n") for n in n_list]
     if not n_list:
         raise ValueError("empty dimension list")
-    _check_memory(max(n_list))
+    check_memory(_BYTES_PER_DIM * max(n_list), f"the spectral arrays of dim {max(n_list)}")
     return [spectrum_summary(n) for n in n_list]
 
 

@@ -7,9 +7,10 @@ from truncated exponential sums:
     <z|Q|z> = C(|z|) q,   <z|P|z> = C(|z|) p
     <z|Q^2|z> = A + B,    <z|P^2|z> = A - B,    <z|H|z> = A
 
-with C = S_{N-1}/S_N, B = (q^2 - p^2)/2 * S_{N-2}/S_N and A the energy-
-weighted sum, where S_m = sum_{j<m} |z|^{2j}/j!.  The closed forms are fast
-paths, cross-validated against the sandwich in the tests; B depends on the
+with C = S_{N-1}/S_N, B = (q^2 - p^2)/2 * S_{N-2}/S_N and
+A = (|z|^2 + N/2) C - (N-1)/2, where S_m = sum_{j<m} |z|^{2j}/j! comes from
+``frame.exp_partial_sums``.  The closed forms are fast paths, cross-validated
+against the sandwich and 50-digit mpmath in the tests; B depends on the
 complex point through q^2 - p^2, not only on |z|.
 
 Grid sweeps are pure and row-major deterministic.
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeOverflowError
-from .frame import OVERFLOW_R2, PhasePoint, as_dimension, coherent_state
+from .frame import PhasePoint, as_dimension, check_memory, coherent_state, exp_partial_sums
 from .operators import OperatorMatrix
 
 # Tiny negative variances from roundoff are clamped to zero; anything more
@@ -31,6 +31,10 @@ from .operators import OperatorMatrix
 _VARIANCE_CLAMP = -1e-14
 
 GRID_KINDS = ("Q2", "P2", "H", "UNCERTAINTY", "C")
+
+# Peak bytes per cell of ``symbol_grid``: the tracemalloc peak of an 801 x 801
+# grid is 56.5 MB, 88 bytes (11 doubles) per cell, for every kind and N.
+_GRID_BYTES_PER_CELL = 88
 
 
 def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
@@ -42,35 +46,18 @@ def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
 def _closed_forms(n_dim: int, r2, q, p):
     """(C, A, B) at the points (q, p) with r2 = (q^2 + p^2)/2, vectorized.
 
-    C = S_{N-1}/S_N, A = A_num/S_N and B = (q^2 - p^2)/2 * S_{N-2}/S_N, where
-    S_m = sum_{j<m} r2^j/j! and A_num = sum_{k=1..N} r2^{k-1}/(k-1)! * e_k
-    with e_k the k-th diagonal energy (k - 1/2, except (N-1)/2 at k = N).
+    A = sum_k t_k e_k / S_N over the terms t_k = r2^k/k! and the diagonal
+    energies e_k = k + 1/2, except e_{N-1} = (N-1)/2, which sits N/2 lower.
+    With sum_{k<N-1} k t_k = r2 S_{N-2} and t_{N-1} = S_N - S_{N-1} that is
+    r2 S_{N-2}/S_N + (C + (N-1) t_{N-1}/S_N)/2 = (r2 + N/2) C - (N-1)/2.
+    The first form is the one evaluated: its terms are all nonnegative, so
+    nothing cancels (the second loses ulp(N/2) for r2 << N), and it is
+    exactly 1/2 at the origin.
     """
-    r2 = np.asarray(r2, dtype=float)
-    term = np.ones_like(r2)
-    total = np.zeros_like(r2)
-    s_nm1 = np.zeros_like(r2)
-    s_nm2 = np.zeros_like(r2)
-    a_num = np.zeros_like(r2)
-    for j in range(n_dim):
-        if j > 0:
-            term = term * r2 / j
-        total = total + term
-        k = j + 1
-        energy = (2 * k - 1 - (n_dim if k == n_dim else 0)) / 2.0
-        a_num = a_num + term * energy
-        if j == n_dim - 3:
-            s_nm2 = total.copy()
-        if j == n_dim - 2:
-            s_nm1 = total.copy()
-    return s_nm1 / total, a_num / total, s_nm2 / total * (q * q - p * p) / 2.0
-
-
-def _check_range(r2: float) -> None:
-    if r2 > OVERFLOW_R2:
-        raise RangeOverflowError(
-            f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}"
-        )
+    s_nm2, s_nm1, s_n = exp_partial_sums(n_dim, r2)
+    c, d = s_nm1 / s_n, s_nm2 / s_n
+    a_val = r2 * d + (c + (n_dim - 1) * ((s_n - s_nm1) / s_n)) / 2.0
+    return c, a_val, d * (q * q - p * p) / 2.0
 
 
 def _spread_product(c, a_val, b_val, q, p):
@@ -93,20 +80,15 @@ def corrective_factor(n_dim: int, r: float) -> float:
 
     C(r) = S_{N-1}(r^2) / S_N(r^2) tends to 1 as N grows.
     """
-    n_dim = as_dimension(n_dim, 1, "n_dim")
     if not (r >= 0.0):
         raise ValueError(f"r must be nonnegative, got {r!r}")
-    _check_range(r * r)
     c, _, _ = _closed_forms(n_dim, r * r, r, 0.0)
     return float(c)
 
 
 def quadratic_symbols(n_dim: int, x: PhasePoint) -> tuple[float, float]:
     """The pair (A, B) with <z|Q^2|z> = A + B, <z|P^2|z> = A - B, <z|H|z> = A."""
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    r2 = x.r2
-    _check_range(r2)
-    _, a_val, b_val = _closed_forms(n_dim, r2, x.q, x.p)
+    _, a_val, b_val = _closed_forms(n_dim, x.r2, x.q, x.p)
     return float(a_val), float(b_val)
 
 
@@ -116,10 +98,7 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     Equals exactly 1/2 at the origin for every N >= 2; for N = 2 the value
     1/2 is a supremum approached from below at large |z|.
     """
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    r2 = x.r2
-    _check_range(r2)
-    c, a_val, b_val = _closed_forms(n_dim, r2, x.q, x.p)
+    c, a_val, b_val = _closed_forms(n_dim, x.r2, x.q, x.p)
     return float(_spread_product(c, a_val, b_val, x.q, x.p))
 
 
@@ -174,17 +153,19 @@ def symbol_grid(
 ) -> SymbolGrid:
     """Evaluate one of Q2 | P2 | H | UNCERTAINTY | C over a (q, p) grid.
 
-    Every argument is checked before the grid is allocated.
+    Every argument, and the memory the grid needs, is checked before the
+    grid is allocated.
     """
     if which not in GRID_KINDS:
         raise ValueError(f"unknown grid kind {which!r}; expected one of {GRID_KINDS}")
     n_dim = as_dimension(n_dim, 1, "n_dim")
     _check_axes(q_range, p_range)
+    check_memory(_GRID_BYTES_PER_CELL * q_range[2] * p_range[2],
+                 f"the arrays of a {q_range[2]} x {p_range[2]} grid")
     q = np.linspace(*q_range[:2], q_range[2])
     p = np.linspace(*p_range[:2], p_range[2])
     qg, pg = np.meshgrid(q, p, indexing="ij")
     r2 = (qg * qg + pg * pg) / 2.0
-    _check_range(float(r2.max()))
     c, a_val, b_val = _closed_forms(n_dim, r2, qg, pg)
     if which == "Q2":
         vals = a_val + b_val

@@ -57,9 +57,9 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--n", "3", "--out", str(missing)]) == 3
 
     def test_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        from planequant import spectra
+        from planequant import frame
 
-        monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 8 * 2**30)
         out = tmp_path / "x.csv"
         assert main(["spectrum", "--n", "1000000000", "--out", str(out)]) == 2
         assert main(["sigma-table", "--n-list", "10,1000000000", "--out", str(out)]) == 2
@@ -152,6 +152,32 @@ class TestLowerSymbolsCommand:
             "lower-symbols", "--which", "H", "--q-min", "-60", "--q-max", "60",
             "--out", str(tmp_path / "x.csv"),
         ]) == 2
+
+    def test_huge_dimension_finishes(self, tmp_path):
+        # every series term is 0.0 long before N = 3e6, where the sum stops
+        out = tmp_path / "h.csv"
+        assert main(["lower-symbols", "--which", "H", "--n", "3000000", "--out", str(out)]) == 0
+        values = {tuple(line.split(",")[:2]): float(line.split(",")[2])
+                  for line in _read(out).strip().splitlines()[1:]}
+        assert len(values) == 81 * 81
+        # far below the truncation the energy symbol is the oscillator's |z|^2 + 1/2
+        assert values[("0", "0")] == 0.5
+        assert values[("6", "-6")] == 36.5
+
+    def test_oversized_grid_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # 10^10 cells are refused before numpy is asked for the grid
+        from planequant import frame
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the memory check")
+
+        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        out = tmp_path / "x.csv"
+        assert main(["lower-symbols", "--which", "H", "--n", "5", "--steps", "100000",
+                     "--out", str(out)]) == 2
+        assert "100000 x 100000 grid need about 820 GiB" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds, message", [
         (["--steps", "0"], "at least 2 steps per axis, got 0"),

@@ -17,6 +17,7 @@ from planequant.frame import (
     QuadratureSpec,
     coherent_state,
     coherent_state_log,
+    exp_partial_sums,
     gauss_laguerre_rule,
     log_normalization_factor,
     monomial_state_matrix,
@@ -101,6 +102,51 @@ class TestNormalizationFactor:
         )
 
 
+def _full_partial_sums(n_dim, r2):
+    """(S_{N-2}, S_{N-1}, S_N) by the running product over every one of the N terms."""
+    total = 0.0 * r2
+    term, sums = total + 1.0, [total, total]
+    for j in range(n_dim):
+        if j:
+            term = term * r2 / j
+        total = total + term
+        sums.append(total)
+    return tuple(sums[-3:])
+
+
+class TestExpPartialSums:
+    def test_first_dimensions(self):
+        assert exp_partial_sums(1, 2.0) == (0.0, 0.0, 1.0)
+        assert exp_partial_sums(2, 2.0) == (0.0, 1.0, 3.0)
+        assert exp_partial_sums(3, 2.0) == (1.0, 3.0, 5.0)
+
+    def test_python_float_stays_python_float(self):
+        assert all(type(s) is float for s in exp_partial_sums(7, 1.5))
+
+    # At r2 = 1 the terms 1/j! reach 0.0 before j = 192, the first exit
+    # check that sees it.  That check is the last step at N = 193, so the
+    # loop just ends; N = 194 and 195 exit at their second- and
+    # third-to-last step, and N = 1000 stops at j = 192 too.
+    @pytest.mark.parametrize("n_dim", [64, 65, 66, 191, 192, 193, 194, 195, 257, 1000])
+    def test_early_return_matches_the_full_loop_bit_for_bit(self, n_dim):
+        got = exp_partial_sums(n_dim, 1.0)
+        assert got == _full_partial_sums(n_dim, 1.0)
+        r2 = np.array([0.0, 0.5, 1.0, 7.5, 30.0])
+        for a, b in zip(exp_partial_sums(n_dim, r2), _full_partial_sums(n_dim, r2)):
+            assert np.array_equal(a, b)
+
+    def test_huge_dimension_returns_early(self):
+        assert exp_partial_sums(10**9, 1.0) == _full_partial_sums(1000, 1.0)
+        assert normalization_factor(10**9, 1.0) == pytest.approx(math.e, rel=1e-15)
+
+    def test_range_is_checked_on_every_entry(self):
+        with pytest.raises(RangeOverflowError, match="800.0 exceeds"):
+            exp_partial_sums(4, np.array([1.0, 800.0, 2.0]))
+        for bad in (np.array([1.0, -0.5]), np.array([np.nan, 2.0]), -1e-300):
+            with pytest.raises(ValueError, match="nonnegative"):
+                exp_partial_sums(4, bad)
+
+
 class TestCoherentState:
     def test_vacuum(self):
         cs = coherent_state(3, PhasePoint(0.0, 0.0))
@@ -135,7 +181,20 @@ class TestCoherentState:
     )
     def test_unit_norm_everywhere(self, n, q, p):
         cs = coherent_state(n, PhasePoint(q, p))
-        assert np.linalg.norm(cs.coeffs) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(cs.coeffs) == pytest.approx(1.0, abs=1e-14)
+
+    def test_coefficients_against_mpmath(self):
+        # relative error of every entry above 1e-290, against the 40-digit
+        # column normalized by its exactly rounded norm: worst 4.5e-15
+        for n in (12, 64, 300, 4096):
+            for r2 in (0.3, 5.0, 80.0, 699.0):
+                x = PhasePoint.from_z(math.sqrt(r2) * complex(math.cos(0.7), math.sin(0.7)))
+                ref = _mp_monomials(x.z, n)
+                ref /= math.sqrt(math.fsum(np.abs(ref) ** 2))
+                got = coherent_state(n, x).coeffs[: ref.size]
+                keep = np.abs(ref) > 1e-290
+                err = np.abs(got[keep] - ref[keep]) / np.abs(ref[keep])
+                assert err.max() <= 1e-14, (n, r2, err.max())
 
     def test_log_variant_matches_linear_state(self):
         # coherent_state_log rebuilds the linear-scale state at N = 171

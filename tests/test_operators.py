@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -15,6 +16,7 @@ from planequant.frame import (
     QuadratureSpec,
     coherent_state,
     coherent_state_log,
+    exp_partial_sums,
     log_normalization_factor,
     monomial_state_matrix,
     normalization_factor,
@@ -310,6 +312,35 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    @pytest.mark.parametrize("build", [
+        lambda: quantize_monomial(1024, 0, 0),
+        lambda: quantize(PolynomialSymbol.position(), 1024),
+        lambda: position_operator(1024),
+        lambda: momentum_operator(1024),
+        lambda: hamiltonian(1024),
+        lambda: last_level_projector(1024),
+    ], ids=["monomial", "quantize", "position", "momentum", "hamiltonian", "projector"])
+    def test_constructors_hand_over_their_matrix(self, build):
+        # the matrix built for the operator becomes its entries uncopied
+        op, peak = _traced_peak(build)
+        assert not op.entries.flags.writeable
+        assert peak <= 1.25 * op.entries.nbytes, peak / op.entries.nbytes
+
+    def test_commutator_holds_one_product_besides_its_result(self):
+        a, b = position_operator(1024), momentum_operator(1024)
+        op, peak = _traced_peak(lambda: commutator(a, b))
+        assert peak <= 2.25 * op.entries.nbytes, peak / op.entries.nbytes
+
+
+def _traced_peak(build):
+    """``build()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 _DIMENSION_TAKERS = {
     "quantize_monomial": lambda n: quantize_monomial(n, 0, 0),
@@ -317,6 +348,7 @@ _DIMENSION_TAKERS = {
     "position_operator": position_operator,
     "hamiltonian": hamiltonian,
     "normalization_factor": lambda n: normalization_factor(n, 1.0),
+    "exp_partial_sums": lambda n: exp_partial_sums(n, 1.0),
     "log_normalization_factor": lambda n: log_normalization_factor(n, 1.0),
     "corrective_factor": lambda n: corrective_factor(n, 1.0),
     "quadratic_symbols": lambda n: quadratic_symbols(n, PhasePoint(1.0, 0.5)),

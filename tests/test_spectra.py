@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dstebz
 
-from planequant import spectra
+from planequant import frame, spectra
 from planequant.cli import _TABLE_DIMS as TABLE_DIMS
 from planequant.errors import ConvergenceError
 from planequant.operators import momentum_operator
@@ -418,10 +418,10 @@ class TestSpectrumSummary:
             call()
 
     def test_physical_memory_is_reported(self):
-        assert spectra._physical_memory_bytes() > 0
+        assert frame._physical_memory_bytes() > 0
 
     def test_memory_guard_raises_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 8 * 2**30)
         for call in (lambda: position_tridiagonal(10**9),
                      lambda: spectrum_summary(10**9),
                      lambda: sigma_table([10, 10**9])):
@@ -430,7 +430,7 @@ class TestSpectrumSummary:
 
     def test_memory_guard_checks_the_whole_list_first(self, monkeypatch):
         room = spectra._BYTES_PER_DIM * 1000
-        monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: room)
+        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: room)
         assert position_tridiagonal(1000).dim == 1000
         with pytest.raises(ValueError, match="dim 1001"):
             position_tridiagonal(1001)

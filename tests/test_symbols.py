@@ -7,6 +7,7 @@ cross-checked against it here.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,42 @@ def _export_grids() -> list:
         pytest.param(SymbolGrid(which="H", n_dim=3, q_range=(-1e-7, 0.0, 3),
                                 p_range=(-2.0, 2.0, 5), values=odd), id="exponent-values"),
     ]
+
+
+def _mp_sample() -> list:
+    """(N, q, p): 40 points per N, |q|, |p| <= 6 for N <= 12 and |q|, |p| <= 20
+    with |z|^2 <= 700 for N = 64 and 200."""
+    rng = np.random.default_rng(5)
+    points = [(n, float(q), float(p)) for n in (2, 3, 5, 10, 12)
+              for q, p in rng.uniform(-6.0, 6.0, (40, 2))]
+    for n in (64, 200):
+        kept = 0
+        while kept < 40:
+            q, p = rng.uniform(-20.0, 20.0, 2)
+            if (q * q + p * p) / 2.0 <= 700.0:
+                points.append((n, float(q), float(p)))
+                kept += 1
+    return points
+
+
+def _mp_closed_forms(n_dim: int, q: float, p: float) -> dict:
+    """C, A, A +- B and (dQ)(dP) at 50 digits, straight from their definitions:
+    partial sums S_m and the energy-weighted sum over the diagonal of H."""
+    with mpmath.workdps(50):
+        q, p = mpmath.mpf(q), mpmath.mpf(p)
+        r2 = (q * q + p * p) / 2
+        term, sums, energy = mpmath.mpf(1), [0, 0], mpmath.mpf(0)
+        for k in range(n_dim):
+            if k:
+                term = term * r2 / k
+            sums.append(sums[-1] + term)
+            energy += term * (k + mpmath.mpf(0.5) if k < n_dim - 1 else mpmath.mpf(n_dim - 1) / 2)
+        s_nm2, s_nm1, s_n = sums[-3:]
+        c, a_val = s_nm1 / s_n, energy / s_n
+        b_val = (q * q - p * p) / 2 * s_nm2 / s_n
+        var_q, var_p = a_val + b_val - (c * q) ** 2, a_val - b_val - (c * p) ** 2
+        return {"C": c, "A": a_val, "A+B": a_val + b_val, "A-B": a_val - b_val,
+                "spread": mpmath.sqrt(var_q * var_p)}
 
 
 class TestLowerSymbol:
@@ -261,6 +298,39 @@ class TestUncertaintyProduct:
         assert widths[0] < widths[1] < widths[2]
 
 
+class TestHighPrecisionClosedForms:
+    # worst relative error over the sample: C 3.3e-16, A 2.8e-16,
+    # A + B 7.2e-15, A - B 1.6e-14, (dQ)(dP) 8.0e-14
+    BOUNDS = {"C": 1e-14, "A": 1e-14, "A+B": 3e-14, "A-B": 3e-14, "spread": 1.5e-13}
+
+    def test_closed_forms_against_mpmath(self):
+        worst = dict.fromkeys(self.BOUNDS, 0.0)
+        for n, q, p in _mp_sample():
+            x = PhasePoint(q, p)
+            a_val, b_val = quadratic_symbols(n, x)
+            got = {"A": a_val, "A+B": a_val + b_val, "A-B": a_val - b_val,
+                   "spread": uncertainty_product(n, x)}
+            ref = _mp_closed_forms(n, q, p)
+            # C(r) at the radius as corrective_factor takes it
+            r = math.hypot(q, p) / SQRT2
+            got["C"] = corrective_factor(n, r)
+            with mpmath.workdps(50):
+                ref["C"] = _mp_closed_forms(n, r * mpmath.sqrt(2), 0.0)["C"]
+                for key, value in got.items():
+                    worst[key] = max(worst[key], float(abs((value - ref[key]) / ref[key])))
+        assert all(worst[key] <= bound for key, bound in self.BOUNDS.items()), worst
+
+    def test_energy_symbol_at_large_dimension(self):
+        # A is evaluated as a sum of nonnegative terms, which keeps full
+        # relative accuracy where (r2 + N/2) C - (N-1)/2 would lose
+        # ulp(N/2) to cancellation (1e-13 at N = 4096)
+        for n in (1000, 4096):
+            for q in (0.3, 1.7, 3.1):
+                a_val, _ = quadratic_symbols(n, PhasePoint(q, 0.0))
+                ref = _mp_closed_forms(n, q, 0.0)["A"]
+                assert float(abs((a_val - ref) / ref)) <= 1e-15, (n, q)
+
+
 class TestSymbolGrid:
     def test_uncertainty_near_origin(self):
         grid = symbol_grid(6, "UNCERTAINTY", (-1e-4, 1e-4, 2), (-1e-4, 1e-4, 2))
@@ -365,7 +435,7 @@ class TestOverflowEdge:
         x = _edge_point(angle, above=False)
         assert x.r2 <= OVERFLOW_R2
         state = coherent_state(n, x)
-        assert abs(float(np.linalg.norm(state.coeffs)) - 1.0) <= 1e-12
+        assert abs(float(np.linalg.norm(state.coeffs)) - 1.0) <= 1e-14
         assert math.isfinite(uncertainty_product(n, x))
         assert all(math.isfinite(v) for v in quadratic_symbols(n, x))
 
