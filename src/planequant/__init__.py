@@ -11,6 +11,7 @@ from .bounds import BoundsReport, PhysicalScales, bounds_report, solve_character
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
+    MissingDependencyError,
     PlanequantError,
     QuadratureOrderError,
     RangeOverflowError,
@@ -80,6 +81,7 @@ __all__ = [
     "ConvergenceError",
     "DimensionMismatchError",
     "GapReport",
+    "MissingDependencyError",
     "OperatorMatrix",
     "PhasePoint",
     "PhysicalScales",

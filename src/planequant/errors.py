@@ -21,6 +21,10 @@ class QuadratureOrderError(PlanequantError, ValueError):
     """Raised when a quadrature rule is too small for the requested accuracy."""
 
 
+class MissingDependencyError(PlanequantError, ImportError):
+    """Raised when a computation needs a library that is not installed."""
+
+
 class ConvergenceError(PlanequantError, RuntimeError):
     """Raised when an iterative eigenvalue computation fails to converge."""
 

@@ -255,24 +255,29 @@ def quantize_quadrature(
     return OperatorMatrix._adopt(frame_sandwich(n_dim, z, w * fz))
 
 
+def _ladder_offdiag(n_dim: int) -> np.ndarray:
+    """sqrt(k/2) for k = 1..N-1, the off-diagonal of the position matrix."""
+    return np.sqrt(np.arange(1, n_dim) / 2.0)
+
+
+def _hermitian_tridiagonal(n_dim: int, upper: np.ndarray) -> OperatorMatrix:
+    """Zero-diagonal Hermitian matrix with ``upper`` above the diagonal."""
+    entries = np.zeros((n_dim, n_dim), dtype=complex)
+    np.fill_diagonal(entries[:, 1:], upper)
+    np.fill_diagonal(entries[1:], np.conj(upper))
+    return OperatorMatrix._adopt(entries)
+
+
 def position_operator(n_dim: int) -> OperatorMatrix:
     """Symmetric tridiagonal position matrix with off-diagonal sqrt(k/2)."""
     n_dim = _check_dim(n_dim)
-    off = np.sqrt(np.arange(1, n_dim) / 2.0)
-    entries = np.zeros((n_dim, n_dim), dtype=complex)
-    np.fill_diagonal(entries[:, 1:], off)
-    np.fill_diagonal(entries[1:], off)
-    return OperatorMatrix._adopt(entries)
+    return _hermitian_tridiagonal(n_dim, _ladder_offdiag(n_dim))
 
 
 def momentum_operator(n_dim: int) -> OperatorMatrix:
     """Hermitian momentum matrix: -i sqrt(k/2) above, +i sqrt(k/2) below."""
     n_dim = _check_dim(n_dim)
-    off = np.sqrt(np.arange(1, n_dim) / 2.0)
-    entries = np.zeros((n_dim, n_dim), dtype=complex)
-    np.fill_diagonal(entries[:, 1:], -1j * off)
-    np.fill_diagonal(entries[1:], 1j * off)
-    return OperatorMatrix._adopt(entries)
+    return _hermitian_tridiagonal(n_dim, -1j * _ladder_offdiag(n_dim))
 
 
 def hamiltonian(n_dim: int) -> OperatorMatrix:
@@ -311,7 +316,6 @@ def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, Operator
     """
     if not (theta > 0.0):
         raise ValueError(f"theta must be positive, got {theta!r}")
-    s = math.sqrt(theta)
-    q = position_operator(n_dim)
-    p = momentum_operator(n_dim)
-    return OperatorMatrix._adopt(s * q.entries), OperatorMatrix._adopt(s * p.entries)
+    n_dim = _check_dim(n_dim)
+    off = math.sqrt(theta) * _ladder_offdiag(n_dim)
+    return _hermitian_tridiagonal(n_dim, off), _hermitian_tridiagonal(n_dim, -1j * off)

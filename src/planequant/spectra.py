@@ -46,10 +46,12 @@ identical inputs give identical results whatever the thread count.  Before
 building a tridiagonal, ``position_tridiagonal`` checks that the arrays of
 either route fit in physical memory.
 
-Both LAPACK routines come from ``_lapack``, which imports scipy.linalg and
-binds them on the first spectral computation of a process.  Importing this
-module, and with it the package, does not load scipy, so the phase-space
-commands and ``bounds`` without a finite-N product never pay its ~0.3 s.
+Both LAPACK routines come from ``_lapack``, which binds them with ctypes on
+the first spectral computation of a process: from numpy's own LAPACK where
+numpy exports them, as its scipy-openblas wheels do, and from
+scipy.linalg.cython_lapack otherwise.  With numpy's, no command imports
+scipy; with scipy's, only a spectral computation pays its ~0.3 s import.
+Each matrix allocates stebz's workspaces once, on its first call.
 """
 
 from __future__ import annotations
@@ -59,13 +61,15 @@ import json
 import logging
 import math
 import mmap
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, VerificationError
+from .errors import ConvergenceError, MissingDependencyError, VerificationError
 from .frame import as_dimension, check_memory
 
 _log = logging.getLogger(__name__)
@@ -98,41 +102,137 @@ _AIRY_A1 = -2.338107410459767
 # Rescale cadence for the characteristic-polynomial recurrence.
 _RESCALE_EVERY = 16
 
-# Peak bytes per dimension of the larger route: the tridiagonal (16 N) plus
-# stebz's w, iblock, isplit, work and iwork (8 + 4 + 4 + 32 + 12 = 60 N).
-# eig_all needs 48 N (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).
-_BYTES_PER_DIM = 76
+# Peak bytes per dimension of the larger route: the tridiagonal's off-diagonal
+# and zero diagonal (16 N) plus stebz's w, iblock, isplit, work and iwork at
+# 64-bit LAPACK integers (8 + 8 + 8 + 32 + 24 = 80 N).  eig_all needs 48 N
+# (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).
+_BYTES_PER_DIM = 96
 
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# Exported names of numpy's bundled ILP64 LAPACK (scipy-openblas), tried first.
+_NUMPY_LAPACK_SYMBOLS = ("scipy_dstebz_64_", "scipy_dlasq1_64_")
 
 
-@cache
-def _lapack():
-    """(dstebz, dlasq1): the two LAPACK routines, imported and bound on first use.
+class _Lapack(NamedTuple):
+    """dstebz and dlasq1 as ctypes calls, and the ctypes and numpy types of their INTEGERs.
 
-    Importing scipy.linalg costs about 0.3 s, so a process that never
-    computes a spectrum (lower symbols, bounds without a sigma dimension)
-    never pays it.  dstebz is scipy.linalg.lapack's f2py wrapper.  dlasq1
-    (singular values of a bidiagonal by dqds) has no such wrapper;
-    scipy.linalg.cython_lapack exports it as a PyCapsule holding the function
-    pointer, which is bound here once as a ctypes call
+    Every argument is passed by address.  dstebz(range, order, n, vl, vu,
+    il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork, info)
+    takes the lengths of its two character arguments last, as size_t.
     dlasq1(n, d, e, work, info): d (n) holds the diagonal on entry and the
     singular values in descending order on exit, e (n) the off-diagonal in
     its first n - 1 entries, work 4 n doubles.
     """
-    from scipy.linalg import cython_lapack
-    from scipy.linalg.lapack import dstebz
 
-    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    dstebz: Callable[..., None]
+    dlasq1: Callable[..., None]
+    integer: type
+    int_dtype: np.dtype
+
+
+def _numpy_routines() -> tuple[int, int] | None:
+    """Addresses of (dstebz, dlasq1) in numpy's own ILP64 LAPACK, or None.
+
+    numpy's linalg extension links a LAPACK, and wheels built on
+    scipy-openblas export it under ``_NUMPY_LAPACK_SYMBOLS``; builds on
+    Accelerate, MKL or a distribution's LAPACK may not.
+    """
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    try:
+        return tuple(ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+                     for name in _NUMPY_LAPACK_SYMBOLS)
+    except AttributeError:
+        return None
+
+
+def _scipy_routines() -> tuple[int, int]:
+    """Addresses of (dstebz, dlasq1) in scipy's LP64 LAPACK; ImportError without scipy.
+
+    scipy.linalg.cython_lapack exports each routine as a PyCapsule holding
+    its function pointer.
+    """
+    from scipy.linalg import cython_lapack
+
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.argtypes = [ctypes.py_object]
     get_name.restype = ctypes.c_char_p
     get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
     get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
     get_pointer.restype = ctypes.c_void_p
-    int_p = ctypes.POINTER(ctypes.c_int)
-    prototype = ctypes.CFUNCTYPE(None, int_p, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, int_p)
-    return dstebz, prototype(get_pointer(capsule, get_name(capsule)))
+    capsules = (cython_lapack.__pyx_capi__[name] for name in ("dstebz", "dlasq1"))
+    return tuple(get_pointer(capsule, get_name(capsule)) for capsule in capsules)
+
+
+@cache
+def _lapack() -> _Lapack:
+    """dstebz and dlasq1, bound on the first spectral computation of a process.
+
+    numpy's own LAPACK comes first: it is loaded with numpy, so a spectrum
+    costs no further import.  Where numpy does not export the two routines,
+    they come from scipy.linalg.cython_lapack, whose import costs about
+    0.3 s; that LAPACK uses 32-bit INTEGERs, and the integer type is the
+    only difference between the two.  Without either, MissingDependencyError
+    names the ``scipy`` extra.
+    """
+    routines, integer, source = _numpy_routines(), ctypes.c_int64, "numpy"
+    if routines is None:
+        try:
+            routines = _scipy_routines()
+        except ImportError as exc:
+            raise MissingDependencyError(
+                "numpy's LAPACK does not export dstebz and dlasq1 and scipy is not "
+                "installed; install the 'scipy' extra (pip install 'planequant[scipy]')"
+            ) from exc
+        integer, source = ctypes.c_int, "scipy"
+    _log.debug("LAPACK dstebz and dlasq1 from %s, %d-bit integers",
+               source, 8 * ctypes.sizeof(integer))
+    ptr, size = ctypes.c_void_p, ctypes.c_size_t
+    dstebz = ctypes.CFUNCTYPE(None, *[ptr] * 18, size, size)(routines[0])
+    dlasq1 = ctypes.CFUNCTYPE(None, *[ptr] * 5)(routines[1])
+    return _Lapack(dstebz, dlasq1, integer, np.dtype(integer))
+
+
+class _StebzCall:
+    """One matrix's dstebz call site: workspaces and argument cells allocated once.
+
+    ``__call__`` sets only the range and its bounds, under a lock because
+    ctypes releases the GIL during the call; every array and cell whose
+    address the call passes lives as long as this object.  The
+    workspaces follow LAPACK's documentation: w and work take n and 4 n
+    doubles, iblock, isplit and iwork n, n and 3 n integers; each group
+    shares one array.
+    """
+
+    def __init__(self, t: SymTridiagonal):
+        lapack = _lapack()
+        n, integer = t.dim, lapack.integer
+        self._dstebz, self._lock = lapack.dstebz, threading.Lock()
+        self._range, order = ctypes.c_char(), ctypes.c_char(b"E")
+        self._vl, self._vu, self._abstol = (ctypes.c_double() for _ in range(3))
+        self._il, self._iu, self._m, self._info = (integer() for _ in range(4))
+        n_cell, nsplit = integer(n), integer()
+        self._w = np.empty(5 * n)
+        ints = np.empty(5 * n, lapack.int_dtype)
+        w, i, step = self._w.ctypes.data, ints.ctypes.data, ints.itemsize * n
+        cells = (self._range, order, n_cell, self._vl, self._vu, self._il, self._iu, self._abstol)
+        self._held = (t._zero_diag, t.offdiag, ints, cells, nsplit)
+        self._args = (*map(ctypes.addressof, cells), t._zero_diag.ctypes.data,
+                      t.offdiag.ctypes.data, ctypes.addressof(self._m), ctypes.addressof(nsplit),
+                      w, i, i + step, w + 8 * n, i + 2 * step, ctypes.addressof(self._info), 1, 1)
+
+    def __call__(self, kind: bytes, vl: float, vu: float, il: int, iu: int,
+                 abstol: float) -> tuple[int, float, int]:
+        """(m, lowest eigenvalue found, info) for range ``kind`` (b"V" or b"I").
+
+        m is 0 when LAPACK rejects an argument before it counts.
+        """
+        with self._lock:
+            self._range.value = kind
+            self._vl.value, self._vu.value, self._il.value, self._iu.value = vl, vu, il, iu
+            self._abstol.value, self._m.value = abstol, 0
+            self._dstebz(*self._args)
+            return self._m.value, float(self._w[0]), self._info.value
 
 
 @dataclass(frozen=True)
@@ -176,6 +276,11 @@ class SymTridiagonal:
         diag = np.frombuffer(buf, dtype=float)
         diag.setflags(write=False)
         return diag
+
+    @cached_property
+    def _stebz(self) -> _StebzCall:
+        """This matrix's dstebz call site, its workspaces allocated on first use."""
+        return _StebzCall(self)
 
     @cached_property
     def _count_data(self):
@@ -298,10 +403,10 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
     d[:pairs] = t.offdiag[0::2]
     e[: (n - 1) // 2] = t.offdiag[1::2]
     work = np.empty(4 * half)
-    info = ctypes.c_int(0)
-    _, dlasq1 = _lapack()
-    dlasq1(ctypes.c_int(half), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-           work.ctypes.data_as(_DOUBLE_P), info)
+    lapack = _lapack()
+    info = lapack.integer(0)
+    lapack.dlasq1(ctypes.byref(lapack.integer(half)), d.ctypes.data, e.ctypes.data,
+                  work.ctypes.data, ctypes.byref(info))
     if info.value != 0:
         raise ConvergenceError(
             f"dqds (dlasq1) on the half-size bidiagonal failed with info = {info.value} "
@@ -348,28 +453,19 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
 
 def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
-    dstebz, _ = _lapack()
-    m, w, _, _, info = dstebz(
-        t._zero_diag, t.offdiag, 3, 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL, b"E"
-    )
+    m, value, info = t._stebz(b"I", 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL)
     if info != 0 or m != 1:
         raise ConvergenceError(
             f"stebz returned info = {info} and {m} eigenvalue(s) for index {index} "
             f"of dim {t.dim}"
         )
-    return float(w[0])
+    return value
 
 
 def _stebz_in_interval(t: SymTridiagonal, lo: float, hi: float,
                        abstol: float) -> tuple[int, float, int]:
-    """(count, lowest eigenvalue, info) of stebz in value mode on (lo, hi].
-
-    Only scalars leave, so stebz's N-sized output arrays are freed before
-    the next call allocates its own.
-    """
-    dstebz, _ = _lapack()
-    m, w, _, _, info = dstebz(t._zero_diag, t.offdiag, 1, lo, hi, 0, 0, abstol, b"E")
-    return m, float(w[0]), info
+    """(count, lowest eigenvalue, info) of stebz in value mode on (lo, hi]."""
+    return t._stebz(b"V", lo, hi, 0, 0, abstol)
 
 
 def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -326,6 +326,14 @@ class TestOperatorMatrix:
         assert not op.entries.flags.writeable
         assert peak <= 1.25 * op.entries.nbytes, peak / op.entries.nbytes
 
+    def test_hall_coordinates_hold_only_their_two_matrices(self):
+        # each matrix is built already scaled, with no unscaled copy beside it
+        (x1, x2), peak = _traced_peak(lambda: hall_coordinates(1024, 0.5))
+        assert peak <= 2.25 * x1.entries.nbytes, peak / x1.entries.nbytes
+        s = math.sqrt(0.5)
+        assert np.array_equal(x1.entries, s * position_operator(1024).entries)
+        assert np.array_equal(x2.entries, s * momentum_operator(1024).entries)
+
     def test_commutator_holds_one_product_besides_its_result(self):
         a, b = position_operator(1024), momentum_operator(1024)
         op, peak = _traced_peak(lambda: commutator(a, b))

@@ -5,18 +5,22 @@ bidiagonal and the bisection for the extreme eigenvalues, are cross-checked
 throughout, and both are held against the pure-Python Sturm count.
 """
 
+import ctypes
 import json
 import logging
 import math
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dstebz
 
-from planequant import frame, spectra
+from planequant import cli, frame, spectra
 from planequant.cli import _TABLE_DIMS as TABLE_DIMS
-from planequant.errors import ConvergenceError
+from planequant.errors import ConvergenceError, MissingDependencyError
 from planequant.operators import momentum_operator
 from planequant.spectra import (
     SpectrumSummary,
@@ -220,12 +224,130 @@ class TestEigAll:
         assert rows[1 + 50] == "50,0"
 
     def test_dqds_failure_is_convergence_error(self, monkeypatch):
-        def failing_dlasq1(n, d, e, work, info):
-            info.value = 2
+        lapack = spectra._lapack()
 
-        monkeypatch.setattr(spectra, "_lapack", lambda: (dstebz, failing_dlasq1))
+        @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 5)
+        def failing_dlasq1(n, d, e, work, info):
+            lapack.integer.from_address(info).value = 2
+
+        monkeypatch.setattr(spectra, "_lapack", lambda: lapack._replace(dlasq1=failing_dlasq1))
         with pytest.raises(ConvergenceError, match="info = 2"):
             eig_all(position_tridiagonal(10))
+
+
+def _scipy_stebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, iu: int,
+                 abstol: float) -> tuple[int, str | None, int]:
+    """(m, lowest eigenvalue as float.hex, info) from scipy's f2py dstebz, the oracle.
+
+    f2py wants a nonempty off-diagonal; at dim 1 LAPACK reads none.
+    """
+    off = t.offdiag if t.dim > 1 else np.zeros(1)
+    m, w, _, _, info = dstebz(np.zeros(t.dim), off, {b"V": 1, b"I": 2}[kind],
+                              vl, vu, il, iu, abstol, b"E")
+    return m, float(w[0]).hex() if m else None, info
+
+
+def _bound_stebz(t: SymTridiagonal, *args) -> tuple[int, str | None, int]:
+    """The same triple from the matrix's own cached call site."""
+    m, value, info = t._stebz(*args)
+    return m, value.hex() if m else None, info
+
+
+@pytest.fixture
+def rebind_lapack():
+    """Unbind LAPACK before and after the test, so the test binds its own."""
+    spectra._lapack.cache_clear()
+    yield
+    spectra._lapack.cache_clear()
+
+
+def _hide_numpy_lapack(monkeypatch):
+    monkeypatch.setattr(spectra, "_NUMPY_LAPACK_SYMBOLS", ("no_dstebz_", "no_dlasq1_"))
+
+
+class TestLapackBinding:
+    """The ctypes binding of dstebz and dlasq1, against scipy's f2py dstebz."""
+
+    def test_both_modes_match_scipy_bit_for_bit_on_every_small_dim(self):
+        # value mode on an interval around one eigenvalue, and one that only counts
+        tiny = spectra._STEBZ_ABSTOL
+        for n in range(1, 301):
+            t = position_tridiagonal(n)
+            pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
+            ev = np.concatenate(([-pad], eig_all(t), [pad]))
+            cases = [(b"I", 0.0, 0.0, i, i, tiny) for i in sorted({1, (n + 1) // 2, n})]
+            cases += [(b"V", 0.5 * (ev[i - 1] + ev[i]), 0.5 * (ev[i] + ev[i + 1]), 0, 0, tiny)
+                      for i in sorted({1, n // 2 + 1, n})]
+            cases.append((b"V", -ev[-1], ev[-1], 0, 0, 2.0 * ev[-1]))
+            for case in cases:
+                assert _bound_stebz(t, *case) == _scipy_stebz(t, *case), (n, case)
+
+    def test_repeated_calls_on_one_matrix_match_scipy_at_large_dim(self):
+        n = 10**5
+        t = position_tridiagonal(n)
+        (m, half_m), (big, half_big) = spectra._extreme_guesses(n)
+        tiny = spectra._STEBZ_ABSTOL
+        cases = []
+        for guess, half in ((big, half_big), (m, half_m)):
+            lo, hi = guess * (1.0 - half), guess * (1.0 + half)
+            cases += [(b"V", lo, hi, 0, 0, tiny), (b"V", -lo, lo, 0, 0, 4.0 * lo)]
+        cases += [(b"I", 0.0, 0.0, i + 1, i + 1, tiny) for i in spectra._extreme_indices(n)]
+        rejected = (b"V", big, m, 0, 0, tiny)  # vu < vl: info = -5 and no count
+        site = t._stebz
+        for case in cases + [rejected] + cases[:2]:
+            assert _bound_stebz(t, *case) == _scipy_stebz(t, *case), case
+        assert t._stebz is site
+
+    def test_one_call_site_shared_by_threads(self):
+        # the GIL is released inside dstebz; each call must still see its own
+        # arguments and results
+        t = position_tridiagonal(3000)
+        expected = {i: spectra._stebz_eigenvalue(t, i) for i in range(1500, 3000, 100)}
+
+        def work(seed):
+            indices = list(expected)[seed % 3::3] * 4
+            return [(i, spectra._stebz_eigenvalue(t, i)) for i in indices]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(work, seed) for seed in range(6)]
+                results = [pair for f in futures for pair in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(value == expected[i] for i, value in results)
+
+    def test_binding_is_logged_once_with_its_source(self, rebind_lapack, caplog):
+        source = "numpy" if spectra._numpy_routines() is not None else "scipy"
+        with caplog.at_level(logging.DEBUG, logger="planequant.spectra"):
+            spectra._lapack()
+            spectra._lapack()
+        messages = [r.getMessage() for r in caplog.records if "LAPACK" in r.getMessage()]
+        assert len(messages) == 1 and f"from {source}" in messages[0], messages
+
+    def test_scipy_capsules_give_the_same_bits(self, monkeypatch, rebind_lapack, caplog):
+        dims = [n for n in TABLE_DIMS if n <= 10**5]
+        native = [extreme_eigenvalues(position_tridiagonal(n)) for n in dims]
+        spectrum = eig_all(position_tridiagonal(1001))
+        _hide_numpy_lapack(monkeypatch)
+        spectra._lapack.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="planequant.spectra"):
+            assert spectra._lapack().integer is ctypes.c_int
+        assert "LAPACK dstebz and dlasq1 from scipy" in caplog.text
+        assert [extreme_eigenvalues(position_tridiagonal(n)) for n in dims] == native
+        assert eig_all(position_tridiagonal(1001)).tobytes() == spectrum.tobytes()
+
+    def test_no_lapack_is_a_usage_error_naming_the_extra(self, monkeypatch, rebind_lapack,
+                                                         tmp_path, capsys):
+        _hide_numpy_lapack(monkeypatch)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        with pytest.raises(MissingDependencyError, match="'scipy' extra"):
+            extreme_eigenvalues(position_tridiagonal(10))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["spectrum", "--n", "50"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'scipy' extra" in err and "Traceback" not in err
 
 
 class TestSturmCount:
@@ -441,6 +563,16 @@ class TestSpectrumSummary:
         monkeypatch.setattr(spectra, "spectrum_summary", no_work)
         with pytest.raises(ValueError, match="dim 1001"):
             sigma_table([10, 1001])
+
+    def test_memory_guard_covers_the_bisection_workspaces(self):
+        n = 10**5
+        tracemalloc.start()
+        try:
+            extreme_eigenvalues(position_tridiagonal(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectra._BYTES_PER_DIM * n, peak / n
 
     def test_invariant_guard(self):
         with pytest.raises(Exception):
