@@ -64,9 +64,11 @@ def _parse_dims(args) -> list[int]:
         lo, hi, count = args.geometric
         if lo < 2 or hi <= lo or count < 2:
             raise ValueError(f"bad geometric ladder ({lo}, {hi}, {count})")
+        if count > hi - lo + 1:
+            raise ValueError(f"bad geometric ladder ({lo}, {hi}, {count}): COUNT is at most "
+                             f"{hi - lo + 1}, the number of dimensions from {lo} to {hi}")
         ratio = (hi / lo) ** (1.0 / (count - 1))
-        dims = sorted({int(round(lo * ratio**i)) for i in range(count)})
-        return [max(d, 2) for d in dims]
+        return sorted({int(round(lo * ratio**i)) for i in range(count)})
     if args.n_list is None:
         return list(_TABLE_DIMS)
     dims = [int(s) for s in args.n_list.split(",") if s.strip()]

@@ -51,7 +51,8 @@ the first spectral computation of a process: from numpy's own LAPACK where
 numpy exports them, as its scipy-openblas wheels do, and from
 scipy.linalg.cython_lapack otherwise.  With numpy's, no command imports
 scipy; with scipy's, only a spectral computation pays its ~0.3 s import.
-Each matrix allocates stebz's workspaces once, on its first call.
+Both are plain calls that allocate their own workspaces, so no matrix holds
+LAPACK state between calls.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import json
 import logging
 import math
 import mmap
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -103,9 +103,9 @@ _AIRY_A1 = -2.338107410459767
 _RESCALE_EVERY = 16
 
 # Peak bytes per dimension of the larger route: the tridiagonal's off-diagonal
-# and zero diagonal (16 N) plus stebz's w, iblock, isplit, work and iwork at
-# 64-bit LAPACK integers (8 + 8 + 8 + 32 + 24 = 80 N).  eig_all needs 48 N
-# (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).
+# and zero diagonal (16 N) plus the 80 N workspace each dstebz call allocates
+# for w, iblock, isplit, work and iwork.  eig_all needs 48 N (tridiagonal, B's
+# two halves, 4 * ceil(N/2) work, output).
 _BYTES_PER_DIM = 96
 
 # Exported names of numpy's bundled ILP64 LAPACK (scipy-openblas), tried first.
@@ -113,7 +113,7 @@ _NUMPY_LAPACK_SYMBOLS = ("scipy_dstebz_64_", "scipy_dlasq1_64_")
 
 
 class _Lapack(NamedTuple):
-    """dstebz and dlasq1 as ctypes calls, and the ctypes and numpy types of their INTEGERs.
+    """dstebz and dlasq1 as ctypes calls, and the ctypes type of their INTEGERs.
 
     Every argument is passed by address.  dstebz(range, order, n, vl, vu,
     il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork, info)
@@ -126,7 +126,6 @@ class _Lapack(NamedTuple):
     dstebz: Callable[..., None]
     dlasq1: Callable[..., None]
     integer: type
-    int_dtype: np.dtype
 
 
 def _numpy_routines() -> tuple[int, int] | None:
@@ -190,49 +189,7 @@ def _lapack() -> _Lapack:
     ptr, size = ctypes.c_void_p, ctypes.c_size_t
     dstebz = ctypes.CFUNCTYPE(None, *[ptr] * 18, size, size)(routines[0])
     dlasq1 = ctypes.CFUNCTYPE(None, *[ptr] * 5)(routines[1])
-    return _Lapack(dstebz, dlasq1, integer, np.dtype(integer))
-
-
-class _StebzCall:
-    """One matrix's dstebz call site: workspaces and argument cells allocated once.
-
-    ``__call__`` sets only the range and its bounds, under a lock because
-    ctypes releases the GIL during the call; every array and cell whose
-    address the call passes lives as long as this object.  The
-    workspaces follow LAPACK's documentation: w and work take n and 4 n
-    doubles, iblock, isplit and iwork n, n and 3 n integers; each group
-    shares one array.
-    """
-
-    def __init__(self, t: SymTridiagonal):
-        lapack = _lapack()
-        n, integer = t.dim, lapack.integer
-        self._dstebz, self._lock = lapack.dstebz, threading.Lock()
-        self._range, order = ctypes.c_char(), ctypes.c_char(b"E")
-        self._vl, self._vu, self._abstol = (ctypes.c_double() for _ in range(3))
-        self._il, self._iu, self._m, self._info = (integer() for _ in range(4))
-        n_cell, nsplit = integer(n), integer()
-        self._w = np.empty(5 * n)
-        ints = np.empty(5 * n, lapack.int_dtype)
-        w, i, step = self._w.ctypes.data, ints.ctypes.data, ints.itemsize * n
-        cells = (self._range, order, n_cell, self._vl, self._vu, self._il, self._iu, self._abstol)
-        self._held = (t._zero_diag, t.offdiag, ints, cells, nsplit)
-        self._args = (*map(ctypes.addressof, cells), t._zero_diag.ctypes.data,
-                      t.offdiag.ctypes.data, ctypes.addressof(self._m), ctypes.addressof(nsplit),
-                      w, i, i + step, w + 8 * n, i + 2 * step, ctypes.addressof(self._info), 1, 1)
-
-    def __call__(self, kind: bytes, vl: float, vu: float, il: int, iu: int,
-                 abstol: float) -> tuple[int, float, int]:
-        """(m, lowest eigenvalue found, info) for range ``kind`` (b"V" or b"I").
-
-        m is 0 when LAPACK rejects an argument before it counts.
-        """
-        with self._lock:
-            self._range.value = kind
-            self._vl.value, self._vu.value, self._il.value, self._iu.value = vl, vu, il, iu
-            self._abstol.value, self._m.value = abstol, 0
-            self._dstebz(*self._args)
-            return self._m.value, float(self._w[0]), self._info.value
+    return _Lapack(dstebz, dlasq1, integer)
 
 
 @dataclass(frozen=True)
@@ -276,11 +233,6 @@ class SymTridiagonal:
         diag = np.frombuffer(buf, dtype=float)
         diag.setflags(write=False)
         return diag
-
-    @cached_property
-    def _stebz(self) -> _StebzCall:
-        """This matrix's dstebz call site, its workspaces allocated on first use."""
-        return _StebzCall(self)
 
     @cached_property
     def _count_data(self):
@@ -451,21 +403,40 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
     return count
 
 
+def _dstebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, iu: int,
+            abstol: float) -> tuple[int, float, int]:
+    """(m, lowest eigenvalue found, info) of dstebz in range ``kind`` (b"V" or b"I").
+
+    Every call allocates its own argument cells and one workspace of 10 n
+    doubles, sized from LAPACK's documentation: w (n) and work (4 n) take
+    the first half, and iblock, isplit (n each) and iwork (3 n) the second,
+    whose 5 n doubles hold 5 n INTEGERs of 8 bytes or of 4.  Calls share
+    only the matrix's read-only arrays, so threads may share a matrix.  m is
+    0 when LAPACK rejects an argument before it counts.
+    """
+    lapack = _lapack()
+    n, integer, byref = t.dim, lapack.integer, ctypes.byref
+    m, nsplit, info = integer(), integer(), integer()
+    buf = np.empty(10 * n)
+    w = buf.ctypes.data
+    ints, step = w + buf.nbytes // 2, ctypes.sizeof(integer) * n
+    lapack.dstebz(byref(ctypes.c_char(kind)), byref(ctypes.c_char(b"E")), byref(integer(n)),
+                  byref(ctypes.c_double(vl)), byref(ctypes.c_double(vu)), byref(integer(il)),
+                  byref(integer(iu)), byref(ctypes.c_double(abstol)), t._zero_diag.ctypes.data,
+                  t.offdiag.ctypes.data, byref(m), byref(nsplit), w, ints, ints + step,
+                  w + 8 * n, ints + 2 * step, byref(info), 1, 1)
+    return m.value, float(buf[0]), info.value
+
+
 def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
-    m, value, info = t._stebz(b"I", 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL)
+    m, value, info = _dstebz(t, b"I", 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL)
     if info != 0 or m != 1:
         raise ConvergenceError(
             f"stebz returned info = {info} and {m} eigenvalue(s) for index {index} "
             f"of dim {t.dim}"
         )
     return value
-
-
-def _stebz_in_interval(t: SymTridiagonal, lo: float, hi: float,
-                       abstol: float) -> tuple[int, float, int]:
-    """(count, lowest eigenvalue, info) of stebz in value mode on (lo, hi]."""
-    return t._stebz(b"V", lo, hi, 0, 0, abstol)
 
 
 def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -513,9 +484,9 @@ def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_widt
     lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
     m = inside = None
     if 0.0 < lo < hi:
-        m, value, info = _stebz_in_interval(t, lo, hi, _STEBZ_ABSTOL)
+        m, value, info = _dstebz(t, b"V", lo, hi, 0, 0, _STEBZ_ABSTOL)
         if info == 0 and m == 1:
-            inside, _, info = _stebz_in_interval(t, -lo, lo, 4.0 * lo)
+            inside, _, info = _dstebz(t, b"V", -lo, lo, 0, 0, 4.0 * lo)
             if info == 0 and inside == 2 * index - t.dim:
                 return value
     _log.debug("dim %d, index %d: bracket (%r, %r] held %s eigenvalue(s) and (-lo, lo] %s; "
@@ -651,7 +622,7 @@ def gap_properties(n_dim: int) -> GapReport:
     n_dim = as_dimension(n_dim, 2, "n_dim")
     ev_n = eig_all(position_tridiagonal(n_dim))
     ev_n1 = eig_all(position_tridiagonal(n_dim + 1))
-    pos = ev_n[ev_n > 1e-10 * math.sqrt(2.0 * n_dim)]
+    pos = ev_n[n_dim - n_dim // 2:]  # eig_all's spectrum is exactly sign-symmetric
     lam1 = float(pos[0])
     bound = lam1 if n_dim % 2 else 2.0 * lam1
     if pos.size >= 2:

@@ -86,6 +86,12 @@ class TestSigmaTableCommand:
         for values in by_parity.values():
             assert values == sorted(values)
 
+    def test_geometric_count_beyond_the_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sigma-table", "--geometric", "2", "5", "10", "--out", str(out)]) == 2
+        assert "at most 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_list_is_usage_error(self, tmp_path):
         assert main(["sigma-table", "--n-list", "", "--out", str(tmp_path / "x.csv")]) == 2
 

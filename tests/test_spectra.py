@@ -248,8 +248,8 @@ def _scipy_stebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, 
 
 
 def _bound_stebz(t: SymTridiagonal, *args) -> tuple[int, str | None, int]:
-    """The same triple from the matrix's own cached call site."""
-    m, value, info = t._stebz(*args)
+    """The same triple from the ctypes binding."""
+    m, value, info = spectra._dstebz(t, *args)
     return m, value.hex() if m else None, info
 
 
@@ -293,12 +293,10 @@ class TestLapackBinding:
             cases += [(b"V", lo, hi, 0, 0, tiny), (b"V", -lo, lo, 0, 0, 4.0 * lo)]
         cases += [(b"I", 0.0, 0.0, i + 1, i + 1, tiny) for i in spectra._extreme_indices(n)]
         rejected = (b"V", big, m, 0, 0, tiny)  # vu < vl: info = -5 and no count
-        site = t._stebz
         for case in cases + [rejected] + cases[:2]:
             assert _bound_stebz(t, *case) == _scipy_stebz(t, *case), case
-        assert t._stebz is site
 
-    def test_one_call_site_shared_by_threads(self):
+    def test_threads_sharing_one_matrix(self):
         # the GIL is released inside dstebz; each call must still see its own
         # arguments and results
         t = position_tridiagonal(3000)
@@ -573,6 +571,17 @@ class TestSpectrumSummary:
         finally:
             tracemalloc.stop()
         assert peak <= spectra._BYTES_PER_DIM * n, peak / n
+
+    def test_matrix_holds_no_lapack_workspace_between_calls(self):
+        n = 10**5
+        tracemalloc.start()
+        try:
+            t = position_tridiagonal(n)
+            extreme_eigenvalues(t)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 16 * n, retained / n
 
     def test_invariant_guard(self):
         with pytest.raises(Exception):
