@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from .spectra import TWO_PI
 
 
-def _is_real_number(v) -> bool:
-    """int or float, but not bool (True would otherwise pass as a length of 1)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _check_positive_finite(name: str, v) -> None:
+    """ValueError unless v is a positive finite int or float (bool is not a length of 1)."""
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and v > 0.0 and math.isfinite(v)):
+        raise ValueError(f"{name} must be a positive finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -34,13 +36,9 @@ class PhysicalScales:
 
     def __post_init__(self):
         for name in ("l_c", "p_c", "l_m"):
-            v = getattr(self, name)
-            if not (_is_real_number(v) and v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if self.theta is not None and not (
-            _is_real_number(self.theta) and self.theta > 0.0 and math.isfinite(self.theta)
-        ):
-            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
+            _check_positive_finite(name, getattr(self, name))
+        if self.theta is not None:
+            _check_positive_finite("theta", self.theta)
         if self.l_c < self.l_m:
             raise ValueError(
                 f"the scale ratio l_c/l_m must be >= 1, got {self.l_c / self.l_m:.3g}"
@@ -124,8 +122,9 @@ def solve_characteristic_length(l_m: float, universe_size: float) -> float:
     """Inverse problem: l_c with l_m * L = 2*pi * l_c^2.
 
     Given a minimal length and a largest observable size, returns the
-    characteristic length that makes the bound tight.
+    characteristic length that makes the bound tight.  Both must be positive
+    finite numbers.
     """
-    if not (l_m > 0.0 and universe_size > 0.0):
-        raise ValueError("l_m and universe_size must be positive")
+    _check_positive_finite("l_m", l_m)
+    _check_positive_finite("universe_size", universe_size)
     return math.sqrt(l_m * universe_size / TWO_PI)

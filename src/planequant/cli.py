@@ -127,6 +127,8 @@ def _cmd_bounds(args) -> int:
     from . import bounds, spectra
 
     scales = bounds.PhysicalScales(l_c=args.l_c, p_c=args.p_c, l_m=args.l_m, theta=args.theta)
+    if args.universe_size is not None:
+        l_c = bounds.solve_characteristic_length(args.l_m, args.universe_size)
     sigma = spectra.TWO_PI
     if args.sigma_n is not None:
         sigma = spectra.spectrum_summary(args.sigma_n).sigma
@@ -134,7 +136,6 @@ def _cmd_bounds(args) -> int:
     for line in report.lines():
         print(line)
     if args.universe_size is not None:
-        l_c = bounds.solve_characteristic_length(args.l_m, args.universe_size)
         print(f"characteristic length making the bound tight at size "
               f"{args.universe_size:.9g} m: l_c = {l_c:.9g} m")
     if args.out:

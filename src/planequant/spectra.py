@@ -15,8 +15,11 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
                             by Sturm bisection (stebz), O(N) per count,
                             practical to N = 10^6.  From N = 100 on, stebz
-                            starts on a bracket of relative half-width 1e-9
-                            around the Hermite-zero asymptotics, and LAPACK
+                            starts on a bracket around the Hermite-zero
+                            asymptotics, sized from the guess's error model
+                            and stebz's own rounding (relative half-width
+                            1e-9 at N = 100; 6.7e-14 for lambda_M and
+                            2.8e-13 for lambda_m at N = 10^4), and LAPACK
                             counts prove the index of what it returns; a
                             result they do not prove comes from
                             index-selected bisection.  With an absolute
@@ -25,7 +28,7 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             few ulps relative.  lambda_m is not: stebz's
                             relative error against 40-digit Newton on the
                             three-term recurrence is 1.8e-14 at N = 10^4,
-                            2.4e-13 at 10^5 and 4.5e-12 at 10^6, which the
+                            2.4e-13 at 10^5 and 4.5e-12 at 10^6, which its
                             bracket is sized to contain.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
@@ -85,16 +88,17 @@ DENSE_SPECTRUM_CAP = 20_000
 _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 
 # From this dimension on, extreme_eigenvalues starts stebz on the asymptotic
-# bracket of _extreme_guesses; below it the Airy expansion's error approaches
-# the half-width (1.7e-9 at N = 50).
+# brackets of _extreme_guesses; below it the Airy expansion's error grows past
+# its model (1.7e-9 at N = 50).
 _BRACKET_MIN_DIM = 100
 
-# Relative half-width of that bracket.  From N = 100 the expansions are within
-# 1e-10 of the true extreme eigenvalues.  The bracket must contain stebz's own
-# value, and its lambda_m lies 4.5e-12 from the true one at N = 10^6, a
-# distance that grows 13-19 times per decade of N; a bracket that misses it
-# at larger N costs the index route, not a wrong result.
-_BRACKET_HALF_WIDTH = 1e-9
+# Relative error bound of both asymptotic guesses at _BRACKET_MIN_DIM.  It
+# falls like nu^-4, the order of either expansion's first omitted term:
+# lambda_M's error is 9.7e-11 at N = 100 and 8.9e-15 at N = 1000, and odd-N
+# lambda_m's satisfies err (N/100)^4 <= 8.4e-10 on 101..1999.
+_GUESS_ERROR_AT_MIN_DIM = 1e-9
+
+_EPS = float(np.finfo(float).eps)
 
 # First zero of the Airy function Ai, for the largest-zero expansion.
 _AIRY_A1 = -2.338107410459767
@@ -233,6 +237,17 @@ class SymTridiagonal:
         diag = np.frombuffer(buf, dtype=float)
         diag.setflags(write=False)
         return diag
+
+    @cached_property
+    def _addresses(self) -> tuple[int, int]:
+        """Addresses of the zero diagonal and the off-diagonal, as stebz takes them.
+
+        Both arrays are read-only and live as long as the matrix, so each
+        address is read once rather than through ``ndarray.ctypes`` on every
+        call, which costs more than a short call's LAPACK work; no call
+        state is kept.
+        """
+        return self._zero_diag.ctypes.data, self.offdiag.ctypes.data
 
     @cached_property
     def _count_data(self):
@@ -411,8 +426,9 @@ def _dstebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, iu: i
     doubles, sized from LAPACK's documentation: w (n) and work (4 n) take
     the first half, and iblock, isplit (n each) and iwork (3 n) the second,
     whose 5 n doubles hold 5 n INTEGERs of 8 bytes or of 4.  Calls share
-    only the matrix's read-only arrays, so threads may share a matrix.  m is
-    0 when LAPACK rejects an argument before it counts.
+    only the matrix's read-only arrays, passed by their cached addresses, so
+    threads may share a matrix.  m is 0 when LAPACK rejects an argument
+    before it counts.
     """
     lapack = _lapack()
     n, integer, byref = t.dim, lapack.integer, ctypes.byref
@@ -422,8 +438,8 @@ def _dstebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, iu: i
     ints, step = w + buf.nbytes // 2, ctypes.sizeof(integer) * n
     lapack.dstebz(byref(ctypes.c_char(kind)), byref(ctypes.c_char(b"E")), byref(integer(n)),
                   byref(ctypes.c_double(vl)), byref(ctypes.c_double(vu)), byref(integer(il)),
-                  byref(integer(iu)), byref(ctypes.c_double(abstol)), t._zero_diag.ctypes.data,
-                  t.offdiag.ctypes.data, byref(m), byref(nsplit), w, ints, ints + step,
+                  byref(integer(iu)), byref(ctypes.c_double(abstol)), *t._addresses,
+                  byref(m), byref(nsplit), w, ints, ints + step,
                   w + 8 * n, ints + 2 * step, byref(info), 1, 1)
     return m.value, float(buf[0]), info.value
 
@@ -451,9 +467,20 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     Bessel-type expansion of the smallest one, j^2/nu (1 + (j^2 - 3/2)/(3 nu^2)
     + ...), at the first zero j of J_alpha: pi/2 or pi.  Its nu^-4 term follows
     from the perturbation series of the Hermite equation
-    psi'' + (nu - x^2) psi = 0 about x = 0.  From N = 100 on both are within
-    1e-10 relative; each comes with the relative half-width of the bracket
-    that stebz starts from.
+    psi'' + (nu - x^2) psi = 0 about x = 0.
+
+    Each guess comes with the relative half-width of the bracket that stebz
+    starts from, the sum of two error terms.  The guess term,
+    1e-9 (100/N)^4, bounds the expansions' own error.  The solver term is
+    room for the rounding of the value the bracket must contain.  For
+    lambda_m it is N eps / 8: stebz's value drifts from the true zero within
+    the O(N eps) relative-perturbation bound of bisection on a zero-diagonal
+    tridiagonal (Demmel & Kahan 1990), by at most N eps / 27 on N = 100..3000
+    and on the default sigma-table ladder to 10^6.  For lambda_M it is
+    3 sqrt(N) eps: stebz's value is within a few ulps of the true zero, and
+    dqds's within 0.45 sqrt(N) eps on N <= 20000, so the guess also lies
+    well inside the bracket around the full-spectrum route's value.  A
+    bracket that misses costs the index route, not a wrong result.
     """
     nu = 2.0 * n_dim + 1.0
     a, c = _AIRY_A1, 2.0 ** (1.0 / 3.0)
@@ -465,7 +492,9 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     e = 1.0 / (nu * nu)
     small2 = j2 / nu * (1.0 + (j2 - 1.5) / 3.0 * e
                         + (11.0 / 45.0 * j2 * j2 - 13.0 / 12.0 * j2 + 11.0 / 8.0) * e * e)
-    return (math.sqrt(small2), _BRACKET_HALF_WIDTH), (math.sqrt(big2), _BRACKET_HALF_WIDTH)
+    guess_error = _GUESS_ERROR_AT_MIN_DIM * (_BRACKET_MIN_DIM / n_dim) ** 4
+    return ((math.sqrt(small2), guess_error + n_dim * _EPS / 8.0),
+            (math.sqrt(big2), guess_error + 3.0 * math.sqrt(n_dim) * _EPS))
 
 
 def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_width: float) -> float:
@@ -520,8 +549,10 @@ def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
     is within a few ulps of the true eigenvalue; for lambda_m of the position
     matrix it is not: against 40-digit Newton on the three-term recurrence
     its relative error is 1.8e-14 at N = 10^4, 2.4e-13 at N = 10^5 and
-    4.5e-12 at N = 10^6.  The bracket is sized to contain stebz's value,
-    not only the true one.
+    4.5e-12 at N = 10^6.  Each bracket's half-width comes from
+    ``_extreme_guesses``: the guess's own error, which falls like N^-4, plus
+    room for stebz's rounding, so it contains stebz's value, not only the
+    true one.
     """
     if t.dim < 2:
         raise ValueError(f"need dim >= 2 for a positive eigenvalue, got {t.dim}")

@@ -232,6 +232,17 @@ class TestBoundsCommand:
     def test_bad_scales_usage_error(self, capsys):
         assert main(["bounds", "--l-c", "1e-35", "--l-m", "1e-10"]) == 2
 
+    @pytest.mark.parametrize("size", ["nan", "-1", "inf"])
+    def test_bad_universe_size_is_usage_error_before_any_output(self, size, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--l-c", "1e-5", "--l-m", "1.6e-35", "--universe-size", size,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"universe_size must be a positive finite number, got {float(size)!r}" \
+            in captured.err
+        assert not out.exists()
+
     def test_finite_dim_sigma_flag(self, capsys):
         assert main(["bounds", "--l-c", "1.0", "--l-m", "1.0", "--sigma-n", "10"]) == 0
         out = capsys.readouterr().out

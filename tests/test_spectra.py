@@ -452,8 +452,19 @@ class TestBracketedRoute:
     def test_matches_index_route_to_two_ulp(self):
         for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + TABLE_DIMS:
             t = position_tridiagonal(n)
-            for got, want in zip(extreme_eigenvalues(t), self._index_route(t)):
+            exact = self._index_route(t)
+            for got, want in zip(extreme_eigenvalues(t), exact):
                 assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
+            if n < spectra._BRACKET_MIN_DIM:
+                continue
+            # margin of at least 2: the index route's value lies within half of
+            # its bracket's half-width of the guess
+            for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
+                assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
+
+    def test_largest_eigenvalue_bisects_from_a_narrow_bracket(self):
+        _, (_, half_width) = spectra._extreme_guesses(10**4)
+        assert half_width <= 1e-13
 
     def test_index_route_below_threshold(self, monkeypatch):
         def no_guess(n_dim):
@@ -470,7 +481,7 @@ class TestBracketedRoute:
         ev = eig_all(t)
         idx_m, idx_max = _extreme_indices(n)
         exact = self._index_route(t)
-        width = spectra._BRACKET_HALF_WIDTH
+        width = 1e-9
         guesses = {
             # one eigenvalue in the bracket, but not the wanted one
             "neighbour": ((ev[idx_m + 1], width), (ev[idx_max - 1], width)),
