@@ -21,6 +21,7 @@ import os
 import sys
 
 from .errors import PlanequantError, VerificationError
+from .symbols import GRID_KINDS
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,12 +81,7 @@ def _parse_dims(args) -> list[int]:
 def _cmd_sigma_table(args) -> int:
     from . import spectra
 
-    try:
-        dims = _parse_dims(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    summaries = spectra.sigma_table(dims)
+    summaries = spectra.sigma_table(_parse_dims(args))
     text = (spectra.summaries_to_csv(summaries)
             if args.format == "csv"
             else spectra.summaries_to_json(summaries) + "\n")
@@ -194,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     ls = sub.add_parser("lower-symbols", help="phase-space grid of a symbol")
     ls.add_argument("--n", type=int, default=None,
                     help="dimension (defaults: Q2/P2 12, H 5, UNCERTAINTY 10, C 12)")
-    ls.add_argument("--which", choices=("Q2", "P2", "H", "UNCERTAINTY", "C"), default="Q2")
+    ls.add_argument("--which", choices=tuple(GRID_KINDS), default="Q2")
     ls.add_argument("--q-min", type=float, default=-6.0)
     ls.add_argument("--q-max", type=float, default=6.0)
     ls.add_argument("--p-min", type=float, default=-6.0)

@@ -34,9 +34,10 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
 
-From the smallest and largest positive eigenvalues the summary assembles
-the minimal forbidden cell delta_N (lambda_m for odd N, 2*lambda_m for even
-N), the spectral width Delta_N = 2*lambda_M and their product
+A summary stores only what was measured, the dimension and the smallest
+and largest positive eigenvalues, and derives the rest: the minimal
+forbidden cell delta_N (lambda_m for odd N, 2*lambda_m for even N), the
+spectral width Delta_N = 2*lambda_M and their product
 sigma_N = delta_N * Delta_N, which stays below 2*pi and increases within
 each parity class.  A closed-form semicircle density and the three-term
 recurrence for the characteristic polynomial provide the remaining
@@ -528,10 +529,9 @@ def _extreme_indices(n_dim: int) -> tuple[int, int]:
 
     The spectrum is symmetric with floor(N/2) negative values and, for odd
     N, a zero in the middle; the first positive eigenvalue therefore sits at
-    index N/2 (even) or (N+1)/2 (odd).
+    index ceil(N/2).
     """
-    idx_m = n_dim // 2 if n_dim % 2 == 0 else n_dim // 2 + 1
-    return idx_m, n_dim - 1
+    return (n_dim + 1) // 2, n_dim - 1
 
 
 def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
@@ -568,17 +568,27 @@ def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
 # summaries
 # ---------------------------------------------------------------------------
 
+def _parity(n_dim: int) -> str:
+    return "odd" if n_dim % 2 else "even"
+
+
+def _forbidden_cell(n_dim: int, lam_m: float) -> float:
+    """Minimal forbidden cell delta_N: the gap from lam_m to 0 (odd N) or to -lam_m (even N)."""
+    return lam_m if n_dim % 2 else 2.0 * lam_m
+
+
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Extreme positive eigenvalues and the forbidden-cell/width product."""
+    """Extreme positive eigenvalues of one dimension, and what derives from them.
+
+    Only the measured values are stored, so a summary cannot contradict
+    itself: ``delta`` is the minimal forbidden cell delta_N, ``width`` the
+    spectral width Delta_N = 2 lambda_M and ``sigma`` their product.
+    """
 
     dim: int
     lambda_min_pos: float
     lambda_max: float
-    delta: float
-    width: float
-    sigma: float
-    parity: str
 
     def __post_init__(self):
         if not (0.0 < self.lambda_min_pos <= self.lambda_max):
@@ -588,27 +598,27 @@ class SpectrumSummary:
         if not (self.sigma < TWO_PI):
             raise VerificationError(f"sigma = {self.sigma} violates the 2*pi bound at dim {self.dim}")
 
-    @classmethod
-    def from_extremes(cls, n_dim: int, lam_min: float, lam_max: float) -> "SpectrumSummary":
-        even = n_dim % 2 == 0
-        delta = 2.0 * lam_min if even else lam_min
-        width = 2.0 * lam_max
-        return cls(
-            dim=n_dim,
-            lambda_min_pos=lam_min,
-            lambda_max=lam_max,
-            delta=delta,
-            width=width,
-            sigma=delta * width,
-            parity="even" if even else "odd",
-        )
+    @property
+    def parity(self) -> str:
+        return _parity(self.dim)
+
+    @property
+    def delta(self) -> float:
+        return _forbidden_cell(self.dim, self.lambda_min_pos)
+
+    @property
+    def width(self) -> float:
+        return 2.0 * self.lambda_max
+
+    @property
+    def sigma(self) -> float:
+        return self.delta * self.width
 
 
 def spectrum_summary(n_dim: int) -> SpectrumSummary:
     """Assemble the forbidden-cell/width summary for one dimension."""
     n_dim = as_dimension(n_dim, 2, "n_dim")
-    lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(n_dim))
-    return SpectrumSummary.from_extremes(n_dim, lam_min, lam_max)
+    return SpectrumSummary(n_dim, *extreme_eigenvalues(position_tridiagonal(n_dim)))
 
 
 def sigma_table(n_list) -> list[SpectrumSummary]:
@@ -629,14 +639,23 @@ def sigma_table(n_list) -> list[SpectrumSummary]:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gap and interlacing diagnostics for one dimension."""
+    """Gap and interlacing margins for one dimension; a check passes when its margin is > 0."""
 
     dim: int
-    parity: str
-    gaps_ok: bool
     worst_gap_margin: float
-    interlacing_ok: bool
     worst_interlacing_margin: float
+
+    @property
+    def parity(self) -> str:
+        return _parity(self.dim)
+
+    @property
+    def gaps_ok(self) -> bool:
+        return self.worst_gap_margin > 0.0
+
+    @property
+    def interlacing_ok(self) -> bool:
+        return self.worst_interlacing_margin > 0.0
 
     @property
     def passed(self) -> bool:
@@ -646,16 +665,15 @@ class GapReport:
 def gap_properties(n_dim: int) -> GapReport:
     """Check consecutive-gap lower bounds and interlacing with order N+1.
 
-    Every gap between consecutive positive eigenvalues exceeds the smallest
-    positive one (odd N) or twice it (even N), and the order-N and order-N+1
-    spectra strictly interlace.
+    Every gap between consecutive positive eigenvalues exceeds the minimal
+    forbidden cell of the smallest positive one, and the order-N and
+    order-N+1 spectra strictly interlace.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     ev_n = eig_all(position_tridiagonal(n_dim))
     ev_n1 = eig_all(position_tridiagonal(n_dim + 1))
-    pos = ev_n[n_dim - n_dim // 2:]  # eig_all's spectrum is exactly sign-symmetric
-    lam1 = float(pos[0])
-    bound = lam1 if n_dim % 2 else 2.0 * lam1
+    pos = ev_n[_extreme_indices(n_dim)[0]:]  # eig_all's spectrum is exactly sign-symmetric
+    bound = _forbidden_cell(n_dim, float(pos[0]))
     if pos.size >= 2:
         worst_gap = float(np.min(np.diff(pos)) - bound)
     else:
@@ -664,14 +682,7 @@ def gap_properties(n_dim: int) -> GapReport:
     left = ev_n - ev_n1[:-1]
     right = ev_n1[1:] - ev_n
     worst_inter = float(min(left.min(), right.min()))
-    return GapReport(
-        dim=n_dim,
-        parity="even" if n_dim % 2 == 0 else "odd",
-        gaps_ok=worst_gap > 0.0,
-        worst_gap_margin=worst_gap,
-        interlacing_ok=worst_inter > 0.0,
-        worst_interlacing_margin=worst_inter,
-    )
+    return GapReport(dim=n_dim, worst_gap_margin=worst_gap, worst_interlacing_margin=worst_inter)
 
 
 def semicircle_density(n_dim: int, x1: float, x2: float) -> float:
@@ -721,7 +732,7 @@ class AsymptoticReport:
     dim: int
     parity: str
     largest_ratio: float       # lambda_M / sqrt(2N)
-    smallest_ratio: float      # lambda_m * sqrt(2N)/pi (odd) or *2 (even)
+    smallest_ratio: float      # delta_N * sqrt(2N) / pi
     sigma_ratio: float         # sigma / (2*pi)
 
 
@@ -730,15 +741,11 @@ def asymptotic_check(n_dim: int) -> AsymptoticReport:
     n_dim = as_dimension(n_dim, 100, "n_dim")
     summary = spectrum_summary(n_dim)
     scale = math.sqrt(2.0 * n_dim)
-    even = n_dim % 2 == 0
-    small = summary.lambda_min_pos * scale / math.pi
-    if even:
-        small *= 2.0
     return AsymptoticReport(
         dim=n_dim,
-        parity="even" if even else "odd",
+        parity=summary.parity,
         largest_ratio=summary.lambda_max / scale,
-        smallest_ratio=small,
+        smallest_ratio=summary.delta * scale / math.pi,
         sigma_ratio=summary.sigma / TWO_PI,
     )
 
@@ -747,41 +754,26 @@ def asymptotic_check(n_dim: int) -> AsymptoticReport:
 # exports
 # ---------------------------------------------------------------------------
 
-SUMMARY_FIELDS = ("N", "lambda_m", "lambda_M", "delta", "width", "sigma", "parity", "two_pi")
+def _summary_row(s: SpectrumSummary) -> dict:
+    """One sigma-table row, keyed by its column names in CSV order."""
+    return {"N": s.dim, "lambda_m": s.lambda_min_pos, "lambda_M": s.lambda_max,
+            "delta": s.delta, "width": s.width, "sigma": s.sigma,
+            "parity": s.parity, "two_pi": TWO_PI}
 
 
 def summaries_to_csv(summaries) -> str:
-    """CSV with schema N,lambda_m,lambda_M,delta,width,sigma,parity,two_pi."""
-    lines = [",".join(SUMMARY_FIELDS)]
-    for s in summaries:
-        row = [
-            str(s.dim),
-            f"{s.lambda_min_pos:.9g}",
-            f"{s.lambda_max:.9g}",
-            f"{s.delta:.9g}",
-            f"{s.width:.9g}",
-            f"{s.sigma:.9g}",
-            s.parity,
-            f"{TWO_PI:.9g}",
-        ]
-        lines.append(",".join(row))
+    """CSV of ``_summary_row``: floats to 9 significant digits, the rest with ``str``."""
+    rows = [_summary_row(s) for s in summaries]
+    if not rows:
+        raise ValueError("no summaries to write")
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row.values())
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def summaries_to_json(summaries) -> str:
-    return json.dumps([
-        {
-            "N": s.dim,
-            "lambda_m": s.lambda_min_pos,
-            "lambda_M": s.lambda_max,
-            "delta": s.delta,
-            "width": s.width,
-            "sigma": s.sigma,
-            "parity": s.parity,
-            "two_pi": TWO_PI,
-        }
-        for s in summaries
-    ])
+    return json.dumps([_summary_row(s) for s in summaries])
 
 
 def spectrum_to_csv(eigenvalues) -> str:

@@ -19,6 +19,7 @@ Grid sweeps are pure and row-major deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,14 @@ from .operators import OperatorMatrix
 # negative indicates a genuine fault and is raised.
 _VARIANCE_CLAMP = -1e-14
 
-GRID_KINDS = ("Q2", "P2", "H", "UNCERTAINTY", "C")
+# Every grid kind, with the label its plot script gives it.
+GRID_KINDS = {
+    "Q2": "position-squared symbol",
+    "P2": "momentum-squared symbol",
+    "H": "energy symbol",
+    "UNCERTAINTY": "spread product",
+    "C": "corrective factor",
+}
 
 # Peak bytes per cell of ``symbol_grid``: the tracemalloc peak of an 801 x 801
 # grid is 56.5 MB, 88 bytes (11 doubles) per cell, for every kind and N.
@@ -103,10 +111,12 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
 
 
 def _check_axes(*ranges: tuple[float, float, int]) -> None:
-    """Raise ValueError unless every (min, max, steps) axis has min < max, steps >= 2."""
+    """Raise ValueError unless every (min, max, steps) axis has finite min < max, steps >= 2."""
     for lo, hi, steps in ranges:
         if steps < 2:
             raise ValueError(f"grid needs at least 2 steps per axis, got {steps}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid range must be finite, got ({lo}, {hi})")
         if not lo < hi:
             raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
 
@@ -157,7 +167,7 @@ def symbol_grid(
     grid is allocated.
     """
     if which not in GRID_KINDS:
-        raise ValueError(f"unknown grid kind {which!r}; expected one of {GRID_KINDS}")
+        raise ValueError(f"unknown grid kind {which!r}; expected one of {tuple(GRID_KINDS)}")
     n_dim = as_dimension(n_dim, 1, "n_dim")
     _check_axes(q_range, p_range)
     check_memory(_GRID_BYTES_PER_CELL * q_range[2] * p_range[2],
@@ -211,13 +221,7 @@ def grid_gnuplot_script(grid: SymbolGrid, csv_name: str) -> str:
     """Gnuplot surface-plot script rendering a grid CSV."""
     steps_q = grid.q_range[2]
     steps_p = grid.p_range[2]
-    label = {
-        "Q2": "position-squared symbol",
-        "P2": "momentum-squared symbol",
-        "H": "energy symbol",
-        "UNCERTAINTY": "spread product",
-        "C": "corrective factor",
-    }[grid.which]
+    label = GRID_KINDS[grid.which]
     return "\n".join(
         [
             f"# surface plot of the {label} at dimension {grid.n_dim}",

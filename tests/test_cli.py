@@ -189,6 +189,7 @@ class TestLowerSymbolsCommand:
         (["--steps", "0"], "at least 2 steps per axis, got 0"),
         (["--steps", "1"], "at least 2 steps per axis, got 1"),
         (["--q-min", "1", "--q-max", "-1"], "min < max, got (1.0, -1.0)"),
+        (["--q-max", "inf"], "grid range must be finite, got (-6.0, inf)"),
     ])
     def test_bad_grid_is_usage_error(self, tmp_path, capsys, bounds, message):
         out = tmp_path / "x.csv"

@@ -20,9 +20,10 @@ from scipy.linalg.lapack import dstebz
 
 from planequant import cli, frame, spectra
 from planequant.cli import _TABLE_DIMS as TABLE_DIMS
-from planequant.errors import ConvergenceError, MissingDependencyError
+from planequant.errors import ConvergenceError, MissingDependencyError, VerificationError
 from planequant.operators import momentum_operator
 from planequant.spectra import (
+    GapReport,
     SpectrumSummary,
     SymTridiagonal,
     asymptotic_check,
@@ -595,11 +596,20 @@ class TestSpectrumSummary:
         assert retained <= 16 * n, retained / n
 
     def test_invariant_guard(self):
-        with pytest.raises(Exception):
-            SpectrumSummary(
-                dim=4, lambda_min_pos=2.0, lambda_max=1.0,
-                delta=4.0, width=2.0, sigma=8.0, parity="even",
-            )
+        with pytest.raises(VerificationError, match="lambda_m <= lambda_M"):
+            SpectrumSummary(dim=4, lambda_min_pos=2.0, lambda_max=1.0)
+
+    def test_two_pi_guard_on_the_derived_product(self):
+        with pytest.raises(VerificationError, match="sigma = 8.0 violates the 2[*]pi bound"):
+            SpectrumSummary(3, 2.0, 2.0)
+
+    def test_derives_what_it_does_not_store(self):
+        even, odd = SpectrumSummary(4, 0.5, 1.0), SpectrumSummary(5, 0.5, 1.0)
+        assert (even.parity, even.delta, even.width, even.sigma) == ("even", 1.0, 2.0, 2.0)
+        assert (odd.parity, odd.delta, odd.width, odd.sigma) == ("odd", 0.5, 2.0, 1.0)
+        with pytest.raises(TypeError):
+            SpectrumSummary(dim=4, lambda_min_pos=0.5, lambda_max=1.0,
+                            delta=0.1, width=2.0, sigma=1.0, parity="odd")
 
 
 class TestSigmaTable:
@@ -643,6 +653,11 @@ class TestGapProperties:
         assert report.passed
         assert report.worst_gap_margin > 0.0
         assert report.worst_interlacing_margin > 0.0
+
+    def test_flags_derive_from_margins(self):
+        report = GapReport(dim=5, worst_gap_margin=-1e-3, worst_interlacing_margin=2.0)
+        assert (report.parity, report.gaps_ok, report.interlacing_ok) == ("odd", False, True)
+        assert not report.passed
 
     def test_interlacing_is_strict_for_ten_eleven(self):
         ev10 = eig_all(position_tridiagonal(10))
@@ -711,6 +726,18 @@ class TestExports:
         cells = lines[1].split(",")
         assert cells[0] == "10" and cells[6] == "even"
         assert float(cells[5]) == pytest.approx(4.713054, abs=1e-5)
+
+    def test_csv_and_json_share_one_row_schema(self):
+        summaries = sigma_table([2, 3, 10, 55])
+        header, *lines = summaries_to_csv(summaries).splitlines()
+        rows = json.loads(summaries_to_json(summaries))
+        assert len(lines) == len(rows) == 4
+        for line, row in zip(lines, rows):
+            assert header.split(",") == list(row)
+            assert line.split(",") == [f"{v:.9g}" if isinstance(v, float) else str(v)
+                                       for v in row.values()]
+        with pytest.raises(ValueError, match="no summaries"):
+            summaries_to_csv([])
 
     def test_summary_json(self):
         import json

@@ -360,6 +360,8 @@ class TestSymbolGrid:
             symbol_grid(5, "H", (2.0, -2.0, 5), (-1.0, 1.0, 5))
         with pytest.raises(ValueError):
             symbol_grid(5, "NOPE", (-1.0, 1.0, 5), (-1.0, 1.0, 5))
+        with pytest.raises(ValueError, match=r"must be finite, got \(-inf, 1.0\)"):
+            symbol_grid(5, "H", (-1.0, 1.0, 5), (-math.inf, 1.0, 5))
 
     def test_overflow_domain(self):
         with pytest.raises(RangeOverflowError):
