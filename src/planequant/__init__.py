@@ -43,7 +43,6 @@ from .operators import (
     quantize_quadrature,
 )
 from .spectra import (
-    AsymptoticReport,
     GapReport,
     SpectrumSummary,
     SymTridiagonal,
@@ -74,7 +73,6 @@ from .verify import CheckResult, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticReport",
     "BoundsReport",
     "CheckResult",
     "CoherentState",

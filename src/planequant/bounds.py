@@ -7,6 +7,9 @@ delta*Delta <= 2*pi*p_c^2.  Postulating a minimal resolvable length l_m
 then caps the largest observable scale at l_max ~ sigma*(l_c/l_m)*l_c; in
 the noncommutative-plane reading the minimal area theta plays the role of
 l_m^2.
+
+A ``BoundsReport`` stores only its inputs, the scales and sigma, owns the
+check 0 < sigma <= 2*pi and derives l_max and the planar-coordinate values.
 """
 
 from __future__ import annotations
@@ -51,13 +54,30 @@ class PhysicalScales:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Evaluated dimensioned bounds for one set of scales."""
+    """Dimensioned bounds of one set of scales and a product sigma in (0, 2*pi].
+
+    The planar-coordinate values are None without theta.
+    """
 
     scales: PhysicalScales
-    sigma: float
-    l_max: float
-    hall_minimal_length: float | None
-    hall_l_max: float | None
+    sigma: float = TWO_PI
+
+    def __post_init__(self):
+        if not (0.0 < self.sigma <= TWO_PI):
+            raise ValueError(f"sigma must lie in (0, 2*pi], got {self.sigma!r}")
+
+    @property
+    def l_max(self) -> float:
+        return self.sigma * self.scales.rho_u * self.scales.l_c
+
+    @property
+    def hall_minimal_length(self) -> float | None:
+        return None if self.scales.theta is None else math.sqrt(self.scales.theta)
+
+    @property
+    def hall_l_max(self) -> float | None:
+        lm, l_c = self.hall_minimal_length, self.scales.l_c
+        return None if lm is None else TWO_PI * (l_c / lm) * l_c
 
     def lines(self) -> list[str]:
         s = self.scales
@@ -72,7 +92,7 @@ class BoundsReport:
             f"maximal observable length (sigma = {self.sigma:.9g}): "
             f"l_max = sigma * (l_c/l_m) * l_c = {self.l_max:.9g} m",
         ]
-        if self.hall_l_max is not None:
+        if s.theta is not None:
             out.append(
                 f"planar-coordinate case: minimal length sqrt(theta) = "
                 f"{self.hall_minimal_length:.9g} m gives "
@@ -97,25 +117,8 @@ class BoundsReport:
 
 
 def bounds_report(scales: PhysicalScales, sigma: float = TWO_PI) -> BoundsReport:
-    """Evaluate the dimensioned bounds; sigma defaults to its limit 2*pi.
-
-    Callers wanting the finite-N product can pass sigma from
-    ``spectra.spectrum_summary``.
-    """
-    if not (0.0 < sigma <= TWO_PI):
-        raise ValueError(f"sigma must lie in (0, 2*pi], got {sigma!r}")
-    l_max = sigma * scales.rho_u * scales.l_c
-    hall_lm = hall_lmax = None
-    if scales.theta is not None:
-        hall_lm = math.sqrt(scales.theta)
-        hall_lmax = TWO_PI * (scales.l_c / hall_lm) * scales.l_c
-    return BoundsReport(
-        scales=scales,
-        sigma=sigma,
-        l_max=l_max,
-        hall_minimal_length=hall_lm,
-        hall_l_max=hall_lmax,
-    )
+    """The bounds at sigma, by default its 2*pi limit; ``spectrum_summary`` gives finite-N ones."""
+    return BoundsReport(scales, sigma)
 
 
 def solve_characteristic_length(l_m: float, universe_size: float) -> float:

@@ -30,8 +30,6 @@ EXIT_IO = 3
 
 _TABLE_DIMS = [10, 55, 100, 551, 1000, 5555, 10000, 55255, 100000, 500555, 1000000]
 
-_GRID_DEFAULT_DIM = {"Q2": 12, "P2": 12, "H": 5, "UNCERTAINTY": 10, "C": 12}
-
 
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -99,7 +97,7 @@ def _cmd_sigma_table(args) -> int:
 def _cmd_lower_symbols(args) -> int:
     from . import symbols
 
-    n = args.n if args.n is not None else _GRID_DEFAULT_DIM[args.which]
+    n = args.n if args.n is not None else GRID_KINDS[args.which].default_dim
     if n < 2:
         print(f"error: need n >= 2, got {n}", file=sys.stderr)
         return EXIT_USAGE
@@ -189,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("lower-symbols", help="phase-space grid of a symbol")
     ls.add_argument("--n", type=int, default=None,
-                    help="dimension (defaults: Q2/P2 12, H 5, UNCERTAINTY 10, C 12)")
+                    help="dimension (defaults: " + ", ".join(
+                        f"{kind} {row.default_dim}" for kind, row in GRID_KINDS.items()) + ")")
     ls.add_argument("--which", choices=tuple(GRID_KINDS), default="Q2")
     ls.add_argument("--q-min", type=float, default=-6.0)
     ls.add_argument("--q-max", type=float, default=6.0)

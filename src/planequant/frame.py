@@ -110,19 +110,21 @@ def half_log_fact(n_dim: int) -> np.ndarray:
 class CoherentState:
     """Unit-norm coefficient vector of a truncated coherent state, held as a read-only copy."""
 
-    dim: int
     coeffs: np.ndarray
-    source: PhasePoint | None = None
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} coefficients, got shape {coeffs.shape}")
+        if coeffs.ndim != 1:
+            raise ValueError(f"expected a 1-D coefficient vector, got shape {coeffs.shape}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         nrm = float(np.linalg.norm(coeffs))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"coherent-state coefficients must have unit norm, got {nrm!r}")
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[0]
 
 
 def _check_linear_range(r2: float, log_variant: str) -> None:
@@ -189,7 +191,7 @@ def coherent_state(n_dim: int, x: PhasePoint) -> CoherentState:
     n_dim = as_dimension(n_dim, 1, "n_dim")
     _check_linear_range(x.r2, "coherent_state_log")
     raw = monomial_state_matrix(n_dim, [x.z])[:, 0]
-    return CoherentState(dim=n_dim, coeffs=raw / np.linalg.norm(raw), source=x)
+    return CoherentState(raw / np.linalg.norm(raw))
 
 
 def coherent_state_log(n_dim: int, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ matrix; ``quantize_monomial`` is ``quantize`` of one term.  A quadrature
 fallback handles black-box symbols and doubles as an independent oracle for
 the closed form.  Named constructors
 build the position, momentum and truncated-oscillator matrices plus the
-noncommutative-plane coordinates scaled by a minimal area theta.
+noncommutative-plane coordinates scaled by a minimal area theta, the
+tridiagonal ones from ``spectra.position_tridiagonal``'s off-diagonal.
 
 Matrices are immutable after construction; all functions are pure.
 """
@@ -34,6 +35,7 @@ from .frame import (
     frame_sandwich,
     phase_plane_quadrature,
 )
+from .spectra import position_tridiagonal
 
 # Hermiticity detection threshold for OperatorMatrix, relative to the
 # largest entry: entries grow like (k+a)!/k!, so no absolute bound fits.
@@ -146,13 +148,12 @@ class PolynomialSymbol:
 class OperatorMatrix:
     """Dense complex matrix of a quantized observable: a read-only copy of ``entries``."""
 
-    dim: int
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"expected shape ({self.dim}, {self.dim}), got {entries.shape}")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"expected a square 2-D matrix, got shape {entries.shape}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -161,9 +162,12 @@ class OperatorMatrix:
         """Take over, read-only and uncopied, a square complex matrix this module built."""
         entries.setflags(write=False)
         op = cls.__new__(cls)
-        object.__setattr__(op, "dim", entries.shape[0])
         object.__setattr__(op, "entries", entries)
         return op
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     @cached_property
     def is_hermitian(self) -> bool:
@@ -183,8 +187,10 @@ class OperatorMatrix:
     @classmethod
     def from_json(cls, text: str) -> "OperatorMatrix":
         data = json.loads(text)
-        entries = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-        return cls(dim=int(data["dim"]), entries=entries)
+        op = cls(np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float))
+        if op.dim != data["dim"]:
+            raise ValueError(f"dim {data['dim']!r} does not match the {op.dim} x {op.dim} entries")
+        return op
 
     def to_csv(self) -> str:
         """CSV rows with re/im interleaved columns (re00,im00,re01,im01,...)."""
@@ -255,14 +261,9 @@ def quantize_quadrature(
     return OperatorMatrix._adopt(frame_sandwich(n_dim, z, w * fz))
 
 
-def _ladder_offdiag(n_dim: int) -> np.ndarray:
-    """sqrt(k/2) for k = 1..N-1, the off-diagonal of the position matrix."""
-    return np.sqrt(np.arange(1, n_dim) / 2.0)
-
-
-def _hermitian_tridiagonal(n_dim: int, upper: np.ndarray) -> OperatorMatrix:
+def _hermitian_tridiagonal(upper: np.ndarray) -> OperatorMatrix:
     """Zero-diagonal Hermitian matrix with ``upper`` above the diagonal."""
-    entries = np.zeros((n_dim, n_dim), dtype=complex)
+    entries = np.zeros((upper.size + 1, upper.size + 1), dtype=complex)
     np.fill_diagonal(entries[:, 1:], upper)
     np.fill_diagonal(entries[1:], np.conj(upper))
     return OperatorMatrix._adopt(entries)
@@ -270,14 +271,12 @@ def _hermitian_tridiagonal(n_dim: int, upper: np.ndarray) -> OperatorMatrix:
 
 def position_operator(n_dim: int) -> OperatorMatrix:
     """Symmetric tridiagonal position matrix with off-diagonal sqrt(k/2)."""
-    n_dim = _check_dim(n_dim)
-    return _hermitian_tridiagonal(n_dim, _ladder_offdiag(n_dim))
+    return _hermitian_tridiagonal(position_tridiagonal(_check_dim(n_dim)).offdiag)
 
 
 def momentum_operator(n_dim: int) -> OperatorMatrix:
     """Hermitian momentum matrix: -i sqrt(k/2) above, +i sqrt(k/2) below."""
-    n_dim = _check_dim(n_dim)
-    return _hermitian_tridiagonal(n_dim, -1j * _ladder_offdiag(n_dim))
+    return _hermitian_tridiagonal(-1j * position_tridiagonal(_check_dim(n_dim)).offdiag)
 
 
 def hamiltonian(n_dim: int) -> OperatorMatrix:
@@ -316,6 +315,5 @@ def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, Operator
     """
     if not (theta > 0.0):
         raise ValueError(f"theta must be positive, got {theta!r}")
-    n_dim = _check_dim(n_dim)
-    off = math.sqrt(theta) * _ladder_offdiag(n_dim)
-    return _hermitian_tridiagonal(n_dim, off), _hermitian_tridiagonal(n_dim, -1j * off)
+    off = math.sqrt(theta) * position_tridiagonal(_check_dim(n_dim)).offdiag
+    return _hermitian_tridiagonal(off), _hermitian_tridiagonal(-1j * off)

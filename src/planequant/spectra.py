@@ -39,9 +39,10 @@ and largest positive eigenvalues, and derives the rest: the minimal
 forbidden cell delta_N (lambda_m for odd N, 2*lambda_m for even N), the
 spectral width Delta_N = 2*lambda_M and their product
 sigma_N = delta_N * Delta_N, which stays below 2*pi and increases within
-each parity class.  A closed-form semicircle density and the three-term
-recurrence for the characteristic polynomial provide the remaining
-cross-checks.  The recurrence is written once, vectorized and rescaled by
+each parity class, and their ratios to the large-N laws.  The dense
+operators read their off-diagonal sqrt(k/2) from ``position_tridiagonal``.
+A closed-form semicircle density and the three-term recurrence for the
+characteristic polynomial provide the remaining cross-checks.  The recurrence is written once, vectorized and rescaled by
 exact powers of two; ``char_poly_recurrence`` reads it at one point and
 ``hermite_residual`` at many.
 
@@ -583,7 +584,9 @@ class SpectrumSummary:
 
     Only the measured values are stored, so a summary cannot contradict
     itself: ``delta`` is the minimal forbidden cell delta_N, ``width`` the
-    spectral width Delta_N = 2 lambda_M and ``sigma`` their product.
+    spectral width Delta_N = 2 lambda_M and ``sigma`` their product.  The
+    ratios lambda_M / sqrt(2N), delta_N sqrt(2N) / pi and sigma / (2 pi)
+    approach 1 from below as N grows.
     """
 
     dim: int
@@ -613,6 +616,18 @@ class SpectrumSummary:
     @property
     def sigma(self) -> float:
         return self.delta * self.width
+
+    @property
+    def largest_ratio(self) -> float:
+        return self.lambda_max / math.sqrt(2.0 * self.dim)
+
+    @property
+    def smallest_ratio(self) -> float:
+        return self.delta * math.sqrt(2.0 * self.dim) / math.pi
+
+    @property
+    def sigma_ratio(self) -> float:
+        return self.sigma / TWO_PI
 
 
 def spectrum_summary(n_dim: int) -> SpectrumSummary:
@@ -725,29 +740,9 @@ def semicircle_count_deviation(n_dim: int, x1: float, x2: float) -> tuple[float,
     return predicted, counted, rel
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Large-N ratio diagnostics; every ratio approaches 1 from below."""
-
-    dim: int
-    parity: str
-    largest_ratio: float       # lambda_M / sqrt(2N)
-    smallest_ratio: float      # delta_N * sqrt(2N) / pi
-    sigma_ratio: float         # sigma / (2*pi)
-
-
-def asymptotic_check(n_dim: int) -> AsymptoticReport:
-    """Ratios of the extreme eigenvalues to their large-N laws; needs n_dim >= 100."""
-    n_dim = as_dimension(n_dim, 100, "n_dim")
-    summary = spectrum_summary(n_dim)
-    scale = math.sqrt(2.0 * n_dim)
-    return AsymptoticReport(
-        dim=n_dim,
-        parity=summary.parity,
-        largest_ratio=summary.lambda_max / scale,
-        smallest_ratio=summary.delta * scale / math.pi,
-        sigma_ratio=summary.sigma / TWO_PI,
-    )
+def asymptotic_check(n_dim: int) -> SpectrumSummary:
+    """The summary whose large-N ratios are meaningful; needs n_dim >= 100."""
+    return spectrum_summary(as_dimension(n_dim, 100, "n_dim"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,15 +31,6 @@ from .operators import OperatorMatrix
 # Tiny negative variances from roundoff are clamped to zero; anything more
 # negative indicates a genuine fault and is raised.
 _VARIANCE_CLAMP = -1e-14
-
-# Every grid kind, with the label its plot script gives it.
-GRID_KINDS = {
-    "Q2": "position-squared symbol",
-    "P2": "momentum-squared symbol",
-    "H": "energy symbol",
-    "UNCERTAINTY": "spread product",
-    "C": "corrective factor",
-}
 
 # Peak bytes per cell of ``symbol_grid``: the tracemalloc peak of an 801 x 801
 # grid is 56.5 MB, 88 bytes (11 doubles) per cell, for every kind and N.
@@ -81,6 +73,23 @@ def _spread_product(c, a_val, b_val, q, p):
         if lowest < _VARIANCE_CLAMP:
             raise ArithmeticError(f"negative {name} variance {lowest} beyond roundoff clamp")
     return np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_p, 0.0))
+
+
+class GridKind(NamedTuple):
+    """One grid kind: its plot label, its command-line default N, and its value rule."""
+
+    label: str
+    default_dim: int
+    value: Callable  # (C, A, B, q, p) of the closed forms -> the grid's values
+
+
+GRID_KINDS = {
+    "Q2": GridKind("position-squared symbol", 12, lambda c, a, b, q, p: a + b),
+    "P2": GridKind("momentum-squared symbol", 12, lambda c, a, b, q, p: a - b),
+    "H": GridKind("energy symbol", 5, lambda c, a, b, q, p: a),
+    "UNCERTAINTY": GridKind("spread product", 10, _spread_product),
+    "C": GridKind("corrective factor", 12, lambda c, a, b, q, p: c),
+}
 
 
 def corrective_factor(n_dim: int, r: float) -> float:
@@ -161,7 +170,7 @@ def symbol_grid(
     q_range: tuple[float, float, int],
     p_range: tuple[float, float, int],
 ) -> SymbolGrid:
-    """Evaluate one of Q2 | P2 | H | UNCERTAINTY | C over a (q, p) grid.
+    """Evaluate one kind of ``GRID_KINDS`` over a (q, p) grid.
 
     Every argument, and the memory the grid needs, is checked before the
     grid is allocated.
@@ -176,17 +185,7 @@ def symbol_grid(
     p = np.linspace(*p_range[:2], p_range[2])
     qg, pg = np.meshgrid(q, p, indexing="ij")
     r2 = (qg * qg + pg * pg) / 2.0
-    c, a_val, b_val = _closed_forms(n_dim, r2, qg, pg)
-    if which == "Q2":
-        vals = a_val + b_val
-    elif which == "P2":
-        vals = a_val - b_val
-    elif which == "H":
-        vals = a_val
-    elif which == "C":
-        vals = c
-    else:  # UNCERTAINTY
-        vals = _spread_product(c, a_val, b_val, qg, pg)
+    vals = GRID_KINDS[which].value(*_closed_forms(n_dim, r2, qg, pg), qg, pg)
     return SymbolGrid(which=which, n_dim=n_dim, q_range=q_range, p_range=p_range, values=vals)
 
 
@@ -221,7 +220,7 @@ def grid_gnuplot_script(grid: SymbolGrid, csv_name: str) -> str:
     """Gnuplot surface-plot script rendering a grid CSV."""
     steps_q = grid.q_range[2]
     steps_p = grid.p_range[2]
-    label = GRID_KINDS[grid.which]
+    label = GRID_KINDS[grid.which].label
     return "\n".join(
         [
             f"# surface plot of the {label} at dimension {grid.n_dim}",

@@ -2,8 +2,10 @@
 
 Each check is named, deterministic for a fixed seed, and returns its worst
 margin so failures are actionable.  The fault-injection hook perturbs one
-off-diagonal entry of the tridiagonal fed to the structural checks, which
-must then fail by name; it exists to prove the harness can fail at all.
+off-diagonal entry of the tridiagonal fed to the structural checks, to
+prove the harness can fail at all; ``interlacing`` then fails by name.
+``symmetry`` passes: a zero-diagonal tridiagonal keeps a sign-symmetric
+spectrum whatever its couplings.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ def _check_sandwich(limit: int, rng: np.random.Generator) -> CheckResult:
             a_val, b_val = symbols.quadratic_symbols(n, x)
             sq = symbols.lower_symbol(q, x)
             worst = max(worst, abs(sq - c * qq))
-            sq2 = symbols.lower_symbol(OperatorMatrix(n, q2), x)
+            sq2 = symbols.lower_symbol(OperatorMatrix(q2), x)
             worst = max(worst, abs(sq2 - (a_val + b_val)))
-            sp2 = symbols.lower_symbol(OperatorMatrix(n, p2), x)
+            sp2 = symbols.lower_symbol(OperatorMatrix(p2), x)
             worst = max(worst, abs(sp2 - (a_val - b_val)))
             sh = symbols.lower_symbol(h, x)
             worst = max(worst, abs(sh - a_val))
@@ -125,6 +127,7 @@ def _check_symmetry(limit: int, inject_fault: bool, rng: np.random.Generator) ->
     # eig_all returns +-sigma, so the spectrum's sign symmetry is checked on
     # the Sturm count: #(ev < lam) + #(ev < -lam) = n away from eigenvalues,
     # and exactly n % 2 eigenvalues (the odd-n zero) lie in [-1e-9, 1e-9).
+    # The injected fault keeps the zero diagonal, so this check passes on it.
     n = min(401, limit)
     t = _structural_tridiagonal(n, inject_fault)
     bound = t.gershgorin_bound() + 1.0

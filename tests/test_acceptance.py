@@ -148,9 +148,9 @@ def test_criterion_6_lower_symbol_closed_forms():
     worst = 0.0
     for n in range(2, 65):
         q_op = position_operator(n)
-        q2 = OperatorMatrix(n, q_op.entries @ q_op.entries)
+        q2 = OperatorMatrix(q_op.entries @ q_op.entries)
         p_op = momentum_operator(n)
-        p2 = OperatorMatrix(n, p_op.entries @ p_op.entries)
+        p2 = OperatorMatrix(p_op.entries @ p_op.entries)
         h = hamiltonian(n)
         radii = rng.uniform(0.0, 6.0, size=100)
         angles = rng.uniform(0.0, TWO_PI, size=100)

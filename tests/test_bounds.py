@@ -6,6 +6,7 @@ import math
 import pytest
 
 from planequant.bounds import (
+    BoundsReport,
     PhysicalScales,
     bounds_report,
     solve_characteristic_length,
@@ -64,6 +65,20 @@ class TestBoundsReport:
         assert finite.l_max == pytest.approx(2.0)
         with pytest.raises(ValueError):
             bounds_report(scales, sigma=10.0)
+
+    @pytest.mark.parametrize("sigma", [10.0, 0.0, -1.0, math.nan])
+    def test_report_built_directly_checks_sigma(self, sigma):
+        # the report owns the (0, 2*pi] check, not only bounds_report
+        with pytest.raises(ValueError):
+            BoundsReport(PhysicalScales(l_c=1.0, p_c=1.0, l_m=1.0), sigma=sigma)
+
+    def test_report_derives_from_its_inputs(self):
+        scales = PhysicalScales(l_c=2.0, p_c=1.0, l_m=1.0, theta=4.0)
+        assert BoundsReport(scales) == bounds_report(scales)
+        report = BoundsReport(scales, sigma=3.0)
+        assert (report.l_max, report.hall_minimal_length) == (12.0, 2.0)
+        plain = BoundsReport(PhysicalScales(l_c=2.0, p_c=1.0, l_m=1.0))
+        assert plain.hall_minimal_length is None and plain.hall_l_max is None
 
     def test_report_lines_and_json(self):
         report = bounds_report(PhysicalScales(l_c=1e-5, p_c=2.0, l_m=1e-6, theta=1e-12))

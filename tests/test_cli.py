@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from planequant.cli import main
+from planequant.symbols import GRID_KINDS
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,16 +123,26 @@ class TestSigmaTableCommand:
 
 
 class TestLowerSymbolsCommand:
-    def test_grid_with_default_dim(self, tmp_path):
-        out = tmp_path / "h.csv"
-        assert main([
-            "lower-symbols", "--which", "H", "--steps", "9",
-            "--q-min", "-3", "--q-max", "3", "--p-min", "-3", "--p-max", "3",
-            "--out", str(out),
-        ]) == 0
+    @pytest.mark.parametrize("which", list(GRID_KINDS))
+    def test_grid_with_default_dim(self, tmp_path, which):
+        # without --n every kind runs at the default dimension of its GRID_KINDS row
+        grid = ["lower-symbols", "--which", which, "--steps", "9",
+                "--q-min", "-3", "--q-max", "3", "--p-min", "-3", "--p-max", "3"]
+        out = tmp_path / "grid.csv"
+        assert main([*grid, "--out", str(out)]) == 0
         lines = _read(out).strip().splitlines()
         assert lines[0] == "q,p,value"
         assert len(lines) == 1 + 81
+        out_json = tmp_path / "grid.json"
+        assert main([*grid, "--format", "json", "--out", str(out_json)]) == 0
+        assert json.loads(_read(out_json))["n_dim"] == GRID_KINDS[which].default_dim
+
+    def test_help_lists_every_default_dim(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lower-symbols", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for which, row in GRID_KINDS.items():
+            assert f"{which} {row.default_dim}" in help_text
 
     def test_uncertainty_grid_below_half_for_two_levels(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -261,6 +272,8 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max-dense", "64", "--inject-fault"]) == 1
         captured = capsys.readouterr()
         assert "FAIL interlacing" in captured.out
+        assert [line.split(":")[0] for line in captured.out.splitlines()
+                if line.startswith("FAIL")] == ["FAIL interlacing"]
         assert "interlacing" in captured.err
 
     def test_symmetry_reads_the_sturm_counts(self, monkeypatch):

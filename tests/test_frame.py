@@ -213,7 +213,17 @@ class TestCoherentState:
 
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError):
-            CoherentState(dim=2, coeffs=np.array([1.0, 1.0]))
+            CoherentState(coeffs=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("coeffs", [np.array(1.0), np.eye(2)[:1]],
+                             ids=["scalar", "row-matrix"])
+    def test_rejects_non_vector(self, coeffs):
+        with pytest.raises(ValueError, match="1-D"):
+            CoherentState(coeffs)
+
+    def test_dim_is_the_coefficient_count(self):
+        assert CoherentState(np.array([0.6, 0.8j])).dim == 2
+        assert coherent_state(7, PhasePoint(0.3, -0.2)).dim == 7
 
 
 @functools.cache

@@ -206,9 +206,9 @@ class TestQuantize:
         # transposes that differ in roundoff
         sym = PolynomialSymbol.from_terms([(21, 20, 1.0), (20, 21, 1.0)])
         assert quantize(sym, 64).is_hermitian
-        big = OperatorMatrix(2, np.array([[0.0, 1e38], [1e38 * (1 + 1e-14), 0.0]]))
+        big = OperatorMatrix(np.array([[0.0, 1e38], [1e38 * (1 + 1e-14), 0.0]]))
         assert big.is_hermitian
-        tiny = OperatorMatrix(2, np.array([[0.0, 1e-20], [0.0, 0.0]]))
+        tiny = OperatorMatrix(np.array([[0.0, 1e-20], [0.0, 0.0]]))
         assert not tiny.is_hermitian
 
     @pytest.mark.parametrize("terms", [
@@ -299,6 +299,18 @@ class TestOperatorMatrix:
         again = OperatorMatrix.from_json(op.to_json())
         assert again.dim == 4
         assert _max_dev(again.entries, op.entries) == 0.0
+
+    def test_json_dim_must_match_entries(self):
+        data = json.loads(momentum_operator(4).to_json())
+        data["dim"] = 5
+        with pytest.raises(ValueError, match="dim"):
+            OperatorMatrix.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("entries", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["non-square", "1-D", "3-D"])
+    def test_rejects_non_square_matrix(self, entries):
+        with pytest.raises(ValueError, match="square 2-D"):
+            OperatorMatrix(entries)
 
     def test_csv_interleaves_re_im(self):
         op = momentum_operator(2)

@@ -65,8 +65,8 @@ def test_every_export_resolves_once():
 
 @pytest.mark.parametrize("build, field, given", [
     (lambda a: planequant.SymTridiagonal(a), "offdiag", np.ones(3)),
-    (lambda a: planequant.OperatorMatrix(2, a), "entries", np.eye(2, dtype=complex)),
-    (lambda a: planequant.CoherentState(2, a), "coeffs", np.array([1.0, 0.0], dtype=complex)),
+    (lambda a: planequant.OperatorMatrix(a), "entries", np.eye(2, dtype=complex)),
+    (lambda a: planequant.CoherentState(a), "coeffs", np.array([1.0, 0.0], dtype=complex)),
     (lambda a: planequant.SymbolGrid("C", 2, (0.0, 1.0, 2), (0.0, 1.0, 2), a), "values",
      np.ones((2, 2))),
 ], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState", "SymbolGrid"])

@@ -38,7 +38,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _squared(op: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(op.dim, op.entries @ op.entries)
+    return OperatorMatrix(op.entries @ op.entries)
 
 
 def _edge_point(angle: float, above: bool) -> PhasePoint:
@@ -133,7 +133,7 @@ def _mp_closed_forms(n_dim: int, q: float, p: float) -> dict:
 
 class TestLowerSymbol:
     def test_identity_sandwich_is_one(self):
-        ident = OperatorMatrix(9, np.eye(9, dtype=complex))
+        ident = OperatorMatrix(np.eye(9, dtype=complex))
         for point in (PhasePoint(0, 0), PhasePoint(1.5, -2.0)):
             assert lower_symbol(ident, point) == pytest.approx(1.0, abs=1e-12)
 
