@@ -106,9 +106,12 @@ def half_log_fact(n_dim: int) -> np.ndarray:
     return 0.5 * np.array([math.lgamma(n + 1.0) for n in range(n_dim)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentState:
-    """Unit-norm coefficient vector of a truncated coherent state, held as a read-only copy."""
+    """Unit-norm coefficient vector of a truncated coherent state, held as a read-only copy.
+
+    States compare and hash by identity, as their array cannot.
+    """
 
     coeffs: np.ndarray
 

@@ -144,9 +144,12 @@ class PolynomialSymbol:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix of a quantized observable: a read-only copy of ``entries``."""
+    """Dense complex matrix of a quantized observable: a read-only copy of ``entries``.
+
+    Matrices compare and hash by identity, as their array cannot.
+    """
 
     entries: np.ndarray
 

@@ -13,23 +13,27 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             relative accuracy, O(N^2) work, for N up to
                             ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
-                            by Sturm bisection (stebz), O(N) per count,
-                            practical to N = 10^6.  From N = 100 on, stebz
+                            from LAPACK Sturm counts (stebz), O(N) per
+                            count, practical to N = 10^6.  Below N = 100
+                            stebz bisects by index.  From N = 100 on it
                             starts on a bracket around the Hermite-zero
                             asymptotics, sized from the guess's error model
-                            and stebz's own rounding (relative half-width
-                            1e-9 at N = 100; 6.7e-14 for lambda_M and
-                            2.8e-13 for lambda_m at N = 10^4), and LAPACK
-                            counts prove the index of what it returns; a
-                            result they do not prove comes from
-                            index-selected bisection.  With an absolute
-                            tolerance at the underflow threshold there is no
-                            tolerance to choose.  lambda_M is accurate to a
-                            few ulps relative.  lambda_m is not: stebz's
-                            relative error against 40-digit Newton on the
-                            three-term recurrence is 1.8e-14 at N = 10^4,
-                            2.4e-13 at 10^5 and 4.5e-12 at 10^6, which its
-                            bracket is sized to contain.
+                            and stebz's own rounding, and two LAPACK counts
+                            prove the index of the eigenvalue in it.  Below
+                            N = 4607 stebz bisects the bracket; from there
+                            on the guess's error term is below eps, and for
+                            the matrix ``position_tridiagonal`` builds the
+                            guess itself is returned, certified by the same
+                            two counts (any other matrix is still bisected).
+                            A bracket the counts do not prove is answered by
+                            index-selected bisection.
+                            Measured against 40-digit Newton on the
+                            three-term recurrence (tests/data): the
+                            certified guesses are within 1.13 ulp on every
+                            reference N >= 4607, and stebz's lambda_M within
+                            2 ulp; stebz's lambda_m, which the certified
+                            route no longer returns, is 101 ulp off at
+                            N = 5555 and 23,052 ulp (4.5e-12) at 10^6.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -42,9 +46,10 @@ sigma_N = delta_N * Delta_N, which stays below 2*pi and increases within
 each parity class, and their ratios to the large-N laws.  The dense
 operators read their off-diagonal sqrt(k/2) from ``position_tridiagonal``.
 A closed-form semicircle density and the three-term recurrence for the
-characteristic polynomial provide the remaining cross-checks.  The recurrence is written once, vectorized and rescaled by
-exact powers of two; ``char_poly_recurrence`` reads it at one point and
-``hermite_residual`` at many.
+characteristic polynomial provide the remaining cross-checks.  The
+recurrence is written once, vectorized and rescaled by exact powers of two;
+``char_poly_recurrence`` reads it at one point and ``hermite_residual`` at
+many.
 
 Both routes are deterministic: dlasq1 and stebz are serial LAPACK code, so
 identical inputs give identical results whatever the thread count.  Before
@@ -198,7 +203,7 @@ def _lapack() -> _Lapack:
     return _Lapack(dstebz, dlasq1, integer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymTridiagonal:
     """Symmetric tridiagonal matrix with zero diagonal, held as its off-diagonal.
 
@@ -206,10 +211,16 @@ class SymTridiagonal:
     the origin: the precondition of ``eig_all``'s dqds split and of the index
     proof in ``extreme_eigenvalues``.  The entries must be finite and
     strictly positive (an unreduced matrix); ``dim`` is len(offdiag) + 1.
-    The matrix holds a read-only copy of the array it is given.
+    The matrix holds a read-only copy of the array it is given, and compares
+    and hashes by identity, as the array cannot.
     """
 
     offdiag: np.ndarray
+
+    # True only on the matrices position_tridiagonal builds: the asymptotic
+    # guesses of _extreme_guesses are this matrix's, so only its extremes
+    # may be certified as the guesses themselves.
+    _is_position = False
 
     def __post_init__(self):
         off = np.array(self.offdiag, dtype=float)
@@ -275,7 +286,9 @@ def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     """
     n_dim = as_dimension(n_dim, 1, "n_dim")
     check_memory(_BYTES_PER_DIM * n_dim, f"the spectral arrays of dim {n_dim}")
-    return SymTridiagonal(np.sqrt(np.arange(1, n_dim) / 2.0))
+    t = SymTridiagonal(np.sqrt(np.arange(1, n_dim) / 2.0))
+    object.__setattr__(t, "_is_position", True)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +470,11 @@ def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     return value
 
 
+def _guess_error(n_dim: int) -> float:
+    """Relative error bound of both asymptotic guesses at ``n_dim`` >= _BRACKET_MIN_DIM."""
+    return _GUESS_ERROR_AT_MIN_DIM * (_BRACKET_MIN_DIM / n_dim) ** 4
+
+
 def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """Asymptotic ((lambda_m, half-width), (lambda_M, half-width)) of the position matrix.
 
@@ -471,12 +489,14 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     from the perturbation series of the Hermite equation
     psi'' + (nu - x^2) psi = 0 about x = 0.
 
-    Each guess comes with the relative half-width of the bracket that stebz
-    starts from, the sum of two error terms.  The guess term,
-    1e-9 (100/N)^4, bounds the expansions' own error.  The solver term is
-    room for the rounding of the value the bracket must contain.  For
-    lambda_m it is N eps / 8: stebz's value drifts from the true zero within
-    the O(N eps) relative-perturbation bound of bisection on a zero-diagonal
+    Each guess comes with the relative half-width of the bracket whose
+    LAPACK counts prove the result, the sum of two error terms.  The guess
+    term, 1e-9 (100/N)^4, bounds the expansions' own error; from N = 4607 on
+    it is below eps and ``extreme_eigenvalues`` returns the guess itself for
+    the position matrix.  The solver term is room for the point where
+    stebz's count changes, which the bracket must contain.  For lambda_m it
+    is N eps / 8: stebz's value drifts from the true zero within the
+    O(N eps) relative-perturbation bound of bisection on a zero-diagonal
     tridiagonal (Demmel & Kahan 1990), by at most N eps / 27 on N = 100..3000
     and on the default sigma-table ladder to 10^6.  For lambda_M it is
     3 sqrt(N) eps: stebz's value is within a few ulps of the true zero, and
@@ -494,32 +514,34 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     e = 1.0 / (nu * nu)
     small2 = j2 / nu * (1.0 + (j2 - 1.5) / 3.0 * e
                         + (11.0 / 45.0 * j2 * j2 - 13.0 / 12.0 * j2 + 11.0 / 8.0) * e * e)
-    guess_error = _GUESS_ERROR_AT_MIN_DIM * (_BRACKET_MIN_DIM / n_dim) ** 4
+    guess_error = _guess_error(n_dim)
     return ((math.sqrt(small2), guess_error + n_dim * _EPS / 8.0),
             (math.sqrt(big2), guess_error + 3.0 * math.sqrt(n_dim) * _EPS))
 
 
-def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_width: float) -> float:
-    """Eigenvalue ``index`` (>= N/2) by stebz on an asymptotic bracket, proved by counts.
+def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_width: float,
+                          certify: bool) -> float:
+    """Eigenvalue ``index`` (>= N/2) on an asymptotic bracket, its index proved by counts.
 
-    stebz in value mode refines the one eigenvalue in (lo, hi] =
-    (guess (1 - half_width), guess (1 + half_width)].  The result is taken
-    only if LAPACK's counts prove its index: the bracket holds exactly one
-    eigenvalue, and (-lo, lo] exactly 2 index - N.  The spectrum of a
-    zero-diagonal matrix is symmetric, so the second count leaves N - index
-    eigenvalues above lo, and the one in the bracket is the lowest of them.
-    An absolute tolerance wider than (-lo, lo] stops that second call right
-    after its counts.  Any other outcome is logged and answered by the index
-    route.
+    Two LAPACK counts prove which eigenvalue the bracket (lo, hi] =
+    (guess (1 - half_width), guess (1 + half_width)] holds: exactly one
+    eigenvalue lies in it, and exactly 2 index - N in (-lo, lo].  The
+    spectrum of a zero-diagonal matrix is symmetric, so the second count
+    leaves N - index eigenvalues above lo, and the one in the bracket is the
+    lowest of them.  With ``certify`` the result is the guess itself and both
+    stebz calls only count: an absolute tolerance wider than the interval
+    stops each right after its counts.  Otherwise the first call also
+    bisects the bracket to stebz's own 2-ulp criterion and the result is its
+    value.  Any other outcome is logged and answered by the index route.
     """
     lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
     m = inside = None
     if 0.0 < lo < hi:
-        m, value, info = _dstebz(t, b"V", lo, hi, 0, 0, _STEBZ_ABSTOL)
+        m, value, info = _dstebz(t, b"V", lo, hi, 0, 0, 4.0 * hi if certify else _STEBZ_ABSTOL)
         if info == 0 and m == 1:
             inside, _, info = _dstebz(t, b"V", -lo, lo, 0, 0, 4.0 * lo)
             if info == 0 and inside == 2 * index - t.dim:
-                return value
+                return guess if certify else value
     _log.debug("dim %d, index %d: bracket (%r, %r] held %s eigenvalue(s) and (-lo, lo] %s; "
                "using the index route", t.dim, index, lo, hi, m, inside)
     return _stebz_eigenvalue(t, index)
@@ -538,22 +560,26 @@ def _extreme_indices(n_dim: int) -> tuple[int, int]:
 def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
     """(smallest positive, largest) eigenvalue of a (zero-diagonal) ``SymTridiagonal``.
 
-    LAPACK Sturm bisection (stebz), O(N) per count, practical at N = 10^6.
-    The zero diagonal makes the spectrum symmetric, which fixes the index of
-    the smallest positive eigenvalue and proves the bracketed results.  From
-    N = 100 on, stebz starts on the bracket of the position matrix's
-    asymptotic guesses, which skips most of its bisection steps; LAPACK
-    counts prove each bracketed result's index, and a result they do not prove
-    (another matrix, a missed bracket) comes from index-selected bisection.
-    Either way the bisection runs to stebz's own criterion, 2 ulp relative
-    around the point where its Sturm count changes.  For lambda_M that point
-    is within a few ulps of the true eigenvalue; for lambda_m of the position
-    matrix it is not: against 40-digit Newton on the three-term recurrence
-    its relative error is 1.8e-14 at N = 10^4, 2.4e-13 at N = 10^5 and
-    4.5e-12 at N = 10^6.  Each bracket's half-width comes from
-    ``_extreme_guesses``: the guess's own error, which falls like N^-4, plus
-    room for stebz's rounding, so it contains stebz's value, not only the
-    true one.
+    LAPACK Sturm counts (stebz), O(N) each, practical at N = 10^6.  The zero
+    diagonal makes the spectrum symmetric, which fixes the index of the
+    smallest positive eigenvalue and proves the bracketed results.  Below
+    N = 100 stebz bisects by index.  From N = 100 on, every result comes
+    from the bracket of the position matrix's asymptotic guesses, and two
+    LAPACK counts prove its index; a result they do not prove (another
+    matrix, a missed bracket) comes from index-selected bisection.
+
+    Below N = 4607, and for every matrix that ``position_tridiagonal`` did
+    not build, stebz bisects the bracket to its own criterion, 2 ulp
+    relative around the point where its Sturm count changes.  For lambda_M
+    that point is within 2 ulp of the true eigenvalue; for the position
+    matrix's lambda_m it drifts away as N grows (101 ulp at N = 5555,
+    4.5e-12 relative at 10^6), and each bracket's half-width holds room for
+    that drift.  From N = 4607 on, where the guess term of
+    ``_extreme_guesses``, 1e-9 (100/N)^4, is at most eps, the position
+    matrix's result is the guess itself: both stebz calls only count, and
+    the value is within 1.13 ulp of 40-digit Newton on every reference N.
+    The counts prove the index, not the digits, so a guess is returned only
+    for the matrix it is the guess of.
     """
     if t.dim < 2:
         raise ValueError(f"need dim >= 2 for a positive eigenvalue, got {t.dim}")
@@ -561,8 +587,9 @@ def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
     if t.dim < _BRACKET_MIN_DIM:
         return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
     guess_m, guess_max = _extreme_guesses(t.dim)
-    return (_bracketed_eigenvalue(t, idx_m, *guess_m),
-            _bracketed_eigenvalue(t, idx_max, *guess_max))
+    certify = t._is_position and _guess_error(t.dim) <= _EPS
+    return (_bracketed_eigenvalue(t, idx_m, *guess_m, certify),
+            _bracketed_eigenvalue(t, idx_max, *guess_max, certify))
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,13 @@ def _check_axes(*ranges: tuple[float, float, int]) -> None:
             raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolGrid:
     """Dense phase-space evaluation of one symbol family member.
 
     ``values[i, j]`` is the value at (q_i, p_j); CSV export is row-major in
-    that order.  The grid holds a read-only copy of the values it is given.
+    that order.  The grid holds a read-only copy of the values it is given,
+    and compares and hashes by identity, as the array cannot.
     """
 
     which: str

@@ -78,3 +78,20 @@ def test_frozen_containers_keep_a_private_copy(build, field, given):
     assert given.flags.writeable and not held.flags.writeable
     given.flat[0] = 2.0
     assert np.array_equal(held, before)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: planequant.SymTridiagonal(np.ones(3)),
+    lambda: planequant.OperatorMatrix(np.eye(2)),
+    lambda: planequant.CoherentState(np.array([1.0, 0.0])),
+    lambda: planequant.SymbolGrid("C", 2, (0.0, 1.0, 2), (0.0, 1.0, 2), np.ones((2, 2))),
+    lambda: planequant.position_operator(3),
+    lambda: planequant.position_tridiagonal(4),
+], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState", "SymbolGrid",
+        "position_operator", "position_tridiagonal"])
+def test_frozen_containers_compare_and_hash_by_identity(build):
+    # an array field has no truth value and no hash, so equality is identity
+    one, twin = build(), build()
+    assert one == one and one != twin
+    assert {one, twin, one} == {one, twin}
+

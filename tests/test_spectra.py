@@ -2,10 +2,13 @@
 
 The two LAPACK routes, the full spectrum by dqds on the half-size
 bidiagonal and the bisection for the extreme eigenvalues, are cross-checked
-throughout, and both are held against the pure-Python Sturm count.
+throughout, and both are held against the pure-Python Sturm count.  The
+certified extreme eigenvalues are held against the 40-digit Hermite zeros of
+tests/data/hermite_extremes.json, written by tests/make_hermite_reference.py.
 """
 
 import ctypes
+import importlib.util
 import json
 import logging
 import math
@@ -13,6 +16,8 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +53,8 @@ from planequant.spectra import (
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
+_TESTS = Path(__file__).parent
+_REFERENCE_PATH = _TESTS / "data" / "hermite_extremes.json"
 
 
 def _extreme_indices(n: int) -> tuple[int, int]:
@@ -55,12 +62,34 @@ def _extreme_indices(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n - 1
 
 
+def _assert_counted(t: SymTridiagonal, lam: float, index: int, rel: float) -> None:
+    """The oracle counts exactly eigenvalue ``index`` within ``rel`` relative of lam."""
+    below = sturm_count(t, lam * (1.0 - rel))
+    above = sturm_count(t, lam * (1.0 + rel))
+    assert (below, above) == (index, index + 1), (t.dim, lam, rel)
+
+
 def _assert_sturm_bracketed(t: SymTridiagonal, lam_min: float, lam_max: float) -> None:
     """Exactly one eigenvalue, the expected one, within 8 ulps of each result."""
     for lam, index in zip((lam_min, lam_max), _extreme_indices(t.dim)):
-        below = sturm_count(t, lam * (1.0 - 8.0 * EPS))
-        above = sturm_count(t, lam * (1.0 + 8.0 * EPS))
-        assert (below, above) == (index, index + 1), (t.dim, lam)
+        _assert_counted(t, lam, index, 8.0 * EPS)
+
+
+@cache
+def _reference_zeros() -> dict[int, tuple[float, float]]:
+    """(lambda_m, lambda_M) by dimension from the committed 40-digit reference."""
+    zeros = json.loads(_REFERENCE_PATH.read_text(encoding="utf-8"))["zeros"]
+    return {int(n): (float(z["lambda_m"]), float(z["lambda_M"])) for n, z in zeros.items()}
+
+
+def _assert_near_reference(n: int, extremes) -> None:
+    """Both extremes within 2 ulp of the reference zeros."""
+    for got, ref in zip(extremes, _reference_zeros()[n]):
+        assert abs(got - ref) <= 2.0 * np.spacing(ref), (n, got, ref)
+
+
+def _certified(n: int) -> bool:
+    return spectra._guess_error(n) <= EPS
 
 
 def _value(mantissa_exp: tuple[float, int]) -> float:
@@ -416,8 +445,18 @@ class TestExtremeEigenvalues:
             _assert_sturm_bracketed(t, *extreme_eigenvalues(t))
 
     def test_sturm_brackets_at_one_million(self):
-        t = position_tridiagonal(1_000_000)
-        _assert_sturm_bracketed(t, *extreme_eigenvalues(t))
+        # lambda_m is the certified guess, the true zero, while the oracle's
+        # count changes 4.5e-12 relative away from it, beyond 8 ulps; the
+        # oracle must still count it within the guess's half-width, and the
+        # reference holds its digits
+        n = 1_000_000
+        t = position_tridiagonal(n)
+        lam_min, lam_max = extreme_eigenvalues(t)
+        idx_m, idx_max = _extreme_indices(n)
+        (_, half_width), _ = spectra._extreme_guesses(n)
+        _assert_counted(t, lam_min, idx_m, half_width)
+        _assert_counted(t, lam_max, idx_max, 8.0 * EPS)
+        _assert_near_reference(n, (lam_min, lam_max))
 
     def test_matches_full_spectrum_to_tolerance(self):
         for n in (17, 64, 333):
@@ -454,8 +493,13 @@ class TestBracketedRoute:
         for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + TABLE_DIMS:
             t = position_tridiagonal(n)
             exact = self._index_route(t)
-            for got, want in zip(extreme_eigenvalues(t), exact):
-                assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
+            if _certified(n):
+                # the certified guess is not stebz's value; it is held to the
+                # 40-digit reference instead
+                _assert_near_reference(n, extreme_eigenvalues(t))
+            else:
+                for got, want in zip(extreme_eigenvalues(t), exact):
+                    assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
             if n < spectra._BRACKET_MIN_DIM:
                 continue
             # margin of at least 2: the index route's value lies within half of
@@ -475,7 +519,7 @@ class TestBracketedRoute:
         t = position_tridiagonal(spectra._BRACKET_MIN_DIM - 1)
         assert extreme_eigenvalues(t) == self._index_route(t)
 
-    @pytest.mark.parametrize("n", [1000, 1001])
+    @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001])
     @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
     def test_missed_bracket_falls_back_to_index_route(self, n, miss, monkeypatch, caplog):
         t = position_tridiagonal(n)
@@ -502,6 +546,59 @@ class TestBracketedRoute:
         assert len(lines) == 2
         for line, index in zip(lines, (idx_m, idx_max)):
             assert line.startswith(f"dim {n}, index {index}: bracket (")
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-14], ids=["copy", "perturbed"])
+    def test_only_the_position_matrix_is_certified(self, scale):
+        # the guesses are the position matrix's: a copy or a perturbation of
+        # it built by hand has its bracket bisected, and its extremes are its
+        # own, within 2 ulp of the index route
+        n = 10_000
+        t = SymTridiagonal(position_tridiagonal(n).offdiag * scale)
+        got = extreme_eigenvalues(t)
+        for got_one, want in zip(got, self._index_route(t)):
+            assert abs(got_one - want) <= 2.0 * np.spacing(want), (scale, got_one, want)
+        guesses = tuple(guess for guess, _ in spectra._extreme_guesses(n))
+        assert got[0] != guesses[0]
+
+    def test_certified_extremes_within_two_ulp_of_reference(self):
+        dims = sorted(n for n in _reference_zeros() if _certified(n))
+        assert dims[0] == 4607 and 4606 in _reference_zeros() and len(dims) == 56
+        for n in dims:
+            _assert_near_reference(n, extreme_eigenvalues(position_tridiagonal(n)))
+
+    @pytest.mark.parametrize("n", [4606, 4607, 10000, 10001])
+    def test_summary_makes_four_calls_that_only_count_when_certified(self, n, monkeypatch):
+        calls = []
+        dstebz = spectra._dstebz
+
+        def recorded(t, kind, vl, vu, il, iu, abstol):
+            calls.append((kind, vl, vu, abstol))
+            return dstebz(t, kind, vl, vu, il, iu, abstol)
+
+        monkeypatch.setattr(spectra, "_dstebz", recorded)
+        spectrum_summary(n)
+        # value mode with a tolerance wider than the interval only counts;
+        # below 4607 each bracket (lo, hi] is bisected, each (-lo, lo] counted
+        counts_only = [kind == b"V" and abstol >= vu - vl for kind, vl, vu, abstol in calls]
+        assert counts_only == ([True] * 4 if n >= 4607 else [False, True] * 2), calls
+
+
+def _reference_script():
+    spec = importlib.util.spec_from_file_location(
+        "make_hermite_reference", _TESTS / "make_hermite_reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHermiteReference:
+    def test_file_covers_the_scripts_dimensions(self):
+        assert sorted(_reference_zeros()) == _reference_script().reference_dims()
+
+    @pytest.mark.parametrize("n", [4607, 4620])
+    def test_entries_regenerate_from_the_script(self, n):
+        stored = json.loads(_REFERENCE_PATH.read_text(encoding="utf-8"))["zeros"][str(n)]
+        assert _reference_script().hermite_extremes(n) == stored
 
 
 class TestSpectrumSummary:
