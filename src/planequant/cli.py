@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", help="eigenvalues of the position matrix",
         description="Every eigenvalue (index,eigenvalue) by dqds on the half-size "
                     "bidiagonal for n <= 20000; beyond, the extreme-eigenvalue "
-                    "summary by LAPACK bisection, the same row as sigma-table.")
+                    "summary from LAPACK Sturm counts, the same row as sigma-table.")
     sp.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
     sp.add_argument("--out", default="spectrum.csv")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")

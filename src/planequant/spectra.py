@@ -13,20 +13,19 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             relative accuracy, O(N^2) work, for N up to
                             ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
-                            from LAPACK Sturm counts (stebz), O(N) per
-                            count, practical to N = 10^6.  Below N = 100
-                            stebz bisects by index.  From N = 100 on it
-                            starts on a bracket around the Hermite-zero
-                            asymptotics, sized from the guess's error model
-                            and stebz's own rounding, and two LAPACK counts
-                            prove the index of the eigenvalue in it.  Below
-                            N = 4607 stebz bisects the bracket; from there
-                            on the guess's error term is below eps, and for
-                            the matrix ``position_tridiagonal`` builds the
-                            guess itself is returned, certified by the same
-                            two counts (any other matrix is still bisected).
-                            A bracket the counts do not prove is answered by
-                            index-selected bisection.
+                            of the position matrix of dimension N, from
+                            LAPACK Sturm counts (stebz), O(N) per count,
+                            practical to N = 10^6.  Below N = 100 stebz
+                            bisects by index.  From N = 100 on it starts on
+                            a bracket around the Hermite-zero asymptotics,
+                            sized from the guess's error model and stebz's
+                            own rounding, and two LAPACK counts prove the
+                            index of the eigenvalue in it.  Below N = 4607
+                            stebz bisects the bracket; from there on the
+                            guess's error term is below eps, and the guess
+                            itself is returned, certified by the same two
+                            counts.  A bracket the counts do not prove is
+                            answered by index-selected bisection.
                             Measured against 40-digit Newton on the
                             three-term recurrence (tests/data): the
                             certified guesses are within 1.13 ulp on every
@@ -217,11 +216,6 @@ class SymTridiagonal:
 
     offdiag: np.ndarray
 
-    # True only on the matrices position_tridiagonal builds: the asymptotic
-    # guesses of _extreme_guesses are this matrix's, so only its extremes
-    # may be certified as the guesses themselves.
-    _is_position = False
-
     def __post_init__(self):
         off = np.array(self.offdiag, dtype=float)
         if off.ndim != 1:
@@ -286,9 +280,7 @@ def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     """
     n_dim = as_dimension(n_dim, 1, "n_dim")
     check_memory(_BYTES_PER_DIM * n_dim, f"the spectral arrays of dim {n_dim}")
-    t = SymTridiagonal(np.sqrt(np.arange(1, n_dim) / 2.0))
-    object.__setattr__(t, "_is_position", True)
-    return t
+    return SymTridiagonal(np.sqrt(np.arange(1, n_dim) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +362,14 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
     sigma of B (Demmel & Kahan 1990), which dqds (LAPACK dlasq1, Fernando &
     Parlett 1994) computes to high relative accuracy.  O(N^2) work; the
     spectrum is exactly sign-symmetric and the odd-N middle value is +0.0.
-    Dimensions beyond ``DENSE_SPECTRUM_CAP`` are rejected; use
-    ``extreme_eigenvalues`` there.
+    Dimensions beyond ``DENSE_SPECTRUM_CAP`` are rejected; there
+    ``extreme_eigenvalues`` gives the position matrix's extremes and
+    ``sturm_count`` counts any matrix's eigenvalues.
     """
     if t.dim > DENSE_SPECTRUM_CAP:
         raise ValueError(
             f"dim {t.dim} exceeds the full-spectrum cap {DENSE_SPECTRUM_CAP}; "
-            "use extreme_eigenvalues/sturm_count instead"
+            "use extreme_eigenvalues (position matrix) or sturm_count instead"
         )
     n = t.dim
     half, pairs = (n + 1) // 2, n // 2
@@ -492,17 +485,17 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     Each guess comes with the relative half-width of the bracket whose
     LAPACK counts prove the result, the sum of two error terms.  The guess
     term, 1e-9 (100/N)^4, bounds the expansions' own error; from N = 4607 on
-    it is below eps and ``extreme_eigenvalues`` returns the guess itself for
-    the position matrix.  The solver term is room for the point where
-    stebz's count changes, which the bracket must contain.  For lambda_m it
-    is N eps / 8: stebz's value drifts from the true zero within the
-    O(N eps) relative-perturbation bound of bisection on a zero-diagonal
-    tridiagonal (Demmel & Kahan 1990), by at most N eps / 27 on N = 100..3000
-    and on the default sigma-table ladder to 10^6.  For lambda_M it is
-    3 sqrt(N) eps: stebz's value is within a few ulps of the true zero, and
-    dqds's within 0.45 sqrt(N) eps on N <= 20000, so the guess also lies
-    well inside the bracket around the full-spectrum route's value.  A
-    bracket that misses costs the index route, not a wrong result.
+    it is below eps and ``extreme_eigenvalues`` returns the guess itself.
+    The solver term is room for the point where stebz's count changes,
+    which the bracket must contain.  For lambda_m it is N eps / 8: stebz's
+    value drifts from the true zero within the O(N eps) relative-perturbation
+    bound of bisection on a zero-diagonal tridiagonal (Demmel & Kahan 1990),
+    by at most N eps / 27 on N = 100..3000 and on the default sigma-table
+    ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps: stebz's value is
+    within a few ulps of the true zero, and dqds's within 0.45 sqrt(N) eps
+    on N <= 20000, so the guess also lies well inside the bracket around the
+    full-spectrum route's value.  A bracket that misses costs the index
+    route, not a wrong result.
     """
     nu = 2.0 * n_dim + 1.0
     a, c = _AIRY_A1, 2.0 ** (1.0 / 3.0)
@@ -557,37 +550,36 @@ def _extreme_indices(n_dim: int) -> tuple[int, int]:
     return (n_dim + 1) // 2, n_dim - 1
 
 
-def extreme_eigenvalues(t: SymTridiagonal) -> tuple[float, float]:
-    """(smallest positive, largest) eigenvalue of a (zero-diagonal) ``SymTridiagonal``.
+def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
+    """(smallest positive, largest) eigenvalue of the position matrix of dimension ``n_dim``.
 
-    LAPACK Sturm counts (stebz), O(N) each, practical at N = 10^6.  The zero
-    diagonal makes the spectrum symmetric, which fixes the index of the
-    smallest positive eigenvalue and proves the bracketed results.  Below
-    N = 100 stebz bisects by index.  From N = 100 on, every result comes
-    from the bracket of the position matrix's asymptotic guesses, and two
-    LAPACK counts prove its index; a result they do not prove (another
-    matrix, a missed bracket) comes from index-selected bisection.
+    ``n_dim`` is an integer >= 2; anything else, a matrix included, raises
+    ValueError.  The matrix is ``position_tridiagonal(n_dim)``, and the
+    route follows from N alone.  LAPACK Sturm counts (stebz), O(N) each,
+    practical at N = 10^6.  The zero diagonal makes the spectrum symmetric,
+    which fixes the index of the smallest positive eigenvalue and proves
+    the bracketed results.  Below N = 100 stebz bisects by index.  From
+    N = 100 on, every result comes from the bracket of the asymptotic
+    guesses, and two LAPACK counts prove its index; a result they do not
+    prove (a missed bracket) comes from index-selected bisection.
 
-    Below N = 4607, and for every matrix that ``position_tridiagonal`` did
-    not build, stebz bisects the bracket to its own criterion, 2 ulp
+    Below N = 4607 stebz bisects the bracket to its own criterion, 2 ulp
     relative around the point where its Sturm count changes.  For lambda_M
-    that point is within 2 ulp of the true eigenvalue; for the position
-    matrix's lambda_m it drifts away as N grows (101 ulp at N = 5555,
-    4.5e-12 relative at 10^6), and each bracket's half-width holds room for
-    that drift.  From N = 4607 on, where the guess term of
-    ``_extreme_guesses``, 1e-9 (100/N)^4, is at most eps, the position
-    matrix's result is the guess itself: both stebz calls only count, and
-    the value is within 1.13 ulp of 40-digit Newton on every reference N.
-    The counts prove the index, not the digits, so a guess is returned only
-    for the matrix it is the guess of.
+    that point is within 2 ulp of the true eigenvalue; for lambda_m it
+    drifts away as N grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6),
+    and each bracket's half-width holds room for that drift.  From N = 4607
+    on, where the guess term of ``_extreme_guesses``, 1e-9 (100/N)^4, is at
+    most eps, the result is the guess itself: both stebz calls only count,
+    and the value is within 1.13 ulp of 40-digit Newton on every reference
+    N.  Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
     """
-    if t.dim < 2:
-        raise ValueError(f"need dim >= 2 for a positive eigenvalue, got {t.dim}")
-    idx_m, idx_max = _extreme_indices(t.dim)
-    if t.dim < _BRACKET_MIN_DIM:
+    n_dim = as_dimension(n_dim, 2, "n_dim")
+    t = position_tridiagonal(n_dim)
+    idx_m, idx_max = _extreme_indices(n_dim)
+    if n_dim < _BRACKET_MIN_DIM:
         return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
-    guess_m, guess_max = _extreme_guesses(t.dim)
-    certify = t._is_position and _guess_error(t.dim) <= _EPS
+    guess_m, guess_max = _extreme_guesses(n_dim)
+    certify = _guess_error(n_dim) <= _EPS
     return (_bracketed_eigenvalue(t, idx_m, *guess_m, certify),
             _bracketed_eigenvalue(t, idx_max, *guess_max, certify))
 
@@ -660,7 +652,7 @@ class SpectrumSummary:
 def spectrum_summary(n_dim: int) -> SpectrumSummary:
     """Assemble the forbidden-cell/width summary for one dimension."""
     n_dim = as_dimension(n_dim, 2, "n_dim")
-    return SpectrumSummary(n_dim, *extreme_eigenvalues(position_tridiagonal(n_dim)))
+    return SpectrumSummary(n_dim, *extreme_eigenvalues(n_dim))
 
 
 def sigma_table(n_list) -> list[SpectrumSummary]:
@@ -704,6 +696,11 @@ class GapReport:
         return self.gaps_ok and self.interlacing_ok
 
 
+def _interlacing_margin(ev_n: np.ndarray, ev_n1: np.ndarray) -> float:
+    """Worst margin of strict interlacing ev_n1[i] < ev_n[i] < ev_n1[i+1]; > 0 when it holds."""
+    return float(min((ev_n - ev_n1[:-1]).min(), (ev_n1[1:] - ev_n).min()))
+
+
 def gap_properties(n_dim: int) -> GapReport:
     """Check consecutive-gap lower bounds and interlacing with order N+1.
 
@@ -720,11 +717,8 @@ def gap_properties(n_dim: int) -> GapReport:
         worst_gap = float(np.min(np.diff(pos)) - bound)
     else:
         worst_gap = math.inf
-    # strict interlacing: ev_n1[i] < ev_n[i] < ev_n1[i+1]
-    left = ev_n - ev_n1[:-1]
-    right = ev_n1[1:] - ev_n
-    worst_inter = float(min(left.min(), right.min()))
-    return GapReport(dim=n_dim, worst_gap_margin=worst_gap, worst_interlacing_margin=worst_inter)
+    return GapReport(dim=n_dim, worst_gap_margin=worst_gap,
+                     worst_interlacing_margin=_interlacing_margin(ev_n, ev_n1))
 
 
 def semicircle_density(n_dim: int, x1: float, x2: float) -> float:

@@ -11,12 +11,14 @@ exact, so they stay in range for any N.  Three Newton steps take a guess
 that is good to 1e-9 relative to the working precision; the script fails if
 the last step is not below 1e-30 relative.
 
-The dimensions are the sigma-table ladder from 100 on, every N in 4600..4620
-around the dimension from which the guesses are returned as certified
-eigenvalues, and 36 dimensions of both parities spread geometrically over
-4621..20001.  Each zero is written as a 35-significant-digit string.
+The dimensions are the sigma-table ladder from 100 on, N = 101, 1001 and
+5000 (the other dimensions at which the guesses are held to their bracket
+half-widths), every N in 4600..4620 around the dimension from which the
+guesses are returned as certified eigenvalues, and 36 dimensions of both
+parities spread geometrically over 4621..20001.  Each zero is written as a
+35-significant-digit string.
 
-Run from the repository root; it takes about 37 s on 2 cores, 16 s of it at
+Run from the repository root; it takes about 31 s on 2 cores, 17 s of it at
 N = 10^6:
 
     PYTHONPATH=src python tests/make_hermite_reference.py
@@ -40,14 +42,15 @@ _WRITTEN_DIGITS = 35
 _NEWTON_STEPS = 3
 _RESCALE_EVERY = 64
 _LADDER_DIMS = [100, 551, 1000, 5555, 10000, 55255, 100000, 500555, 1000000]
+_HALF_WIDTH_DIMS = [101, 1001, 5000]
 _SAMPLED = 36
 
 
 def reference_dims() -> list[int]:
-    """Ladder dims >= 100, every N in 4600..4620 and a geometric sample of 4621..20001."""
+    """Ladder dims >= 100, 101, 1001, 5000, every N in 4600..4620 and a sample of 4621..20001."""
     lo, hi = 4621, 20001
     sampled = {round(lo * (hi / lo) ** (k / (_SAMPLED - 1))) for k in range(_SAMPLED)}
-    return sorted(set(_LADDER_DIMS) | set(range(4600, 4621)) | sampled)
+    return sorted(set(_LADDER_DIMS + _HALF_WIDTH_DIMS) | set(range(4600, 4621)) | sampled)
 
 
 def _newton_step(n_dim: int, x: Decimal) -> Decimal:

@@ -196,7 +196,7 @@ def test_criterion_7_hermite_zero_structure():
 
 
 def test_criterion_8_asymptotics_and_semicircle():
-    lam_min, lam_max = extreme_eigenvalues(position_tridiagonal(100000))
+    lam_min, lam_max = extreme_eigenvalues(100000)
     ratio = lam_max / math.sqrt(2.0 * 100000)
     assert 0.985 <= ratio <= 1.0
     rng = np.random.default_rng(99)

@@ -276,6 +276,14 @@ class TestVerifyCommand:
                 if line.startswith("FAIL")] == ["FAIL interlacing"]
         assert "interlacing" in captured.err
 
+    def test_sigma_above_two_pi_fails_naming_the_bound(self, monkeypatch, capsys):
+        from planequant import spectra
+
+        # lambda_m = 1, lambda_M = 4 gives sigma = 16 at every even N
+        monkeypatch.setattr(spectra, "extreme_eigenvalues", lambda n_dim: (1.0, 4.0))
+        assert main(["verify", "--n-max-dense", "32"]) == 1
+        assert "violates the 2*pi bound" in capsys.readouterr().err
+
     def test_symmetry_reads_the_sturm_counts(self, monkeypatch):
         from planequant import spectra, verify
 
