@@ -141,11 +141,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verification
 
-    results = run_verification(
-        n_max_dense=args.n_max_dense,
-        seed=args.seed,
-        inject_fault=args.inject_fault,
-    )
+    results = run_verification(seed=args.seed, inject_fault=args.inject_fault)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -213,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     bd.set_defaults(func=_cmd_bounds)
 
     vf = sub.add_parser("verify", help="run the invariant suite")
-    vf.add_argument("--n-max-dense", type=int, default=200)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--inject-fault", action="store_true",
                     help="perturb one coupling to prove the harness can fail")

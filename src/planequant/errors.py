@@ -18,7 +18,7 @@ class DimensionMismatchError(PlanequantError, ValueError):
 
 
 class QuadratureOrderError(PlanequantError, ValueError):
-    """Raised when a quadrature rule is too small for the requested accuracy."""
+    """Raised when a Gauss-Laguerre order exceeds 186, where numpy's weights overflow."""
 
 
 class MissingDependencyError(PlanequantError, ImportError):

@@ -37,8 +37,9 @@ from .frame import (
 )
 from .spectra import position_tridiagonal
 
-# Hermiticity detection threshold for OperatorMatrix, relative to the
-# largest entry: entries grow like (k+a)!/k!, so no absolute bound fits.
+# Conjugate-symmetry threshold: OperatorMatrix's Hermiticity test, relative
+# to the largest entry (entries grow like (k+a)!/k!, so no absolute bound
+# fits), and PolynomialSymbol.is_real_symbol's coefficient-pair test.
 HERMITIAN_TOL = 1e-12
 
 # Dense matrices beyond this size are almost certainly a mistake here; the
@@ -113,12 +114,12 @@ class PolynomialSymbol:
         s = 1.0 / math.sqrt(2.0)
         return cls.from_terms([(1, 0, -1j * s), (0, 1, 1j * s)])
 
-    def is_real_symbol(self, tol: float = 1e-12) -> bool:
+    def is_real_symbol(self) -> bool:
         """True iff f is real-valued: every (a,b,c) has partner (b,a,conj(c))."""
         table = {(a, b): c for a, b, c in self.terms}
         for (a, b), c in table.items():
             partner = table.get((b, a), 0j)
-            if abs(partner - c.conjugate()) > tol * max(1.0, abs(c)):
+            if abs(partner - c.conjugate()) > HERMITIAN_TOL * max(1.0, abs(c)):
                 return False
         return True
 

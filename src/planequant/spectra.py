@@ -94,8 +94,14 @@ DENSE_SPECTRUM_CAP = 20_000
 _STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
 
 # From this dimension on, extreme_eigenvalues starts stebz on the asymptotic
-# brackets of _extreme_guesses; below it the Airy expansion's error grows past
-# its model (1.7e-9 at N = 50).
+# brackets of _extreme_guesses.  Below it the guesses stay within 0.5 of their
+# half-width, but the brackets lose to the index route against 40-digit Newton:
+# - at N = 2 and 3 lambda_m and lambda_M are one eigenvalue, and at N = 3 the
+#   two brackets return it 1 ulp apart, lambda_m above lambda_M, which
+#   SpectrumSummary rejects;
+# - on N = 4..99 the bracket's value is up to 1 ulp farther from the zero on
+#   49 of the 192 values (worst 6.0 against 5.0 ulp for lambda_m, 2.03
+#   against 1.71 ulp for lambda_M).
 _BRACKET_MIN_DIM = 100
 
 # Relative error bound of both asymptotic guesses at _BRACKET_MIN_DIM.  It

@@ -112,40 +112,40 @@ def test_criterion_2_bound_and_monotonicity(exhaustive_table, base_table, extend
 
 
 def test_criterion_3_commutator_identity():
-    worst = 0.0
+    devs = []
     for n in list(range(1, 201)) + [500, 1000]:
         q = position_operator(n).entries
         p = momentum_operator(n).entries
         got = q @ p - p @ q
         expected = 1j * (np.eye(n) - n * last_level_projector(n).entries)
-        worst = max(worst, float(np.max(np.abs(got - expected))))
+        devs.append(np.max(np.abs(got - expected)))
+    worst = float(np.max(devs))  # NaN-propagating, unlike max()
     assert worst <= 1e-12
     print(f"\nACCEPTANCE 3 PASS: commutator identity to 1e-12 (worst {worst:.2e})")
 
 
 def test_criterion_4_energy_identity():
     assert np.diag(hamiltonian(5).entries).real.tolist() == [0.5, 1.5, 2.5, 3.5, 2.0]
-    worst = 0.0
+    devs = []
     for n in range(1, 501):
         q = position_operator(n).entries.real
         w = momentum_operator(n).entries.imag  # P = i*W with W real
         built = (q @ q - w @ w) / 2.0
-        worst = max(worst, float(np.max(np.abs(built - hamiltonian(n).entries.real))))
+        devs.append(np.max(np.abs(built - hamiltonian(n).entries.real)))
+    worst = float(np.max(devs))
     assert worst <= 1e-12
     print(f"\nACCEPTANCE 4 PASS: energy identity to 1e-12 for N <= 500 (worst {worst:.2e})")
 
 
 def test_criterion_5_identity_resolution():
-    worst = 0.0
-    for n in range(1, 65):
-        worst = max(worst, verify_identity_resolution(n))
+    worst = float(np.max([verify_identity_resolution(n) for n in range(1, 65)]))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 5 PASS: identity resolution to 1e-10 for N <= 64 (worst {worst:.2e})")
 
 
 def test_criterion_6_lower_symbol_closed_forms():
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    devs = []
     for n in range(2, 65):
         q_op = position_operator(n)
         q2 = OperatorMatrix(q_op.entries @ q_op.entries)
@@ -158,14 +158,17 @@ def test_criterion_6_lower_symbol_closed_forms():
             x = PhasePoint.from_z(r * complex(math.cos(a), math.sin(a)))
             c = corrective_factor(n, math.sqrt(x.r2))
             a_val, b_val = quadratic_symbols(n, x)
-            worst = max(worst, abs(lower_symbol(q_op, x) - c * x.q))
-            worst = max(worst, abs(lower_symbol(q2, x) - (a_val + b_val)))
-            worst = max(worst, abs(lower_symbol(p2, x) - (a_val - b_val)))
-            worst = max(worst, abs(lower_symbol(h, x) - a_val))
+            devs += [
+                abs(lower_symbol(q_op, x) - c * x.q),
+                abs(lower_symbol(q2, x) - (a_val + b_val)),
+                abs(lower_symbol(p2, x) - (a_val - b_val)),
+                abs(lower_symbol(h, x) - a_val),
+            ]
+    worst = float(np.max(devs))
     assert worst <= 1e-10
-    origin_worst = max(
+    origin_worst = float(np.max([
         abs(uncertainty_product(n, PhasePoint(0.0, 0.0)) - 0.5) for n in range(2, 201)
-    )
+    ]))
     assert origin_worst <= 1e-12
     print(
         f"\nACCEPTANCE 6 PASS: closed forms match sandwiches to 1e-10 (worst {worst:.2e}); "
@@ -176,10 +179,10 @@ def test_criterion_6_lower_symbol_closed_forms():
 def test_criterion_7_hermite_zero_structure():
     dims = list(range(2, 33)) + [50, 51, 100, 101, 250, 251, 512, 513,
                                  999, 1000, 1500, 1501, 1999, 2000]
-    worst_res = 0.0
+    residuals = []
     for n in dims:
         ev = eig_all(position_tridiagonal(n))
-        worst_res = max(worst_res, float(hermite_residual(n, ev).max()))
+        residuals.append(hermite_residual(n, ev).max())
         # interlacing with the next order
         ev_next = eig_all(position_tridiagonal(n + 1))
         assert np.all(ev_next[:-1] < ev) and np.all(ev < ev_next[1:]), n
@@ -188,6 +191,7 @@ def test_criterion_7_hermite_zero_structure():
         if pos.size >= 2:
             bound = pos[0] if n % 2 else 2.0 * pos[0]
             assert float(np.min(np.diff(pos))) > bound, n
+    worst_res = float(np.max(residuals))
     assert worst_res <= 1e-8
     print(
         f"\nACCEPTANCE 7 PASS: eigenvalues are polynomial zeros to 1e-8 "
@@ -202,13 +206,14 @@ def test_criterion_8_asymptotics_and_semicircle():
     rng = np.random.default_rng(99)
     n = 10000
     a = math.sqrt(2.0 * n)
-    worst_rel = 0.0
+    rels = []
     for _ in range(10):
         x1, x2 = np.sort(rng.uniform(-0.85 * a, 0.85 * a, size=2))
         if x2 - x1 < 0.2 * a:
             x2 = min(x1 + 0.2 * a, 0.9 * a)
         _, _, rel = semicircle_count_deviation(n, float(x1), float(x2))
-        worst_rel = max(worst_rel, rel)
+        rels.append(rel)
+    worst_rel = float(np.max(rels))
     assert worst_rel <= 0.02
     print(
         f"\nACCEPTANCE 8 PASS: largest-eigenvalue ratio {ratio:.5f} in [0.985, 1]; "
@@ -220,7 +225,7 @@ def test_criterion_9_monomial_oracle_equivalence():
     # deviation is scaled by the largest entry of each operator: for a = b = 5
     # at N = 32 the entries reach ~5e7, where an unscaled 1e-10 would demand
     # more significant digits than doubles carry
-    worst = 0.0
+    devs = []
     for n in range(1, 33):
         quad = QuadratureSpec.default_for(n + 10)  # headroom for degree-5 factors
         z, w = phase_plane_quadrature(quad)
@@ -231,7 +236,8 @@ def test_criterion_9_monomial_oracle_equivalence():
                 via_quad = (v * (w * f)) @ v.conj().T
                 closed = quantize_monomial(n, a, b).entries
                 scale = max(1.0, float(np.max(np.abs(closed))))
-                worst = max(worst, float(np.max(np.abs(via_quad - closed))) / scale)
+                devs.append(np.max(np.abs(via_quad - closed)) / scale)
+    worst = float(np.max(devs))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 9 PASS: closed-form vs quadrature quantization to 1e-10 "
           f"relative to entry scale (worst {worst:.2e})")

@@ -262,26 +262,49 @@ class TestBoundsCommand:
 
 
 class TestVerifyCommand:
-    def test_quick_budget_passes(self, capsys):
-        assert main(["verify", "--n-max-dense", "64"]) == 0
+    def test_default_plan_passes(self, capsys):
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 9
         assert "FAIL" not in out
 
     def test_injected_fault_fails_by_name(self, capsys):
-        assert main(["verify", "--n-max-dense", "64", "--inject-fault"]) == 1
+        assert main(["verify", "--inject-fault"]) == 1
         captured = capsys.readouterr()
         assert "FAIL interlacing" in captured.out
         assert [line.split(":")[0] for line in captured.out.splitlines()
                 if line.startswith("FAIL")] == ["FAIL interlacing"]
         assert "interlacing" in captured.err
 
+    def test_nan_identity_deviation_fails_by_name(self, monkeypatch):
+        from planequant import verify
+
+        monkeypatch.setattr(verify, "verify_identity_resolution", lambda n: math.nan)
+        result = {r.name: r for r in verify.run_verification()}["identity_resolution"]
+        assert not result.passed
+        assert result.detail == "max deviation nan"
+
+    def test_nan_commutator_entry_fails_by_name(self, monkeypatch, capsys):
+        from planequant import verify
+        from planequant.operators import OperatorMatrix, commutator
+
+        def nan_commutator(a, b):
+            entries = commutator(a, b).entries.copy()
+            entries[-1, -1] = math.nan
+            return OperatorMatrix(entries)
+
+        monkeypatch.setattr(verify, "commutator", nan_commutator)
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL commutator: max deviation nan" in captured.out
+        assert "1 check(s) failed: commutator" in captured.err
+
     def test_sigma_above_two_pi_fails_naming_the_bound(self, monkeypatch, capsys):
         from planequant import spectra
 
         # lambda_m = 1, lambda_M = 4 gives sigma = 16 at every even N
         monkeypatch.setattr(spectra, "extreme_eigenvalues", lambda n_dim: (1.0, 4.0))
-        assert main(["verify", "--n-max-dense", "32"]) == 1
+        assert main(["verify"]) == 1
         assert "violates the 2*pi bound" in capsys.readouterr().err
 
     def test_symmetry_reads_the_sturm_counts(self, monkeypatch):
@@ -304,7 +327,7 @@ class TestVerifyCommand:
             assert not verify._check_symmetry(n, False, np.random.default_rng(0)).passed
 
     def test_deterministic_for_fixed_seed(self, capsys):
-        assert main(["verify", "--n-max-dense", "32", "--seed", "7"]) == 0
+        assert main(["verify", "--seed", "7"]) == 0
         first = capsys.readouterr().out
-        assert main(["verify", "--n-max-dense", "32", "--seed", "7"]) == 0
+        assert main(["verify", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first

@@ -378,17 +378,12 @@ class TestIdentityResolution:
     def test_default_quadrature_dim_64(self):
         assert verify_identity_resolution(64) <= 1e-9
 
-    def test_insufficient_order_raises_with_diagnostic(self):
+    def test_insufficient_order_deviates(self):
+        # exactness at N = 8 needs radial order >= 8 and angular order >= 15
         quad = QuadratureSpec(radial_order=3, angular_order=5)
-        with pytest.raises(QuadratureOrderError, match="radial order >= 8"):
-            verify_identity_resolution(8, quad=quad, tol=1e-10)
+        assert verify_identity_resolution(8, quad=quad) > 1e-10
 
     def test_default_rule_beyond_the_largest_order_raises(self):
         # N = 183 needs radial order 187, whose weights numpy returns as NaN
         with pytest.raises(QuadratureOrderError, match="186"):
-            verify_identity_resolution(183, tol=1e-9)
-
-    def test_nan_tolerance_fails_the_check(self):
-        # the check is "dev <= tol"; a NaN on either side must not pass it
-        with pytest.raises(QuadratureOrderError):
-            verify_identity_resolution(8, tol=math.nan)
+            verify_identity_resolution(183)
