@@ -8,6 +8,12 @@ lower-symbols  phase-space grids of the symbol family, optional plot script
 bounds         dimensioned inequalities for concrete physical scales
 verify         cross-module invariant suite, nonzero exit on failure
 
+Every file a command writes goes through ``_write``, which prints
+``wrote <path>``, and every ``--format`` choice through ``_write_data``.
+Dimension flags are checked by ``as_dimension`` under the flag's name;
+every other check is the library's own, and ``main`` maps its exception
+to an exit code.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 I/O failure.  Output is deterministic for fixed flags (and seed), so CSV
 artifacts are byte-identical across runs.  To pin the linear-algebra
@@ -20,8 +26,10 @@ import argparse
 import os
 import sys
 
+from . import bounds, spectra, symbols
 from .errors import PlanequantError, VerificationError
-from .symbols import GRID_KINDS
+from .frame import as_dimension
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -31,30 +39,26 @@ EXIT_IO = 3
 _TABLE_DIMS = [10, 55, 100, 551, 1000, 5555, 10000, 55255, 100000, 500555, 1000000]
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, the one place the CLI writes a file, and say so."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    print(f"wrote {path}")
+
+
+def _write_data(args, data, to_csv, to_json) -> None:
+    """Write ``data`` to ``--out`` as CSV or as one line of JSON, per ``--format``."""
+    _write(args.out, to_csv(data) if args.format == "csv" else to_json(data) + "\n")
 
 
 def _cmd_spectrum(args) -> int:
-    from . import spectra
-
-    n = args.n
-    if n < 2:
-        print(f"error: need n >= 2 for a spectrum with positive eigenvalues, got {n}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    n = as_dimension(args.n, 2, "--n")
     if n <= spectra.DENSE_SPECTRUM_CAP:
-        eigenvalues = spectra.eig_all(spectra.position_tridiagonal(n))
-        text = (spectra.spectrum_to_csv(eigenvalues) if args.format == "csv"
-                else spectra.spectrum_to_json(eigenvalues) + "\n")
+        _write_data(args, spectra.eig_all(spectra.position_tridiagonal(n)),
+                    spectra.spectrum_to_csv, spectra.spectrum_to_json)
     else:
-        summary = spectra.spectrum_summary(n)
-        text = (spectra.summaries_to_csv([summary])
-                if args.format == "csv"
-                else spectra.summaries_to_json([summary]) + "\n")
-    _write_text(args.out, text)
-    print(f"wrote {args.out}")
+        _write_data(args, [spectra.spectrum_summary(n)],
+                    spectra.summaries_to_csv, spectra.summaries_to_json)
     return EXIT_OK
 
 
@@ -70,62 +74,38 @@ def _parse_dims(args) -> list[int]:
         return sorted({int(round(lo * ratio**i)) for i in range(count)})
     if args.n_list is None:
         return list(_TABLE_DIMS)
-    dims = [int(s) for s in args.n_list.split(",") if s.strip()]
-    if not dims:
-        raise ValueError("empty dimension list")
-    return dims
+    return [int(s) for s in args.n_list.split(",") if s.strip()]
 
 
 def _cmd_sigma_table(args) -> int:
-    from . import spectra
-
-    summaries = spectra.sigma_table(_parse_dims(args))
-    text = (spectra.summaries_to_csv(summaries)
-            if args.format == "csv"
-            else spectra.summaries_to_json(summaries) + "\n")
-    _write_text(args.out, text)
-    print(f"wrote {args.out}")
+    _write_data(args, spectra.sigma_table(_parse_dims(args)),
+                spectra.summaries_to_csv, spectra.summaries_to_json)
     if args.emit_plot:
-        stem = os.path.splitext(args.out)[0]
-        _write_text(stem + "_sigma.gp", spectra.gnuplot_sigma_script(os.path.basename(args.out)))
-        _write_text(stem + "_extremes.gp",
-                    spectra.gnuplot_extremes_script(os.path.basename(args.out)))
-        print(f"wrote {stem}_sigma.gp and {stem}_extremes.gp")
+        stem, data = os.path.splitext(args.out)[0], os.path.basename(args.out)
+        _write(stem + "_sigma.gp", spectra.gnuplot_sigma_script(data))
+        _write(stem + "_extremes.gp", spectra.gnuplot_extremes_script(data))
     return EXIT_OK
 
 
 def _cmd_lower_symbols(args) -> int:
-    from . import symbols
-
-    n = args.n if args.n is not None else GRID_KINDS[args.which].default_dim
-    if n < 2:
-        print(f"error: need n >= 2, got {n}", file=sys.stderr)
-        return EXIT_USAGE
-    grid = symbols.symbol_grid(
-        n,
-        args.which,
-        (args.q_min, args.q_max, args.steps),
-        (args.p_min, args.p_max, args.steps),
-    )
-    text = symbols.grid_to_csv(grid) if args.format == "csv" else symbols.grid_to_json(grid) + "\n"
-    _write_text(args.out, text)
-    print(f"wrote {args.out}")
+    n = args.n if args.n is not None else symbols.GRID_KINDS[args.which].default_dim
+    grid = symbols.symbol_grid(as_dimension(n, 2, "--n"), args.which,
+                               (args.q_min, args.q_max, args.steps),
+                               (args.p_min, args.p_max, args.steps))
+    _write_data(args, grid, symbols.grid_to_csv, symbols.grid_to_json)
     if args.emit_plot:
         stem = os.path.splitext(args.out)[0]
-        _write_text(stem + ".gp", symbols.grid_gnuplot_script(grid, os.path.basename(args.out)))
-        print(f"wrote {stem}.gp")
+        _write(stem + ".gp", symbols.grid_gnuplot_script(grid, os.path.basename(args.out)))
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    from . import bounds, spectra
-
     scales = bounds.PhysicalScales(l_c=args.l_c, p_c=args.p_c, l_m=args.l_m, theta=args.theta)
     if args.universe_size is not None:
         l_c = bounds.solve_characteristic_length(args.l_m, args.universe_size)
     sigma = spectra.TWO_PI
     if args.sigma_n is not None:
-        sigma = spectra.spectrum_summary(args.sigma_n).sigma
+        sigma = spectra.spectrum_summary(as_dimension(args.sigma_n, 2, "--sigma-n")).sigma
     report = bounds.bounds_report(scales, sigma=sigma)
     for line in report.lines():
         print(line)
@@ -133,14 +113,11 @@ def _cmd_bounds(args) -> int:
         print(f"characteristic length making the bound tight at size "
               f"{args.universe_size:.9g} m: l_c = {l_c:.9g} m")
     if args.out:
-        _write_text(args.out, report.to_json() + "\n")
-        print(f"wrote {args.out}")
+        _write(args.out, report.to_json() + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_verification
-
     results = run_verification(seed=args.seed, inject_fault=args.inject_fault)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -151,6 +128,14 @@ def _cmd_verify(args) -> int:
         return EXIT_VERIFY
     print(f"all {len(results)} checks passed")
     return EXIT_OK
+
+
+def _add_output_flags(parser, out: str, plot_help: str | None = None) -> None:
+    """--out with default ``out``, --format, and --emit-plot if ``plot_help`` is given."""
+    parser.add_argument("--out", default=out)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if plot_help:
+        parser.add_argument("--emit-plot", action="store_true", help=plot_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "bidiagonal for n <= 20000; beyond, the extreme-eigenvalue "
                     "summary from LAPACK Sturm counts, the same row as sigma-table.")
     sp.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
-    sp.add_argument("--out", default="spectrum.csv")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(sp, "spectrum.csv")
     sp.set_defaults(func=_cmd_spectrum)
 
     st = sub.add_parser("sigma-table", help="forbidden-cell/width product table")
@@ -175,25 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated dimensions (default: the built-in ladder to 10^6)")
     st.add_argument("--geometric", nargs=3, type=int, default=None,
                     metavar=("LO", "HI", "COUNT"), help="geometric ladder of dimensions")
-    st.add_argument("--out", default="sigma_table.csv")
-    st.add_argument("--format", choices=("csv", "json"), default="csv")
-    st.add_argument("--emit-plot", action="store_true",
-                    help="also write gnuplot scripts next to the table")
+    _add_output_flags(st, "sigma_table.csv", "also write gnuplot scripts next to the table")
     st.set_defaults(func=_cmd_sigma_table)
 
     ls = sub.add_parser("lower-symbols", help="phase-space grid of a symbol")
-    ls.add_argument("--n", type=int, default=None,
-                    help="dimension (defaults: " + ", ".join(
-                        f"{kind} {row.default_dim}" for kind, row in GRID_KINDS.items()) + ")")
-    ls.add_argument("--which", choices=tuple(GRID_KINDS), default="Q2")
+    ls.add_argument("--n", type=int, default=None, help="dimension (defaults: " + ", ".join(
+        f"{kind} {row.default_dim}" for kind, row in symbols.GRID_KINDS.items()) + ")")
+    ls.add_argument("--which", choices=tuple(symbols.GRID_KINDS), default="Q2")
     ls.add_argument("--q-min", type=float, default=-6.0)
     ls.add_argument("--q-max", type=float, default=6.0)
     ls.add_argument("--p-min", type=float, default=-6.0)
     ls.add_argument("--p-max", type=float, default=6.0)
     ls.add_argument("--steps", type=int, default=81, help="grid steps per axis")
-    ls.add_argument("--out", default="lower_symbols.csv")
-    ls.add_argument("--format", choices=("csv", "json"), default="csv")
-    ls.add_argument("--emit-plot", action="store_true")
+    _add_output_flags(ls, "lower_symbols.csv", "also write a gnuplot script next to the grid")
     ls.set_defaults(func=_cmd_lower_symbols)
 
     bd = sub.add_parser("bounds", help="dimensioned inequalities for physical scales")

@@ -122,7 +122,7 @@ class CoherentState:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         nrm = float(np.linalg.norm(coeffs))
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not (abs(nrm - 1.0) <= NORM_TOL):
             raise ValueError(f"coherent-state coefficients must have unit norm, got {nrm!r}")
 
     @property
@@ -177,10 +177,10 @@ def normalization_factor(n_dim: int, r2: float) -> float:
 
 
 def log_normalization_factor(n_dim: int, r2: float) -> float:
-    """log of the truncated exponential series, stable for any r2 >= 0."""
+    """log of the truncated exponential series, stable for any finite r2 >= 0."""
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    if not (r2 >= 0.0):
-        raise ValueError(f"r2 must be nonnegative, got {r2!r}")
+    if not (0.0 <= r2 < math.inf):
+        raise ValueError(f"r2 must be nonnegative and finite, got {r2!r}")
     if r2 == 0.0:
         return 0.0
     n = np.arange(n_dim)

@@ -317,7 +317,7 @@ def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, Operator
     Scaling both position and momentum by sqrt(theta) is the unique choice
     reproducing that commutator from the canonical-up-to-truncation pair.
     """
-    if not (theta > 0.0):
-        raise ValueError(f"theta must be positive, got {theta!r}")
+    if not (0.0 < theta < math.inf):
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
     off = math.sqrt(theta) * position_tridiagonal(_check_dim(n_dim)).offdiag
     return _hermitian_tridiagonal(off), _hermitian_tridiagonal(-1j * off)

@@ -410,8 +410,11 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
     Counts negative pivots of the LDL^T factorization of T - lam*I via
     d_k = -lam - offdiag_{k-1}^2 / d_{k-1}, with tiny pivots replaced by a
     signed floor so the division never produces infinities.  Monotone
-    nondecreasing in lam.
+    nondecreasing in lam: -inf counts 0 and +inf counts N; a NaN lam
+    raises ValueError.
     """
+    if math.isnan(lam):
+        raise ValueError(f"lam must not be NaN, got {lam!r}")
     bsq, pivmin = t._count_data
     count = 0
     d = -lam

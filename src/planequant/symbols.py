@@ -120,8 +120,11 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
 
 
 def _check_axes(*ranges: tuple[float, float, int]) -> None:
-    """Raise ValueError unless every (min, max, steps) axis has finite min < max, steps >= 2."""
+    """Raise ValueError unless every (min, max, steps) axis has finite min < max
+    and an integer (not bool) steps >= 2."""
     for lo, hi, steps in ranges:
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+            raise ValueError(f"grid steps must be an integer, got {steps!r}")
         if steps < 2:
             raise ValueError(f"grid needs at least 2 steps per axis, got {steps}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -180,7 +183,7 @@ def symbol_grid(
         raise ValueError(f"unknown grid kind {which!r}; expected one of {tuple(GRID_KINDS)}")
     n_dim = as_dimension(n_dim, 1, "n_dim")
     _check_axes(q_range, p_range)
-    check_memory(_GRID_BYTES_PER_CELL * q_range[2] * p_range[2],
+    check_memory(_GRID_BYTES_PER_CELL * int(q_range[2]) * int(p_range[2]),
                  f"the arrays of a {q_range[2]} x {p_range[2]} grid")
     q = np.linspace(*q_range[:2], q_range[2])
     p = np.linspace(*p_range[:2], p_range[2])

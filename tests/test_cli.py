@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +332,37 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         assert main(["verify", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+
+# (output file, argv without --out): every file a run writes equals its
+# namesake in tests/data/cli, byte for byte.  The sigma-table dimensions
+# cover the index, bracketed and certified routes; 20001 is spectrum's
+# summary row beyond the dense cap.  Full-precision JSON of a spectrum
+# depends on the LAPACK build, so only 9-digit CSVs and the pure-Python
+# bounds report are pinned.  The files are the output of
+# `planequant <argv> --out <file>` run in tests/data/cli.
+GOLDEN_RUNS = [
+    ("sigma_table.csv", ["sigma-table", "--n-list", "2,3,10,55,99,100,551,1000,4606,4607,5555",
+                         "--emit-plot"]),
+    ("spectrum_50.csv", ["spectrum", "--n", "50"]),
+    ("spectrum_20001.csv", ["spectrum", "--n", "20001"]),
+    *((f"lower_symbols_{kind}.csv", ["lower-symbols", "--which", kind, "--n", "10",
+                                     "--steps", "9"]) for kind in GRID_KINDS),
+    ("bounds.json", ["bounds", "--l-c", "2e-6", "--l-m", "1e-6", "--theta", "1e-12"]),
+]
+
+
+@pytest.mark.parametrize("out, argv", GOLDEN_RUNS, ids=[out for out, _ in GOLDEN_RUNS])
+def test_output_matches_golden_file(tmp_path, out, argv):
+    assert main([*argv, "--out", str(tmp_path / out)]) == 0
+    written = list(tmp_path.iterdir())
+    assert tmp_path / out in written
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+def test_every_golden_file_has_a_run():
+    plots = {"sigma_table_sigma.gp", "sigma_table_extremes.gp"}
+    assert {path.name for path in GOLDEN.iterdir()} == {out for out, _ in GOLDEN_RUNS} | plots

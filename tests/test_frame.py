@@ -95,6 +95,13 @@ class TestNormalizationFactor:
                 math.log(normalization_factor(n, r2)), abs=1e-12
             )
 
+    def test_log_variant_rejects_infinite_r2(self):
+        with pytest.raises(ValueError, match="nonnegative and finite, got inf"):
+            log_normalization_factor(5, math.inf)
+        # r2 of this point overflows to inf
+        with pytest.raises(ValueError, match="nonnegative and finite, got inf"):
+            coherent_state_log(5, PhasePoint(1e200, 0.0))
+
     def test_log_variant_beyond_overflow(self):
         # 60-digit oracle: ln sum_{n<50} 800^n/n!
         assert log_normalization_factor(50, 800.0) == pytest.approx(
@@ -214,6 +221,10 @@ class TestCoherentState:
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError):
             CoherentState(coeffs=np.array([1.0, 1.0]))
+
+    def test_rejects_nan_coefficients(self):
+        with pytest.raises(ValueError, match="unit norm, got nan"):
+            CoherentState(np.array([math.nan, 0.0]))
 
     @pytest.mark.parametrize("coeffs", [np.array(1.0), np.eye(2)[:1]],
                              ids=["scalar", "row-matrix"])

@@ -292,6 +292,10 @@ class TestNamedOperators:
         with pytest.raises(ValueError):
             hall_coordinates(4, theta=0.0)
 
+    def test_hall_rejects_infinite_area(self):
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            hall_coordinates(3, math.inf)
+
 
 class TestOperatorMatrix:
     def test_json_round_trip(self):

@@ -394,6 +394,13 @@ class TestSturmCount:
         assert sturm_count(t, t.gershgorin_bound() + 1.0) == 50
         assert sturm_count(t, -t.gershgorin_bound() - 1.0) == 0
 
+    def test_nan_shift_raises(self):
+        # every pivot comparison with NaN is False, which would count 0
+        t = position_tridiagonal(5)
+        with pytest.raises(ValueError, match="lam must not be NaN"):
+            sturm_count(t, math.nan)
+        assert (sturm_count(t, math.inf), sturm_count(t, -math.inf)) == (5, 0)
+
     def test_monotone_in_shift(self):
         t = position_tridiagonal(33)
         shifts = np.linspace(-9, 9, 40)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from planequant.errors import RangeOverflowError
 from planequant.frame import OVERFLOW_R2, PhasePoint, coherent_state
-from planequant import symbols
+from planequant import frame, symbols
 from planequant.operators import (
     OperatorMatrix,
     hamiltonian,
@@ -362,6 +362,26 @@ class TestSymbolGrid:
             symbol_grid(5, "NOPE", (-1.0, 1.0, 5), (-1.0, 1.0, 5))
         with pytest.raises(ValueError, match=r"must be finite, got \(-inf, 1.0\)"):
             symbol_grid(5, "H", (-1.0, 1.0, 5), (-math.inf, 1.0, 5))
+
+    @pytest.mark.parametrize("steps", [2.5, np.float64(3.0), True, np.True_],
+                             ids=["float", "numpy-float", "bool", "numpy-bool"])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="grid steps must be an integer"):
+            symbol_grid(10, "Q2", (0.0, 1.0, steps), (0.0, 1.0, 3))
+        # a numpy integer is an integer
+        grid = symbol_grid(10, "Q2", (0.0, 1.0, np.int64(3)), (0.0, 1.0, 3))
+        assert grid.values.shape == (3, 3)
+
+    def test_numpy_integer_steps_cannot_wrap_the_memory_check(self, monkeypatch):
+        # in int64, 88 bytes x (2^32)^2 cells wraps to 0 bytes
+        def no_axis(*args, **kwargs):
+            raise AssertionError("axis allocated before the memory check")
+
+        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(np, "linspace", no_axis)
+        steps = np.int64(2**32)
+        with pytest.raises(ValueError, match="physical memory"):
+            symbol_grid(5, "H", (-1.0, 1.0, steps), (-1.0, 1.0, steps))
 
     def test_overflow_domain(self):
         with pytest.raises(RangeOverflowError):
