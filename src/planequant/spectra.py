@@ -14,25 +14,29 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
                             of the position matrix of dimension N, from
-                            LAPACK Sturm counts (stebz), O(N) per count,
-                            practical to N = 10^6.  Below N = 100 stebz
-                            bisects by index.  From N = 100 on it starts on
-                            a bracket around the Hermite-zero asymptotics,
-                            sized from the guess's error model and stebz's
-                            own rounding, and two LAPACK counts prove the
-                            index of the eigenvalue in it.  Below N = 4607
-                            stebz bisects the bracket; from there on the
-                            guess's error term is below eps, and the guess
-                            itself is returned, certified by the same two
-                            counts.  A bracket the counts do not prove is
-                            answered by index-selected bisection.
-                            Measured against 40-digit Newton on the
-                            three-term recurrence (tests/data): the
-                            certified guesses are within 1.13 ulp on every
-                            reference N >= 4607, and stebz's lambda_M within
-                            2 ulp; stebz's lambda_m, which the certified
-                            route no longer returns, is 101 ulp off at
-                            N = 5555 and 23,052 ulp (4.5e-12) at 10^6.
+                            LAPACK Sturm counts, O(N) per count, practical
+                            to N = 10^6.  Below N = 100 stebz bisects by
+                            index.  From N = 100 on it starts on a bracket
+                            around the Hermite-zero asymptotics, sized from
+                            the guess's error model and stebz's own
+                            rounding, and LAPACK counts prove the index of
+                            the eigenvalue in it.  Below N = 4607 stebz
+                            bisects the bracket, and a count-only stebz
+                            call on (-lo, lo] proves the index; from there
+                            on the guess's error term is below eps, and the
+                            guess itself is returned, certified by one
+                            laebz call that counts the eigenvalues below
+                            both ends of the bracket.  A bracket the counts
+                            do not prove is answered by index-selected
+                            bisection.  Measured against 40-digit Newton on
+                            the three-term recurrence: the certified guesses
+                            are within 1.73 ulp (lambda_M) and 1.64 ulp
+                            (lambda_m) on every N in 4607..6606, and
+                            stebz's lambda_M within 2 ulp on the reference
+                            N of tests/data; stebz's lambda_m, which the
+                            certified route does not return, is 101 ulp
+                            off at N = 5555 and 23,052 ulp (4.5e-12) at
+                            10^6.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -50,17 +54,17 @@ recurrence is written once, vectorized and rescaled by exact powers of two;
 ``char_poly_recurrence`` reads it at one point and ``hermite_residual`` at
 many.
 
-Both routes are deterministic: dlasq1 and stebz are serial LAPACK code, so
-identical inputs give identical results whatever the thread count.  Before
-building a tridiagonal, ``position_tridiagonal`` checks that the arrays of
-either route fit in physical memory.
+Both routes are deterministic: dlasq1, stebz and laebz are serial LAPACK
+code, so identical inputs give identical results whatever the thread count.
+Before building a tridiagonal, ``position_tridiagonal`` checks that the
+arrays of either route fit in physical memory.
 
-Both LAPACK routines come from ``_lapack``, which binds them with ctypes on
-the first spectral computation of a process: from numpy's own LAPACK where
-numpy exports them, as its scipy-openblas wheels do, and from
+The three LAPACK routines come from ``_lapack``, which binds them with
+ctypes on the first spectral computation of a process: from numpy's own
+LAPACK where numpy exports them, as its scipy-openblas wheels do, and from
 scipy.linalg.cython_lapack otherwise.  With numpy's, no command imports
 scipy; with scipy's, only a spectral computation pays its ~0.3 s import.
-Both are plain calls that allocate their own workspaces, so no matrix holds
+All are plain calls that allocate their own workspaces, so no matrix holds
 LAPACK state between calls.
 """
 
@@ -120,32 +124,44 @@ _RESCALE_EVERY = 16
 
 # Peak bytes per dimension of the larger route: the tridiagonal's off-diagonal
 # and zero diagonal (16 N) plus the 80 N workspace each dstebz call allocates
-# for w, iblock, isplit, work and iwork.  eig_all needs 48 N (tridiagonal, B's
-# two halves, 4 * ceil(N/2) work, output).
+# for w, iblock, isplit, work and iwork.  Only N < 4607 and a missed bracket
+# call dstebz; a certified bracket's dlaebz count needs 8 N for the squared
+# off-diagonal.  eig_all needs 48 N (tridiagonal, B's two halves,
+# 4 * ceil(N/2) work, output).
 _BYTES_PER_DIM = 96
 
+# The bound LAPACK routines, in the order of _Lapack's fields.
+_ROUTINES = ("dstebz", "dlaebz", "dlasq1")
+
 # Exported names of numpy's bundled ILP64 LAPACK (scipy-openblas), tried first.
-_NUMPY_LAPACK_SYMBOLS = ("scipy_dstebz_64_", "scipy_dlasq1_64_")
+_NUMPY_LAPACK_SYMBOLS = tuple(f"scipy_{name}_64_" for name in _ROUTINES)
 
 
 class _Lapack(NamedTuple):
-    """dstebz and dlasq1 as ctypes calls, and the ctypes type of their INTEGERs.
+    """dstebz, dlaebz and dlasq1 as ctypes calls, and the ctypes type of their INTEGERs.
 
     Every argument is passed by address.  dstebz(range, order, n, vl, vu,
     il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork, info)
     takes the lengths of its two character arguments last, as size_t.
-    dlasq1(n, d, e, work, info): d (n) holds the diagonal on entry and the
-    singular values in descending order on exit, e (n) the off-diagonal in
-    its first n - 1 entries, work 4 n doubles.
+    dlaebz(ijob, nitmax, n, mmax, minp, nbmin, abstol, reltol, pivmin, d,
+    e, e2, nval, ab, c, mout, nab, work, iwork, info) is the bisection
+    kernel that dstebz drives; with ijob = 1 it only counts, at both ends
+    ab(j, 1) and ab(j, 2) of each of minp intervals, the pivots <= 0 of the
+    LDL^T factorization on the squared off-diagonal e2 (n - 1) with tiny
+    pivots set to -pivmin, into nab(j, 1) and nab(j, 2).  dlasq1(n, d, e,
+    work, info): d (n) holds the diagonal on entry and the singular values
+    in descending order on exit, e (n) the off-diagonal in its first n - 1
+    entries, work 4 n doubles.
     """
 
     dstebz: Callable[..., None]
+    dlaebz: Callable[..., None]
     dlasq1: Callable[..., None]
     integer: type
 
 
-def _numpy_routines() -> tuple[int, int] | None:
-    """Addresses of (dstebz, dlasq1) in numpy's own ILP64 LAPACK, or None.
+def _numpy_routines() -> tuple[int, int, int] | None:
+    """Addresses of the ``_ROUTINES`` in numpy's own ILP64 LAPACK, or None.
 
     numpy's linalg extension links a LAPACK, and wheels built on
     scipy-openblas export it under ``_NUMPY_LAPACK_SYMBOLS``; builds on
@@ -161,8 +177,8 @@ def _numpy_routines() -> tuple[int, int] | None:
         return None
 
 
-def _scipy_routines() -> tuple[int, int]:
-    """Addresses of (dstebz, dlasq1) in scipy's LP64 LAPACK; ImportError without scipy.
+def _scipy_routines() -> tuple[int, int, int]:
+    """Addresses of the ``_ROUTINES`` in scipy's LP64 LAPACK; ImportError without scipy.
 
     scipy.linalg.cython_lapack exports each routine as a PyCapsule holding
     its function pointer.
@@ -175,16 +191,16 @@ def _scipy_routines() -> tuple[int, int]:
     get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
     get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
     get_pointer.restype = ctypes.c_void_p
-    capsules = (cython_lapack.__pyx_capi__[name] for name in ("dstebz", "dlasq1"))
+    capsules = (cython_lapack.__pyx_capi__[name] for name in _ROUTINES)
     return tuple(get_pointer(capsule, get_name(capsule)) for capsule in capsules)
 
 
 @cache
 def _lapack() -> _Lapack:
-    """dstebz and dlasq1, bound on the first spectral computation of a process.
+    """dstebz, dlaebz and dlasq1, bound on the first spectral computation of a process.
 
     numpy's own LAPACK comes first: it is loaded with numpy, so a spectrum
-    costs no further import.  Where numpy does not export the two routines,
+    costs no further import.  Where numpy does not export the three routines,
     they come from scipy.linalg.cython_lapack, whose import costs about
     0.3 s; that LAPACK uses 32-bit INTEGERs, and the integer type is the
     only difference between the two.  Without either, MissingDependencyError
@@ -196,16 +212,17 @@ def _lapack() -> _Lapack:
             routines = _scipy_routines()
         except ImportError as exc:
             raise MissingDependencyError(
-                "numpy's LAPACK does not export dstebz and dlasq1 and scipy is not "
-                "installed; install the 'scipy' extra (pip install 'planequant[scipy]')"
+                "numpy's LAPACK does not export dstebz, dlaebz and dlasq1 and scipy is "
+                "not installed; install the 'scipy' extra (pip install 'planequant[scipy]')"
             ) from exc
         integer, source = ctypes.c_int, "scipy"
-    _log.debug("LAPACK dstebz and dlasq1 from %s, %d-bit integers",
+    _log.debug("LAPACK dstebz, dlaebz and dlasq1 from %s, %d-bit integers",
                source, 8 * ctypes.sizeof(integer))
     ptr, size = ctypes.c_void_p, ctypes.c_size_t
     dstebz = ctypes.CFUNCTYPE(None, *[ptr] * 18, size, size)(routines[0])
-    dlasq1 = ctypes.CFUNCTYPE(None, *[ptr] * 5)(routines[1])
-    return _Lapack(dstebz, dlasq1, integer)
+    dlaebz = ctypes.CFUNCTYPE(None, *[ptr] * 20)(routines[1])
+    dlasq1 = ctypes.CFUNCTYPE(None, *[ptr] * 5)(routines[2])
+    return _Lapack(dstebz, dlaebz, dlasq1, integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +256,7 @@ class SymTridiagonal:
 
     @cached_property
     def _zero_diag(self) -> np.ndarray:
-        """The zero diagonal that stebz takes as an argument, read-only.
+        """The zero diagonal that stebz and laebz take as an argument, read-only.
 
         It is a copy-on-write anonymous mapping rather than ``np.zeros``:
         pages that are only read stay on the kernel's zero page, so the
@@ -253,7 +270,7 @@ class SymTridiagonal:
 
     @cached_property
     def _addresses(self) -> tuple[int, int]:
-        """Addresses of the zero diagonal and the off-diagonal, as stebz takes them.
+        """Addresses of the zero diagonal and the off-diagonal, as LAPACK takes them.
 
         Both arrays are read-only and live as long as the matrix, so each
         address is read once rather than through ``ndarray.ctypes`` on every
@@ -461,6 +478,34 @@ def _dstebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, iu: i
     return m.value, float(buf[0]), info.value
 
 
+def _bracket_counts(t: SymTridiagonal, lo: float, hi: float) -> tuple[int, int]:
+    """(count at lo, count at hi): the eigenvalues at or below each end, by one dlaebz call.
+
+    dlaebz with ijob = 1 counts both ends of one interval in one pass each.
+    It counts on the squared off-diagonal offdiag * offdiag and the pivot
+    floor tiny * max(1, max e2) that dstebz forms and hands it, so the
+    counted matrix is the one a count-only dstebz call counts, without
+    dstebz's split and Gershgorin passes or its 10 n workspace.  The call
+    allocates e2 (n doubles) and a few cells; the matrix keeps nothing.
+    With ijob = 1, dlaebz has no failure to report.
+    """
+    lapack = _lapack()
+    integer, byref = lapack.integer, ctypes.byref
+    e2 = t.offdiag * t.offdiag
+    pivmin = np.finfo(float).tiny * e2.max(initial=1.0)
+    ab = (ctypes.c_double * 2)(lo, hi)
+    nab = (integer * 2)()
+    one, zero, mout, info = integer(1), integer(0), integer(), integer()
+    # nitmax, nbmin, abstol, reltol, nval, c, work and iwork: unread with ijob = 1
+    cell, icell = ctypes.c_double(), integer()
+    diag, off = t._addresses
+    lapack.dlaebz(byref(one), byref(zero), byref(integer(t.dim)), byref(one), byref(one),
+                  byref(zero), byref(cell), byref(cell), byref(ctypes.c_double(pivmin)),
+                  diag, off, e2.ctypes.data, byref(icell), ab, byref(cell), byref(mout),
+                  nab, byref(cell), byref(icell), byref(info))
+    return nab[0], nab[1]
+
+
 def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
     """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
     m, value, info = _dstebz(t, b"I", 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL)
@@ -525,27 +570,38 @@ def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_widt
                           certify: bool) -> float:
     """Eigenvalue ``index`` (>= N/2) on an asymptotic bracket, its index proved by counts.
 
-    Two LAPACK counts prove which eigenvalue the bracket (lo, hi] =
-    (guess (1 - half_width), guess (1 + half_width)] holds: exactly one
-    eigenvalue lies in it, and exactly 2 index - N in (-lo, lo].  The
-    spectrum of a zero-diagonal matrix is symmetric, so the second count
-    leaves N - index eigenvalues above lo, and the one in the bracket is the
-    lowest of them.  With ``certify`` the result is the guess itself and both
-    stebz calls only count: an absolute tolerance wider than the interval
-    stops each right after its counts.  Otherwise the first call also
-    bisects the bracket to stebz's own 2-ulp criterion and the result is its
-    value.  Any other outcome is logged and answered by the index route.
+    LAPACK counts prove which eigenvalue the bracket (lo, hi] =
+    (guess (1 - half_width), guess (1 + half_width)] holds.  With
+    ``certify`` the result is the guess itself, and one dlaebz call
+    (``_bracket_counts``) proves it: index eigenvalues at or below lo and
+    index + 1 at or below hi leave exactly eigenvalue ``index`` in the
+    bracket.  Otherwise stebz bisects the bracket to its own 2-ulp
+    criterion, which also proves exactly one eigenvalue in it, and the
+    result is its value; a count-only stebz call (an absolute tolerance
+    wider than the interval stops it right after its counts) then finds
+    exactly 2 index - N eigenvalues in (-lo, lo].  The spectrum of a
+    zero-diagonal matrix is symmetric, so that count leaves N - index
+    eigenvalues above lo, and the one in the bracket is the lowest of
+    them.  Any other outcome is logged and answered by the index route.
     """
     lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
-    m = inside = None
-    if 0.0 < lo < hi:
-        m, value, info = _dstebz(t, b"V", lo, hi, 0, 0, 4.0 * hi if certify else _STEBZ_ABSTOL)
+    if not 0.0 < lo < hi:
+        counted = "is not a positive interval"
+    elif certify:
+        below = _bracket_counts(t, lo, hi)
+        if below == (index, index + 1):
+            return guess
+        counted = f"has {below[0]} and {below[1]} eigenvalue(s) at or below its ends"
+    else:
+        m, value, info = _dstebz(t, b"V", lo, hi, 0, 0, _STEBZ_ABSTOL)
+        inside = None
         if info == 0 and m == 1:
             inside, _, info = _dstebz(t, b"V", -lo, lo, 0, 0, 4.0 * lo)
             if info == 0 and inside == 2 * index - t.dim:
-                return guess if certify else value
-    _log.debug("dim %d, index %d: bracket (%r, %r] held %s eigenvalue(s) and (-lo, lo] %s; "
-               "using the index route", t.dim, index, lo, hi, m, inside)
+                return value
+        counted = f"held {m} eigenvalue(s) and (-lo, lo] {inside}"
+    _log.debug("dim %d, index %d: bracket (%r, %r] %s; using the index route",
+               t.dim, index, lo, hi, counted)
     return _stebz_eigenvalue(t, index)
 
 
@@ -564,13 +620,13 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
 
     ``n_dim`` is an integer >= 2; anything else, a matrix included, raises
     ValueError.  The matrix is ``position_tridiagonal(n_dim)``, and the
-    route follows from N alone.  LAPACK Sturm counts (stebz), O(N) each,
-    practical at N = 10^6.  The zero diagonal makes the spectrum symmetric,
-    which fixes the index of the smallest positive eigenvalue and proves
-    the bracketed results.  Below N = 100 stebz bisects by index.  From
-    N = 100 on, every result comes from the bracket of the asymptotic
-    guesses, and two LAPACK counts prove its index; a result they do not
-    prove (a missed bracket) comes from index-selected bisection.
+    route follows from N alone.  LAPACK Sturm counts, O(N) each, practical
+    at N = 10^6.  The zero diagonal makes the spectrum symmetric, which
+    fixes the index of the smallest positive eigenvalue and proves the
+    bisected brackets.  Below N = 100 stebz bisects by index.  From N = 100
+    on, every result comes from the bracket of the asymptotic guesses, and
+    LAPACK counts prove its index; a result they do not prove (a missed
+    bracket) comes from index-selected bisection.
 
     Below N = 4607 stebz bisects the bracket to its own criterion, 2 ulp
     relative around the point where its Sturm count changes.  For lambda_M
@@ -578,9 +634,12 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     drifts away as N grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6),
     and each bracket's half-width holds room for that drift.  From N = 4607
     on, where the guess term of ``_extreme_guesses``, 1e-9 (100/N)^4, is at
-    most eps, the result is the guess itself: both stebz calls only count,
-    and the value is within 1.13 ulp of 40-digit Newton on every reference
-    N.  Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
+    most eps, the result is the guess itself, proved by one dlaebz call that
+    counts the eigenvalues at or below both ends of its bracket; no stebz
+    call is made.  Against 40-digit Newton the certified values are within
+    1.73 ulp (lambda_M, worst at N = 5494) and 1.64 ulp (lambda_m, worst at
+    N = 6397) on every N in 4607..6606.  Other zero-diagonal matrices take
+    ``eig_all`` and ``sturm_count``.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     t = position_tridiagonal(n_dim)
@@ -761,11 +820,11 @@ def semicircle_count_deviation(n_dim: int, x1: float, x2: float) -> tuple[float,
     """(predicted, counted, relative deviation) for one interval.
 
     The exact count comes from Sturm pivots, independent of the density
-    formula.
+    formula; the interval is checked before anything is counted.
     """
+    predicted = semicircle_density(n_dim, x1, x2)
     t = position_tridiagonal(n_dim)
     counted = sturm_count(t, x2) - sturm_count(t, x1)
-    predicted = semicircle_density(n_dim, x1, x2)
     rel = abs(predicted - counted) / max(counted, 1)
     return predicted, counted, rel
 

@@ -293,11 +293,13 @@ def rebind_lapack():
 
 
 def _hide_numpy_lapack(monkeypatch):
-    monkeypatch.setattr(spectra, "_NUMPY_LAPACK_SYMBOLS", ("no_dstebz_", "no_dlasq1_"))
+    monkeypatch.setattr(spectra, "_NUMPY_LAPACK_SYMBOLS",
+                        ("no_dstebz_", "no_dlaebz_", "no_dlasq1_"))
 
 
 class TestLapackBinding:
-    """The ctypes binding of dstebz and dlasq1, against scipy's f2py dstebz."""
+    """The ctypes binding of dstebz, dlaebz and dlasq1, against scipy's f2py
+    dstebz and the pure-Python count."""
 
     def test_both_modes_match_scipy_bit_for_bit_on_every_small_dim(self):
         # value mode on an interval around one eigenvalue, and one that only counts
@@ -326,6 +328,28 @@ class TestLapackBinding:
         rejected = (b"V", big, m, 0, 0, tiny)  # vu < vl: info = -5 and no count
         for case in cases + [rejected] + cases[:2]:
             assert _bound_stebz(t, *case) == _scipy_stebz(t, *case), case
+
+    @pytest.mark.parametrize("n", [100, 101, 1000, 4606, 4607, 5555, 10**4, 10**5 + 1, 10**6])
+    def test_bracket_counts_match_the_oracle_and_stebz_on_both_brackets(self, n):
+        t = position_tridiagonal(n)
+        for guess, half_width in spectra._extreme_guesses(n):
+            lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
+            below = spectra._bracket_counts(t, lo, hi)
+            assert below == (sturm_count(t, lo), sturm_count(t, hi)), (n, lo, hi)
+            # a count-only dstebz call counts the same matrix
+            m, _, info = spectra._dstebz(t, b"V", lo, hi, 0, 0, 4.0 * hi)
+            assert (m, info) == (below[1] - below[0], 0), (n, lo, hi)
+
+    def test_bracket_counts_between_every_eigenvalue_of_small_dims(self):
+        for n in range(1, 61):
+            t = position_tridiagonal(n)
+            ev = eig_all(t)
+            pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
+            shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad]))
+            for lo, hi in zip(shifts[:-1], shifts[1:]):
+                assert spectra._bracket_counts(t, lo, hi) == (
+                    sturm_count(t, lo), sturm_count(t, hi)), (n, lo, hi)
+            assert spectra._bracket_counts(t, -pad, pad) == (0, n)
 
     def test_threads_sharing_one_matrix(self):
         # the GIL is released inside dstebz; each call must still see its own
@@ -363,7 +387,7 @@ class TestLapackBinding:
         spectra._lapack.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="planequant.spectra"):
             assert spectra._lapack().integer is ctypes.c_int
-        assert "LAPACK dstebz and dlasq1 from scipy" in caplog.text
+        assert "LAPACK dstebz, dlaebz and dlasq1 from scipy" in caplog.text
         assert [extreme_eigenvalues(n) for n in dims] == native
         assert eig_all(position_tridiagonal(1001)).tobytes() == spectrum.tobytes()
 
@@ -493,6 +517,7 @@ class TestBracketedRoute:
 
     def test_no_fallback_on_ladder_and_survey(self, caplog):
         dims = TABLE_DIMS + list(range(spectra._BRACKET_MIN_DIM, 2001))
+        spectra._lapack()  # bound outside the capture, whatever test ran before
         with caplog.at_level(logging.DEBUG, logger=spectra.__name__):
             sigma_table(dims)
         assert [r.getMessage() for r in caplog.records] == []
@@ -563,19 +588,28 @@ class TestBracketedRoute:
 
     @pytest.mark.parametrize("n", [4606, 4607, 10000, 10001])
     def test_summary_makes_four_calls_that_only_count_when_certified(self, n, monkeypatch):
-        calls = []
-        dstebz = spectra._dstebz
+        calls, brackets = [], []
+        dstebz, bracket_counts = spectra._dstebz, spectra._bracket_counts
 
         def recorded(t, kind, vl, vu, il, iu, abstol):
             calls.append((kind, vl, vu, abstol))
             return dstebz(t, kind, vl, vu, il, iu, abstol)
 
+        def counted(t, lo, hi):
+            brackets.append((lo, hi))
+            return bracket_counts(t, lo, hi)
+
         monkeypatch.setattr(spectra, "_dstebz", recorded)
+        monkeypatch.setattr(spectra, "_bracket_counts", counted)
         spectrum_summary(n)
-        # value mode with a tolerance wider than the interval only counts;
-        # below 4607 each bracket (lo, hi] is bisected, each (-lo, lo] counted
-        counts_only = [kind == b"V" and abstol >= vu - vl for kind, vl, vu, abstol in calls]
-        assert counts_only == ([True] * 4 if n >= 4607 else [False, True] * 2), calls
+        if n >= 4607:
+            # one dlaebz count per certified bracket, and no stebz call
+            assert (calls, len(brackets)) == ([], 2), (calls, brackets)
+        else:
+            # value mode with a tolerance wider than the interval only counts;
+            # each bracket (lo, hi] is bisected, each (-lo, lo] counted
+            counts_only = [kind == b"V" and abstol >= vu - vl for kind, vl, vu, abstol in calls]
+            assert (counts_only, brackets) == ([False, True] * 2, []), calls
 
 
 def _reference_script():
@@ -669,15 +703,27 @@ class TestSpectrumSummary:
         with pytest.raises(ValueError, match="dim 1001"):
             sigma_table([10, 1001])
 
-    def test_memory_guard_covers_the_bisection_workspaces(self):
-        n = 10**5
+    @staticmethod
+    def _peak_bytes(n: int) -> int:
+        """Peak bytes tracemalloc sees while ``extreme_eigenvalues(n)`` runs."""
         tracemalloc.start()
         try:
             extreme_eigenvalues(n)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_memory_guard_covers_the_bisection_workspaces(self):
+        # the last dimension whose brackets dstebz bisects, with its 80 N workspace
+        n = 4606
+        peak = self._peak_bytes(n)
         assert peak <= spectra._BYTES_PER_DIM * n, peak / n
+
+    def test_certified_route_peaks_at_a_third_of_the_guard(self):
+        # one dlaebz count per bracket needs only the squared off-diagonal
+        n = 10**5
+        peak = self._peak_bytes(n)
+        assert peak <= 32 * n, peak / n
 
     def test_matrix_holds_no_lapack_workspace_between_calls(self):
         n = 10**5
@@ -688,6 +734,7 @@ class TestSpectrumSummary:
             t = position_tridiagonal(n)
             spectra._bracketed_eigenvalue(t, idx_m, guess, half_width, False)
             spectra._stebz_eigenvalue(t, idx_max)
+            spectra._bracket_counts(t, guess * (1.0 - half_width), guess * (1.0 + half_width))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -793,6 +840,15 @@ class TestSemicircle:
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
             semicircle_density(10, 1.0, -1.0)
+
+    def test_count_deviation_checks_the_interval_before_counting(self, monkeypatch):
+        def no_count(t, lam):
+            raise AssertionError("counted before the interval was checked")
+
+        monkeypatch.setattr(spectra, "sturm_count", no_count)
+        for x1, x2 in ((5.0, 1.0), (1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="need x1 < x2"):
+                semicircle_count_deviation(10**6, x1, x2)
 
 
 class TestAsymptotics:
