@@ -14,29 +14,15 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
                             of the position matrix of dimension N, from
-                            LAPACK Sturm counts, O(N) per count, practical
-                            to N = 10^6.  Below N = 100 stebz bisects by
-                            index.  From N = 100 on it starts on a bracket
-                            around the Hermite-zero asymptotics, sized from
-                            the guess's error model and stebz's own
-                            rounding, and LAPACK counts prove the index of
-                            the eigenvalue in it.  Below N = 4607 stebz
-                            bisects the bracket, and a count-only stebz
-                            call on (-lo, lo] proves the index; from there
-                            on the guess's error term is below eps, and the
-                            guess itself is returned, certified by one
-                            laebz call that counts the eigenvalues below
-                            both ends of the bracket.  A bracket the counts
-                            do not prove is answered by index-selected
-                            bisection.  Measured against 40-digit Newton on
-                            the three-term recurrence: the certified guesses
-                            are within 1.73 ulp (lambda_M) and 1.64 ulp
-                            (lambda_m) on every N in 4607..6606, and
-                            stebz's lambda_M within 2 ulp on the reference
-                            N of tests/data; stebz's lambda_m, which the
-                            certified route does not return, is 101 ulp
-                            off at N = 5555 and 23,052 ulp (4.5e-12) at
-                            10^6.
+                            Sturm counts of LAPACK's bisection kernel
+                            dlaebz, O(N) per count, practical to N = 10^6:
+                            one call proves an interval that holds each
+                            eigenvalue alone, by a search below N = 100 and
+                            by the counts at the ends of asymptotic
+                            brackets from there on, and at most one more
+                            bisects both.  From N = 4607 on the guess itself
+                            is returned, within 1.73 ulp of 40-digit Newton
+                            on every N in 4607..6606.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -54,18 +40,18 @@ recurrence is written once, vectorized and rescaled by exact powers of two;
 ``char_poly_recurrence`` reads it at one point and ``hermite_residual`` at
 many.
 
-Both routes are deterministic: dlasq1, stebz and laebz are serial LAPACK
-code, so identical inputs give identical results whatever the thread count.
+Both routes are deterministic: dlasq1 and dlaebz are serial LAPACK code,
+so identical inputs give identical results whatever the thread count.
 Before building a tridiagonal, ``position_tridiagonal`` checks that the
 arrays of either route fit in physical memory.
 
-The three LAPACK routines come from ``_lapack``, which binds them with
+The two LAPACK routines come from ``_lapack``, which binds them with
 ctypes on the first spectral computation of a process: from numpy's own
 LAPACK where numpy exports them, as its scipy-openblas wheels do, and from
 scipy.linalg.cython_lapack otherwise.  With numpy's, no command imports
 scipy; with scipy's, only a spectral computation pays its ~0.3 s import.
-All are plain calls that allocate their own workspaces, so no matrix holds
-LAPACK state between calls.
+Both are plain calls that allocate their own workspaces, so no matrix
+holds LAPACK state between calls.
 """
 
 from __future__ import annotations
@@ -92,20 +78,26 @@ TWO_PI = 2.0 * math.pi
 # Largest dimension eig_all accepts; extreme eigenvalues use bisection beyond.
 DENSE_SPECTRUM_CAP = 20_000
 
-# Absolute tolerance for stebz.  It must be positive: at <= 0 LAPACK uses
-# ulp * ||T||, which moves lambda_m by 5e-11 relative at N = 10^6.  Just
-# above underflow, only the routine's relative 2-ulp test stops bisection.
-_STEBZ_ABSTOL = 2.0 * np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
-# From this dimension on, extreme_eigenvalues starts stebz on the asymptotic
+# Bisection tolerances for dlaebz, those of LAPACK's driver: an interval has
+# converged below max(abstol, pivot floor, reltol * its larger end).  abstol
+# just above underflow leaves the relative 2-ulp test alone; ulp * ||T||
+# would move lambda_m by 5e-11 relative at N = 10^6.
+_LAEBZ_ABSTOL = 2.0 * _TINY
+_LAEBZ_RELTOL = 2.0 * _EPS
+
+# From this dimension on, extreme_eigenvalues starts dlaebz on the asymptotic
 # brackets of _extreme_guesses.  Below it the guesses stay within 0.5 of their
-# half-width, but the brackets lose to the index route against 40-digit Newton:
+# half-width, and every bracket is proved, but the brackets lose to the index
+# search against 40-digit Newton (newton_zero of tests/make_hermite_reference.py):
 # - at N = 2 and 3 lambda_m and lambda_M are one eigenvalue, and at N = 3 the
 #   two brackets return it 1 ulp apart, lambda_m above lambda_M, which
 #   SpectrumSummary rejects;
-# - on N = 4..99 the bracket's value is up to 1 ulp farther from the zero on
-#   49 of the 192 values (worst 6.0 against 5.0 ulp for lambda_m, 2.03
-#   against 1.71 ulp for lambda_M).
+# - on N = 4..99 the bracket's value is farther from the zero on 45 of the
+#   192 values and closer on 38 (worst 6.0 against 5.0 ulp for lambda_m,
+#   2.03 against 1.91 ulp for lambda_M).
 _BRACKET_MIN_DIM = 100
 
 # Relative error bound of both asymptotic guesses at _BRACKET_MIN_DIM.  It
@@ -114,53 +106,53 @@ _BRACKET_MIN_DIM = 100
 # lambda_m's satisfies err (N/100)^4 <= 8.4e-10 on 101..1999.
 _GUESS_ERROR_AT_MIN_DIM = 1e-9
 
-_EPS = float(np.finfo(float).eps)
-
 # First zero of the Airy function Ai, for the largest-zero expansion.
 _AIRY_A1 = -2.338107410459767
 
 # Rescale cadence for the characteristic-polynomial recurrence.
 _RESCALE_EVERY = 16
 
-# Peak bytes per dimension of the larger route: the tridiagonal's off-diagonal
-# and zero diagonal (16 N) plus the 80 N workspace each dstebz call allocates
-# for w, iblock, isplit, work and iwork.  Only N < 4607 and a missed bracket
-# call dstebz; a certified bracket's dlaebz count needs 8 N for the squared
-# off-diagonal.  eig_all needs 48 N (tridiagonal, B's two halves,
-# 4 * ceil(N/2) work, output).
-_BYTES_PER_DIM = 96
+# Peak bytes per dimension of the larger route: eig_all needs 48 N
+# (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).  The extreme
+# eigenvalues need the off-diagonal and the squared off-diagonal each dlaebz
+# call forms (16 N), and a few cells per interval; the zero diagonal is a
+# mapping whose pages are only read.
+_BYTES_PER_DIM = 48
 
 # The bound LAPACK routines, in the order of _Lapack's fields.
-_ROUTINES = ("dstebz", "dlaebz", "dlasq1")
+_ROUTINES = ("dlaebz", "dlasq1")
 
 # Exported names of numpy's bundled ILP64 LAPACK (scipy-openblas), tried first.
 _NUMPY_LAPACK_SYMBOLS = tuple(f"scipy_{name}_64_" for name in _ROUTINES)
 
 
 class _Lapack(NamedTuple):
-    """dstebz, dlaebz and dlasq1 as ctypes calls, and the ctypes type of their INTEGERs.
+    """dlaebz and dlasq1 as ctypes calls, and the ctypes type of their INTEGERs.
 
-    Every argument is passed by address.  dstebz(range, order, n, vl, vu,
-    il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork, info)
-    takes the lengths of its two character arguments last, as size_t.
-    dlaebz(ijob, nitmax, n, mmax, minp, nbmin, abstol, reltol, pivmin, d,
-    e, e2, nval, ab, c, mout, nab, work, iwork, info) is the bisection
-    kernel that dstebz drives; with ijob = 1 it only counts, at both ends
-    ab(j, 1) and ab(j, 2) of each of minp intervals, the pivots <= 0 of the
-    LDL^T factorization on the squared off-diagonal e2 (n - 1) with tiny
-    pivots set to -pivmin, into nab(j, 1) and nab(j, 2).  dlasq1(n, d, e,
-    work, info): d (n) holds the diagonal on entry and the singular values
-    in descending order on exit, e (n) the off-diagonal in its first n - 1
-    entries, work 4 n doubles.
+    Every argument is passed by address.  dlaebz(ijob, nitmax, n, mmax, minp,
+    nbmin, abstol, reltol, pivmin, d, e, e2, nval, ab, c, mout, nab, work,
+    iwork, info) is the Sturm bisection kernel that LAPACK's eigenvalue
+    driver by bisection calls.
+    It works on minp intervals (ab(j, 1), ab(j, 2)] of the mmax x 2
+    column-major ab, and counts the pivots <= 0 of the LDL^T factorization
+    on the squared off-diagonal e2 (n - 1), tiny pivots set to -pivmin.
+    With ijob = 1 it counts both ends of each interval into nab(j, 1) and
+    nab(j, 2).  With ijob = 2 it bisects each interval, given its end counts
+    in nab, until it is narrower than max(abstol, pivmin, reltol * its larger
+    end); with ijob = 3 it bisects each toward a point whose count is
+    nval(j), starting at c(j).  Both stop after nitmax halvings, and
+    nbmin = 0 keeps to the scalar loop.  dlasq1(n, d, e, work, info): d (n)
+    holds the diagonal on entry and the singular values in descending order
+    on exit, e (n) the off-diagonal in its first n - 1 entries, work 4 n
+    doubles.
     """
 
-    dstebz: Callable[..., None]
     dlaebz: Callable[..., None]
     dlasq1: Callable[..., None]
     integer: type
 
 
-def _numpy_routines() -> tuple[int, int, int] | None:
+def _numpy_routines() -> tuple[int, int] | None:
     """Addresses of the ``_ROUTINES`` in numpy's own ILP64 LAPACK, or None.
 
     numpy's linalg extension links a LAPACK, and wheels built on
@@ -177,7 +169,7 @@ def _numpy_routines() -> tuple[int, int, int] | None:
         return None
 
 
-def _scipy_routines() -> tuple[int, int, int]:
+def _scipy_routines() -> tuple[int, int]:
     """Addresses of the ``_ROUTINES`` in scipy's LP64 LAPACK; ImportError without scipy.
 
     scipy.linalg.cython_lapack exports each routine as a PyCapsule holding
@@ -197,10 +189,10 @@ def _scipy_routines() -> tuple[int, int, int]:
 
 @cache
 def _lapack() -> _Lapack:
-    """dstebz, dlaebz and dlasq1, bound on the first spectral computation of a process.
+    """dlaebz and dlasq1, bound on the first spectral computation of a process.
 
     numpy's own LAPACK comes first: it is loaded with numpy, so a spectrum
-    costs no further import.  Where numpy does not export the three routines,
+    costs no further import.  Where numpy does not export both routines,
     they come from scipy.linalg.cython_lapack, whose import costs about
     0.3 s; that LAPACK uses 32-bit INTEGERs, and the integer type is the
     only difference between the two.  Without either, MissingDependencyError
@@ -212,17 +204,16 @@ def _lapack() -> _Lapack:
             routines = _scipy_routines()
         except ImportError as exc:
             raise MissingDependencyError(
-                "numpy's LAPACK does not export dstebz, dlaebz and dlasq1 and scipy is "
-                "not installed; install the 'scipy' extra (pip install 'planequant[scipy]')"
+                "numpy's LAPACK does not export dlaebz and dlasq1 and scipy is not "
+                "installed; install the 'scipy' extra (pip install 'planequant[scipy]')"
             ) from exc
         integer, source = ctypes.c_int, "scipy"
-    _log.debug("LAPACK dstebz, dlaebz and dlasq1 from %s, %d-bit integers",
+    _log.debug("LAPACK dlaebz and dlasq1 from %s, %d-bit integers",
                source, 8 * ctypes.sizeof(integer))
-    ptr, size = ctypes.c_void_p, ctypes.c_size_t
-    dstebz = ctypes.CFUNCTYPE(None, *[ptr] * 18, size, size)(routines[0])
-    dlaebz = ctypes.CFUNCTYPE(None, *[ptr] * 20)(routines[1])
-    dlasq1 = ctypes.CFUNCTYPE(None, *[ptr] * 5)(routines[2])
-    return _Lapack(dstebz, dlaebz, dlasq1, integer)
+    ptr = ctypes.c_void_p
+    dlaebz = ctypes.CFUNCTYPE(None, *[ptr] * 20)(routines[0])
+    dlasq1 = ctypes.CFUNCTYPE(None, *[ptr] * 5)(routines[1])
+    return _Lapack(dlaebz, dlasq1, integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +221,8 @@ class SymTridiagonal:
     """Symmetric tridiagonal matrix with zero diagonal, held as its off-diagonal.
 
     Every matrix here has a zero diagonal, so its spectrum is symmetric about
-    the origin: the precondition of ``eig_all``'s dqds split and of the index
-    proof in ``extreme_eigenvalues``.  The entries must be finite and
+    the origin: the precondition of ``eig_all``'s dqds split and of the
+    indices ``extreme_eigenvalues`` looks for.  The entries must be finite and
     strictly positive (an unreduced matrix); ``dim`` is len(offdiag) + 1.
     The matrix holds a read-only copy of the array it is given, and compares
     and hashes by identity, as the array cannot.
@@ -256,7 +247,7 @@ class SymTridiagonal:
 
     @cached_property
     def _zero_diag(self) -> np.ndarray:
-        """The zero diagonal that stebz and laebz take as an argument, read-only.
+        """The zero diagonal that dlaebz takes as an argument, read-only.
 
         It is a copy-on-write anonymous mapping rather than ``np.zeros``:
         pages that are only read stay on the kernel's zero page, so the
@@ -452,69 +443,91 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
     return count
 
 
-def _dstebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, iu: int,
-            abstol: float) -> tuple[int, float, int]:
-    """(m, lowest eigenvalue found, info) of dstebz in range ``kind`` (b"V" or b"I").
+class _Interval(NamedTuple):
+    """(lo, hi] with the eigenvalue counts at or below its ends, and a search's target count."""
 
-    Every call allocates its own argument cells and one workspace of 10 n
-    doubles, sized from LAPACK's documentation: w (n) and work (4 n) take
-    the first half, and iblock, isplit (n each) and iwork (3 n) the second,
-    whose 5 n doubles hold 5 n INTEGERs of 8 bytes or of 4.  Calls share
-    only the matrix's read-only arrays, passed by their cached addresses, so
-    threads may share a matrix.  m is 0 when LAPACK rejects an argument
-    before it counts.
+    lo: float
+    hi: float
+    at_lo: int = 0
+    at_hi: int = 0
+    target: int = 0
+
+
+def _dlaebz(t: SymTridiagonal, ijob: int, intervals: list[_Interval]) -> list[_Interval]:
+    """The ``intervals`` after one LAPACK dlaebz call with ``ijob`` on ``t``.
+
+    ijob = 1 counts both ends of each interval.  ijob = 2 bisects each
+    interval, whose counts must leave it one eigenvalue, until it is
+    narrower than max(_LAEBZ_ABSTOL, pivmin, _LAEBZ_RELTOL * its larger end).
+    ijob = 3 bisects each toward a point whose count is its target, and
+    leaves that point at both ends.  Both move a converged interval to the
+    front with its counts and target, so callers pick results by count.
+
+    The squared off-diagonal, the pivot floor tiny * max(1, max e2) and the
+    cap of log2((width + pivmin) / pivmin) + 2 halvings are those of LAPACK's
+    driver.  Each call allocates e2 (n doubles) and a few cells per interval,
+    with no room for a split: a nonzero info (intervals left unconverged, or
+    a split) raises ConvergenceError.  Calls share only the matrix's
+    read-only arrays, so threads may share a matrix.
     """
     lapack = _lapack()
-    n, integer, byref = t.dim, lapack.integer, ctypes.byref
-    m, nsplit, info = integer(), integer(), integer()
-    buf = np.empty(10 * n)
-    w = buf.ctypes.data
-    ints, step = w + buf.nbytes // 2, ctypes.sizeof(integer) * n
-    lapack.dstebz(byref(ctypes.c_char(kind)), byref(ctypes.c_char(b"E")), byref(integer(n)),
-                  byref(ctypes.c_double(vl)), byref(ctypes.c_double(vu)), byref(integer(il)),
-                  byref(integer(iu)), byref(ctypes.c_double(abstol)), *t._addresses,
-                  byref(m), byref(nsplit), w, ints, ints + step,
-                  w + 8 * n, ints + 2 * step, byref(info), 1, 1)
-    return m.value, float(buf[0]), info.value
-
-
-def _bracket_counts(t: SymTridiagonal, lo: float, hi: float) -> tuple[int, int]:
-    """(count at lo, count at hi): the eigenvalues at or below each end, by one dlaebz call.
-
-    dlaebz with ijob = 1 counts both ends of one interval in one pass each.
-    It counts on the squared off-diagonal offdiag * offdiag and the pivot
-    floor tiny * max(1, max e2) that dstebz forms and hands it, so the
-    counted matrix is the one a count-only dstebz call counts, without
-    dstebz's split and Gershgorin passes or its 10 n workspace.  The call
-    allocates e2 (n doubles) and a few cells; the matrix keeps nothing.
-    With ijob = 1, dlaebz has no failure to report.
-    """
-    lapack = _lapack()
-    integer, byref = lapack.integer, ctypes.byref
+    integer, double, byref = lapack.integer, ctypes.c_double, ctypes.byref
+    m = len(intervals)
+    lo, hi, at_lo, at_hi, target = zip(*intervals)
     e2 = t.offdiag * t.offdiag
-    pivmin = np.finfo(float).tiny * e2.max(initial=1.0)
-    ab = (ctypes.c_double * 2)(lo, hi)
-    nab = (integer * 2)()
-    one, zero, mout, info = integer(1), integer(0), integer(), integer()
-    # nitmax, nbmin, abstol, reltol, nval, c, work and iwork: unread with ijob = 1
-    cell, icell = ctypes.c_double(), integer()
-    diag, off = t._addresses
-    lapack.dlaebz(byref(one), byref(zero), byref(integer(t.dim)), byref(one), byref(one),
-                  byref(zero), byref(cell), byref(cell), byref(ctypes.c_double(pivmin)),
-                  diag, off, e2.ctypes.data, byref(icell), ab, byref(cell), byref(mout),
-                  nab, byref(cell), byref(icell), byref(info))
-    return nab[0], nab[1]
-
-
-def _stebz_eigenvalue(t: SymTridiagonal, index: int) -> float:
-    """Eigenvalue with 0-based ascending index by LAPACK Sturm bisection."""
-    m, value, info = _dstebz(t, b"I", 0.0, 0.0, index + 1, index + 1, _STEBZ_ABSTOL)
-    if info != 0 or m != 1:
+    pivmin = _TINY * float(e2.max(initial=1.0))
+    nitmax = 0
+    if ijob > 1:
+        width = max(h - l for l, h in zip(lo, hi))
+        nitmax = int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+    ab = (double * (2 * m))(*lo, *hi)
+    nab = (integer * (2 * m))(*at_lo, *at_hi)
+    nval = (integer * m)(*target)
+    c = (double * m)(*(0.5 * (l + h) for l, h in zip(lo, hi)))
+    mout, info = integer(), integer()
+    lapack.dlaebz(byref(integer(ijob)), byref(integer(nitmax)), byref(integer(t.dim)),
+                  byref(integer(m)), byref(integer(m)), byref(integer(0)),
+                  byref(double(_LAEBZ_ABSTOL)), byref(double(_LAEBZ_RELTOL)),
+                  byref(double(pivmin)), *t._addresses, e2.ctypes.data, nval, ab, c,
+                  byref(mout), nab, (double * m)(), (integer * m)(), byref(info))
+    if info.value != 0:
         raise ConvergenceError(
-            f"stebz returned info = {info} and {m} eigenvalue(s) for index {index} "
-            f"of dim {t.dim}"
+            f"Sturm bisection (dlaebz, ijob = {ijob}) failed with info = {info.value} "
+            f"for dim {t.dim}"
         )
-    return value
+    return [_Interval(ab[j], ab[m + j], nab[j], nab[m + j], nval[j]) for j in range(m)]
+
+
+def _index_intervals(t: SymTridiagonal, indices) -> list[_Interval]:
+    """One interval per eigenvalue index, holding it alone, by one dlaebz search (ijob = 3).
+
+    Each search starts on (-g - 1, g + 1], g the Gershgorin bound, whose
+    ends count 0 and N: the margin of 1 is far beyond the count's rounding,
+    about N eps g (3e-7 at N = 10^6).  It looks for points whose counts are
+    i and i + 1, and eigenvalue i lies between them; a pair of points that
+    does not prove that raises ConvergenceError.
+    """
+    bound = t.gershgorin_bound() + 1.0
+    targets = sorted({count for i in indices for count in (i, i + 1)})
+    found = {point.target: point for point in
+             _dlaebz(t, 3, [_Interval(-bound, bound, 0, t.dim, n) for n in targets])}
+    intervals = []
+    for i in sorted(set(indices)):
+        below, above = found[i], found[i + 1]
+        if (below.at_lo, above.at_hi) != (i, i + 1):
+            raise ConvergenceError(
+                f"no Sturm counts separate eigenvalue {i} of dim {t.dim} from its neighbours")
+        intervals.append(_Interval(below.lo, above.hi, i, i + 1))
+    return intervals
+
+
+def _bisect(t: SymTridiagonal, intervals: list[_Interval]) -> dict[int, float]:
+    """{index: eigenvalue} for intervals that each hold eigenvalue ``at_lo`` alone.
+
+    One dlaebz call (ijob = 2) bisects them all, and each result is the
+    midpoint of its final interval, as LAPACK's driver returns it.
+    """
+    return {done.at_lo: 0.5 * (done.lo + done.hi) for done in _dlaebz(t, 2, intervals)}
 
 
 def _guess_error(n_dim: int) -> float:
@@ -540,13 +553,13 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     LAPACK counts prove the result, the sum of two error terms.  The guess
     term, 1e-9 (100/N)^4, bounds the expansions' own error; from N = 4607 on
     it is below eps and ``extreme_eigenvalues`` returns the guess itself.
-    The solver term is room for the point where stebz's count changes,
-    which the bracket must contain.  For lambda_m it is N eps / 8: stebz's
-    value drifts from the true zero within the O(N eps) relative-perturbation
-    bound of bisection on a zero-diagonal tridiagonal (Demmel & Kahan 1990),
-    by at most N eps / 27 on N = 100..3000 and on the default sigma-table
-    ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps: stebz's value is
-    within a few ulps of the true zero, and dqds's within 0.45 sqrt(N) eps
+    The solver term is room for the point where the LAPACK Sturm count
+    changes, which the bracket must contain.  For lambda_m it is N eps / 8:
+    the bisected value drifts from the true zero within the O(N eps)
+    relative-perturbation bound of bisection on a zero-diagonal tridiagonal
+    (Demmel & Kahan 1990), by at most N eps / 27 on N = 100..3000 and on the
+    default sigma-table ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps:
+    the bisected value is within a few ulps of the true zero, and dqds's within 0.45 sqrt(N) eps
     on N <= 20000, so the guess also lies well inside the bracket around the
     full-spectrum route's value.  A bracket that misses costs the index
     route, not a wrong result.
@@ -566,45 +579,6 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
             (math.sqrt(big2), guess_error + 3.0 * math.sqrt(n_dim) * _EPS))
 
 
-def _bracketed_eigenvalue(t: SymTridiagonal, index: int, guess: float, half_width: float,
-                          certify: bool) -> float:
-    """Eigenvalue ``index`` (>= N/2) on an asymptotic bracket, its index proved by counts.
-
-    LAPACK counts prove which eigenvalue the bracket (lo, hi] =
-    (guess (1 - half_width), guess (1 + half_width)] holds.  With
-    ``certify`` the result is the guess itself, and one dlaebz call
-    (``_bracket_counts``) proves it: index eigenvalues at or below lo and
-    index + 1 at or below hi leave exactly eigenvalue ``index`` in the
-    bracket.  Otherwise stebz bisects the bracket to its own 2-ulp
-    criterion, which also proves exactly one eigenvalue in it, and the
-    result is its value; a count-only stebz call (an absolute tolerance
-    wider than the interval stops it right after its counts) then finds
-    exactly 2 index - N eigenvalues in (-lo, lo].  The spectrum of a
-    zero-diagonal matrix is symmetric, so that count leaves N - index
-    eigenvalues above lo, and the one in the bracket is the lowest of
-    them.  Any other outcome is logged and answered by the index route.
-    """
-    lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
-    if not 0.0 < lo < hi:
-        counted = "is not a positive interval"
-    elif certify:
-        below = _bracket_counts(t, lo, hi)
-        if below == (index, index + 1):
-            return guess
-        counted = f"has {below[0]} and {below[1]} eigenvalue(s) at or below its ends"
-    else:
-        m, value, info = _dstebz(t, b"V", lo, hi, 0, 0, _STEBZ_ABSTOL)
-        inside = None
-        if info == 0 and m == 1:
-            inside, _, info = _dstebz(t, b"V", -lo, lo, 0, 0, 4.0 * lo)
-            if info == 0 and inside == 2 * index - t.dim:
-                return value
-        counted = f"held {m} eigenvalue(s) and (-lo, lo] {inside}"
-    _log.debug("dim %d, index %d: bracket (%r, %r] %s; using the index route",
-               t.dim, index, lo, hi, counted)
-    return _stebz_eigenvalue(t, index)
-
-
 def _extreme_indices(n_dim: int) -> tuple[int, int]:
     """0-based indices of the smallest positive and the largest eigenvalue.
 
@@ -620,36 +594,48 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
 
     ``n_dim`` is an integer >= 2; anything else, a matrix included, raises
     ValueError.  The matrix is ``position_tridiagonal(n_dim)``, and the
-    route follows from N alone.  LAPACK Sturm counts, O(N) each, practical
-    at N = 10^6.  The zero diagonal makes the spectrum symmetric, which
-    fixes the index of the smallest positive eigenvalue and proves the
-    bisected brackets.  Below N = 100 stebz bisects by index.  From N = 100
-    on, every result comes from the bracket of the asymptotic guesses, and
-    LAPACK counts prove its index; a result they do not prove (a missed
-    bracket) comes from index-selected bisection.
-
-    Below N = 4607 stebz bisects the bracket to its own criterion, 2 ulp
-    relative around the point where its Sturm count changes.  For lambda_M
-    that point is within 2 ulp of the true eigenvalue; for lambda_m it
-    drifts away as N grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6),
-    and each bracket's half-width holds room for that drift.  From N = 4607
-    on, where the guess term of ``_extreme_guesses``, 1e-9 (100/N)^4, is at
-    most eps, the result is the guess itself, proved by one dlaebz call that
-    counts the eigenvalues at or below both ends of its bracket; no stebz
-    call is made.  Against 40-digit Newton the certified values are within
-    1.73 ulp (lambda_M, worst at N = 5494) and 1.64 ulp (lambda_m, worst at
-    N = 6397) on every N in 4607..6606.  Other zero-diagonal matrices take
-    ``eig_all`` and ``sturm_count``.
+    route follows from N alone; its zero diagonal makes the spectrum
+    symmetric, which fixes the index i of each eigenvalue.  One dlaebz call
+    proves an interval that holds each alone: below N = 100 by a search for
+    points whose counts are i and i + 1 (``_index_intervals``), from there
+    on by counts of i and i + 1 at the ends of the asymptotic brackets.  A
+    bracket the counts do not prove is logged and answered by the search.
+    Below N = 4607 one more call bisects the proved intervals to 2 ulp
+    relative around the point where the count changes.  For lambda_M that
+    point is within 2 ulp of the true eigenvalue; for lambda_m it drifts
+    away as N grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6), and
+    each bracket's half-width holds room for that drift.  From N = 4607 on,
+    where the guess term of ``_extreme_guesses``, 1e-9 (100/N)^4, is at most
+    eps, a proved bracket returns the guess itself.  Against 40-digit Newton
+    the certified values are within 1.73 ulp (lambda_M, worst at N = 5494)
+    and 1.64 ulp (lambda_m, worst at N = 6397) on every N in 4607..6606.
+    Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     t = position_tridiagonal(n_dim)
-    idx_m, idx_max = _extreme_indices(n_dim)
+    indices = _extreme_indices(n_dim)
+    values, proved, missed = {}, [], []
     if n_dim < _BRACKET_MIN_DIM:
-        return _stebz_eigenvalue(t, idx_m), _stebz_eigenvalue(t, idx_max)
-    guess_m, guess_max = _extreme_guesses(n_dim)
-    certify = _guess_error(n_dim) <= _EPS
-    return (_bracketed_eigenvalue(t, idx_m, *guess_m, certify),
-            _bracketed_eigenvalue(t, idx_max, *guess_max, certify))
+        missed = list(indices)
+    else:
+        guesses = _extreme_guesses(n_dim)
+        certified = _guess_error(n_dim) <= _EPS
+        brackets = [_Interval(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
+        for i, (guess, _), counted in zip(indices, guesses, _dlaebz(t, 1, brackets)):
+            if (counted.at_lo, counted.at_hi) != (i, i + 1):
+                _log.debug("dim %d, index %d: bracket (%r, %r] has %d and %d eigenvalue(s) "
+                           "at or below its ends; using the index route",
+                           n_dim, i, counted.lo, counted.hi, counted.at_lo, counted.at_hi)
+                missed.append(i)
+            elif certified:
+                values[i] = guess
+            else:
+                proved.append(counted)
+    if missed:
+        proved += _index_intervals(t, missed)
+    if proved:
+        values.update(_bisect(t, proved))
+    return values[indices[0]], values[indices[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_commands_without_a_spectrum_leave_scipy_linalg_unloaded(argv, tmp_path)
 
 
 @pytest.mark.skipif(spectra._numpy_routines() is None,
-                    reason="numpy's LAPACK does not export dstebz, dlaebz and dlasq1")
+                    reason="numpy's LAPACK does not export dlaebz and dlasq1")
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n", "50"],
     ["bounds", "--l-c", "1e-10", "--l-m", "1e-35", "--sigma-n", "100"],
@@ -50,7 +50,7 @@ def test_commands_without_a_spectrum_leave_scipy_linalg_unloaded(argv, tmp_path)
     ["verify"],
 ], ids=["spectrum", "bounds-sigma-n", "sigma-table", "verify"])
 def test_commands_with_a_spectrum_leave_scipy_unloaded(argv, tmp_path):
-    # dstebz, dlaebz and dlasq1 come from numpy's own LAPACK
+    # dlaebz and dlasq1 come from numpy's own LAPACK
     statement = f"from planequant import cli; cli.main({argv!r})"
     assert _scipy_modules_after(statement, cwd=tmp_path) == []
 

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dstebz
 
 from planequant import cli, frame, spectra
@@ -54,6 +56,7 @@ from planequant.spectra import (
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 _TESTS = Path(__file__).parent
 _REFERENCE_PATH = _TESTS / "data" / "hermite_extremes.json"
 
@@ -278,12 +281,6 @@ def _scipy_stebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, 
     return m, float(w[0]).hex() if m else None, info
 
 
-def _bound_stebz(t: SymTridiagonal, *args) -> tuple[int, str | None, int]:
-    """The same triple from the ctypes binding."""
-    m, value, info = spectra._dstebz(t, *args)
-    return m, value.hex() if m else None, info
-
-
 @pytest.fixture
 def rebind_lapack():
     """Unbind LAPACK before and after the test, so the test binds its own."""
@@ -293,73 +290,78 @@ def rebind_lapack():
 
 
 def _hide_numpy_lapack(monkeypatch):
-    monkeypatch.setattr(spectra, "_NUMPY_LAPACK_SYMBOLS",
-                        ("no_dstebz_", "no_dlaebz_", "no_dlasq1_"))
+    monkeypatch.setattr(spectra, "_NUMPY_LAPACK_SYMBOLS", ("no_dlaebz_", "no_dlasq1_"))
+
+
+def _brackets(n: int) -> list:
+    """Both asymptotic brackets of dimension n as dlaebz intervals."""
+    return [spectra._Interval(guess * (1.0 - half_width), guess * (1.0 + half_width))
+            for guess, half_width in spectra._extreme_guesses(n)]
+
+
+def _index_route(t: SymTridiagonal, indices) -> list[float]:
+    """The package's index route: search (ijob 3), then bisect (ijob 2)."""
+    values = spectra._bisect(t, spectra._index_intervals(t, indices))
+    return [values[i] for i in indices]
 
 
 class TestLapackBinding:
-    """The ctypes binding of dstebz, dlaebz and dlasq1, against scipy's f2py
-    dstebz and the pure-Python count."""
-
-    def test_both_modes_match_scipy_bit_for_bit_on_every_small_dim(self):
-        # value mode on an interval around one eigenvalue, and one that only counts
-        tiny = spectra._STEBZ_ABSTOL
-        for n in range(1, 301):
-            t = position_tridiagonal(n)
-            pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
-            ev = np.concatenate(([-pad], eig_all(t), [pad]))
-            cases = [(b"I", 0.0, 0.0, i, i, tiny) for i in sorted({1, (n + 1) // 2, n})]
-            cases += [(b"V", 0.5 * (ev[i - 1] + ev[i]), 0.5 * (ev[i] + ev[i + 1]), 0, 0, tiny)
-                      for i in sorted({1, n // 2 + 1, n})]
-            cases.append((b"V", -ev[-1], ev[-1], 0, 0, 2.0 * ev[-1]))
-            for case in cases:
-                assert _bound_stebz(t, *case) == _scipy_stebz(t, *case), (n, case)
-
-    def test_repeated_calls_on_one_matrix_match_scipy_at_large_dim(self):
-        n = 10**5
-        t = position_tridiagonal(n)
-        (m, half_m), (big, half_big) = spectra._extreme_guesses(n)
-        tiny = spectra._STEBZ_ABSTOL
-        cases = []
-        for guess, half in ((big, half_big), (m, half_m)):
-            lo, hi = guess * (1.0 - half), guess * (1.0 + half)
-            cases += [(b"V", lo, hi, 0, 0, tiny), (b"V", -lo, lo, 0, 0, 4.0 * lo)]
-        cases += [(b"I", 0.0, 0.0, i + 1, i + 1, tiny) for i in spectra._extreme_indices(n)]
-        rejected = (b"V", big, m, 0, 0, tiny)  # vu < vl: info = -5 and no count
-        for case in cases + [rejected] + cases[:2]:
-            assert _bound_stebz(t, *case) == _scipy_stebz(t, *case), case
+    """The ctypes binding of dlaebz and dlasq1, against the pure-Python count
+    and scipy's f2py dstebz, the LAPACK driver that calls dlaebz."""
 
     @pytest.mark.parametrize("n", [100, 101, 1000, 4606, 4607, 5555, 10**4, 10**5 + 1, 10**6])
-    def test_bracket_counts_match_the_oracle_and_stebz_on_both_brackets(self, n):
+    def test_counts_match_the_oracle_and_dstebz_on_both_brackets(self, n):
         t = position_tridiagonal(n)
-        for guess, half_width in spectra._extreme_guesses(n):
-            lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
-            below = spectra._bracket_counts(t, lo, hi)
-            assert below == (sturm_count(t, lo), sturm_count(t, hi)), (n, lo, hi)
-            # a count-only dstebz call counts the same matrix
-            m, _, info = spectra._dstebz(t, b"V", lo, hi, 0, 0, 4.0 * hi)
-            assert (m, info) == (below[1] - below[0], 0), (n, lo, hi)
+        for counted in spectra._dlaebz(t, 1, _brackets(n)):
+            lo, hi = counted.lo, counted.hi
+            assert (counted.at_lo, counted.at_hi) == (sturm_count(t, lo), sturm_count(t, hi)), n
+            # a count-only dstebz call (a tolerance wider than the interval) counts the same matrix
+            m, _, info = _scipy_stebz(t, b"V", lo, hi, 0, 0, 4.0 * hi)
+            assert (m, info) == (counted.at_hi - counted.at_lo, 0), (n, lo, hi)
 
-    def test_bracket_counts_between_every_eigenvalue_of_small_dims(self):
+    def test_counts_between_every_eigenvalue_of_small_dims(self):
         for n in range(1, 61):
             t = position_tridiagonal(n)
             ev = eig_all(t)
             pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
             shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad]))
-            for lo, hi in zip(shifts[:-1], shifts[1:]):
-                assert spectra._bracket_counts(t, lo, hi) == (
-                    sturm_count(t, lo), sturm_count(t, hi)), (n, lo, hi)
-            assert spectra._bracket_counts(t, -pad, pad) == (0, n)
+            intervals = [spectra._Interval(lo, hi) for lo, hi in zip(shifts[:-1], shifts[1:])]
+            intervals.append(spectra._Interval(-pad, pad))
+            counted = spectra._dlaebz(t, 1, intervals)
+            assert [(c.lo, c.hi) for c in counted] == [(c.lo, c.hi) for c in intervals], n
+            assert [(c.at_lo, c.at_hi) for c in counted] == (
+                [(sturm_count(t, c.lo), sturm_count(t, c.hi)) for c in intervals]), n
+            assert (counted[-1].at_lo, counted[-1].at_hi) == (0, n)
+
+    def test_search_and_bisection_pick_results_by_count(self):
+        # dlaebz moves each converged interval to the front: the search for
+        # the largest eigenvalue's upper point (count N) hits first
+        n = 50
+        t = position_tridiagonal(n)
+        bound = t.gershgorin_bound() + 1.0
+        targets = [25, 26, 49, 50]
+        found = spectra._dlaebz(t, 3, [spectra._Interval(-bound, bound, 0, n, k) for k in targets])
+        assert sorted(p.target for p in found) == targets
+        assert [p.target for p in found] != targets
+        for point in found:
+            # a hit leaves the point at both ends, with its count
+            assert point.lo == point.hi and point.at_lo == point.at_hi == point.target
+            assert sturm_count(t, point.lo) == point.target
+        intervals = spectra._index_intervals(t, [49, 25])
+        assert [(i.at_lo, i.at_hi) for i in intervals] == [(25, 26), (49, 50)]
+        ev = eig_all(t)
+        for i, value in spectra._bisect(t, intervals[::-1]).items():
+            assert abs(value - ev[i]) <= 1e-14 * ev[-1], i
 
     def test_threads_sharing_one_matrix(self):
-        # the GIL is released inside dstebz; each call must still see its own
+        # the GIL is released inside dlaebz; each call must still see its own
         # arguments and results
         t = position_tridiagonal(3000)
-        expected = {i: spectra._stebz_eigenvalue(t, i) for i in range(1500, 3000, 100)}
+        expected = {i: _index_route(t, [i])[0] for i in range(1500, 3000, 100)}
 
         def work(seed):
             indices = list(expected)[seed % 3::3] * 4
-            return [(i, spectra._stebz_eigenvalue(t, i)) for i in indices]
+            return [(i, _index_route(t, [i])[0]) for i in indices]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -371,6 +373,22 @@ class TestLapackBinding:
             sys.setswitchinterval(interval)
         assert all(value == expected[i] for i, value in results)
 
+    @pytest.mark.parametrize("n, info", [(10, 1), (1000, 3)], ids=["search", "bisection"])
+    def test_dlaebz_failure_is_convergence_error(self, n, info, monkeypatch):
+        # below N = 100 the search (ijob 3) fails; at 1000 the bisection (ijob 2)
+        # reports mmax + 1, an interval that would split
+        lapack = spectra._lapack()
+
+        @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
+        def failing_dlaebz(ijob, *args):
+            lapack.dlaebz(ijob, *args)
+            if lapack.integer.from_address(ijob).value != 1:
+                lapack.integer.from_address(args[-1]).value = info
+
+        monkeypatch.setattr(spectra, "_lapack", lambda: lapack._replace(dlaebz=failing_dlaebz))
+        with pytest.raises(ConvergenceError, match=f"info = {info} for dim {n}"):
+            extreme_eigenvalues(n)
+
     def test_binding_is_logged_once_with_its_source(self, rebind_lapack, caplog):
         source = "numpy" if spectra._numpy_routines() is not None else "scipy"
         with caplog.at_level(logging.DEBUG, logger="planequant.spectra"):
@@ -380,14 +398,16 @@ class TestLapackBinding:
         assert len(messages) == 1 and f"from {source}" in messages[0], messages
 
     def test_scipy_capsules_give_the_same_bits(self, monkeypatch, rebind_lapack, caplog):
-        dims = [n for n in TABLE_DIMS if n <= 10**5]
+        # the ladder's index route, bisected brackets (551 among them) and
+        # certified ones, an odd bisected dim and the last bisected one
+        dims = [n for n in TABLE_DIMS if n <= 10**5] + [101, 4606]
         native = [extreme_eigenvalues(n) for n in dims]
         spectrum = eig_all(position_tridiagonal(1001))
         _hide_numpy_lapack(monkeypatch)
         spectra._lapack.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="planequant.spectra"):
             assert spectra._lapack().integer is ctypes.c_int
-        assert "LAPACK dstebz, dlaebz and dlasq1 from scipy" in caplog.text
+        assert "LAPACK dlaebz and dlasq1 from scipy" in caplog.text
         assert [extreme_eigenvalues(n) for n in dims] == native
         assert eig_all(position_tridiagonal(1001)).tobytes() == spectrum.tobytes()
 
@@ -475,6 +495,11 @@ class TestExtremeEigenvalues:
             t = position_tridiagonal(n)
             _assert_sturm_bracketed(t, *extreme_eigenvalues(n))
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(301, 4606))
+    def test_sturm_brackets_the_bisected_dims(self, n):
+        _assert_sturm_bracketed(position_tridiagonal(n), *extreme_eigenvalues(n))
+
     def test_sturm_brackets_at_one_million(self):
         # lambda_m is the certified guess, the true zero, while the oracle's
         # count changes 4.5e-12 relative away from it, beyond 8 ulps; the
@@ -499,13 +524,19 @@ class TestExtremeEigenvalues:
 
 
 class TestBracketedRoute:
-    """The asymptotic bracket must hit on every dimension it serves, agree
-    with the index route to 2 ulp, and fall back to that route exactly when
-    LAPACK's counts do not prove the bracketed index."""
+    """The asymptotic bracket must hit on every dimension it serves, give
+    dstebz's bits where it bisects, and fall back to the index route
+    exactly when LAPACK's counts do not prove the bracketed index."""
 
     @staticmethod
     def _index_route(t: SymTridiagonal) -> tuple[float, float]:
-        return tuple(spectra._stebz_eigenvalue(t, i) for i in _extreme_indices(t.dim))
+        return tuple(_index_route(t, _extreme_indices(t.dim)))
+
+    @staticmethod
+    def _dstebz_by_index(t: SymTridiagonal) -> tuple[float, float]:
+        """scipy's f2py dstebz (RANGE='I') on both extreme indices, the independent oracle."""
+        return tuple(float.fromhex(_scipy_stebz(t, b"I", 0.0, 0.0, i + 1, i + 1, 2.0 * TINY)[1])
+                     for i in _extreme_indices(t.dim))
 
     def test_guesses_within_a_tenth_of_the_half_width(self):
         # held to the 40-digit reference, not to dqds, whose lambda_M is
@@ -525,10 +556,10 @@ class TestBracketedRoute:
     def test_matches_index_route_to_two_ulp(self):
         for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + TABLE_DIMS:
             t = position_tridiagonal(n)
-            exact = self._index_route(t)
+            exact = self._dstebz_by_index(t)
             if _certified(n):
-                # the certified guess is not stebz's value; it is held to the
-                # 40-digit reference instead
+                # the certified guess is not a bisected value; it is held to
+                # the 40-digit reference instead
                 _assert_near_reference(n, extreme_eigenvalues(n))
             else:
                 for got, want in zip(extreme_eigenvalues(n), exact):
@@ -539,6 +570,23 @@ class TestBracketedRoute:
             # its bracket's half-width of the guess
             for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
                 assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
+
+    def test_bisected_brackets_match_dstebz_bit_for_bit(self):
+        # dlaebz bisects both brackets in one call with the tolerances, pivot
+        # floor and midpoint that dstebz uses on one interval (RANGE='V')
+        for n in list(range(spectra._BRACKET_MIN_DIM, 401)) + [1000, 1001, 4606]:
+            t = position_tridiagonal(n)
+            for value, bracket in zip(extreme_eigenvalues(n), _brackets(n)):
+                want = _scipy_stebz(t, b"V", bracket.lo, bracket.hi, 0, 0, 2.0 * TINY)
+                assert want == (1, value.hex(), 0), (n, value.hex(), want)
+
+    @pytest.mark.parametrize("dims", [range(2, 301), [1000, 1001, 10000, 10001]],
+                             ids=["every-small-dim", "missed-bracket-dims"])
+    def test_index_route_within_two_ulp_of_dstebz(self, dims):
+        for n in dims:
+            t = position_tridiagonal(n)
+            for got, want in zip(self._index_route(t), self._dstebz_by_index(t)):
+                assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
 
     def test_largest_eigenvalue_bisects_from_a_narrow_bracket(self):
         _, (_, half_width) = spectra._extreme_guesses(10**4)
@@ -567,7 +615,7 @@ class TestBracketedRoute:
             "wide": ((3.0 * ev[idx_m], 0.9), (0.5 * ev[idx_max], 0.9)),
             # none in the bracket
             "empty": ((1.5 * ev[idx_m], width), (2.0 * ev[idx_max], width)),
-            # just above stebz's value, too narrow to reach it
+            # just above the index route's value, too narrow to reach it
             "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in exact),
             # no interval at all
             "degenerate": ((exact[0], 0.0), (-exact[1], width)),
@@ -586,30 +634,23 @@ class TestBracketedRoute:
         for n in dims:
             _assert_near_reference(n, extreme_eigenvalues(n))
 
-    @pytest.mark.parametrize("n", [4606, 4607, 10000, 10001])
-    def test_summary_makes_four_calls_that_only_count_when_certified(self, n, monkeypatch):
-        calls, brackets = [], []
-        dstebz, bracket_counts = spectra._dstebz, spectra._bracket_counts
+    @pytest.mark.parametrize("n, ijobs", [
+        (99, [3, 2]), (100, [1, 2]), (4606, [1, 2]), (4607, [1]), (10000, [1]), (10001, [1]),
+    ])
+    def test_one_dlaebz_call_per_certified_dim_and_two_per_bisected(self, n, ijobs,
+                                                                    monkeypatch):
+        calls = []
+        dlaebz = spectra._dlaebz
 
-        def recorded(t, kind, vl, vu, il, iu, abstol):
-            calls.append((kind, vl, vu, abstol))
-            return dstebz(t, kind, vl, vu, il, iu, abstol)
+        def recorded(t, ijob, intervals):
+            calls.append((ijob, len(intervals)))
+            return dlaebz(t, ijob, intervals)
 
-        def counted(t, lo, hi):
-            brackets.append((lo, hi))
-            return bracket_counts(t, lo, hi)
-
-        monkeypatch.setattr(spectra, "_dstebz", recorded)
-        monkeypatch.setattr(spectra, "_bracket_counts", counted)
+        monkeypatch.setattr(spectra, "_dlaebz", recorded)
         spectrum_summary(n)
-        if n >= 4607:
-            # one dlaebz count per certified bracket, and no stebz call
-            assert (calls, len(brackets)) == ([], 2), (calls, brackets)
-        else:
-            # value mode with a tolerance wider than the interval only counts;
-            # each bracket (lo, hi] is bisected, each (-lo, lo] counted
-            counts_only = [kind == b"V" and abstol >= vu - vl for kind, vl, vu, abstol in calls]
-            assert (counts_only, brackets) == ([False, True] * 2, []), calls
+        # both extremes share every call: two intervals, or four searched points
+        sizes = {1: 2, 2: 2, 3: 4}
+        assert calls == [(ijob, sizes[ijob]) for ijob in ijobs], calls
 
 
 def _reference_script():
@@ -704,37 +745,37 @@ class TestSpectrumSummary:
             sigma_table([10, 1001])
 
     @staticmethod
-    def _peak_bytes(n: int) -> int:
-        """Peak bytes tracemalloc sees while ``extreme_eigenvalues(n)`` runs."""
+    def _peak_bytes(call) -> int:
+        """Peak bytes tracemalloc sees while ``call()`` runs."""
         tracemalloc.start()
         try:
-            extreme_eigenvalues(n)
+            call()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_memory_guard_covers_the_bisection_workspaces(self):
-        # the last dimension whose brackets dstebz bisects, with its 80 N workspace
+        # eig_all sets the guard; the last dimension whose brackets dlaebz
+        # bisects needs less than half of it
         n = 4606
-        peak = self._peak_bytes(n)
-        assert peak <= spectra._BYTES_PER_DIM * n, peak / n
+        for call in (lambda: eig_all(position_tridiagonal(n)), lambda: extreme_eigenvalues(n)):
+            peak = self._peak_bytes(call)
+            assert peak <= spectra._BYTES_PER_DIM * n, peak / n
 
-    def test_certified_route_peaks_at_a_third_of_the_guard(self):
-        # one dlaebz count per bracket needs only the squared off-diagonal
-        n = 10**5
-        peak = self._peak_bytes(n)
+    @pytest.mark.parametrize("n", [4606, 10**5], ids=["bisected", "certified"])
+    def test_extreme_route_peaks_at_32_bytes_per_dim(self, n):
+        # the off-diagonal and one squared off-diagonal per dlaebz call, with
+        # no 10 N bisection workspace (93 bytes per dim at 4606 with one)
+        peak = self._peak_bytes(lambda: extreme_eigenvalues(n))
         assert peak <= 32 * n, peak / n
 
     def test_matrix_holds_no_lapack_workspace_between_calls(self):
         n = 10**5
-        (guess, half_width), _ = spectra._extreme_guesses(n)
-        idx_m, idx_max = _extreme_indices(n)
         tracemalloc.start()
         try:
             t = position_tridiagonal(n)
-            spectra._bracketed_eigenvalue(t, idx_m, guess, half_width, False)
-            spectra._stebz_eigenvalue(t, idx_max)
-            spectra._bracket_counts(t, guess * (1.0 - half_width), guess * (1.0 + half_width))
+            counted = spectra._dlaebz(t, 1, _brackets(n))
+            spectra._bisect(t, counted + spectra._index_intervals(t, _extreme_indices(n)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -759,7 +800,7 @@ class TestSpectrumSummary:
 
 class TestSigmaTable:
     def test_matches_independent_dqds_route(self):
-        # sigma rebuilt from the full dqds spectrum, not from the stebz route
+        # sigma rebuilt from the full dqds spectrum, not from the dlaebz route
         # that sigma_table runs; both are within a few ulps of each other
         for s in sigma_table(range(2, 40)):
             ev = eig_all(position_tridiagonal(s.dim))
