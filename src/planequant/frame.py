@@ -10,8 +10,10 @@ scales enter only in the bounds calculator of the CLI.
 Every coefficient vector comes from ``monomial_state_matrix``, the running
 product c_n = c_{n-1} z / sqrt(n) from c_0 = 1, and a state is that column
 over its own 2-norm.  Every quadrature integral over the frame is the one
-chunked sum V w V^H of ``frame_sandwich``, and every linear-scale partial
-sum S_m of the exponential series comes from ``exp_partial_sums``.
+sum of ``frame_sandwich``, which takes the plane rule's angular DFT on each
+radial circle and builds the matrix one diagonal at a time, and every
+linear-scale partial sum S_m of the exponential series comes from
+``exp_partial_sums``.
 
 A dimension is a plain ``int`` N >= 1, checked by ``as_dimension``.  All
 functions are pure and keep no caches, so concurrent use from multiple
@@ -21,6 +23,7 @@ threads is safe.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import operator
 import os
@@ -142,7 +145,9 @@ def exp_partial_sums(n_dim: int, r2):
     """(S_{N-2}, S_{N-1}, S_N) of S_m = sum_{j<m} r2^j / j!, elementwise; S_m = 0 for m <= 0.
 
     The running product t_j = t_{j-1} r2 / j from t_0 = 1, summed in order,
-    over a nonnegative float or array ``r2``; a Python float stays one.
+    over a nonnegative float or array ``r2``; a Python float stays one.  An
+    array keeps one term and one total buffer, updated in place, and takes
+    S_{N-2} and S_{N-1} as copies; the bits are those of the scalar loop.
     Once every term is 0.0 no later sum changes, so the loop stops there
     (checked every 64 terms) with the same bits.  Rejects r2 beyond
     ``OVERFLOW_R2``; the log-domain variants go on.
@@ -152,18 +157,20 @@ def exp_partial_sums(n_dim: int, r2):
     if not (low >= 0.0):
         raise ValueError(f"r2 must be nonnegative, got {low!r}")
     _check_linear_range(high, "the log-domain variants")
-    total = s_nm2 = s_nm1 = 0.0 * r2
-    term = total + 1.0
+    s_nm2 = s_nm1 = 0.0 * r2
+    total = s_nm2 + 0.0  # its own buffer: the augmented assignments below update arrays in place
+    term = s_nm2 + 1.0
     for j in range(n_dim):
         if j:
-            term = term * r2 / j
+            term *= r2
+            term /= j
             if j % 64 == 0 and j < n_dim - 1 and not np.any(term):
                 return total, total, total
-        total = total + term
+        total += term
         if j == n_dim - 3:
-            s_nm2 = total
+            s_nm2 = copy.copy(total)
         elif j == n_dim - 2:
-            s_nm1 = total
+            s_nm1 = copy.copy(total)
     return s_nm2, s_nm1, total
 
 
@@ -280,7 +287,8 @@ def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
 
     One column per node of the 1-D array ``z``; a scalar is one node.
     These are the unnormalized coherent-state coefficients at each node;
-    quadrature sandwiches V * w * V^H reproduce frame integrals.  Row n is
+    ``frame_sandwich`` takes its radial factors from the real nodes
+    sqrt(t_i) of the plane rule.  Row n is
     the running product V[n] = V[n-1] * z / sqrt(n) from V[0] = 1, one
     ``np.multiply.accumulate`` down the rows z / sqrt(n).
 
@@ -302,16 +310,38 @@ def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
     return np.multiply.accumulate(steps, axis=0, out=steps)
 
 
-def frame_sandwich(dim: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j v_j v_j^H over the columns v_j of ``monomial_state_matrix``.
+def frame_sandwich(dim: int, quad: QuadratureSpec, g) -> np.ndarray:
+    """sum_j w_j g_j v_j v_j^H over the nodes z_j of ``phase_plane_quadrature(quad)``.
 
-    The nodes are processed in chunks to bound the Vandermonde workspace.
+    v_j is column j of ``monomial_state_matrix`` and ``g`` holds one value
+    per node, in the rule's radial-major order.  Node (i, k) is
+    r_i e^{i theta_k} with theta_k = 2 pi k / K, so v_j[m] = rho_i[m]
+    e^{i m theta_k} with the real radial factor rho_i[m] = r_i^m / sqrt(m!),
+    and the angular sum of entry (m, n) is the inverse DFT of g along the
+    circle at mode (m - n) mod K:
+
+        G[m, n] = sum_i rho_i[m] rho_i[n] F[i, (m - n) mod K],
+        F = ifft(g as R x K, axis=1) * wt[:, None].
+
+    That is the same finite sum reordered, so a short angular rule aliases
+    exactly as the node-by-node sum does.  The matrix is built one diagonal
+    pair (m - n = +-d) at a time from the radial products rho[d:] rho[:N-d],
+    in O(R (N + K)) memory and O(R N^2 + R K log K) work.
     """
-    out = np.zeros((dim, dim), dtype=complex)
-    chunk = 16384
-    for start in range(0, z.size, chunk):
-        v = monomial_state_matrix(dim, z[start:start + chunk])
-        out += (v * w[start:start + chunk]) @ v.conj().T
+    t, wt = gauss_laguerre_rule(quad.radial_order)
+    k = quad.angular_order
+    modes = np.fft.ifft(np.reshape(g, (t.size, k)), axis=1)
+    modes *= wt[:, None]
+    # mode j of circle i as the real pair at columns 2j, 2j + 1
+    pairs = modes.view(np.float64)
+    rho = monomial_state_matrix(dim, np.sqrt(t)).real
+    out = np.empty((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
+    for d in range(dim):
+        lo, up = 2 * (d % k), 2 * (-d % k)
+        sums = ((rho[d:] * rho[:dim - d]) @ pairs[:, [lo, lo + 1, up, up + 1]]).view(complex)
+        flat[d * dim::dim + 1] = sums[:, 0]  # G[n + d, n]
+        flat[d::dim + 1][:dim - d] = sums[:, 1]  # G[n, n + d]
     return out
 
 
@@ -326,6 +356,5 @@ def verify_identity_resolution(n_dim: int, quad: QuadratureSpec | None = None) -
     n_dim = as_dimension(n_dim, 1, "n_dim")
     if quad is None:
         quad = QuadratureSpec.default_for(n_dim)
-    z, w = phase_plane_quadrature(quad)
-    gram = frame_sandwich(n_dim, z, w)
+    gram = frame_sandwich(n_dim, quad, np.ones(quad.radial_order * quad.angular_order))
     return float(np.max(np.abs(gram - np.eye(n_dim))))

@@ -258,11 +258,11 @@ def quantize_quadrature(
     n_dim = _check_dim(n_dim)
     if quad is None:
         quad = QuadratureSpec.default_for(n_dim)
-    z, w = phase_plane_quadrature(quad)
+    z, _ = phase_plane_quadrature(quad)
     fz = np.asarray(f(z), dtype=complex)
     if fz.shape != z.shape:
         raise ValueError("symbol function must return one value per quadrature node")
-    return OperatorMatrix._adopt(frame_sandwich(n_dim, z, w * fz))
+    return OperatorMatrix._adopt(frame_sandwich(n_dim, quad, fz))
 
 
 def _hermitian_tridiagonal(upper: np.ndarray) -> OperatorMatrix:

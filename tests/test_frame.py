@@ -18,6 +18,7 @@ from planequant.frame import (
     coherent_state,
     coherent_state_log,
     exp_partial_sums,
+    frame_sandwich,
     gauss_laguerre_rule,
     log_normalization_factor,
     monomial_state_matrix,
@@ -145,6 +146,14 @@ class TestExpPartialSums:
     def test_huge_dimension_returns_early(self):
         assert exp_partial_sums(10**9, 1.0) == _full_partial_sums(1000, 1.0)
         assert normalization_factor(10**9, 1.0) == pytest.approx(math.e, rel=1e-15)
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 64, 200])
+    def test_array_path_matches_the_scalar_path_bit_for_bit(self, n_dim):
+        r2 = np.array([0.0, 1e-300, 0.25, 1.0, 7.5, 63.0, 200.0, 700.0])
+        sums = exp_partial_sums(n_dim, r2)
+        for i, x in enumerate(r2.tolist()):
+            for got, want in zip(sums, exp_partial_sums(n_dim, x)):
+                assert got[i].tobytes() == np.float64(want).tobytes(), (n_dim, x)
 
     def test_range_is_checked_on_every_entry(self):
         with pytest.raises(RangeOverflowError, match="800.0 exceeds"):
@@ -303,6 +312,30 @@ class TestMonomialStateMatrix:
         # the order-186 rule reaches |z|^2 = 712.6, above OVERFLOW_R2
         z = np.sqrt(gauss_laguerre_rule(186)[0][-1:]).astype(complex)
         assert np.all(np.isfinite(monomial_state_matrix(4096, z)))
+
+
+def _node_by_node_sandwich(dim, quad, g):
+    """sum_j w_j g_j v_j v_j^H as the explicit product V (w g) V^H over every node."""
+    z, w = phase_plane_quadrature(quad)
+    v = monomial_state_matrix(dim, z)
+    return (v * (w * g)) @ v.conj().T
+
+
+class TestFrameSandwich:
+    @pytest.mark.parametrize("n_dim", [1, 2, 8, 33, 64])
+    @pytest.mark.parametrize("rule", [QuadratureSpec.default_for, lambda n: QuadratureSpec(n + 4, 3)],
+                             ids=["default", "aliasing"])
+    @pytest.mark.parametrize("symbol", ["real", "non-hermitian"])
+    def test_matches_the_node_by_node_product(self, n_dim, rule, symbol):
+        # the aliasing rule has 3 angles, far below the 2N - 1 exactness needs,
+        # and the per-circle DFT aliases the same modes the node sum does
+        quad = rule(n_dim)
+        z = phase_plane_quadrature(quad)[0]
+        g = np.real(z) ** 2 + np.imag(z) ** 3 if symbol == "real" else z**2 * np.conj(z)
+        want = _node_by_node_sandwich(n_dim, quad, g)
+        got = frame_sandwich(n_dim, quad, g)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 class TestOverlap:

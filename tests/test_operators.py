@@ -175,6 +175,13 @@ class TestQuantize:
         op = quantize_quadrature(sym.evaluate, 10)
         assert _max_dev(op.entries, position_operator(10).entries) <= 1e-10
 
+    def test_quadrature_holds_no_node_by_node_block(self):
+        # a node-by-node product would hold a 64 x (68 x 260) complex block, 18 MB
+        op, peak = _traced_peak(lambda: quantize_quadrature(lambda z: z * np.conj(z), 64))
+        assert peak <= 4e6, peak
+        scale = float(np.max(np.abs(op.entries)))
+        assert _max_dev(op.entries, quantize_monomial(64, 1, 1).entries) <= 1e-10 * scale
+
     def test_quadrature_beyond_the_largest_order_raises(self):
         # the default rule at N = 183 has radial order 187; numpy's weights
         # there are NaN, which used to give an all-NaN matrix

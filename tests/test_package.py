@@ -13,12 +13,13 @@ from planequant import spectra
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(planequant.__file__)))
 
 
-def _scipy_modules_after(statement: str, cwd=None) -> list[str]:
-    """The scipy modules loaded after ``statement`` in a new interpreter."""
+def _modules_after(statement: str, cwd=None, package: str = "scipy") -> list[str]:
+    """The modules of ``package`` loaded after ``statement`` in a new interpreter."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import planequant; "
         f"{statement}; "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), sep=',')"
+        f"print(*sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})), "
+        "sep=',')"
     )
     out = subprocess.run([sys.executable, "-c", code, _SRC], capture_output=True, text=True,
                          check=True, cwd=cwd).stdout
@@ -29,7 +30,18 @@ def test_import_does_not_load_scipy_special():
     # scipy.special would cost ~0.07 s of every cold start and scipy.linalg
     # ~0.3 s; log-factorials come from math.lgamma, and LAPACK is bound only
     # when a spectrum is computed
-    assert _scipy_modules_after("pass") == []
+    assert _modules_after("pass") == []
+
+
+def test_numpy_fft_loads_with_the_first_quadrature_sandwich():
+    # frame_sandwich's angular DFT is the package's only use of numpy.fft
+    code = "import sys, numpy; print('numpy.fft' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                      check=True).stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.fft with numpy itself")
+    assert _modules_after("pass", package="numpy.fft") == []
+    statement = "planequant.verify_identity_resolution(2)"
+    assert "numpy.fft" in _modules_after(statement, package="numpy.fft")
 
 
 @pytest.mark.parametrize("argv", [
@@ -38,7 +50,7 @@ def test_import_does_not_load_scipy_special():
 ])
 def test_commands_without_a_spectrum_leave_scipy_linalg_unloaded(argv, tmp_path):
     statement = f"from planequant import cli; cli.main({argv!r})"
-    assert _scipy_modules_after(statement, cwd=tmp_path) == []
+    assert _modules_after(statement, cwd=tmp_path) == []
 
 
 @pytest.mark.skipif(spectra._numpy_routines() is None,
@@ -52,7 +64,7 @@ def test_commands_without_a_spectrum_leave_scipy_linalg_unloaded(argv, tmp_path)
 def test_commands_with_a_spectrum_leave_scipy_unloaded(argv, tmp_path):
     # dlaebz and dlasq1 come from numpy's own LAPACK
     statement = f"from planequant import cli; cli.main({argv!r})"
-    assert _scipy_modules_after(statement, cwd=tmp_path) == []
+    assert _modules_after(statement, cwd=tmp_path) == []
 
 
 def test_every_export_resolves_once():
