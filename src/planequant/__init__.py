@@ -46,13 +46,9 @@ from .spectra import (
     GapReport,
     SpectrumSummary,
     SymTridiagonal,
-    asymptotic_check,
-    char_poly_recurrence,
     eig_all,
     extreme_eigenvalues,
     gap_properties,
-    hermite_residual,
-    hermite_value,
     position_tridiagonal,
     semicircle_count_deviation,
     semicircle_density,
@@ -92,9 +88,7 @@ __all__ = [
     "SymTridiagonal",
     "SymbolGrid",
     "VerificationError",
-    "asymptotic_check",
     "bounds_report",
-    "char_poly_recurrence",
     "coherent_state",
     "coherent_state_log",
     "commutator",
@@ -105,8 +99,6 @@ __all__ = [
     "gauss_laguerre_rule",
     "hall_coordinates",
     "hamiltonian",
-    "hermite_residual",
-    "hermite_value",
     "last_level_projector",
     "log_normalization_factor",
     "lower_symbol",

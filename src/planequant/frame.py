@@ -276,10 +276,13 @@ def phase_plane_quadrature(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray
     """
     t, wt = gauss_laguerre_rule(quad.radial_order)
     k = quad.angular_order
+    return _plane_nodes(t, k).ravel(), np.repeat(wt / k, k)
+
+
+def _plane_nodes(t: np.ndarray, k: int) -> np.ndarray:
+    """Nodes sqrt(t_i) e^{2 pi i j / k} of the plane rule, one row per radial node."""
     theta = 2.0 * np.pi * np.arange(k) / k
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    w = np.repeat(wt / k, k)
-    return z.ravel(), w
+    return np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
 
 
 def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
@@ -310,11 +313,12 @@ def monomial_state_matrix(n_dim: int, z: np.ndarray) -> np.ndarray:
     return np.multiply.accumulate(steps, axis=0, out=steps)
 
 
-def frame_sandwich(dim: int, quad: QuadratureSpec, g) -> np.ndarray:
-    """sum_j w_j g_j v_j v_j^H over the nodes z_j of ``phase_plane_quadrature(quad)``.
+def frame_sandwich(dim: int, quad: QuadratureSpec, f) -> np.ndarray:
+    """sum_j w_j f(z_j) v_j v_j^H over the nodes z_j of ``phase_plane_quadrature(quad)``.
 
-    v_j is column j of ``monomial_state_matrix`` and ``g`` holds one value
-    per node, in the rule's radial-major order.  Node (i, k) is
+    v_j is column j of ``monomial_state_matrix``, and ``f`` maps the flat
+    node array, in the rule's radial-major order, to one value g_j per node;
+    nodes and weights come from one Gauss-Laguerre rule.  Node (i, k) is
     r_i e^{i theta_k} with theta_k = 2 pi k / K, so v_j[m] = rho_i[m]
     e^{i m theta_k} with the real radial factor rho_i[m] = r_i^m / sqrt(m!),
     and the angular sum of entry (m, n) is the inverse DFT of g along the
@@ -330,7 +334,11 @@ def frame_sandwich(dim: int, quad: QuadratureSpec, g) -> np.ndarray:
     """
     t, wt = gauss_laguerre_rule(quad.radial_order)
     k = quad.angular_order
-    modes = np.fft.ifft(np.reshape(g, (t.size, k)), axis=1)
+    z = _plane_nodes(t, k)
+    g = np.asarray(f(z.ravel()), dtype=complex)
+    if g.shape != (z.size,):
+        raise ValueError("symbol function must return one value per quadrature node")
+    modes = np.fft.ifft(g.reshape(z.shape), axis=1)
     modes *= wt[:, None]
     # mode j of circle i as the real pair at columns 2j, 2j + 1
     pairs = modes.view(np.float64)
@@ -356,5 +364,5 @@ def verify_identity_resolution(n_dim: int, quad: QuadratureSpec | None = None) -
     n_dim = as_dimension(n_dim, 1, "n_dim")
     if quad is None:
         quad = QuadratureSpec.default_for(n_dim)
-    gram = frame_sandwich(n_dim, quad, np.ones(quad.radial_order * quad.angular_order))
+    gram = frame_sandwich(n_dim, quad, np.ones_like)
     return float(np.max(np.abs(gram - np.eye(n_dim))))

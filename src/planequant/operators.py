@@ -29,12 +29,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .frame import (
-    QuadratureSpec,
-    as_dimension,
-    frame_sandwich,
-    phase_plane_quadrature,
-)
+from .frame import QuadratureSpec, as_dimension, frame_sandwich
 from .spectra import position_tridiagonal
 
 # Conjugate-symmetry threshold: OperatorMatrix's Hermiticity test, relative
@@ -258,11 +253,7 @@ def quantize_quadrature(
     n_dim = _check_dim(n_dim)
     if quad is None:
         quad = QuadratureSpec.default_for(n_dim)
-    z, _ = phase_plane_quadrature(quad)
-    fz = np.asarray(f(z), dtype=complex)
-    if fz.shape != z.shape:
-        raise ValueError("symbol function must return one value per quadrature node")
-    return OperatorMatrix._adopt(frame_sandwich(n_dim, quad, fz))
+    return OperatorMatrix._adopt(frame_sandwich(n_dim, quad, f))
 
 
 def _hermitian_tridiagonal(upper: np.ndarray) -> OperatorMatrix:

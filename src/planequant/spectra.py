@@ -34,11 +34,9 @@ spectral width Delta_N = 2*lambda_M and their product
 sigma_N = delta_N * Delta_N, which stays below 2*pi and increases within
 each parity class, and their ratios to the large-N laws.  The dense
 operators read their off-diagonal sqrt(k/2) from ``position_tridiagonal``.
-A closed-form semicircle density and the three-term recurrence for the
-characteristic polynomial provide the remaining cross-checks.  The
-recurrence is written once, vectorized and rescaled by exact powers of two;
-``char_poly_recurrence`` reads it at one point and ``hermite_residual`` at
-many.
+A closed-form semicircle density is the remaining cross-check.  The
+three-term Hermite recurrence lives in the tests alone: 40-digit Newton
+for the reference extremes and acceptance criterion 7's residual.
 
 Both routes are deterministic: dlasq1 and dlaebz are serial LAPACK code,
 so identical inputs give identical results whatever the thread count.
@@ -108,9 +106,6 @@ _GUESS_ERROR_AT_MIN_DIM = 1e-9
 
 # First zero of the Airy function Ai, for the largest-zero expansion.
 _AIRY_A1 = -2.338107410459767
-
-# Rescale cadence for the characteristic-polynomial recurrence.
-_RESCALE_EVERY = 16
 
 # Peak bytes per dimension of the larger route: eig_all needs 48 N
 # (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).  The extreme
@@ -295,71 +290,6 @@ def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     n_dim = as_dimension(n_dim, 1, "n_dim")
     check_memory(_BYTES_PER_DIM * n_dim, f"the spectral arrays of dim {n_dim}")
     return SymTridiagonal(np.sqrt(np.arange(1, n_dim) / 2.0))
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial recurrence
-# ---------------------------------------------------------------------------
-
-def _scaled_recurrence(n_dim: int, lams):
-    """(p_N, p_{N-1}, exp2) at each lam (array or scalar), p_k = value * 2**exp2.
-
-    p_0 = 1, p_1 = -lam, p_{k+1} = -lam p_k - (k/2) p_{k-1}.  Every
-    _RESCALE_EVERY steps a pair that has left [2^-500, 2^500] is rescaled by a
-    power of two, which is exact, so the recurrence stays in range for any N.
-    """
-    p_prev = np.ones_like(lams)
-    p = neg = -lams
-    exp2 = np.zeros(np.shape(lams), dtype=int)
-    for k in range(1, n_dim):
-        p, p_prev = neg * p - 0.5 * k * p_prev, p
-        if k % _RESCALE_EVERY == 0:
-            m = np.maximum(np.abs(p), np.abs(p_prev))
-            out = (m > 0.0) & ((m > 2.0**500) | (m < 2.0**-500))
-            if out.any():
-                shift = np.where(out, np.frexp(m)[1], 0)
-                p = np.ldexp(p, -shift)
-                p_prev = np.ldexp(p_prev, -shift)
-                exp2 += shift
-    return p, p_prev, exp2
-
-
-def char_poly_recurrence(n_dim: int, lam: float) -> tuple[float, int]:
-    """Characteristic polynomial p_N(lam) of the position matrix, scaled.
-
-    Returned as (mantissa, exp2) with p_N(lam) = mantissa * 2**exp2; see
-    ``_scaled_recurrence``.
-    """
-    n_dim = as_dimension(n_dim, 0, "n_dim")
-    if n_dim == 0:
-        return 1.0, 0
-    p, _, exp2 = _scaled_recurrence(n_dim, np.float64(lam))
-    return float(p), int(exp2)
-
-
-def hermite_value(n_dim: int, lam: float) -> tuple[float, int]:
-    """Scaled Hermite polynomial value: H_N(lam) = (-2)^N p_N(lam).
-
-    Same (mantissa, exp2) convention as ``char_poly_recurrence``.
-    """
-    n_dim = as_dimension(n_dim, 0, "n_dim")
-    p, exp2 = char_poly_recurrence(n_dim, lam)
-    sign = -1.0 if n_dim % 2 else 1.0
-    return sign * p, exp2 + n_dim
-
-
-def hermite_residual(n_dim: int, lams) -> np.ndarray:
-    """|p_N| / max(|p_N|, |p_{N-1}|) at each lam, vectorized.
-
-    Near a zero of p_N the denominator is carried by p_{N-1} (the zeros of
-    consecutive orders interlace), so the ratio measures closeness to a zero
-    relative to the local polynomial scale.
-    """
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    p, p_prev, _ = _scaled_recurrence(n_dim, np.atleast_1d(np.asarray(lams, dtype=float)))
-    denom = np.maximum(np.abs(p), np.abs(p_prev))
-    denom[denom == 0.0] = 1.0
-    return np.abs(p) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +743,6 @@ def semicircle_count_deviation(n_dim: int, x1: float, x2: float) -> tuple[float,
     counted = sturm_count(t, x2) - sturm_count(t, x1)
     rel = abs(predicted - counted) / max(counted, 1)
     return predicted, counted, rel
-
-
-def asymptotic_check(n_dim: int) -> SpectrumSummary:
-    """The summary whose large-N ratios are meaningful; needs n_dim >= 100."""
-    return spectrum_summary(as_dimension(n_dim, 100, "n_dim"))
 
 
 # ---------------------------------------------------------------------------

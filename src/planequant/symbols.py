@@ -119,9 +119,9 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     return float(_spread_product(c, a_val, b_val, x.q, x.p))
 
 
-def _check_axes(*ranges: tuple[float, float, int]) -> None:
-    """Raise ValueError unless every (min, max, steps) axis has finite min < max
-    and an integer (not bool) steps >= 2."""
+def _check_axes(*ranges: tuple[float, float, int]) -> list[tuple[float, float, int]]:
+    """Every (min, max, steps) axis as Python (float, float, int); ValueError
+    unless min < max are finite and steps is an integer (not bool) >= 2."""
     for lo, hi, steps in ranges:
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
             raise ValueError(f"grid steps must be an integer, got {steps!r}")
@@ -131,6 +131,7 @@ def _check_axes(*ranges: tuple[float, float, int]) -> None:
             raise ValueError(f"grid range must be finite, got ({lo}, {hi})")
         if not lo < hi:
             raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
+    return [(float(lo), float(hi), int(steps)) for lo, hi, steps in ranges]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +150,10 @@ class SymbolGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_axes(self.q_range, self.p_range)
+        q_range, p_range = _check_axes(self.q_range, self.p_range)
+        object.__setattr__(self, "n_dim", as_dimension(self.n_dim, 1, "n_dim"))
+        object.__setattr__(self, "q_range", q_range)
+        object.__setattr__(self, "p_range", p_range)
         vals = np.array(self.values, dtype=float)
         expected = (self.q_range[2], self.p_range[2])
         if vals.shape != expected:
@@ -182,8 +186,8 @@ def symbol_grid(
     if which not in GRID_KINDS:
         raise ValueError(f"unknown grid kind {which!r}; expected one of {tuple(GRID_KINDS)}")
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    _check_axes(q_range, p_range)
-    check_memory(_GRID_BYTES_PER_CELL * int(q_range[2]) * int(p_range[2]),
+    q_range, p_range = _check_axes(q_range, p_range)
+    check_memory(_GRID_BYTES_PER_CELL * q_range[2] * p_range[2],
                  f"the arrays of a {q_range[2]} x {p_range[2]} grid")
     q = np.linspace(*q_range[:2], q_range[2])
     p = np.linspace(*p_range[:2], p_range[2])

@@ -30,7 +30,6 @@ from planequant.operators import (
 from planequant.spectra import (
     eig_all,
     extreme_eigenvalues,
-    hermite_residual,
     position_tridiagonal,
     semicircle_count_deviation,
     sigma_table,
@@ -174,6 +173,40 @@ def test_criterion_6_lower_symbol_closed_forms():
         f"\nACCEPTANCE 6 PASS: closed forms match sandwiches to 1e-10 (worst {worst:.2e}); "
         f"origin product 0.5 to 1e-12 (worst {origin_worst:.2e})"
     )
+
+
+def hermite_residual(n_dim, lams):
+    """|p_N| / max(|p_N|, |p_{N-1}|) at each lam, p_k the order-k characteristic polynomial.
+
+    p_0 = 1, p_1 = -lam, p_{k+1} = -lam p_k - (k/2) p_{k-1}.  Every 16 steps
+    a pair that has left [2^-500, 2^500] is divided by a power of two, which
+    is exact and cancels in the ratio.  Near a zero of p_N the denominator is
+    carried by p_{N-1}, whose zeros interlace, so the ratio measures closeness
+    to a zero relative to the local polynomial scale.
+    """
+    neg = -np.asarray(lams, dtype=float)
+    p_prev, p = np.ones_like(neg), neg
+    for k in range(1, n_dim):
+        p, p_prev = neg * p - 0.5 * k * p_prev, p
+        if k % 16 == 0:
+            m = np.maximum(np.abs(p), np.abs(p_prev))
+            shift = np.where((m > 0.0) & ((m > 2.0**500) | (m < 2.0**-500)), np.frexp(m)[1], 0)
+            p, p_prev = np.ldexp(p, -shift), np.ldexp(p_prev, -shift)
+    denom = np.maximum(np.abs(p), np.abs(p_prev))
+    return np.abs(p) / np.where(denom == 0.0, 1.0, denom)
+
+
+def test_residual_small_at_eigenvalues():
+    for n in (12, 200, 1000):
+        ev = eig_all(position_tridiagonal(n))
+        assert hermite_residual(n, ev).max() <= 1e-8
+
+
+def test_residual_large_away_from_eigenvalues():
+    # a helper that returned zeros would pass criterion 7 without this
+    ev = eig_all(position_tridiagonal(12))
+    midpoints = (ev[:-1] + ev[1:]) / 2.0
+    assert hermite_residual(12, midpoints).min() > 1e-3
 
 
 def test_criterion_7_hermite_zero_structure():

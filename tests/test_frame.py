@@ -330,12 +330,17 @@ class TestFrameSandwich:
         # the aliasing rule has 3 angles, far below the 2N - 1 exactness needs,
         # and the per-circle DFT aliases the same modes the node sum does
         quad = rule(n_dim)
-        z = phase_plane_quadrature(quad)[0]
-        g = np.real(z) ** 2 + np.imag(z) ** 3 if symbol == "real" else z**2 * np.conj(z)
-        want = _node_by_node_sandwich(n_dim, quad, g)
-        got = frame_sandwich(n_dim, quad, g)
+        f = {"real": lambda z: np.real(z) ** 2 + np.imag(z) ** 3,
+             "non-hermitian": lambda z: z**2 * np.conj(z)}[symbol]
+        want = _node_by_node_sandwich(n_dim, quad, f(phase_plane_quadrature(quad)[0]))
+        got = frame_sandwich(n_dim, quad, f)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("f", [lambda z: z[:-1], lambda z: 1.0, lambda z: z.reshape(-1, 1)])
+    def test_rejects_a_symbol_without_one_value_per_node(self, f):
+        with pytest.raises(ValueError, match="one value per quadrature node"):
+            frame_sandwich(4, QuadratureSpec.default_for(4), f)
 
 
 class TestOverlap:

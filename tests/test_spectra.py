@@ -34,15 +34,11 @@ from planequant.spectra import (
     GapReport,
     SpectrumSummary,
     SymTridiagonal,
-    asymptotic_check,
-    char_poly_recurrence,
     eig_all,
     extreme_eigenvalues,
     gap_properties,
     gnuplot_extremes_script,
     gnuplot_sigma_script,
-    hermite_residual,
-    hermite_value,
     position_tridiagonal,
     semicircle_count_deviation,
     semicircle_density,
@@ -96,11 +92,6 @@ def _certified(n: int) -> bool:
     return spectra._guess_error(n) <= EPS
 
 
-def _value(mantissa_exp: tuple[float, int]) -> float:
-    mantissa, exp2 = mantissa_exp
-    return math.ldexp(mantissa, exp2)
-
-
 class TestSymTridiagonal:
     def test_position_data(self):
         t = position_tridiagonal(5)
@@ -125,68 +116,6 @@ class TestSymTridiagonal:
         assert diag.tolist() == [0.0] * 7
         with pytest.raises(ValueError):
             diag[0] = 1.0
-
-
-class TestCharPolyRecurrence:
-    def test_degree_two_closed_form(self):
-        # p_2(x) = x^2 - 1/2
-        assert _value(char_poly_recurrence(2, 0.0)) == -0.5
-        assert _value(char_poly_recurrence(2, 1.0)) == 0.5
-        assert _value(hermite_value(2, 0.0)) == -2.0  # 4x^2 - 2 at 0
-
-    def test_degree_three_closed_form(self):
-        # scaled polynomial 8x^3 - 12x
-        for lam in (-2.0, -0.3, 0.0, 0.5, 1.5):
-            assert _value(hermite_value(3, lam)) == pytest.approx(8 * lam**3 - 12 * lam, rel=1e-14)
-        root = math.sqrt(1.5)
-        assert abs(_value(hermite_value(3, root))) < 1e-13
-
-    def test_matches_the_scalar_loop_bit_for_bit(self):
-        def scalar_loop(n, lam):
-            # the plain-float recurrence, rescaled by 2^-frexp every 16 steps
-            p_prev, p, exp2 = 1.0, -lam, 0
-            for k in range(1, n):
-                p, p_prev = -lam * p - 0.5 * k * p_prev, p
-                if k % 16 == 0:
-                    m = max(abs(p), abs(p_prev))
-                    if m > 0.0 and (m > 2.0**500 or m < 2.0**-500):
-                        shift = math.frexp(m)[1]
-                        p, p_prev = math.ldexp(p, -shift), math.ldexp(p_prev, -shift)
-                        exp2 += shift
-            return p, exp2
-
-        for n in (1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 600, 1000, 5000):
-            for lam in (0.0, 1e-3, 0.35, 1.0, -2.5, 7.1, 30.0, 123.4, -400.0):
-                assert char_poly_recurrence(n, lam) == scalar_loop(n, lam), (n, lam)
-
-    def test_rescaling_keeps_range(self):
-        mantissa, exp2 = char_poly_recurrence(600, 0.35)
-        assert math.isfinite(mantissa)
-        assert abs(mantissa) < 2.0**520
-
-    def test_residual_small_at_eigenvalues(self):
-        for n in (12, 200, 1000):
-            ev = eig_all(position_tridiagonal(n))
-            assert hermite_residual(n, ev).max() <= 1e-8
-
-    def test_residual_reads_the_same_recurrence(self):
-        # zeros, midpoints and points far outside the spectrum, where the
-        # recurrence is rescaled many times
-        ev = eig_all(position_tridiagonal(600))
-        lams = np.concatenate([ev, (ev[:-1] + ev[1:]) / 2.0, [-80.0, 45.5, 200.0]])
-        expected = []
-        for lam in lams:
-            p_n, e_n = char_poly_recurrence(600, float(lam))
-            p_m, e_m = char_poly_recurrence(599, float(lam))
-            top = abs(p_n)
-            other = math.ldexp(abs(p_m), e_m - e_n)
-            expected.append(top / max(top, other))
-        assert np.array_equal(hermite_residual(600, lams), np.array(expected))
-
-    def test_residual_large_away_from_eigenvalues(self):
-        ev = eig_all(position_tridiagonal(12))
-        midpoints = (ev[:-1] + ev[1:]) / 2.0
-        assert hermite_residual(12, midpoints).min() > 1e-3
 
 
 class TestEigAll:
@@ -698,19 +627,18 @@ class TestSpectrumSummary:
         assert type(s.dim) is int
         assert json.loads(summaries_to_json([s]))[0]["N"] == 10
         assert [t.dim for t in sigma_table([np.int64(10), np.uint16(11)])] == [10, 11]
-        assert type(hermite_value(np.int64(3), 0.3)[1]) is int
 
     @pytest.mark.parametrize("call", [
         lambda: position_tridiagonal(True),
         lambda: spectrum_summary(np.True_),
         lambda: sigma_table([3, True]),
         lambda: sigma_table([3, 4.0]),
-        lambda: char_poly_recurrence(True, 0.3),
-        lambda: char_poly_recurrence(2.5, 0.3),
-        lambda: hermite_residual(0, [0.3]),
-        lambda: hermite_residual(-2, [0.3]),
-        lambda: asymptotic_check("200"),
-        lambda: asymptotic_check(200.0),
+        lambda: gap_properties(True),
+        lambda: gap_properties(2.5),
+        lambda: semicircle_density(0, 0.0, 1.0),
+        lambda: semicircle_count_deviation(-2, 0.0, 1.0),
+        lambda: spectrum_summary("200"),
+        lambda: spectrum_summary(200.0),
         lambda: extreme_eigenvalues(True),
         lambda: extreme_eigenvalues(2.5),
         lambda: extreme_eigenvalues(position_tridiagonal(10)),
@@ -893,12 +821,8 @@ class TestSemicircle:
 
 
 class TestAsymptotics:
-    def test_requires_large_dim(self):
-        with pytest.raises(ValueError):
-            asymptotic_check(50)
-
     def test_ratios_below_one_and_improving(self):
-        reports = [asymptotic_check(n) for n in (100, 400, 1600)]
+        reports = [spectrum_summary(n) for n in (100, 400, 1600)]
         for r in reports:
             assert 0.9 < r.largest_ratio < 1.0
             assert 0.9 < r.smallest_ratio < 1.0
@@ -907,8 +831,8 @@ class TestAsymptotics:
         assert reports[0].sigma_ratio < reports[1].sigma_ratio < reports[2].sigma_ratio
 
     def test_parity_prefactors_visible(self):
-        even = asymptotic_check(100)
-        odd = asymptotic_check(101)
+        even = spectrum_summary(100)
+        odd = spectrum_summary(101)
         assert even.smallest_ratio == pytest.approx(1.0, abs=0.01)
         assert odd.smallest_ratio == pytest.approx(1.0, abs=0.01)
 

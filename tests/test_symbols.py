@@ -444,6 +444,16 @@ class TestGridExports:
         assert data["n_dim"] == 5
         assert data["values"] == pytest.approx(list(grid.values.ravel()))
 
+    def test_json_of_numpy_scalars_matches_python_scalars(self):
+        # the dimension and ranges are stored as Python scalars, which json can write
+        twin = symbol_grid(10, "C", (0.0, 1.0, 3), (0.0, 1.0, 3))
+        grids = [symbol_grid(10, "C", q_range, (0.0, 1.0, 3))
+                 for q_range in ((0.0, 1.0, np.int64(3)), (0.0, np.float32(1.0), 3))]
+        grids.append(SymbolGrid("C", np.int64(10), (np.float32(0.0), 1.0, np.int64(3)),
+                                twin.p_range, twin.values))
+        for grid in grids:
+            assert grid_to_json(grid) == grid_to_json(twin)
+
     def test_gnuplot_script_mentions_csv(self, grid):
         script = grid_gnuplot_script(grid, "h.csv")
         assert "splot 'h.csv'" in script
