@@ -20,7 +20,6 @@ Matrices are immutable after construction; all functions are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,18 +126,6 @@ class PolynomialSymbol:
             out = out + c * z**a * zc**b
         return out if out.shape else complex(out)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"a": a, "b": b, "re": c.real, "im": c.imag} for a, b, c in self.terms]
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolynomialSymbol":
-        data = json.loads(text)
-        return cls.from_terms(
-            (t["a"], t["b"], complex(t["re"], t["im"])) for t in data
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
@@ -173,34 +160,6 @@ class OperatorMatrix:
         """A == A^H up to HERMITIAN_TOL times the largest |entry|."""
         scale = float(np.max(np.abs(self.entries)))
         return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= HERMITIAN_TOL * scale
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "re": self.entries.real.tolist(),
-                "im": self.entries.imag.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OperatorMatrix":
-        data = json.loads(text)
-        op = cls(np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float))
-        if op.dim != data["dim"]:
-            raise ValueError(f"dim {data['dim']!r} does not match the {op.dim} x {op.dim} entries")
-        return op
-
-    def to_csv(self) -> str:
-        """CSV rows with re/im interleaved columns (re00,im00,re01,im01,...)."""
-        lines = []
-        for row in self.entries:
-            cells = []
-            for v in row:
-                cells.append(f"{v.real:.9g}")
-                cells.append(f"{v.imag:.9g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def _transition_amplitudes(m: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -13,16 +13,15 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             relative accuracy, O(N^2) work, for N up to
                             ``DENSE_SPECTRUM_CAP`` = 20000;
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
-                            of the position matrix of dimension N, from
-                            Sturm counts of LAPACK's bisection kernel
-                            dlaebz, O(N) per count, practical to N = 10^6:
-                            one call proves an interval that holds each
-                            eigenvalue alone, by a search below N = 100 and
-                            by the counts at the ends of asymptotic
-                            brackets from there on, and at most one more
-                            bisects both.  From N = 4607 on the guess itself
-                            is returned, within 1.73 ulp of 40-digit Newton
-                            on every N in 4607..6606.
+                            of the position matrix of dimension N: below
+                            N = 100 the two entries of ``eig_all``, from
+                            there on Sturm counts of LAPACK's bisection
+                            kernel dlaebz, O(N) per count, practical to
+                            N = 10^6: one call proves that each asymptotic
+                            bracket holds its eigenvalue alone, and at most
+                            one more bisects both.  From N = 4607 on the
+                            guess itself is returned, within 1.73 ulp of
+                            40-digit Newton on every N in 4607..6606.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -86,16 +85,9 @@ _TINY = float(np.finfo(float).tiny)
 _LAEBZ_ABSTOL = 2.0 * _TINY
 _LAEBZ_RELTOL = 2.0 * _EPS
 
-# From this dimension on, extreme_eigenvalues starts dlaebz on the asymptotic
-# brackets of _extreme_guesses.  Below it the guesses stay within 0.5 of their
-# half-width, and every bracket is proved, but the brackets lose to the index
-# search against 40-digit Newton (newton_zero of tests/make_hermite_reference.py):
-# - at N = 2 and 3 lambda_m and lambda_M are one eigenvalue, and at N = 3 the
-#   two brackets return it 1 ulp apart, lambda_m above lambda_M, which
-#   SpectrumSummary rejects;
-# - on N = 4..99 the bracket's value is farther from the zero on 45 of the
-#   192 values and closer on 38 (worst 6.0 against 5.0 ulp for lambda_m,
-#   2.03 against 1.91 ulp for lambda_M).
+# From this dimension on, extreme_eigenvalues counts and bisects the asymptotic
+# brackets of _extreme_guesses; below it reads eig_all, as at N = 3 the two
+# brackets return the one positive eigenvalue 1 ulp apart, out of order.
 _BRACKET_MIN_DIM = 100
 
 # Relative error bound of both asymptotic guesses at _BRACKET_MIN_DIM.  It
@@ -134,8 +126,7 @@ class _Lapack(NamedTuple):
     With ijob = 1 it counts both ends of each interval into nab(j, 1) and
     nab(j, 2).  With ijob = 2 it bisects each interval, given its end counts
     in nab, until it is narrower than max(abstol, pivmin, reltol * its larger
-    end); with ijob = 3 it bisects each toward a point whose count is
-    nval(j), starting at c(j).  Both stop after nitmax halvings, and
+    end), or for nitmax halvings; c is its workspace, nval is not read, and
     nbmin = 0 keeps to the scalar loop.  dlasq1(n, d, e, work, info): d (n)
     holds the diagonal on entry and the singular values in descending order
     on exit, e (n) the off-diagonal in its first n - 1 entries, work 4 n
@@ -374,13 +365,12 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
 
 
 class _Interval(NamedTuple):
-    """(lo, hi] with the eigenvalue counts at or below its ends, and a search's target count."""
+    """(lo, hi] with the eigenvalue counts at or below its ends."""
 
     lo: float
     hi: float
     at_lo: int = 0
     at_hi: int = 0
-    target: int = 0
 
 
 def _dlaebz(t: SymTridiagonal, ijob: int, intervals: list[_Interval]) -> list[_Interval]:
@@ -388,10 +378,9 @@ def _dlaebz(t: SymTridiagonal, ijob: int, intervals: list[_Interval]) -> list[_I
 
     ijob = 1 counts both ends of each interval.  ijob = 2 bisects each
     interval, whose counts must leave it one eigenvalue, until it is
-    narrower than max(_LAEBZ_ABSTOL, pivmin, _LAEBZ_RELTOL * its larger end).
-    ijob = 3 bisects each toward a point whose count is its target, and
-    leaves that point at both ends.  Both move a converged interval to the
-    front with its counts and target, so callers pick results by count.
+    narrower than max(_LAEBZ_ABSTOL, pivmin, _LAEBZ_RELTOL * its larger end),
+    and moves a converged interval to the front with its counts, so callers
+    pick results by count.
 
     The squared off-diagonal, the pivot floor tiny * max(1, max e2) and the
     cap of log2((width + pivmin) / pivmin) + 2 halvings are those of LAPACK's
@@ -403,52 +392,27 @@ def _dlaebz(t: SymTridiagonal, ijob: int, intervals: list[_Interval]) -> list[_I
     lapack = _lapack()
     integer, double, byref = lapack.integer, ctypes.c_double, ctypes.byref
     m = len(intervals)
-    lo, hi, at_lo, at_hi, target = zip(*intervals)
+    lo, hi, at_lo, at_hi = zip(*intervals)
     e2 = t.offdiag * t.offdiag
     pivmin = _TINY * float(e2.max(initial=1.0))
     nitmax = 0
-    if ijob > 1:
+    if ijob == 2:
         width = max(h - l for l, h in zip(lo, hi))
         nitmax = int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
     ab = (double * (2 * m))(*lo, *hi)
     nab = (integer * (2 * m))(*at_lo, *at_hi)
-    nval = (integer * m)(*target)
-    c = (double * m)(*(0.5 * (l + h) for l, h in zip(lo, hi)))
     mout, info = integer(), integer()
     lapack.dlaebz(byref(integer(ijob)), byref(integer(nitmax)), byref(integer(t.dim)),
                   byref(integer(m)), byref(integer(m)), byref(integer(0)),
                   byref(double(_LAEBZ_ABSTOL)), byref(double(_LAEBZ_RELTOL)),
-                  byref(double(pivmin)), *t._addresses, e2.ctypes.data, nval, ab, c,
-                  byref(mout), nab, (double * m)(), (integer * m)(), byref(info))
+                  byref(double(pivmin)), *t._addresses, e2.ctypes.data, (integer * m)(), ab,
+                  (double * m)(), byref(mout), nab, (double * m)(), (integer * m)(), byref(info))
     if info.value != 0:
         raise ConvergenceError(
             f"Sturm bisection (dlaebz, ijob = {ijob}) failed with info = {info.value} "
             f"for dim {t.dim}"
         )
-    return [_Interval(ab[j], ab[m + j], nab[j], nab[m + j], nval[j]) for j in range(m)]
-
-
-def _index_intervals(t: SymTridiagonal, indices) -> list[_Interval]:
-    """One interval per eigenvalue index, holding it alone, by one dlaebz search (ijob = 3).
-
-    Each search starts on (-g - 1, g + 1], g the Gershgorin bound, whose
-    ends count 0 and N: the margin of 1 is far beyond the count's rounding,
-    about N eps g (3e-7 at N = 10^6).  It looks for points whose counts are
-    i and i + 1, and eigenvalue i lies between them; a pair of points that
-    does not prove that raises ConvergenceError.
-    """
-    bound = t.gershgorin_bound() + 1.0
-    targets = sorted({count for i in indices for count in (i, i + 1)})
-    found = {point.target: point for point in
-             _dlaebz(t, 3, [_Interval(-bound, bound, 0, t.dim, n) for n in targets])}
-    intervals = []
-    for i in sorted(set(indices)):
-        below, above = found[i], found[i + 1]
-        if (below.at_lo, above.at_hi) != (i, i + 1):
-            raise ConvergenceError(
-                f"no Sturm counts separate eigenvalue {i} of dim {t.dim} from its neighbours")
-        intervals.append(_Interval(below.lo, above.hi, i, i + 1))
-    return intervals
+    return [_Interval(ab[j], ab[m + j], nab[j], nab[m + j]) for j in range(m)]
 
 
 def _bisect(t: SymTridiagonal, intervals: list[_Interval]) -> dict[int, float]:
@@ -491,8 +455,9 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     default sigma-table ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps:
     the bisected value is within a few ulps of the true zero, and dqds's within 0.45 sqrt(N) eps
     on N <= 20000, so the guess also lies well inside the bracket around the
-    full-spectrum route's value.  A bracket that misses costs the index
-    route, not a wrong result.
+    full-spectrum route's value.  A bracket that misses costs a full
+    spectrum up to ``DENSE_SPECTRUM_CAP`` and a ConvergenceError beyond it,
+    never a wrong result.
     """
     nu = 2.0 * n_dim + 1.0
     a, c = _AIRY_A1, 2.0 ** (1.0 / 3.0)
@@ -525,12 +490,13 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     ``n_dim`` is an integer >= 2; anything else, a matrix included, raises
     ValueError.  The matrix is ``position_tridiagonal(n_dim)``, and the
     route follows from N alone; its zero diagonal makes the spectrum
-    symmetric, which fixes the index i of each eigenvalue.  One dlaebz call
-    proves an interval that holds each alone: below N = 100 by a search for
-    points whose counts are i and i + 1 (``_index_intervals``), from there
-    on by counts of i and i + 1 at the ends of the asymptotic brackets.  A
-    bracket the counts do not prove is logged and answered by the search.
-    Below N = 4607 one more call bisects the proved intervals to 2 ulp
+    symmetric, which fixes the index i of each eigenvalue.  Below N = 100
+    both values are entries i of ``eig_all``, bit for bit.  From there on
+    one dlaebz call proves that each asymptotic bracket holds eigenvalue i
+    alone, by counts of i and i + 1 at its ends.  A bracket the counts do
+    not prove is logged and answered by ``eig_all`` up to
+    ``DENSE_SPECTRUM_CAP``; beyond it, it raises ConvergenceError.
+    Below N = 4607 one more call bisects the proved brackets to 2 ulp
     relative around the point where the count changes.  For lambda_M that
     point is within 2 ulp of the true eigenvalue; for lambda_m it drifts
     away as N grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6), and
@@ -553,18 +519,22 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
         brackets = [_Interval(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
         for i, (guess, _), counted in zip(indices, guesses, _dlaebz(t, 1, brackets)):
             if (counted.at_lo, counted.at_hi) != (i, i + 1):
-                _log.debug("dim %d, index %d: bracket (%r, %r] has %d and %d eigenvalue(s) "
-                           "at or below its ends; using the index route",
-                           n_dim, i, counted.lo, counted.hi, counted.at_lo, counted.at_hi)
+                miss = (f"dim {n_dim}, index {i}: bracket ({counted.lo!r}, {counted.hi!r}] has "
+                        f"{counted.at_lo} and {counted.at_hi} eigenvalue(s) at or below its ends")
+                if n_dim > DENSE_SPECTRUM_CAP:
+                    raise ConvergenceError(
+                        f"{miss}, beyond the full-spectrum cap {DENSE_SPECTRUM_CAP}")
+                _log.debug("%s; using the full spectrum", miss)
                 missed.append(i)
             elif certified:
                 values[i] = guess
             else:
                 proved.append(counted)
-    if missed:
-        proved += _index_intervals(t, missed)
     if proved:
         values.update(_bisect(t, proved))
+    if missed:
+        spectrum = eig_all(t)
+        values.update((i, float(spectrum[i])) for i in missed)
     return values[indices[0]], values[indices[1]]
 
 

@@ -119,6 +119,12 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     return float(_spread_product(c, a_val, b_val, x.q, x.p))
 
 
+def _check_kind(which: str) -> None:
+    """ValueError unless ``which`` is one of ``GRID_KINDS``."""
+    if which not in GRID_KINDS:
+        raise ValueError(f"unknown grid kind {which!r}; expected one of {tuple(GRID_KINDS)}")
+
+
 def _check_axes(*ranges: tuple[float, float, int]) -> list[tuple[float, float, int]]:
     """Every (min, max, steps) axis as Python (float, float, int); ValueError
     unless min < max are finite and steps is an integer (not bool) >= 2."""
@@ -150,6 +156,7 @@ class SymbolGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_kind(self.which)
         q_range, p_range = _check_axes(self.q_range, self.p_range)
         object.__setattr__(self, "n_dim", as_dimension(self.n_dim, 1, "n_dim"))
         object.__setattr__(self, "q_range", q_range)
@@ -183,8 +190,7 @@ def symbol_grid(
     Every argument, and the memory the grid needs, is checked before the
     grid is allocated.
     """
-    if which not in GRID_KINDS:
-        raise ValueError(f"unknown grid kind {which!r}; expected one of {tuple(GRID_KINDS)}")
+    _check_kind(which)
     n_dim = as_dimension(n_dim, 1, "n_dim")
     q_range, p_range = _check_axes(q_range, p_range)
     check_memory(_GRID_BYTES_PER_CELL * q_range[2] * p_range[2],

@@ -1,6 +1,5 @@
 """Tests for polynomial-symbol quantization and the named operators."""
 
-import json
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -60,13 +59,6 @@ class TestPolynomialSymbol:
         sym = PolynomialSymbol.position()
         z = 0.8 - 0.25j
         assert sym.evaluate(z) == pytest.approx((z + np.conj(z)) / SQRT2)
-
-    def test_json_round_trip(self):
-        sym = PolynomialSymbol.from_terms([(2, 1, 0.5 - 0.25j), (0, 3, 1.5j)])
-        again = PolynomialSymbol.from_json(sym.to_json())
-        assert again == sym
-        parsed = json.loads(sym.to_json())
-        assert set(parsed[0]) == {"a", "b", "re", "im"}
 
     def test_cancelled_terms_leave_no_roundoff_ghost(self):
         # 1j + 1.936j - 1j - 1.936j sums to -2.2e-16j in floating point
@@ -305,30 +297,11 @@ class TestNamedOperators:
 
 
 class TestOperatorMatrix:
-    def test_json_round_trip(self):
-        op = momentum_operator(4)
-        again = OperatorMatrix.from_json(op.to_json())
-        assert again.dim == 4
-        assert _max_dev(again.entries, op.entries) == 0.0
-
-    def test_json_dim_must_match_entries(self):
-        data = json.loads(momentum_operator(4).to_json())
-        data["dim"] = 5
-        with pytest.raises(ValueError, match="dim"):
-            OperatorMatrix.from_json(json.dumps(data))
-
     @pytest.mark.parametrize("entries", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
                              ids=["non-square", "1-D", "3-D"])
     def test_rejects_non_square_matrix(self, entries):
         with pytest.raises(ValueError, match="square 2-D"):
             OperatorMatrix(entries)
-
-    def test_csv_interleaves_re_im(self):
-        op = momentum_operator(2)
-        rows = op.to_csv().strip().splitlines()
-        assert len(rows) == 2
-        first = [float(v) for v in rows[0].split(",")]
-        assert first == pytest.approx([0.0, 0.0, 0.0, -1 / SQRT2])
 
     def test_entries_are_immutable(self):
         op = position_operator(3)

@@ -17,6 +17,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from functools import cache
 from pathlib import Path
 
@@ -228,10 +229,12 @@ def _brackets(n: int) -> list:
             for guess, half_width in spectra._extreme_guesses(n)]
 
 
-def _index_route(t: SymTridiagonal, indices) -> list[float]:
-    """The package's index route: search (ijob 3), then bisect (ijob 2)."""
-    values = spectra._bisect(t, spectra._index_intervals(t, indices))
-    return [values[i] for i in indices]
+def _isolating_intervals(t: SymTridiagonal, indices) -> list:
+    """For each index i, eigenvalue i alone in an interval cut at eig_all's midpoints."""
+    ev = eig_all(t)
+    cuts = np.concatenate(([-t.gershgorin_bound() - 1.0], 0.5 * (ev[1:] + ev[:-1]),
+                           [t.gershgorin_bound() + 1.0]))
+    return [spectra._Interval(float(cuts[i]), float(cuts[i + 1]), i, i + 1) for i in indices]
 
 
 class TestLapackBinding:
@@ -263,34 +266,32 @@ class TestLapackBinding:
             assert (counted[-1].at_lo, counted[-1].at_hi) == (0, n)
 
     def test_search_and_bisection_pick_results_by_count(self):
-        # dlaebz moves each converged interval to the front: the search for
-        # the largest eigenvalue's upper point (count N) hits first
+        # dlaebz moves each converged interval to the front, so the bisection
+        # returns its intervals in an order of its own; each keeps its counts
         n = 50
         t = position_tridiagonal(n)
-        bound = t.gershgorin_bound() + 1.0
-        targets = [25, 26, 49, 50]
-        found = spectra._dlaebz(t, 3, [spectra._Interval(-bound, bound, 0, n, k) for k in targets])
-        assert sorted(p.target for p in found) == targets
-        assert [p.target for p in found] != targets
-        for point in found:
-            # a hit leaves the point at both ends, with its count
-            assert point.lo == point.hi and point.at_lo == point.at_hi == point.target
-            assert sturm_count(t, point.lo) == point.target
-        intervals = spectra._index_intervals(t, [49, 25])
-        assert [(i.at_lo, i.at_hi) for i in intervals] == [(25, 26), (49, 50)]
+        indices = [25, 49, 0, 37]
+        done = spectra._dlaebz(t, 2, _isolating_intervals(t, indices))
+        assert sorted(d.at_lo for d in done) == sorted(indices)
+        assert [d.at_lo for d in done] != indices
+        assert all(d.at_hi == d.at_lo + 1 for d in done)
         ev = eig_all(t)
-        for i, value in spectra._bisect(t, intervals[::-1]).items():
+        values = spectra._bisect(t, _isolating_intervals(t, indices))
+        assert sorted(values) == sorted(indices)
+        for i, value in values.items():
             assert abs(value - ev[i]) <= 1e-14 * ev[-1], i
 
     def test_threads_sharing_one_matrix(self):
         # the GIL is released inside dlaebz; each call must still see its own
         # arguments and results
         t = position_tridiagonal(3000)
-        expected = {i: _index_route(t, [i])[0] for i in range(1500, 3000, 100)}
+        intervals = dict(zip(range(1500, 3000, 100),
+                             _isolating_intervals(t, range(1500, 3000, 100))))
+        expected = {i: spectra._bisect(t, [interval])[i] for i, interval in intervals.items()}
 
         def work(seed):
             indices = list(expected)[seed % 3::3] * 4
-            return [(i, _index_route(t, [i])[0]) for i in indices]
+            return [(i, spectra._bisect(t, [intervals[i]])[i]) for i in indices]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -302,10 +303,9 @@ class TestLapackBinding:
             sys.setswitchinterval(interval)
         assert all(value == expected[i] for i, value in results)
 
-    @pytest.mark.parametrize("n, info", [(10, 1), (1000, 3)], ids=["search", "bisection"])
+    @pytest.mark.parametrize("n, info", [(1000, 3)], ids=["bisection"])
     def test_dlaebz_failure_is_convergence_error(self, n, info, monkeypatch):
-        # below N = 100 the search (ijob 3) fails; at 1000 the bisection (ijob 2)
-        # reports mmax + 1, an interval that would split
+        # the bisection (ijob 2) reports mmax + 1, an interval that would split
         lapack = spectra._lapack()
 
         @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
@@ -327,7 +327,7 @@ class TestLapackBinding:
         assert len(messages) == 1 and f"from {source}" in messages[0], messages
 
     def test_scipy_capsules_give_the_same_bits(self, monkeypatch, rebind_lapack, caplog):
-        # the ladder's index route, bisected brackets (551 among them) and
+        # the ladder's dqds dims, bisected brackets (551 among them) and
         # certified ones, an odd bisected dim and the last bisected one
         dims = [n for n in TABLE_DIMS if n <= 10**5] + [101, 4606]
         native = [extreme_eigenvalues(n) for n in dims]
@@ -454,12 +454,14 @@ class TestExtremeEigenvalues:
 
 class TestBracketedRoute:
     """The asymptotic bracket must hit on every dimension it serves, give
-    dstebz's bits where it bisects, and fall back to the index route
-    exactly when LAPACK's counts do not prove the bracketed index."""
+    dstebz's bits where it bisects, and fall back to the full spectrum
+    exactly when LAPACK's counts do not prove the bracketed index.  Below
+    N = 100 the extremes are eig_all's entries."""
 
     @staticmethod
-    def _index_route(t: SymTridiagonal) -> tuple[float, float]:
-        return tuple(_index_route(t, _extreme_indices(t.dim)))
+    def _full_spectrum(t: SymTridiagonal) -> tuple[float, float]:
+        ev = eig_all(t)
+        return tuple(float(ev[i]) for i in _extreme_indices(t.dim))
 
     @staticmethod
     def _dstebz_by_index(t: SymTridiagonal) -> tuple[float, float]:
@@ -483,7 +485,10 @@ class TestBracketedRoute:
         assert [r.getMessage() for r in caplog.records] == []
 
     def test_matches_index_route_to_two_ulp(self):
-        for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + TABLE_DIMS:
+        # the index route is dstebz by index; below N = 100 the truth is
+        # test_within_six_ulp_of_newton_below_threshold
+        dims = [n for n in TABLE_DIMS if n >= spectra._BRACKET_MIN_DIM]
+        for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + dims:
             t = position_tridiagonal(n)
             exact = self._dstebz_by_index(t)
             if _certified(n):
@@ -493,10 +498,8 @@ class TestBracketedRoute:
             else:
                 for got, want in zip(extreme_eigenvalues(n), exact):
                     assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
-            if n < spectra._BRACKET_MIN_DIM:
-                continue
-            # margin of at least 2: the index route's value lies within half of
-            # its bracket's half-width of the guess
+            # margin of at least 2: dstebz's value lies within half of its
+            # bracket's half-width of the guess
             for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
                 assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
 
@@ -509,25 +512,33 @@ class TestBracketedRoute:
                 want = _scipy_stebz(t, b"V", bracket.lo, bracket.hi, 0, 0, 2.0 * TINY)
                 assert want == (1, value.hex(), 0), (n, value.hex(), want)
 
-    @pytest.mark.parametrize("dims", [range(2, 301), [1000, 1001, 10000, 10001]],
-                             ids=["every-small-dim", "missed-bracket-dims"])
-    def test_index_route_within_two_ulp_of_dstebz(self, dims):
-        for n in dims:
+    def test_within_six_ulp_of_newton_below_threshold(self):
+        # dqds is not held to dstebz by index here, as the two differ by up
+        # to 8 ulp; the truth is 40-digit Newton, started from the dense
+        # eigensolver's value so that it finds the zero of the wanted index
+        newton_zero = _reference_script().newton_zero
+        for n in range(2, 100):
             t = position_tridiagonal(n)
-            for got, want in zip(self._index_route(t), self._dstebz_by_index(t)):
-                assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
+            dense = np.linalg.eigvalsh(np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1))
+            for got, i in zip(extreme_eigenvalues(n), _extreme_indices(n)):
+                ref = newton_zero(n, float(dense[i]))
+                ulp = np.spacing(float(ref))
+                assert abs(Decimal(got) - ref) <= 6 * Decimal(ulp), (n, i, got, ref)
 
     def test_largest_eigenvalue_bisects_from_a_narrow_bracket(self):
         _, (_, half_width) = spectra._extreme_guesses(10**4)
         assert half_width <= 1e-13
 
-    def test_index_route_below_threshold(self, monkeypatch):
-        def no_guess(n_dim):
-            raise AssertionError("asymptotic guesses used below the threshold")
+    def test_full_spectrum_below_threshold(self, monkeypatch):
+        def no_dlaebz(*args):
+            raise AssertionError("dlaebz called below the threshold")
 
-        monkeypatch.setattr(spectra, "_extreme_guesses", no_guess)
-        n = spectra._BRACKET_MIN_DIM - 1
-        assert extreme_eigenvalues(n) == self._index_route(position_tridiagonal(n))
+        monkeypatch.setattr(spectra, "_dlaebz", no_dlaebz)
+        for n in range(2, 100):
+            got = extreme_eigenvalues(n)
+            assert [v.hex() for v in got] == [
+                v.hex() for v in self._full_spectrum(position_tridiagonal(n))], n
+            assert all(type(v) is float for v in got)
 
     @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001])
     @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
@@ -535,7 +546,8 @@ class TestBracketedRoute:
         t = position_tridiagonal(n)
         ev = eig_all(t)
         idx_m, idx_max = _extreme_indices(n)
-        exact = self._index_route(t)
+        exact = self._full_spectrum(t)
+        counted = self._dstebz_by_index(t)
         width = 1e-9
         guesses = {
             # one eigenvalue in the bracket, but not the wanted one
@@ -544,8 +556,8 @@ class TestBracketedRoute:
             "wide": ((3.0 * ev[idx_m], 0.9), (0.5 * ev[idx_max], 0.9)),
             # none in the bracket
             "empty": ((1.5 * ev[idx_m], width), (2.0 * ev[idx_max], width)),
-            # just above the index route's value, too narrow to reach it
-            "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in exact),
+            # just above the point where the count changes, too narrow to reach it
+            "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in counted),
             # no interval at all
             "degenerate": ((exact[0], 0.0), (-exact[1], width)),
         }[miss]
@@ -556,6 +568,20 @@ class TestBracketedRoute:
         assert len(lines) == 2
         for line, index in zip(lines, (idx_m, idx_max)):
             assert line.startswith(f"dim {n}, index {index}: bracket (")
+            assert line.endswith("; using the full spectrum")
+
+    def test_missed_bracket_beyond_the_cap_raises(self, monkeypatch):
+        # no full spectrum to fall back on: an error naming N, the index and
+        # the counts, never an unproved value
+        cap = spectra.DENSE_SPECTRUM_CAP
+        n = cap + 1
+        (guess_m, width_m), (guess_max, width_max) = spectra._extreme_guesses(n)
+        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: (
+            (guess_m, width_m), (2.0 * guess_max, width_max)))
+        with pytest.raises(ConvergenceError, match=(
+                rf"^dim {n}, index {n - 1}: bracket \(.*\] has {n} and {n} eigenvalue\(s\) "
+                rf"at or below its ends, beyond the full-spectrum cap {cap}$")):
+            extreme_eigenvalues(n)
 
     def test_certified_extremes_within_two_ulp_of_reference(self):
         dims = sorted(n for n in _reference_zeros() if _certified(n))
@@ -564,7 +590,7 @@ class TestBracketedRoute:
             _assert_near_reference(n, extreme_eigenvalues(n))
 
     @pytest.mark.parametrize("n, ijobs", [
-        (99, [3, 2]), (100, [1, 2]), (4606, [1, 2]), (4607, [1]), (10000, [1]), (10001, [1]),
+        (99, []), (100, [1, 2]), (4606, [1, 2]), (4607, [1]), (10000, [1]), (10001, [1]),
     ])
     def test_one_dlaebz_call_per_certified_dim_and_two_per_bisected(self, n, ijobs,
                                                                     monkeypatch):
@@ -577,9 +603,8 @@ class TestBracketedRoute:
 
         monkeypatch.setattr(spectra, "_dlaebz", recorded)
         spectrum_summary(n)
-        # both extremes share every call: two intervals, or four searched points
-        sizes = {1: 2, 2: 2, 3: 4}
-        assert calls == [(ijob, sizes[ijob]) for ijob in ijobs], calls
+        # both extremes share every call, two intervals each
+        assert calls == [(ijob, 2) for ijob in ijobs], calls
 
 
 def _reference_script():
@@ -702,8 +727,7 @@ class TestSpectrumSummary:
         tracemalloc.start()
         try:
             t = position_tridiagonal(n)
-            counted = spectra._dlaebz(t, 1, _brackets(n))
-            spectra._bisect(t, counted + spectra._index_intervals(t, _extreme_indices(n)))
+            spectra._bisect(t, spectra._dlaebz(t, 1, _brackets(n)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

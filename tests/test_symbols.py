@@ -363,6 +363,11 @@ class TestSymbolGrid:
         with pytest.raises(ValueError, match=r"must be finite, got \(-inf, 1.0\)"):
             symbol_grid(5, "H", (-1.0, 1.0, 5), (-math.inf, 1.0, 5))
 
+    def test_grid_rejects_an_unknown_kind(self):
+        # checked by the dataclass itself, before any export reads the kind
+        with pytest.raises(ValueError, match="unknown grid kind 'nope'; expected one of"):
+            SymbolGrid("nope", 10, (0.0, 1.0, 2), (0.0, 1.0, 2), np.zeros((2, 2)))
+
     @pytest.mark.parametrize("steps", [2.5, np.float64(3.0), True, np.True_],
                              ids=["float", "numpy-float", "bool", "numpy-bool"])
     def test_rejects_non_integer_steps(self, steps):
