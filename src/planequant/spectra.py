@@ -264,13 +264,6 @@ class SymTridiagonal:
         pivmin = np.finfo(float).tiny * max(max_bsq, 1.0)
         return bsq, pivmin
 
-    def gershgorin_bound(self) -> float:
-        """Upper bound on |eigenvalues| from row sums."""
-        radius = np.zeros(self.dim)
-        radius[:-1] += self.offdiag
-        radius[1:] += self.offdiag
-        return float(np.max(radius))
-
 
 def position_tridiagonal(n_dim: int) -> SymTridiagonal:
     """Tridiagonal data of the position matrix: zero diagonal, sqrt(k/2) off.
@@ -627,7 +620,7 @@ def sigma_table(n_list) -> list[SpectrumSummary]:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gap and interlacing margins for one dimension; a check passes when its margin is > 0."""
+    """Gap and interlacing margins of one dimension, as ``gap_properties`` measures them."""
 
     dim: int
     worst_gap_margin: float
@@ -637,18 +630,6 @@ class GapReport:
     def parity(self) -> str:
         return _parity(self.dim)
 
-    @property
-    def gaps_ok(self) -> bool:
-        return self.worst_gap_margin > 0.0
-
-    @property
-    def interlacing_ok(self) -> bool:
-        return self.worst_interlacing_margin > 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.gaps_ok and self.interlacing_ok
-
 
 def _interlacing_margin(ev_n: np.ndarray, ev_n1: np.ndarray) -> float:
     """Worst margin of strict interlacing ev_n1[i] < ev_n[i] < ev_n1[i+1]; > 0 when it holds."""
@@ -656,11 +637,12 @@ def _interlacing_margin(ev_n: np.ndarray, ev_n1: np.ndarray) -> float:
 
 
 def gap_properties(n_dim: int) -> GapReport:
-    """Check consecutive-gap lower bounds and interlacing with order N+1.
+    """Margins of the consecutive-gap lower bound and of interlacing with order N+1.
 
-    Every gap between consecutive positive eigenvalues exceeds the minimal
-    forbidden cell of the smallest positive one, and the order-N and
-    order-N+1 spectra strictly interlace.
+    The gap margin is > 0 when every gap between consecutive positive
+    eigenvalues exceeds the minimal forbidden cell of the smallest positive
+    one, and the interlacing margin when the order-N and order-N+1 spectra
+    strictly interlace.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     ev_n = eig_all(position_tridiagonal(n_dim))

@@ -5,12 +5,12 @@ margin so failures are actionable.  The suite runs one fixed plan, the
 dimensions written in each check: the operator identities on 14 dimensions
 up to 200, the frame and closed-form checks up to 64, and the spectral
 checks up to 201.  A deviation check passes iff ``_worst`` of its
-deviations is at most its threshold; ``_worst`` is NaN when any deviation
-is, so a NaN fails the check by name.  The fault-injection hook perturbs one
-off-diagonal entry of the tridiagonal fed to the structural checks, to
-prove the harness can fail at all; ``interlacing`` then fails by name.
-``symmetry`` passes: a zero-diagonal tridiagonal keeps a sign-symmetric
-spectrum whatever its couplings.
+deviations is at most its threshold, and a margin check iff the smallest of
+its margins is > 0; either is NaN when any of its inputs is, so a NaN fails
+the check by name.  Each check has a tested fault that fails it alone.  The
+fault-injection hook perturbs one off-diagonal entry of the order-N
+tridiagonal that ``interlacing`` compares with order N + 1, to prove the
+harness can fail at all; ``interlacing`` then fails by name.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra, symbols
+from .errors import VerificationError
 from .frame import PhasePoint, verify_identity_resolution
 from .operators import (
     OperatorMatrix,
@@ -108,66 +109,42 @@ def _check_sandwich(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_sturm_qr(rng: np.random.Generator) -> CheckResult:
+    # Each shift is counted at +lam and -lam, and 1e-9 straddles the odd-N
+    # zero, so a count that breaks the spectrum's sign symmetry mismatches.
     mism = 0
     for n in (12, 101, 200):
         t = spectra.position_tridiagonal(n)
         ev = spectra.eig_all(t)
-        bound = math.sqrt(2.0 * n) + 1.0
-        for lam in rng.uniform(-bound, bound, size=50):
-            if spectra.sturm_count(t, float(lam)) != int(np.searchsorted(ev, lam)):
+        lams = [*rng.uniform(0.0, math.sqrt(2.0 * n) + 1.0, size=25).tolist(), 1e-9]
+        for lam in lams + [-x for x in lams]:
+            if spectra.sturm_count(t, lam) != int(np.searchsorted(ev, lam)):
                 mism += 1
     return CheckResult("sturm_qr", mism == 0, f"{mism} count mismatches")
 
 
-def _structural_tridiagonal(n: int, inject_fault: bool) -> spectra.SymTridiagonal:
-    t = spectra.position_tridiagonal(n)
-    if not inject_fault:
-        return t
-    off = t.offdiag.copy()
-    off[n // 2] *= 1.25  # the test hook: one perturbed coupling
-    return spectra.SymTridiagonal(off)
-
-
-def _check_symmetry(n: int, inject_fault: bool, rng: np.random.Generator) -> CheckResult:
-    # eig_all returns +-sigma, so the spectrum's sign symmetry is checked on
-    # the Sturm count: #(ev < lam) + #(ev < -lam) = n away from eigenvalues,
-    # and exactly n % 2 eigenvalues (the odd-n zero) lie in [-1e-9, 1e-9).
-    # The injected fault keeps the zero diagonal, so this check passes on it.
-    t = _structural_tridiagonal(n, inject_fault)
-    bound = t.gershgorin_bound() + 1.0
-    mism = sum(
-        spectra.sturm_count(t, lam) + spectra.sturm_count(t, -lam) != n
-        for lam in rng.uniform(0.0, bound, size=50).tolist()
-    )
-    near_zero = spectra.sturm_count(t, 1e-9) - spectra.sturm_count(t, -1e-9)
-    return CheckResult(
-        "symmetry",
-        mism == 0 and near_zero == n % 2,
-        f"{mism} of 50 Sturm count pairs at +-lam miss {n}, "
-        f"{near_zero} eigenvalue(s) in [-1e-9, 1e-9), expected {n % 2}",
-    )
-
-
 def _check_interlacing(n: int, inject_fault: bool) -> CheckResult:
-    ev_n = spectra.eig_all(_structural_tridiagonal(n, inject_fault))
+    t = spectra.position_tridiagonal(n)
+    if inject_fault:
+        off = t.offdiag.copy()
+        off[n // 2] *= 1.25  # the test hook: one perturbed coupling
+        t = spectra.SymTridiagonal(off)
+    ev_n = spectra.eig_all(t)
     ev_n1 = spectra.eig_all(spectra.position_tridiagonal(n + 1))
     margin = spectra._interlacing_margin(ev_n, ev_n1)
     return CheckResult("interlacing", margin > 0.0, f"worst margin {margin:.3e}")
 
 
 def _check_gaps() -> CheckResult:
-    worst = math.inf
-    for n in (5, 12, 150):
-        report = spectra.gap_properties(n)
-        if not report.gaps_ok:
-            return CheckResult("gap", False, f"gap bound violated at dim {n}")
-        worst = min(worst, report.worst_gap_margin)
-    return CheckResult("gap", True, f"smallest gap margin {worst:.3e}")
+    worst = float(np.min([spectra.gap_properties(n).worst_gap_margin for n in (5, 12, 150)]))
+    return CheckResult("gap", worst > 0.0, f"smallest gap margin {worst:.3e}")
 
 
 def _check_sigma() -> CheckResult:
-    summaries = spectra.sigma_table(range(2, 201))
-    # every summary already holds sigma < 2*pi, or raises VerificationError
+    try:
+        # every summary holds sigma < 2*pi, or raises VerificationError
+        summaries = spectra.sigma_table(range(2, 201))
+    except VerificationError as exc:
+        return CheckResult("sigma_below_two_pi", False, str(exc))
     sigmas = {s.dim: s.sigma for s in summaries}
     monotone = all(sigmas[n + 2] > sigmas[n] for n in sigmas if n + 2 in sigmas)
     top = max(sigmas.values())
@@ -189,6 +166,5 @@ def run_verification(*, seed: int = 0, inject_fault: bool = False) -> list[Check
         _check_sturm_qr(rng),
         _check_interlacing(200, inject_fault),
         _check_gaps(),
-        _check_symmetry(200, inject_fault, rng),
         _check_sigma(),
     ]

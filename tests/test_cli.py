@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from planequant import spectra, symbols, verify
 from planequant.cli import main
+from planequant.operators import OperatorMatrix
 from planequant.symbols import GRID_KINDS
 
 TWO_PI = 2.0 * math.pi
@@ -266,8 +269,9 @@ class TestVerifyCommand:
     def test_default_plan_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 8
         assert "FAIL" not in out
+        assert out.splitlines()[-1] == "all 8 checks passed"
 
     def test_injected_fault_fails_by_name(self, capsys):
         assert main(["verify", "--inject-fault"]) == 1
@@ -278,54 +282,60 @@ class TestVerifyCommand:
         assert "interlacing" in captured.err
 
     def test_nan_identity_deviation_fails_by_name(self, monkeypatch):
-        from planequant import verify
-
         monkeypatch.setattr(verify, "verify_identity_resolution", lambda n: math.nan)
         result = {r.name: r for r in verify.run_verification()}["identity_resolution"]
         assert not result.passed
         assert result.detail == "max deviation nan"
 
     def test_nan_commutator_entry_fails_by_name(self, monkeypatch, capsys):
-        from planequant import verify
-        from planequant.operators import OperatorMatrix, commutator
-
-        def nan_commutator(a, b):
-            entries = commutator(a, b).entries.copy()
-            entries[-1, -1] = math.nan
-            return OperatorMatrix(entries)
-
-        monkeypatch.setattr(verify, "commutator", nan_commutator)
+        monkeypatch.setattr(verify, "commutator", _nan_last_entry(verify.commutator))
         assert main(["verify"]) == 1
         captured = capsys.readouterr()
         assert "FAIL commutator: max deviation nan" in captured.out
         assert "1 check(s) failed: commutator" in captured.err
 
     def test_sigma_above_two_pi_fails_naming_the_bound(self, monkeypatch, capsys):
-        from planequant import spectra
-
         # lambda_m = 1, lambda_M = 4 gives sigma = 16 at every even N
         monkeypatch.setattr(spectra, "extreme_eigenvalues", lambda n_dim: (1.0, 4.0))
         assert main(["verify"]) == 1
-        assert "violates the 2*pi bound" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL sigma_below_two_pi: sigma = ")
+        assert failed[0].endswith("violates the 2*pi bound at dim 2")
+        assert "1 check(s) failed: sigma_below_two_pi" in captured.err
+
+    def test_nan_gap_margin_fails_by_name(self, monkeypatch):
+        gap_properties = spectra.gap_properties
+
+        def nan_at_12(n_dim):
+            report = gap_properties(n_dim)
+            if n_dim != 12:
+                return report
+            return dataclasses.replace(report, worst_gap_margin=math.nan)
+
+        monkeypatch.setattr(spectra, "gap_properties", nan_at_12)
+        failed = [r for r in verify.run_verification() if not r.passed]
+        assert [(r.name, r.detail) for r in failed] == [("gap", "smallest gap margin nan")]
 
     def test_symmetry_reads_the_sturm_counts(self, monkeypatch):
-        from planequant import spectra, verify
-
-        assert verify._check_symmetry(64, False, np.random.default_rng(0)).passed
+        assert verify._check_sturm_qr(np.random.default_rng(0)).passed
         count = spectra.sturm_count
-        monkeypatch.setattr(spectra, "sturm_count", lambda t, lam: count(t, lam - 0.5))
-        result = verify._check_symmetry(64, False, np.random.default_rng(0))
-        assert not result.passed and not result.detail.startswith("0 of 50")
+        for fault in (lambda t, lam: count(t, lam - 0.5), lambda t, lam: count(t, lam) + 1):
+            monkeypatch.setattr(spectra, "sturm_count", fault)
+            for seed in range(20):
+                result = verify._check_sturm_qr(np.random.default_rng(seed))
+                assert not result.passed and result.detail != "0 count mismatches", seed
 
     def test_symmetry_counts_the_zero_eigenvalue(self, monkeypatch):
-        from planequant import spectra, verify
-
-        assert verify._check_symmetry(65, False, np.random.default_rng(0)).passed
+        # sturm_qr counts at +-1e-9 on every seed, so a count that is off on
+        # either side of the odd-N zero fails whatever shifts are drawn
         count = spectra.sturm_count
-        monkeypatch.setattr(spectra, "sturm_count",
-                            lambda t, lam: count(t, lam) + (0.0 <= lam < 1e-3))
-        for n in (64, 65):
-            assert not verify._check_symmetry(n, False, np.random.default_rng(0)).passed
+        for bumped in (lambda lam: 0.0 <= lam < 1e-3, lambda lam: -1e-3 < lam < 0.0):
+            monkeypatch.setattr(spectra, "sturm_count",
+                                lambda t, lam, bumped=bumped: count(t, lam) + bumped(lam))
+            for seed in range(20):
+                assert not verify._check_sturm_qr(np.random.default_rng(seed)).passed, seed
 
     def test_deterministic_for_fixed_seed(self, capsys):
         assert main(["verify", "--seed", "7"]) == 0
@@ -334,11 +344,85 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
 
 
+def _wrap(monkeypatch, module, name, make) -> dict:
+    """Replace ``module.name`` by ``make(original)``; no run_verification options."""
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    return {}
+
+
+def _nan_last_entry(commutator):
+    def patched(a, b):
+        entries = commutator(a, b).entries.copy()
+        entries[-1, -1] = math.nan
+        return OperatorMatrix(entries)
+    return patched
+
+
+def _last_level_unshifted_at_200(hamiltonian):
+    # at the sandwich check's dimensions this fault fails sandwich_vs_formula too
+    def patched(n_dim):
+        h = hamiltonian(n_dim)
+        if n_dim != 200:
+            return h
+        entries = h.entries.copy()
+        entries[-1, -1] = n_dim - 0.5
+        return OperatorMatrix(entries)
+    return patched
+
+
+def _top_two_swapped_at_150(eig_all):
+    def patched(t):
+        ev = eig_all(t)
+        if t.dim != 150:
+            return ev
+        ev = ev.copy()
+        ev[[-2, -1]] = ev[[-1, -2]]
+        return ev
+    return patched
+
+
+def _lambda_m_shrunk_at_odd_n_above_150(extreme_eigenvalues):
+    def patched(n_dim):
+        lam_m, lam_max = extreme_eigenvalues(n_dim)
+        if n_dim > 150 and n_dim % 2:
+            lam_m *= 1.0 - 1e-3
+        return lam_m, lam_max
+    return patched
+
+
+# One fault per verify check, in run order: each one fails its check and no
+# other, so no check passes on every input and none duplicates another.
+FAULTS = {
+    "commutator": lambda mp: _wrap(mp, verify, "commutator", _nan_last_entry),
+    "hamiltonian": lambda mp: _wrap(mp, verify, "hamiltonian", _last_level_unshifted_at_200),
+    "identity_resolution": lambda mp: _wrap(
+        mp, verify, "verify_identity_resolution", lambda f: lambda n_dim: math.nan),
+    "sandwich_vs_formula": lambda mp: _wrap(
+        mp, symbols, "corrective_factor", lambda f: lambda n_dim, r: f(n_dim, r) + 1e-6),
+    "sturm_qr": lambda mp: _wrap(
+        mp, spectra, "sturm_count", lambda f: lambda t, lam: f(t, lam) + (0.0 <= lam < 1e-3)),
+    "interlacing": lambda mp: {"inject_fault": True},
+    "gap": lambda mp: _wrap(mp, spectra, "eig_all", _top_two_swapped_at_150),
+    "sigma_below_two_pi": lambda mp: _wrap(
+        mp, spectra, "extreme_eigenvalues", _lambda_m_shrunk_at_odd_n_above_150),
+}
+
+
+def test_every_check_has_a_fault():
+    assert list(FAULTS) == [r.name for r in verify.run_verification()]
+
+
+@pytest.mark.parametrize("check", list(FAULTS))
+def test_fault_fails_its_check_alone(check, monkeypatch):
+    options = FAULTS[check](monkeypatch)
+    assert {r.name for r in verify.run_verification(**options) if not r.passed} == {check}
+
+
 GOLDEN = Path(__file__).parent / "data" / "cli"
 
 # (output file, argv without --out): every file a run writes equals its
 # namesake in tests/data/cli, byte for byte.  The sigma-table dimensions
-# cover the index, bracketed and certified routes; 20001 is spectrum's
+# cover the dqds, bracketed and certified routes; 20001 is spectrum's
 # summary row beyond the dense cap.  Full-precision JSON of a spectrum
 # depends on the LAPACK build, so only 9-digit CSVs and the pure-Python
 # bounds report are pinned.  The files are the output of
