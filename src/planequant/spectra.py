@@ -18,10 +18,11 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             there on Sturm counts of LAPACK's bisection
                             kernel dlaebz, O(N) per count, practical to
                             N = 10^6: one call proves that each asymptotic
-                            bracket holds its eigenvalue alone, and at most
-                            one more bisects both.  From N = 4607 on the
-                            guess itself is returned, within 1.73 ulp of
-                            40-digit Newton on every N in 4607..6606.
+                            bracket holds its eigenvalue alone.  The guess
+                            itself is returned for lambda_m from N = 100 on
+                            and for lambda_M from N = 1312 on, within 1.17
+                            ulp of 40-digit Newton on every N in 100..6606;
+                            below 1312 one more call bisects lambda_M.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -85,19 +86,16 @@ _TINY = float(np.finfo(float).tiny)
 _LAEBZ_ABSTOL = 2.0 * _TINY
 _LAEBZ_RELTOL = 2.0 * _EPS
 
-# From this dimension on, extreme_eigenvalues counts and bisects the asymptotic
-# brackets of _extreme_guesses; below it reads eig_all, as at N = 3 the two
-# brackets return the one positive eigenvalue 1 ulp apart, out of order.
+# From this dimension on, extreme_eigenvalues counts the asymptotic brackets
+# of _extreme_guesses; below it reads eig_all, as at N = 3 the two brackets
+# return the one positive eigenvalue 1 ulp apart, out of order.
 _BRACKET_MIN_DIM = 100
-
-# Relative error bound of both asymptotic guesses at _BRACKET_MIN_DIM.  It
-# falls like nu^-4, the order of either expansion's first omitted term:
-# lambda_M's error is 9.7e-11 at N = 100 and 8.9e-15 at N = 1000, and odd-N
-# lambda_m's satisfies err (N/100)^4 <= 8.4e-10 on 101..1999.
-_GUESS_ERROR_AT_MIN_DIM = 1e-9
 
 # First zero of the Airy function Ai, for the largest-zero expansion.
 _AIRY_A1 = -2.338107410459767
+
+# pi^2 as the sum of two doubles, good to 3.7e-32, for the smallest-zero expansion.
+_PI_SQUARED = (9.869604401089358, 6.265295508739711e-16)
 
 # Peak bytes per dimension of the larger route: eig_all needs 48 N
 # (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).  The extreme
@@ -417,9 +415,28 @@ def _bisect(t: SymTridiagonal, intervals: list[_Interval]) -> dict[int, float]:
     return {done.at_lo: 0.5 * (done.lo + done.hi) for done in _dlaebz(t, 2, intervals)}
 
 
-def _guess_error(n_dim: int) -> float:
-    """Relative error bound of both asymptotic guesses at ``n_dim`` >= _BRACKET_MIN_DIM."""
-    return _GUESS_ERROR_AT_MIN_DIM * (_BRACKET_MIN_DIM / n_dim) ** 4
+def _guess_errors(n_dim: int) -> tuple[float, float]:
+    """Relative error bounds of the (lambda_m, lambda_M) guesses, N >= _BRACKET_MIN_DIM.
+
+    In nu = 2N + 1 the errors are at most 312.4 nu^-8 (N = 101) and
+    0.135 nu^(-14/3) (N = 100), against 40-digit Newton.
+    """
+    nu = 2.0 * n_dim + 1.0
+    return 400.0 * nu**-8, 2.0 * nu ** (-14.0 / 3.0)
+
+
+def _halves(x: float) -> tuple[float, float]:
+    """x as hi + lo, exactly, each of at most 26 bits (Veltkamp), so products of halves are exact."""
+    scaled = 134217729.0 * x
+    hi = scaled - (scaled - x)
+    return hi, x - hi
+
+
+def _sqrt_of_sum(terms: list[float]) -> float:
+    """sqrt of the exact sum of ``terms`` to about 0.5 ulp: one Newton step on an exact residual."""
+    root = math.sqrt(math.fsum(terms))
+    hi, lo = _halves(root)
+    return root + math.fsum([*terms, -hi * hi, -2.0 * hi * lo, -lo * lo]) / (2.0 * root)
 
 
 def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -429,42 +446,49 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     zeros of the Laguerre polynomial L_k^(alpha) with k = floor(N/2) and
     alpha = -1/2 (even N) or +1/2 (odd N); both expansions run in
     nu = 2N + 1.  lambda_M^2 is Gatteschi's Airy-type expansion of the
-    largest Laguerre zero (Gatteschi 2002; the initial guesses of Chebfun's
-    hermpts, Townsend, Trogdon & Olver 2016).  lambda_m^2 is the
-    Bessel-type expansion of the smallest one, j^2/nu (1 + (j^2 - 3/2)/(3 nu^2)
-    + ...), at the first zero j of J_alpha: pi/2 or pi.  Its nu^-4 term follows
-    from the perturbation series of the Hermite equation
-    psi'' + (nu - x^2) psi = 0 about x = 0.
+    largest Laguerre zero, in powers of nu^(-2/3) at the Airy zero a
+    (Gatteschi 2002; the initial guesses of Chebfun's hermpts, Townsend,
+    Trogdon & Olver 2016).  lambda_m^2 is the Bessel-type expansion of the
+    smallest one, j^2/nu (1 + (j^2 - 3/2)/(3 nu^2) + ...), at the first zero
+    j of J_alpha: pi/2 or pi; its nu^-4 term follows from the perturbation
+    series of the Hermite equation psi'' + (nu - x^2) psi = 0 about x = 0.
+    The last terms, nu^-6 for lambda_m^2 and nu^-3 for lambda_M^2, are
+    rational fits to high-precision zeros.  Each square is summed exactly
+    from doubles, pi^2 and j^2/nu split in two, and ``_sqrt_of_sum`` roots
+    it, so a guess is within about 0.5 ulp of its expansion.
 
     Each guess comes with the relative half-width of the bracket whose
-    LAPACK counts prove the result, the sum of two error terms.  The guess
-    term, 1e-9 (100/N)^4, bounds the expansions' own error; from N = 4607 on
-    it is below eps and ``extreme_eigenvalues`` returns the guess itself.
-    The solver term is room for the point where the LAPACK Sturm count
-    changes, which the bracket must contain.  For lambda_m it is N eps / 8:
-    the bisected value drifts from the true zero within the O(N eps)
-    relative-perturbation bound of bisection on a zero-diagonal tridiagonal
-    (Demmel & Kahan 1990), by at most N eps / 27 on N = 100..3000 and on the
-    default sigma-table ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps:
-    the bisected value is within a few ulps of the true zero, and dqds's within 0.45 sqrt(N) eps
-    on N <= 20000, so the guess also lies well inside the bracket around the
-    full-spectrum route's value.  A bracket that misses costs a full
-    spectrum up to ``DENSE_SPECTRUM_CAP`` and a ConvergenceError beyond it,
-    never a wrong result.
+    LAPACK counts prove the result: ``_guess_errors`` plus room for the
+    point where the Sturm count changes.  For lambda_m that room is
+    N eps / 8: the point, the value bisection returns, drifts from the true
+    zero within the O(N eps) relative-perturbation bound of bisection on a
+    zero-diagonal tridiagonal (Demmel & Kahan 1990), by at most N eps / 27
+    on N = 100..3000 and on the default ladder to 10^6.  For lambda_M it is
+    3 sqrt(N) eps: the bisected value is within a few ulps of the true zero,
+    and dqds's within 0.45 sqrt(N) eps on N <= 20000.  A bracket that
+    misses costs a full spectrum up to ``DENSE_SPECTRUM_CAP`` and a
+    ConvergenceError beyond it, never a wrong result.
     """
     nu = 2.0 * n_dim + 1.0
-    a, c = _AIRY_A1, 2.0 ** (1.0 / 3.0)
-    big2 = (nu + c * c * a * nu ** (1.0 / 3.0) + 0.2 * c**4 * a * a * nu ** (-1.0 / 3.0)
-            + (11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a**3) / nu
-            + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * c * c * nu ** (-5.0 / 3.0)
-            - (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a * a) * c * nu ** (-7.0 / 3.0))
-    j2 = (math.pi if n_dim % 2 else 0.5 * math.pi) ** 2
-    e = 1.0 / (nu * nu)
-    small2 = j2 / nu * (1.0 + (j2 - 1.5) / 3.0 * e
-                        + (11.0 / 45.0 * j2 * j2 - 13.0 / 12.0 * j2 + 11.0 / 8.0) * e * e)
-    guess_error = _guess_error(n_dim)
-    return ((math.sqrt(small2), guess_error + n_dim * _EPS / 8.0),
-            (math.sqrt(big2), guess_error + 3.0 * math.sqrt(n_dim) * _EPS))
+    a, c, t = _AIRY_A1, 2.0 ** (1.0 / 3.0), nu ** (-2.0 / 3.0)
+    big = _sqrt_of_sum([nu, nu ** (1.0 / 3.0) * (
+        c * c * a + t * (0.2 * c**4 * a * a + t * (
+            11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a**3 + t * (
+                (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * c * c - t * (
+                    (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a * a) * c - t * (
+                        52688.0 / 21896875.0 * a**6 + 6464.0 / 875875.0 * a**3
+                        - 145557.0 / 6370000.0))))))])
+    j2_parts = [x if n_dim % 2 else 0.25 * x for x in _PI_SQUARED]
+    j2, e = j2_parts[0], 1.0 / (nu * nu)
+    series = e * ((j2 - 1.5) / 3.0 + e * ((11.0 / 45.0 * j2 - 13.0 / 12.0) * j2 + 11.0 / 8.0 + e * (
+        ((73.0 / 315.0 * j2 - 31.0 / 15.0) * j2 + 65.0 / 8.0) * j2 - 173.0 / 16.0)))
+    quotient = j2 / nu
+    # j^2/nu - quotient from the remainder j^2 - quotient * nu, exact while nu < 2^27
+    remainder = math.fsum([*j2_parts, *(-half * nu for half in _halves(quotient))]) / nu
+    small = _sqrt_of_sum([quotient, remainder, quotient * series])
+    error_m, error_max = _guess_errors(n_dim)
+    return ((small, error_m + n_dim * _EPS / 8.0),
+            (big, error_max + 3.0 * math.sqrt(n_dim) * _EPS))
 
 
 def _extreme_indices(n_dim: int) -> tuple[int, int]:
@@ -489,15 +513,16 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     alone, by counts of i and i + 1 at its ends.  A bracket the counts do
     not prove is logged and answered by ``eig_all`` up to
     ``DENSE_SPECTRUM_CAP``; beyond it, it raises ConvergenceError.
-    Below N = 4607 one more call bisects the proved brackets to 2 ulp
-    relative around the point where the count changes.  For lambda_M that
-    point is within 2 ulp of the true eigenvalue; for lambda_m it drifts
-    away as N grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6), and
-    each bracket's half-width holds room for that drift.  From N = 4607 on,
-    where the guess term of ``_extreme_guesses``, 1e-9 (100/N)^4, is at most
-    eps, a proved bracket returns the guess itself.  Against 40-digit Newton
-    the certified values are within 1.73 ulp (lambda_M, worst at N = 5494)
-    and 1.64 ulp (lambda_m, worst at N = 6397) on every N in 4607..6606.
+    Where the eigenvalue's bound in ``_guess_errors`` is at most eps, a
+    proved bracket returns the guess itself: lambda_m at every N >= 100
+    and lambda_M from N = 1312 on.  Against 40-digit Newton these certified
+    values are within 1.17 ulp (lambda_m, at N = 101) and 0.57 ulp
+    (lambda_M, at N = 1350) on every N in 100..6606.  Below N = 1312 one
+    more call bisects lambda_M's bracket to 2 ulp relative around the point
+    where the count changes, within 2.1 ulp of the true eigenvalue on
+    100..1311.  For lambda_m that point drifts away from the true zero as N
+    grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6), and the bracket's
+    half-width holds room for that drift.
     Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
@@ -508,9 +533,9 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
         missed = list(indices)
     else:
         guesses = _extreme_guesses(n_dim)
-        certified = _guess_error(n_dim) <= _EPS
         brackets = [_Interval(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
-        for i, (guess, _), counted in zip(indices, guesses, _dlaebz(t, 1, brackets)):
+        for i, (guess, _), error, counted in zip(indices, guesses, _guess_errors(n_dim),
+                                                 _dlaebz(t, 1, brackets)):
             if (counted.at_lo, counted.at_hi) != (i, i + 1):
                 miss = (f"dim {n_dim}, index {i}: bracket ({counted.lo!r}, {counted.hi!r}] has "
                         f"{counted.at_lo} and {counted.at_hi} eigenvalue(s) at or below its ends")
@@ -519,7 +544,7 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
                         f"{miss}, beyond the full-spectrum cap {DENSE_SPECTRUM_CAP}")
                 _log.debug("%s; using the full spectrum", miss)
                 missed.append(i)
-            elif certified:
+            elif error <= _EPS:
                 values[i] = guess
             else:
                 proved.append(counted)

@@ -70,9 +70,17 @@ def _assert_counted(t: SymTridiagonal, lam: float, index: int, rel: float) -> No
 
 
 def _assert_sturm_bracketed(t: SymTridiagonal, lam_min: float, lam_max: float) -> None:
-    """Exactly one eigenvalue, the expected one, within 8 ulps of each result."""
-    for lam, index in zip((lam_min, lam_max), _extreme_indices(t.dim)):
-        _assert_counted(t, lam, index, 8.0 * EPS)
+    """Exactly one eigenvalue, the expected one, near each result.
+
+    Within 8 ulps, except for a certified lambda_m: that is the guess, near
+    the true zero, while the oracle's count changes up to N eps / 27 relative
+    away from it, so it is counted within the guess's half-width.
+    """
+    rels = [8.0 * EPS, 8.0 * EPS]
+    if t.dim >= spectra._BRACKET_MIN_DIM and _certified(t.dim)[0]:
+        (_, rels[0]), _ = spectra._extreme_guesses(t.dim)
+    for lam, index, rel in zip((lam_min, lam_max), _extreme_indices(t.dim), rels):
+        _assert_counted(t, lam, index, rel)
 
 
 @cache
@@ -82,14 +90,15 @@ def _reference_zeros() -> dict[int, tuple[float, float]]:
     return {int(n): (float(z["lambda_m"]), float(z["lambda_M"])) for n, z in zeros.items()}
 
 
-def _assert_near_reference(n: int, extremes) -> None:
-    """Both extremes within 2 ulp of the reference zeros."""
-    for got, ref in zip(extremes, _reference_zeros()[n]):
-        assert abs(got - ref) <= 2.0 * np.spacing(ref), (n, got, ref)
+def _assert_near_reference(n: int, extremes, held=(True, True)) -> None:
+    """The ``held`` extremes within 2 ulp of the reference zeros."""
+    for got, ref, hold in zip(extremes, _reference_zeros()[n], held):
+        assert not hold or abs(got - ref) <= 2.0 * np.spacing(ref), (n, got, ref)
 
 
-def _certified(n: int) -> bool:
-    return spectra._guess_error(n) <= EPS
+def _certified(n: int) -> tuple[bool, bool]:
+    """Whether extreme_eigenvalues returns (lambda_m, lambda_M) of dim n >= 100 as the guess."""
+    return tuple(error <= EPS for error in spectra._guess_errors(n))
 
 
 class TestSymTridiagonal:
@@ -325,9 +334,9 @@ class TestLapackBinding:
         assert len(messages) == 1 and f"from {source}" in messages[0], messages
 
     def test_scipy_capsules_give_the_same_bits(self, monkeypatch, rebind_lapack, caplog):
-        # the ladder's dqds dims, bisected brackets (551 among them) and
-        # certified ones, an odd bisected dim and the last bisected one
-        dims = [n for n in TABLE_DIMS if n <= 10**5] + [101, 4606]
+        # the ladder's dqds dims, bisected lambda_M (551 and 1000 among them)
+        # and certified extremes, an odd bisected dim and the last bisected one
+        dims = [n for n in TABLE_DIMS if n <= 10**5] + [101, 1311]
         native = [extreme_eigenvalues(n) for n in dims]
         spectrum = eig_all(position_tridiagonal(1001))
         _hide_numpy_lapack(monkeypatch)
@@ -426,6 +435,7 @@ class TestExtremeEigenvalues:
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(301, 4606))
     def test_sturm_brackets_the_bisected_dims(self, n):
+        # every lambda_m here is certified, and lambda_M is bisected up to 1311
         _assert_sturm_bracketed(position_tridiagonal(n), *extreme_eigenvalues(n))
 
     def test_sturm_brackets_at_one_million(self):
@@ -434,13 +444,9 @@ class TestExtremeEigenvalues:
         # oracle must still count it within the guess's half-width, and the
         # reference holds its digits
         n = 1_000_000
-        t = position_tridiagonal(n)
-        lam_min, lam_max = extreme_eigenvalues(n)
-        idx_m, idx_max = _extreme_indices(n)
-        (_, half_width), _ = spectra._extreme_guesses(n)
-        _assert_counted(t, lam_min, idx_m, half_width)
-        _assert_counted(t, lam_max, idx_max, 8.0 * EPS)
-        _assert_near_reference(n, (lam_min, lam_max))
+        extremes = extreme_eigenvalues(n)
+        _assert_sturm_bracketed(position_tridiagonal(n), *extremes)
+        _assert_near_reference(n, extremes)
 
     def test_matches_full_spectrum_to_tolerance(self):
         for n in (17, 64, 333):
@@ -471,7 +477,8 @@ class TestBracketedRoute:
     def test_guesses_within_a_tenth_of_the_half_width(self):
         # held to the 40-digit reference, not to dqds, whose lambda_M is
         # 21 ulp off at N = 5000 where the guess is within 1
-        for n in (spectra._BRACKET_MIN_DIM, spectra._BRACKET_MIN_DIM + 1, 1000, 1001, 5000):
+        for n in (spectra._BRACKET_MIN_DIM, spectra._BRACKET_MIN_DIM + 1, 1000, 1001, 1311, 1312,
+                  5000):
             guesses = spectra._extreme_guesses(n)
             for (guess, half_width), ref in zip(guesses, _reference_zeros()[n]):
                 assert abs(guess / ref - 1.0) <= 0.1 * half_width, (n, guess, ref)
@@ -484,32 +491,36 @@ class TestBracketedRoute:
         assert [r.getMessage() for r in caplog.records] == []
 
     def test_matches_dstebz_by_index_to_two_ulp(self):
-        # the bisected brackets are held to f2py dstebz by index; below N = 100
-        # the truth is test_within_six_ulp_of_newton_below_threshold
+        # the bisected values are held to f2py dstebz by index; below N = 100
+        # the truth is test_within_six_ulp_of_newton_below_threshold, and a
+        # certified guess, not a bisected value, is held to the 40-digit
+        # reference where it has one
         dims = [n for n in TABLE_DIMS if n >= spectra._BRACKET_MIN_DIM]
         for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + dims:
             t = position_tridiagonal(n)
             exact = self._dstebz_by_index(t)
-            if _certified(n):
-                # the certified guess is not a bisected value; it is held to
-                # the 40-digit reference instead
-                _assert_near_reference(n, extreme_eigenvalues(n))
-            else:
-                for got, want in zip(extreme_eigenvalues(n), exact):
-                    assert abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
+            extremes = extreme_eigenvalues(n)
+            certified = _certified(n)
+            if n in _reference_zeros():
+                _assert_near_reference(n, extremes, certified)
+            for got, want, guessed in zip(extremes, exact, certified):
+                assert guessed or abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
             # margin of at least 2: dstebz's value lies within half of its
             # bracket's half-width of the guess
             for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
                 assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
 
     def test_bisected_brackets_match_dstebz_bit_for_bit(self):
-        # dlaebz bisects both brackets in one call with the tolerances, pivot
-        # floor and midpoint that dstebz uses on one interval (RANGE='V')
-        for n in list(range(spectra._BRACKET_MIN_DIM, 401)) + [1000, 1001, 4606]:
+        # dlaebz bisects a bracket with the tolerances, pivot floor and
+        # midpoint that dstebz uses on one interval (RANGE='V'); from N = 100
+        # to 1311 only lambda_M's is bisected
+        for n in list(range(spectra._BRACKET_MIN_DIM, 401)) + [1000, 1001, 1311]:
             t = position_tridiagonal(n)
-            for value, bracket in zip(extreme_eigenvalues(n), _brackets(n)):
-                want = _scipy_stebz(t, b"V", bracket.lo, bracket.hi, 0, 0, 2.0 * TINY)
-                assert want == (1, value.hex(), 0), (n, value.hex(), want)
+            for value, bracket, certified in zip(extreme_eigenvalues(n), _brackets(n),
+                                                 _certified(n)):
+                if not certified:
+                    want = _scipy_stebz(t, b"V", bracket.lo, bracket.hi, 0, 0, 2.0 * TINY)
+                    assert want == (1, value.hex(), 0), (n, value.hex(), want)
 
     def test_within_six_ulp_of_newton_below_threshold(self):
         # dqds is not held to dstebz by index here, as the two differ by up
@@ -583,27 +594,31 @@ class TestBracketedRoute:
             extreme_eigenvalues(n)
 
     def test_certified_extremes_within_two_ulp_of_reference(self):
-        dims = sorted(n for n in _reference_zeros() if _certified(n))
-        assert dims[0] == 4607 and 4606 in _reference_zeros() and len(dims) == 57
+        # lambda_m is certified on every reference dim, lambda_M from 1312 on
+        dims = sorted(_reference_zeros())
+        assert [_certified(n) for n in (100, 1311, 1312)] == [
+            (True, False), (True, False), (True, True)]
+        assert dims[0] == 100 and {1311, 1312} <= set(dims) and len(dims) == 147
         for n in dims:
-            _assert_near_reference(n, extreme_eigenvalues(n))
+            _assert_near_reference(n, extreme_eigenvalues(n), _certified(n))
 
-    @pytest.mark.parametrize("n, ijobs", [
-        (99, []), (100, [1, 2]), (4606, [1, 2]), (4607, [1]), (10000, [1]), (10001, [1]),
+    @pytest.mark.parametrize("n, calls", [
+        (99, []), (100, [(1, 2), (2, 1)]), (1311, [(1, 2), (2, 1)]), (1312, [(1, 2)]),
+        (4606, [(1, 2)]), (4607, [(1, 2)]), (10000, [(1, 2)]), (10001, [(1, 2)]),
     ])
-    def test_one_dlaebz_call_per_certified_dim_and_two_per_bisected(self, n, ijobs,
+    def test_one_dlaebz_call_per_certified_dim_and_two_per_bisected(self, n, calls,
                                                                     monkeypatch):
-        calls = []
+        recorded_calls = []
         dlaebz = spectra._dlaebz
 
         def recorded(t, ijob, intervals):
-            calls.append((ijob, len(intervals)))
+            recorded_calls.append((ijob, len(intervals)))
             return dlaebz(t, ijob, intervals)
 
         monkeypatch.setattr(spectra, "_dlaebz", recorded)
         spectrum_summary(n)
-        # both extremes share every call, two intervals each
-        assert calls == [(ijob, 2) for ijob in ijobs], calls
+        # both brackets share the count; the bisection takes lambda_M's alone
+        assert recorded_calls == calls, recorded_calls
 
 
 def _reference_script():
@@ -707,14 +722,14 @@ class TestSpectrumSummary:
             tracemalloc.stop()
 
     def test_memory_guard_covers_the_bisection_workspaces(self):
-        # eig_all sets the guard; the last dimension whose brackets dlaebz
+        # eig_all sets the guard; the last dimension whose lambda_M dlaebz
         # bisects needs less than half of it
-        n = 4606
+        n = 1311
         for call in (lambda: eig_all(position_tridiagonal(n)), lambda: extreme_eigenvalues(n)):
             peak = self._peak_bytes(call)
             assert peak <= spectra._BYTES_PER_DIM * n, peak / n
 
-    @pytest.mark.parametrize("n", [4606, 10**5], ids=["bisected", "certified"])
+    @pytest.mark.parametrize("n", [1311, 10**5], ids=["bisected", "certified"])
     def test_extreme_route_peaks_at_32_bytes_per_dim(self, n):
         # the off-diagonal and one squared off-diagonal per dlaebz call, with
         # no 10 N bisection workspace (93 bytes per dim at 4606 with one)
