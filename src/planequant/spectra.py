@@ -15,14 +15,10 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
 * ``extreme_eigenvalues`` - the smallest positive and the largest eigenvalue
                             of the position matrix of dimension N: below
                             N = 100 the two entries of ``eig_all``, from
-                            there on Sturm counts of LAPACK's bisection
-                            kernel dlaebz, O(N) per count, practical to
-                            N = 10^6: one call proves that each asymptotic
-                            bracket holds its eigenvalue alone.  The guess
-                            itself is returned for lambda_m from N = 100 on
-                            and for lambda_M from N = 1312 on, within 1.17
-                            ulp of 40-digit Newton on every N in 100..6606;
-                            below 1312 one more call bisects lambda_M.
+                            there on the two asymptotic guesses, certified
+                            by one Sturm count of LAPACK's bisection kernel
+                            dlaebz (O(N), practical to N = 10^6) and within
+                            1.17 ulp of 40-digit Newton on 100..6606.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.
@@ -73,18 +69,11 @@ _log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
-# Largest dimension eig_all accepts; extreme eigenvalues use bisection beyond.
+# Largest dimension eig_all accepts; beyond it only certified extremes are given.
 DENSE_SPECTRUM_CAP = 20_000
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-
-# Bisection tolerances for dlaebz, those of LAPACK's driver: an interval has
-# converged below max(abstol, pivot floor, reltol * its larger end).  abstol
-# just above underflow leaves the relative 2-ulp test alone; ulp * ||T||
-# would move lambda_m by 5e-11 relative at N = 10^6.
-_LAEBZ_ABSTOL = 2.0 * _TINY
-_LAEBZ_RELTOL = 2.0 * _EPS
 
 # From this dimension on, extreme_eigenvalues counts the asymptotic brackets
 # of _extreme_guesses; below it reads eig_all, as at N = 3 the two brackets
@@ -122,10 +111,8 @@ class _Lapack(NamedTuple):
     column-major ab, and counts the pivots <= 0 of the LDL^T factorization
     on the squared off-diagonal e2 (n - 1), tiny pivots set to -pivmin.
     With ijob = 1 it counts both ends of each interval into nab(j, 1) and
-    nab(j, 2).  With ijob = 2 it bisects each interval, given its end counts
-    in nab, until it is narrower than max(abstol, pivmin, reltol * its larger
-    end), or for nitmax halvings; c is its workspace, nval is not read, and
-    nbmin = 0 keeps to the scalar loop.  dlasq1(n, d, e, work, info): d (n)
+    nab(j, 2), and reads neither the tolerances nor nitmax, nbmin, nval, c,
+    work or iwork.  dlasq1(n, d, e, work, info): d (n)
     holds the diagonal on entry and the singular values in descending order
     on exit, e (n) the off-diagonal in its first n - 1 entries, work 4 n
     doubles.
@@ -321,7 +308,7 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sturm counting and certified bisection
+# Sturm counting and certified guesses
 # ---------------------------------------------------------------------------
 
 def sturm_count(t: SymTridiagonal, lam: float) -> int:
@@ -364,65 +351,45 @@ class _Interval(NamedTuple):
     at_hi: int = 0
 
 
-def _dlaebz(t: SymTridiagonal, ijob: int, intervals: list[_Interval]) -> list[_Interval]:
-    """The ``intervals`` after one LAPACK dlaebz call with ``ijob`` on ``t``.
+def _dlaebz(t: SymTridiagonal, intervals: list[_Interval]) -> list[_Interval]:
+    """The ``intervals`` with the counts at their ends, by one LAPACK dlaebz call on ``t``.
 
-    ijob = 1 counts both ends of each interval.  ijob = 2 bisects each
-    interval, whose counts must leave it one eigenvalue, until it is
-    narrower than max(_LAEBZ_ABSTOL, pivmin, _LAEBZ_RELTOL * its larger end),
-    and moves a converged interval to the front with its counts, so callers
-    pick results by count.
-
-    The squared off-diagonal, the pivot floor tiny * max(1, max e2) and the
-    cap of log2((width + pivmin) / pivmin) + 2 halvings are those of LAPACK's
-    driver.  Each call allocates e2 (n doubles) and a few cells per interval,
-    with no room for a split: a nonzero info (intervals left unconverged, or
-    a split) raises ConvergenceError.  Calls share only the matrix's
-    read-only arrays, so threads may share a matrix.
+    dlaebz with ijob = 1 counts the eigenvalues at or below both ends of
+    each interval, on the squared off-diagonal with the pivot floor
+    tiny * max(1, max e2) of LAPACK's driver.  Each call allocates e2 (n
+    doubles) and a few cells per interval; a nonzero info raises
+    ConvergenceError.  Calls share only the matrix's read-only arrays, so
+    threads may share a matrix.
     """
     lapack = _lapack()
     integer, double, byref = lapack.integer, ctypes.c_double, ctypes.byref
     m = len(intervals)
-    lo, hi, at_lo, at_hi = zip(*intervals)
+    lo, hi, _, _ = zip(*intervals)
     e2 = t.offdiag * t.offdiag
     pivmin = _TINY * float(e2.max(initial=1.0))
-    nitmax = 0
-    if ijob == 2:
-        width = max(h - l for l, h in zip(lo, hi))
-        nitmax = int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
     ab = (double * (2 * m))(*lo, *hi)
-    nab = (integer * (2 * m))(*at_lo, *at_hi)
-    mout, info = integer(), integer()
-    lapack.dlaebz(byref(integer(ijob)), byref(integer(nitmax)), byref(integer(t.dim)),
-                  byref(integer(m)), byref(integer(m)), byref(integer(0)),
-                  byref(double(_LAEBZ_ABSTOL)), byref(double(_LAEBZ_RELTOL)),
+    nab = (integer * (2 * m))()
+    mout, info, zero = integer(), integer(), integer(0)
+    lapack.dlaebz(byref(integer(1)), byref(zero), byref(integer(t.dim)),
+                  byref(integer(m)), byref(integer(m)), byref(zero),
+                  byref(double(0.0)), byref(double(0.0)),
                   byref(double(pivmin)), *t._addresses, e2.ctypes.data, (integer * m)(), ab,
                   (double * m)(), byref(mout), nab, (double * m)(), (integer * m)(), byref(info))
     if info.value != 0:
         raise ConvergenceError(
-            f"Sturm bisection (dlaebz, ijob = {ijob}) failed with info = {info.value} "
-            f"for dim {t.dim}"
-        )
+            f"Sturm count (dlaebz, ijob = 1) failed with info = {info.value} for dim {t.dim}")
     return [_Interval(ab[j], ab[m + j], nab[j], nab[m + j]) for j in range(m)]
-
-
-def _bisect(t: SymTridiagonal, intervals: list[_Interval]) -> dict[int, float]:
-    """{index: eigenvalue} for intervals that each hold eigenvalue ``at_lo`` alone.
-
-    One dlaebz call (ijob = 2) bisects them all, and each result is the
-    midpoint of its final interval, as LAPACK's driver returns it.
-    """
-    return {done.at_lo: 0.5 * (done.lo + done.hi) for done in _dlaebz(t, 2, intervals)}
 
 
 def _guess_errors(n_dim: int) -> tuple[float, float]:
     """Relative error bounds of the (lambda_m, lambda_M) guesses, N >= _BRACKET_MIN_DIM.
 
     In nu = 2N + 1 the errors are at most 312.4 nu^-8 (N = 101) and
-    0.135 nu^(-14/3) (N = 100), against 40-digit Newton.
+    0.083 nu^(-22/3) (N = 100), against 40-digit Newton; both bounds are at
+    most eps from N = 100 on.
     """
     nu = 2.0 * n_dim + 1.0
-    return 400.0 * nu**-8, 2.0 * nu ** (-14.0 / 3.0)
+    return 400.0 * nu**-8, 0.1 * nu ** (-20.0 / 3.0)
 
 
 def _halves(x: float) -> tuple[float, float]:
@@ -453,21 +420,23 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     j of J_alpha: pi/2 or pi; its nu^-4 term follows from the perturbation
     series of the Hermite equation psi'' + (nu - x^2) psi = 0 about x = 0.
     The last terms, nu^-6 for lambda_m^2 and nu^-3 for lambda_M^2, are
-    rational fits to high-precision zeros.  Each square is summed exactly
-    from doubles, pi^2 and j^2/nu split in two, and ``_sqrt_of_sum`` roots
-    it, so a guess is within about 0.5 ulp of its expansion.
+    rational fits to high-precision zeros, and lambda_M^2's four terms after
+    them, nu^(1/3) nu^(-2k/3) for k = 6..9, float fits to 90-digit zeros on
+    N = 300..30000.  Each square is summed exactly from doubles, pi^2 and
+    j^2/nu split in two, and ``_sqrt_of_sum`` roots it, so a guess is within
+    about 0.5 ulp of its expansion.
 
     Each guess comes with the relative half-width of the bracket whose
     LAPACK counts prove the result: ``_guess_errors`` plus room for the
-    point where the Sturm count changes.  For lambda_m that room is
-    N eps / 8: the point, the value bisection returns, drifts from the true
-    zero within the O(N eps) relative-perturbation bound of bisection on a
-    zero-diagonal tridiagonal (Demmel & Kahan 1990), by at most N eps / 27
-    on N = 100..3000 and on the default ladder to 10^6.  For lambda_M it is
-    3 sqrt(N) eps: the bisected value is within a few ulps of the true zero,
-    and dqds's within 0.45 sqrt(N) eps on N <= 20000.  A bracket that
-    misses costs a full spectrum up to ``DENSE_SPECTRUM_CAP`` and a
-    ConvergenceError beyond it, never a wrong result.
+    point where the Sturm count changes.  That point drifts from the true
+    zero within the O(N eps) relative-perturbation bound of a count on a
+    zero-diagonal tridiagonal (Demmel & Kahan 1990).  For lambda_m the room
+    is N eps / 8: the drift is at most N eps / 27 on N = 100..3000 and on
+    the default ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps, 30 eps
+    at N = 100: bisection to the point finds it within 2.1 ulp of the true
+    zero on N = 100..1311.  A bracket that misses costs a full spectrum up to
+    ``DENSE_SPECTRUM_CAP`` and a ConvergenceError beyond it, never a wrong
+    result.
     """
     nu = 2.0 * n_dim + 1.0
     a, c, t = _AIRY_A1, 2.0 ** (1.0 / 3.0), nu ** (-2.0 / 3.0)
@@ -477,7 +446,8 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
                 (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * c * c - t * (
                     (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a * a) * c - t * (
                         52688.0 / 21896875.0 * a**6 + 6464.0 / 875875.0 * a**3
-                        - 145557.0 / 6370000.0))))))])
+                        - 145557.0 / 6370000.0 + t * (0.23512856932109 + t * (
+                            0.18396718432619 + t * (0.1734651952215 + t * 0.1317302269)))))))))])
     j2_parts = [x if n_dim % 2 else 0.25 * x for x in _PI_SQUARED]
     j2, e = j2_parts[0], 1.0 / (nu * nu)
     series = e * ((j2 - 1.5) / 3.0 + e * ((11.0 / 45.0 * j2 - 13.0 / 12.0) * j2 + 11.0 / 8.0 + e * (
@@ -509,47 +479,35 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     route follows from N alone; its zero diagonal makes the spectrum
     symmetric, which fixes the index i of each eigenvalue.  Below N = 100
     both values are entries i of ``eig_all``, bit for bit.  From there on
-    one dlaebz call proves that each asymptotic bracket holds eigenvalue i
-    alone, by counts of i and i + 1 at its ends.  A bracket the counts do
-    not prove is logged and answered by ``eig_all`` up to
-    ``DENSE_SPECTRUM_CAP``; beyond it, it raises ConvergenceError.
-    Where the eigenvalue's bound in ``_guess_errors`` is at most eps, a
-    proved bracket returns the guess itself: lambda_m at every N >= 100
-    and lambda_M from N = 1312 on.  Against 40-digit Newton these certified
-    values are within 1.17 ulp (lambda_m, at N = 101) and 0.57 ulp
-    (lambda_M, at N = 1350) on every N in 100..6606.  Below N = 1312 one
-    more call bisects lambda_M's bracket to 2 ulp relative around the point
-    where the count changes, within 2.1 ulp of the true eigenvalue on
-    100..1311.  For lambda_m that point drifts away from the true zero as N
-    grows (101 ulp at N = 5555, 4.5e-12 relative at 10^6), and the bracket's
-    half-width holds room for that drift.
+    one dlaebz call counts both asymptotic brackets, and a bracket with
+    counts i and i + 1 at its ends proves that it holds eigenvalue i alone
+    and returns its guess, whose bound in ``_guess_errors`` is at most eps.
+    Against 40-digit Newton these certified values are within 1.17 ulp
+    (lambda_m, at N = 101) and 0.52 ulp (lambda_M, at N = 522) on every N in
+    100..6606.  A bracket the counts do not prove is logged and answered by
+    ``eig_all`` up to ``DENSE_SPECTRUM_CAP``; beyond it, it raises
+    ConvergenceError.
     Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     t = position_tridiagonal(n_dim)
     indices = _extreme_indices(n_dim)
-    values, proved, missed = {}, [], []
+    values, missed = {}, []
     if n_dim < _BRACKET_MIN_DIM:
         missed = list(indices)
     else:
         guesses = _extreme_guesses(n_dim)
         brackets = [_Interval(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
-        for i, (guess, _), error, counted in zip(indices, guesses, _guess_errors(n_dim),
-                                                 _dlaebz(t, 1, brackets)):
-            if (counted.at_lo, counted.at_hi) != (i, i + 1):
-                miss = (f"dim {n_dim}, index {i}: bracket ({counted.lo!r}, {counted.hi!r}] has "
-                        f"{counted.at_lo} and {counted.at_hi} eigenvalue(s) at or below its ends")
-                if n_dim > DENSE_SPECTRUM_CAP:
-                    raise ConvergenceError(
-                        f"{miss}, beyond the full-spectrum cap {DENSE_SPECTRUM_CAP}")
-                _log.debug("%s; using the full spectrum", miss)
-                missed.append(i)
-            elif error <= _EPS:
+        for i, (guess, _), counted in zip(indices, guesses, _dlaebz(t, brackets)):
+            if (counted.at_lo, counted.at_hi) == (i, i + 1):
                 values[i] = guess
-            else:
-                proved.append(counted)
-    if proved:
-        values.update(_bisect(t, proved))
+                continue
+            miss = (f"dim {n_dim}, index {i}: bracket ({counted.lo!r}, {counted.hi!r}] has "
+                    f"{counted.at_lo} and {counted.at_hi} eigenvalue(s) at or below its ends")
+            if n_dim > DENSE_SPECTRUM_CAP:
+                raise ConvergenceError(f"{miss}, beyond the full-spectrum cap {DENSE_SPECTRUM_CAP}")
+            _log.debug("%s; using the full spectrum", miss)
+            missed.append(i)
     if missed:
         spectrum = eig_all(t)
         values.update((i, float(spectrum[i])) for i in missed)
@@ -650,10 +608,6 @@ class GapReport:
     dim: int
     worst_gap_margin: float
     worst_interlacing_margin: float
-
-    @property
-    def parity(self) -> str:
-        return _parity(self.dim)
 
 
 def _interlacing_margin(ev_n: np.ndarray, ev_n1: np.ndarray) -> float:

@@ -11,15 +11,15 @@ exact, so they stay in range for any N.  Three Newton steps take a guess
 that is good to 1e-9 relative to the working precision; the script fails if
 the last step is not below 1e-30 relative.
 
-The dimensions are the sigma-table ladder from 100 on, N = 101, 1001 and
-5000 (the other dimensions at which the guesses are held to their bracket
-half-widths), every N in 100..110, where lambda_m is first returned as a
-certified guess, every N in 1300..1320, around N = 1312 from which lambda_M
-is, and every N in 4600..4620, with 40 dimensions of both parities spread
+The dimensions are the sigma-table ladder from 100 on, N = 1001 and 5000
+(the other dimensions at which the guesses are held to their bracket
+half-widths), every N in 100..1320, the first dimensions that return
+certified guesses, where the guesses' truncation errors are largest, and
+every N in 4600..4620, with 40 dimensions of both parities spread
 geometrically over 111..4606 and 36 over 4621..20001.  Each zero is written
 as a 35-significant-digit string.
 
-Run from the repository root; it takes about 33 s on 2 cores, 17 s of it at
+Run from the repository root; it takes 35 to 40 s on 2 cores, 17 s of it at
 N = 10^6:
 
     PYTHONPATH=src python tests/make_hermite_reference.py
@@ -43,16 +43,16 @@ _WRITTEN_DIGITS = 35
 _NEWTON_STEPS = 3
 _RESCALE_EVERY = 64
 _LADDER_DIMS = [100, 551, 1000, 5555, 10000, 55255, 100000, 500555, 1000000]
-_HALF_WIDTH_DIMS = [101, 1001, 5000]
+_HALF_WIDTH_DIMS = [1001, 5000]
 # (first, last, count) of each geometric sample
 _SAMPLES = [(111, 4606, 40), (4621, 20001, 36)]
 
 
 def reference_dims() -> list[int]:
-    """Ladder dims >= 100, 101, 1001, 5000, every N in 100..110, 1300..1320 and 4600..4620,
+    """Ladder dims >= 100, 1001, 5000, every N in 100..1320 and 4600..4620,
     and geometric samples of 111..4606 and 4621..20001."""
     dims = set(_LADDER_DIMS + _HALF_WIDTH_DIMS)
-    dims.update(*(range(lo, lo + 21) for lo in (100, 1300, 4600)))
+    dims.update(range(100, 1321), range(4600, 4621))
     for lo, hi, count in _SAMPLES:
         dims.update(round(lo * (hi / lo) ** (k / (count - 1))) for k in range(count))
     return sorted(dims)

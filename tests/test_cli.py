@@ -30,7 +30,7 @@ class TestSpectrumCommand:
         assert values == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
     def test_bisect_summary(self, tmp_path):
-        # beyond the cap the extreme eigenvalues come from bisection
+        # beyond the cap the extremes are certified guesses proved by one count
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--n", "20001", "--out", str(out)]) == 0
         lines = _read(out).strip().splitlines()

@@ -1,11 +1,11 @@
 """Tests for the tridiagonal spectral machinery.
 
 The two LAPACK routes, the full spectrum by dqds on the half-size
-bidiagonal and the bisection for the extreme eigenvalues, are cross-checked
-throughout, and both are held against the pure-Python Sturm count.  The
-asymptotic guesses and the certified extreme eigenvalues are held against
-the 40-digit Hermite zeros of tests/data/hermite_extremes.json, written by
-tests/make_hermite_reference.py.
+bidiagonal and the Sturm counts that certify the extreme eigenvalues, are
+cross-checked throughout, and both are held against the pure-Python Sturm
+count.  The asymptotic guesses and the certified extreme eigenvalues are
+held against the 40-digit Hermite zeros of tests/data/hermite_extremes.json,
+written by tests/make_hermite_reference.py.
 """
 
 import ctypes
@@ -72,12 +72,12 @@ def _assert_counted(t: SymTridiagonal, lam: float, index: int, rel: float) -> No
 def _assert_sturm_bracketed(t: SymTridiagonal, lam_min: float, lam_max: float) -> None:
     """Exactly one eigenvalue, the expected one, near each result.
 
-    Within 8 ulps, except for a certified lambda_m: that is the guess, near
-    the true zero, while the oracle's count changes up to N eps / 27 relative
-    away from it, so it is counted within the guess's half-width.
+    Within 8 ulps, except for lambda_m from N = 100 on: that is the guess,
+    near the true zero, while the oracle's count changes up to N eps / 27
+    relative away from it, so it is counted within the guess's half-width.
     """
     rels = [8.0 * EPS, 8.0 * EPS]
-    if t.dim >= spectra._BRACKET_MIN_DIM and _certified(t.dim)[0]:
+    if t.dim >= spectra._BRACKET_MIN_DIM:
         (_, rels[0]), _ = spectra._extreme_guesses(t.dim)
     for lam, index, rel in zip((lam_min, lam_max), _extreme_indices(t.dim), rels):
         _assert_counted(t, lam, index, rel)
@@ -90,15 +90,10 @@ def _reference_zeros() -> dict[int, tuple[float, float]]:
     return {int(n): (float(z["lambda_m"]), float(z["lambda_M"])) for n, z in zeros.items()}
 
 
-def _assert_near_reference(n: int, extremes, held=(True, True)) -> None:
-    """The ``held`` extremes within 2 ulp of the reference zeros."""
-    for got, ref, hold in zip(extremes, _reference_zeros()[n], held):
-        assert not hold or abs(got - ref) <= 2.0 * np.spacing(ref), (n, got, ref)
-
-
-def _certified(n: int) -> tuple[bool, bool]:
-    """Whether extreme_eigenvalues returns (lambda_m, lambda_M) of dim n >= 100 as the guess."""
-    return tuple(error <= EPS for error in spectra._guess_errors(n))
+def _assert_near_reference(n: int, extremes) -> None:
+    """Both extremes within 2 ulp of the reference zeros."""
+    for got, ref in zip(extremes, _reference_zeros()[n]):
+        assert abs(got - ref) <= 2.0 * np.spacing(ref), (n, got, ref)
 
 
 class TestSymTridiagonal:
@@ -241,7 +236,7 @@ def _isolating_intervals(t: SymTridiagonal, indices) -> list:
     """For each index i, eigenvalue i alone in an interval cut at eig_all's midpoints."""
     ev = eig_all(t)
     cuts = np.concatenate(([ev[0] - 1.0], 0.5 * (ev[1:] + ev[:-1]), [ev[-1] + 1.0]))
-    return [spectra._Interval(float(cuts[i]), float(cuts[i + 1]), i, i + 1) for i in indices]
+    return [spectra._Interval(float(cuts[i]), float(cuts[i + 1])) for i in indices]
 
 
 class TestLapackBinding:
@@ -251,7 +246,7 @@ class TestLapackBinding:
     @pytest.mark.parametrize("n", [100, 101, 1000, 4606, 4607, 5555, 10**4, 10**5 + 1, 10**6])
     def test_counts_match_the_oracle_and_dstebz_on_both_brackets(self, n):
         t = position_tridiagonal(n)
-        for counted in spectra._dlaebz(t, 1, _brackets(n)):
+        for counted in spectra._dlaebz(t, _brackets(n)):
             lo, hi = counted.lo, counted.hi
             assert (counted.at_lo, counted.at_hi) == (sturm_count(t, lo), sturm_count(t, hi)), n
             # a count-only dstebz call (a tolerance wider than the interval) counts the same matrix
@@ -266,27 +261,11 @@ class TestLapackBinding:
             shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad]))
             intervals = [spectra._Interval(lo, hi) for lo, hi in zip(shifts[:-1], shifts[1:])]
             intervals.append(spectra._Interval(-pad, pad))
-            counted = spectra._dlaebz(t, 1, intervals)
+            counted = spectra._dlaebz(t, intervals)
             assert [(c.lo, c.hi) for c in counted] == [(c.lo, c.hi) for c in intervals], n
             assert [(c.at_lo, c.at_hi) for c in counted] == (
                 [(sturm_count(t, c.lo), sturm_count(t, c.hi)) for c in intervals]), n
             assert (counted[-1].at_lo, counted[-1].at_hi) == (0, n)
-
-    def test_bisection_picks_results_by_count(self):
-        # dlaebz moves each converged interval to the front, so the bisection
-        # returns its intervals in an order of its own; each keeps its counts
-        n = 50
-        t = position_tridiagonal(n)
-        indices = [25, 49, 0, 37]
-        done = spectra._dlaebz(t, 2, _isolating_intervals(t, indices))
-        assert sorted(d.at_lo for d in done) == sorted(indices)
-        assert [d.at_lo for d in done] != indices
-        assert all(d.at_hi == d.at_lo + 1 for d in done)
-        ev = eig_all(t)
-        values = spectra._bisect(t, _isolating_intervals(t, indices))
-        assert sorted(values) == sorted(indices)
-        for i, value in values.items():
-            assert abs(value - ev[i]) <= 1e-14 * ev[-1], i
 
     def test_threads_sharing_one_matrix(self):
         # the GIL is released inside dlaebz; each call must still see its own
@@ -294,11 +273,12 @@ class TestLapackBinding:
         t = position_tridiagonal(3000)
         intervals = dict(zip(range(1500, 3000, 100),
                              _isolating_intervals(t, range(1500, 3000, 100))))
-        expected = {i: spectra._bisect(t, [interval])[i] for i, interval in intervals.items()}
+        expected = {i: spectra._dlaebz(t, [interval])[0] for i, interval in intervals.items()}
+        assert all((c.at_lo, c.at_hi) == (i, i + 1) for i, c in expected.items())
 
         def work(seed):
             indices = list(expected)[seed % 3::3] * 4
-            return [(i, spectra._bisect(t, [intervals[i]])[i]) for i in indices]
+            return [(i, spectra._dlaebz(t, [intervals[i]])[0]) for i in indices]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -308,18 +288,19 @@ class TestLapackBinding:
                 results = [pair for f in futures for pair in f.result(timeout=60)]
         finally:
             sys.setswitchinterval(interval)
-        assert all(value == expected[i] for i, value in results)
+        assert all(counted == expected[i] for i, counted in results)
 
-    @pytest.mark.parametrize("n, info", [(1000, 3)], ids=["bisection"])
+    @pytest.mark.parametrize("n, info", [(1000, -1)], ids=["bisection"])
     def test_dlaebz_failure_is_convergence_error(self, n, info, monkeypatch):
-        # the bisection (ijob 2) reports mmax + 1, an interval that would split
+        # LAPACK's bisection kernel reports info = -1 on a count (ijob 1) only
+        # for an ijob out of range; whatever it reports, the route stops
+        # rather than read its counts
         lapack = spectra._lapack()
 
         @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
-        def failing_dlaebz(ijob, *args):
-            lapack.dlaebz(ijob, *args)
-            if lapack.integer.from_address(ijob).value != 1:
-                lapack.integer.from_address(args[-1]).value = info
+        def failing_dlaebz(*args):
+            lapack.dlaebz(*args)
+            lapack.integer.from_address(args[-1]).value = info
 
         monkeypatch.setattr(spectra, "_lapack", lambda: lapack._replace(dlaebz=failing_dlaebz))
         with pytest.raises(ConvergenceError, match=f"info = {info} for dim {n}"):
@@ -334,8 +315,8 @@ class TestLapackBinding:
         assert len(messages) == 1 and f"from {source}" in messages[0], messages
 
     def test_scipy_capsules_give_the_same_bits(self, monkeypatch, rebind_lapack, caplog):
-        # the ladder's dqds dims, bisected lambda_M (551 and 1000 among them)
-        # and certified extremes, an odd bisected dim and the last bisected one
+        # the ladder's dqds dims and certified extremes, and two more
+        # certified dims, one odd
         dims = [n for n in TABLE_DIMS if n <= 10**5] + [101, 1311]
         native = [extreme_eigenvalues(n) for n in dims]
         spectrum = eig_all(position_tridiagonal(1001))
@@ -434,8 +415,7 @@ class TestExtremeEigenvalues:
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(301, 4606))
-    def test_sturm_brackets_the_bisected_dims(self, n):
-        # every lambda_m here is certified, and lambda_M is bisected up to 1311
+    def test_sturm_brackets_sampled_dims(self, n):
         _assert_sturm_bracketed(position_tridiagonal(n), *extreme_eigenvalues(n))
 
     def test_sturm_brackets_at_one_million(self):
@@ -458,10 +438,10 @@ class TestExtremeEigenvalues:
 
 
 class TestBracketedRoute:
-    """The asymptotic bracket must hit on every dimension it serves, give
-    dstebz's bits where it bisects, and fall back to the full spectrum
-    exactly when LAPACK's counts do not prove the bracketed index.  Below
-    N = 100 the extremes are eig_all's entries."""
+    """The asymptotic bracket must hit on every dimension it serves, its
+    guess must match the reference, and the route must fall back to the
+    full spectrum exactly when LAPACK's counts do not prove the bracketed
+    index.  Below N = 100 the extremes are eig_all's entries."""
 
     @staticmethod
     def _full_spectrum(t: SymTridiagonal) -> tuple[float, float]:
@@ -491,36 +471,22 @@ class TestBracketedRoute:
         assert [r.getMessage() for r in caplog.records] == []
 
     def test_matches_dstebz_by_index_to_two_ulp(self):
-        # the bisected values are held to f2py dstebz by index; below N = 100
-        # the truth is test_within_six_ulp_of_newton_below_threshold, and a
-        # certified guess, not a bisected value, is held to the 40-digit
-        # reference where it has one
+        # lambda_M is held to f2py dstebz by index; lambda_m's count changes
+        # up to N eps / 27 away from its true zero, so both are held to the
+        # 40-digit reference where it has the dimension.  Below N = 100 the
+        # truth is test_within_six_ulp_of_newton_below_threshold
         dims = [n for n in TABLE_DIMS if n >= spectra._BRACKET_MIN_DIM]
         for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + dims:
             t = position_tridiagonal(n)
             exact = self._dstebz_by_index(t)
             extremes = extreme_eigenvalues(n)
-            certified = _certified(n)
             if n in _reference_zeros():
-                _assert_near_reference(n, extremes, certified)
-            for got, want, guessed in zip(extremes, exact, certified):
-                assert guessed or abs(got - want) <= 2.0 * np.spacing(want), (n, got, want)
+                _assert_near_reference(n, extremes)
+            assert abs(extremes[1] - exact[1]) <= 2.0 * np.spacing(exact[1]), (n, extremes, exact)
             # margin of at least 2: dstebz's value lies within half of its
             # bracket's half-width of the guess
             for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
                 assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
-
-    def test_bisected_brackets_match_dstebz_bit_for_bit(self):
-        # dlaebz bisects a bracket with the tolerances, pivot floor and
-        # midpoint that dstebz uses on one interval (RANGE='V'); from N = 100
-        # to 1311 only lambda_M's is bisected
-        for n in list(range(spectra._BRACKET_MIN_DIM, 401)) + [1000, 1001, 1311]:
-            t = position_tridiagonal(n)
-            for value, bracket, certified in zip(extreme_eigenvalues(n), _brackets(n),
-                                                 _certified(n)):
-                if not certified:
-                    want = _scipy_stebz(t, b"V", bracket.lo, bracket.hi, 0, 0, 2.0 * TINY)
-                    assert want == (1, value.hex(), 0), (n, value.hex(), want)
 
     def test_within_six_ulp_of_newton_below_threshold(self):
         # dqds is not held to dstebz by index here, as the two differ by up
@@ -535,7 +501,7 @@ class TestBracketedRoute:
                 ulp = np.spacing(float(ref))
                 assert abs(Decimal(got) - ref) <= 6 * Decimal(ulp), (n, i, got, ref)
 
-    def test_largest_eigenvalue_bisects_from_a_narrow_bracket(self):
+    def test_largest_eigenvalue_has_a_narrow_bracket(self):
         _, (_, half_width) = spectra._extreme_guesses(10**4)
         assert half_width <= 1e-13
 
@@ -594,30 +560,33 @@ class TestBracketedRoute:
             extreme_eigenvalues(n)
 
     def test_certified_extremes_within_two_ulp_of_reference(self):
-        # lambda_m is certified on every reference dim, lambda_M from 1312 on
+        # both error bounds are at most eps from N = 100 on, so every
+        # reference dim returns its certified guesses
         dims = sorted(_reference_zeros())
-        assert [_certified(n) for n in (100, 1311, 1312)] == [
-            (True, False), (True, False), (True, True)]
-        assert dims[0] == 100 and {1311, 1312} <= set(dims) and len(dims) == 147
+        assert max(spectra._guess_errors(spectra._BRACKET_MIN_DIM)) <= EPS
+        assert dims[0] == 100 and set(range(100, 1321)) <= set(dims) and len(dims) == 1298
         for n in dims:
-            _assert_near_reference(n, extreme_eigenvalues(n), _certified(n))
+            _assert_near_reference(n, extreme_eigenvalues(n))
 
     @pytest.mark.parametrize("n, calls", [
-        (99, []), (100, [(1, 2), (2, 1)]), (1311, [(1, 2), (2, 1)]), (1312, [(1, 2)]),
+        (99, []), (100, [(1, 2)]), (1311, [(1, 2)]), (1312, [(1, 2)]),
         (4606, [(1, 2)]), (4607, [(1, 2)]), (10000, [(1, 2)]), (10001, [(1, 2)]),
     ])
     def test_one_dlaebz_call_per_certified_dim_and_two_per_bisected(self, n, calls,
                                                                     monkeypatch):
+        # every dim from 100 on is certified: (ijob, minp) of each LAPACK
+        # call, one count (ijob = 1) of both brackets
+        lapack = spectra._lapack()
         recorded_calls = []
-        dlaebz = spectra._dlaebz
 
-        def recorded(t, ijob, intervals):
-            recorded_calls.append((ijob, len(intervals)))
-            return dlaebz(t, ijob, intervals)
+        @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
+        def recorded(*args):
+            recorded_calls.append(tuple(lapack.integer.from_address(args[k]).value
+                                        for k in (0, 4)))
+            lapack.dlaebz(*args)
 
-        monkeypatch.setattr(spectra, "_dlaebz", recorded)
+        monkeypatch.setattr(spectra, "_lapack", lambda: lapack._replace(dlaebz=recorded))
         spectrum_summary(n)
-        # both brackets share the count; the bisection takes lambda_M's alone
         assert recorded_calls == calls, recorded_calls
 
 
@@ -722,17 +691,17 @@ class TestSpectrumSummary:
             tracemalloc.stop()
 
     def test_memory_guard_covers_the_bisection_workspaces(self):
-        # eig_all sets the guard; the last dimension whose lambda_M dlaebz
-        # bisects needs less than half of it
+        # eig_all sets the guard; the count of LAPACK's bisection kernel
+        # needs less than half of it
         n = 1311
         for call in (lambda: eig_all(position_tridiagonal(n)), lambda: extreme_eigenvalues(n)):
             peak = self._peak_bytes(call)
             assert peak <= spectra._BYTES_PER_DIM * n, peak / n
 
-    @pytest.mark.parametrize("n", [1311, 10**5], ids=["bisected", "certified"])
+    @pytest.mark.parametrize("n", [10**5], ids=["certified"])
     def test_extreme_route_peaks_at_32_bytes_per_dim(self, n):
-        # the off-diagonal and one squared off-diagonal per dlaebz call, with
-        # no 10 N bisection workspace (93 bytes per dim at 4606 with one)
+        # the off-diagonal and the squared off-diagonal of the dlaebz count,
+        # with no 10 N bisection workspace (93 bytes per dim at 4606 with one)
         peak = self._peak_bytes(lambda: extreme_eigenvalues(n))
         assert peak <= 32 * n, peak / n
 
@@ -741,7 +710,7 @@ class TestSpectrumSummary:
         tracemalloc.start()
         try:
             t = position_tridiagonal(n)
-            spectra._bisect(t, spectra._dlaebz(t, 1, _brackets(n)))
+            spectra._dlaebz(t, _brackets(n))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -802,7 +771,6 @@ class TestGapProperties:
     @pytest.mark.parametrize("n", [5, 12, 100, 101])
     def test_gaps_and_interlacing_pass(self, n):
         report = gap_properties(n)
-        assert report.parity == ("odd" if n % 2 else "even")
         assert report.worst_gap_margin > 0.0
         assert report.worst_interlacing_margin > 0.0
 
