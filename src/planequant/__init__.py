@@ -43,12 +43,11 @@ from .operators import (
     quantize_quadrature,
 )
 from .spectra import (
-    GapReport,
     SpectrumSummary,
     SymTridiagonal,
     eig_all,
     extreme_eigenvalues,
-    gap_properties,
+    gap_margin,
     position_tridiagonal,
     semicircle_count_deviation,
     semicircle_density,
@@ -74,7 +73,6 @@ __all__ = [
     "CoherentState",
     "ConvergenceError",
     "DimensionMismatchError",
-    "GapReport",
     "MissingDependencyError",
     "OperatorMatrix",
     "PhasePoint",
@@ -95,7 +93,7 @@ __all__ = [
     "corrective_factor",
     "eig_all",
     "extreme_eigenvalues",
-    "gap_properties",
+    "gap_margin",
     "gauss_laguerre_rule",
     "hall_coordinates",
     "hamiltonian",

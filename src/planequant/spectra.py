@@ -21,7 +21,9 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             1.17 ulp of 40-digit Newton on 100..6606.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
-that the tests and the ``verify`` checks hold both routes against.
+that the tests and the ``verify`` checks hold both routes against.  Both
+counts take the squared off-diagonal and LAPACK's pivot floor from one
+helper, ``_squares_and_pivot_floor``.
 
 A summary stores only what was measured, the dimension and the smallest
 and largest positive eigenvalues, and derives the rest: the minimal
@@ -44,8 +46,9 @@ ctypes on the first spectral computation of a process: from numpy's own
 LAPACK where numpy exports them, as its scipy-openblas wheels do, and from
 scipy.linalg.cython_lapack otherwise.  With numpy's, no command imports
 scipy; with scipy's, only a spectral computation pays its ~0.3 s import.
-Both are plain calls that allocate their own workspaces, so no matrix
-holds LAPACK state between calls.
+Both are plain calls that allocate their own workspaces, and a
+``SymTridiagonal`` holds only its read-only off-diagonal: every count
+builds what it reads per call, so no matrix keeps state between calls.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import math
 import mmap
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,7 +92,7 @@ _PI_SQUARED = (9.869604401089358, 6.265295508739711e-16)
 # Peak bytes per dimension of the larger route: eig_all needs 48 N
 # (tridiagonal, B's two halves, 4 * ceil(N/2) work, output).  The extreme
 # eigenvalues need the off-diagonal and the squared off-diagonal each dlaebz
-# call forms (16 N), and a few cells per interval; the zero diagonal is a
+# call forms (16 N), and a few cells per bracket; the zero diagonal is a
 # mapping whose pages are only read.
 _BYTES_PER_DIM = 48
 
@@ -189,14 +192,14 @@ def _lapack() -> _Lapack:
 
 @dataclass(frozen=True, eq=False)
 class SymTridiagonal:
-    """Symmetric tridiagonal matrix with zero diagonal, held as its off-diagonal.
+    """Symmetric tridiagonal matrix with zero diagonal, held as its off-diagonal alone.
 
     Every matrix here has a zero diagonal, so its spectrum is symmetric about
     the origin: the precondition of ``eig_all``'s dqds split and of the
     indices ``extreme_eigenvalues`` looks for.  The entries must be finite and
     strictly positive (an unreduced matrix); ``dim`` is len(offdiag) + 1.
-    The matrix holds a read-only copy of the array it is given, and compares
-    and hashes by identity, as the array cannot.
+    The matrix holds a read-only copy of the array it is given and nothing
+    else, and compares and hashes by identity, as the array cannot.
     """
 
     offdiag: np.ndarray
@@ -215,39 +218,6 @@ class SymTridiagonal:
     @property
     def dim(self) -> int:
         return self.offdiag.shape[0] + 1
-
-    @cached_property
-    def _zero_diag(self) -> np.ndarray:
-        """The zero diagonal that dlaebz takes as an argument, read-only.
-
-        It is a copy-on-write anonymous mapping rather than ``np.zeros``:
-        pages that are only read stay on the kernel's zero page, so the
-        diagonal adds no resident memory.  A calloc could instead reuse freed
-        heap memory and clear it, which costs 8 MB of peak at N = 10^6.
-        """
-        buf = mmap.mmap(-1, 8 * self.dim, access=mmap.ACCESS_COPY)
-        diag = np.frombuffer(buf, dtype=float)
-        diag.setflags(write=False)
-        return diag
-
-    @cached_property
-    def _addresses(self) -> tuple[int, int]:
-        """Addresses of the zero diagonal and the off-diagonal, as LAPACK takes them.
-
-        Both arrays are read-only and live as long as the matrix, so each
-        address is read once rather than through ``ndarray.ctypes`` on every
-        call, which costs more than a short call's LAPACK work; no call
-        state is kept.
-        """
-        return self._zero_diag.ctypes.data, self.offdiag.ctypes.data
-
-    @cached_property
-    def _count_data(self):
-        """Plain-Python squared off-diagonal and pivot floor, cached for repeated counting."""
-        bsq = (self.offdiag * self.offdiag).tolist()
-        max_bsq = max(bsq) if bsq else 1.0
-        pivmin = np.finfo(float).tiny * max(max_bsq, 1.0)
-        return bsq, pivmin
 
 
 def position_tridiagonal(n_dim: int) -> SymTridiagonal:
@@ -311,18 +281,29 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
 # Sturm counting and certified guesses
 # ---------------------------------------------------------------------------
 
-def sturm_count(t: SymTridiagonal, lam: float) -> int:
-    """Number of eigenvalues strictly below lam.
+def _squares_and_pivot_floor(t: SymTridiagonal) -> tuple[np.ndarray, float]:
+    """The squared off-diagonal e2 and the pivot floor tiny * max(1, max e2).
 
-    Counts negative pivots of the LDL^T factorization of T - lam*I via
+    The floor is the one of LAPACK's bisection driver, which both counts
+    use; it is a Python float, so ``sturm_count``'s pivot tests compare
+    plain floats.
+    """
+    e2 = t.offdiag * t.offdiag
+    return e2, _TINY * float(e2.max(initial=1.0))
+
+
+def sturm_count(t: SymTridiagonal, lam: float) -> int:
+    """Number of eigenvalues at or below lam.
+
+    Counts the pivots <= 0 of the LDL^T factorization of T - lam*I via
     d_k = -lam - offdiag_{k-1}^2 / d_{k-1}, with tiny pivots replaced by a
-    signed floor so the division never produces infinities.  Monotone
-    nondecreasing in lam: -inf counts 0 and +inf counts N; a NaN lam
-    raises ValueError.
+    signed floor so the division never produces infinities, as LAPACK's
+    dlaebz does; at an eigenvalue, it is counted.  Monotone nondecreasing in
+    lam: -inf counts 0 and +inf counts N; a NaN lam raises ValueError.
     """
     if math.isnan(lam):
         raise ValueError(f"lam must not be NaN, got {lam!r}")
-    bsq, pivmin = t._count_data
+    e2, pivmin = _squares_and_pivot_floor(t)
     count = 0
     d = -lam
     if d <= 0.0:
@@ -331,7 +312,7 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
         count = 1
     elif d < pivmin:
         d = pivmin
-    for b in bsq:
+    for b in e2.tolist():
         d = -lam - b / d
         if d <= 0.0:
             if d > -pivmin:
@@ -342,43 +323,36 @@ def sturm_count(t: SymTridiagonal, lam: float) -> int:
     return count
 
 
-class _Interval(NamedTuple):
-    """(lo, hi] with the eigenvalue counts at or below its ends."""
+def _dlaebz(t: SymTridiagonal, brackets: list[tuple[float, float]]) -> list[tuple[int, int]]:
+    """(at_lo, at_hi): the eigenvalues at or below both ends of each (lo, hi], by one dlaebz call.
 
-    lo: float
-    hi: float
-    at_lo: int = 0
-    at_hi: int = 0
-
-
-def _dlaebz(t: SymTridiagonal, intervals: list[_Interval]) -> list[_Interval]:
-    """The ``intervals`` with the counts at their ends, by one LAPACK dlaebz call on ``t``.
-
-    dlaebz with ijob = 1 counts the eigenvalues at or below both ends of
-    each interval, on the squared off-diagonal with the pivot floor
-    tiny * max(1, max e2) of LAPACK's driver.  Each call allocates e2 (n
-    doubles) and a few cells per interval; a nonzero info raises
-    ConvergenceError.  Calls share only the matrix's read-only arrays, so
-    threads may share a matrix.
+    dlaebz with ijob = 1 counts on ``_squares_and_pivot_floor``.  Its zero
+    diagonal is a copy-on-write anonymous mapping, not ``np.zeros``: pages
+    that are only read stay on the kernel's zero page and add no resident
+    memory, where a calloc may reuse and clear freed heap, 8 MB of peak at
+    N = 10^6.  Each call allocates e2, the mapping and a few cells per
+    bracket, and shares only the read-only off-diagonal, so threads may
+    share a matrix; a nonzero info raises ConvergenceError.
     """
     lapack = _lapack()
     integer, double, byref = lapack.integer, ctypes.c_double, ctypes.byref
-    m = len(intervals)
-    lo, hi, _, _ = zip(*intervals)
-    e2 = t.offdiag * t.offdiag
-    pivmin = _TINY * float(e2.max(initial=1.0))
+    m = len(brackets)
+    lo, hi = zip(*brackets)
+    e2, pivmin = _squares_and_pivot_floor(t)
+    zero_diag = np.frombuffer(mmap.mmap(-1, 8 * t.dim, access=mmap.ACCESS_COPY))
     ab = (double * (2 * m))(*lo, *hi)
     nab = (integer * (2 * m))()
     mout, info, zero = integer(), integer(), integer(0)
     lapack.dlaebz(byref(integer(1)), byref(zero), byref(integer(t.dim)),
                   byref(integer(m)), byref(integer(m)), byref(zero),
-                  byref(double(0.0)), byref(double(0.0)),
-                  byref(double(pivmin)), *t._addresses, e2.ctypes.data, (integer * m)(), ab,
-                  (double * m)(), byref(mout), nab, (double * m)(), (integer * m)(), byref(info))
+                  byref(double(0.0)), byref(double(0.0)), byref(double(pivmin)),
+                  zero_diag.ctypes.data, t.offdiag.ctypes.data, e2.ctypes.data,
+                  (integer * m)(), ab, (double * m)(), byref(mout), nab, (double * m)(),
+                  (integer * m)(), byref(info))
     if info.value != 0:
         raise ConvergenceError(
             f"Sturm count (dlaebz, ijob = 1) failed with info = {info.value} for dim {t.dim}")
-    return [_Interval(ab[j], ab[m + j], nab[j], nab[m + j]) for j in range(m)]
+    return [(nab[j], nab[m + j]) for j in range(m)]
 
 
 def _guess_errors(n_dim: int) -> tuple[float, float]:
@@ -497,13 +471,14 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
         missed = list(indices)
     else:
         guesses = _extreme_guesses(n_dim)
-        brackets = [_Interval(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
-        for i, (guess, _), counted in zip(indices, guesses, _dlaebz(t, brackets)):
-            if (counted.at_lo, counted.at_hi) == (i, i + 1):
+        brackets = [(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
+        for i, (guess, _), (lo, hi), counts in zip(indices, guesses, brackets,
+                                                   _dlaebz(t, brackets)):
+            if counts == (i, i + 1):
                 values[i] = guess
                 continue
-            miss = (f"dim {n_dim}, index {i}: bracket ({counted.lo!r}, {counted.hi!r}] has "
-                    f"{counted.at_lo} and {counted.at_hi} eigenvalue(s) at or below its ends")
+            miss = (f"dim {n_dim}, index {i}: bracket ({lo!r}, {hi!r}] has "
+                    f"{counts[0]} and {counts[1]} eigenvalue(s) at or below its ends")
             if n_dim > DENSE_SPECTRUM_CAP:
                 raise ConvergenceError(f"{miss}, beyond the full-spectrum cap {DENSE_SPECTRUM_CAP}")
             _log.debug("%s; using the full spectrum", miss)
@@ -601,39 +576,19 @@ def sigma_table(n_list) -> list[SpectrumSummary]:
 # structural checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapReport:
-    """Gap and interlacing margins of one dimension, as ``gap_properties`` measures them."""
+def gap_margin(n_dim: int) -> float:
+    """Worst margin of the consecutive-gap lower bound of the position matrix; > 0 when it holds.
 
-    dim: int
-    worst_gap_margin: float
-    worst_interlacing_margin: float
-
-
-def _interlacing_margin(ev_n: np.ndarray, ev_n1: np.ndarray) -> float:
-    """Worst margin of strict interlacing ev_n1[i] < ev_n[i] < ev_n1[i+1]; > 0 when it holds."""
-    return float(min((ev_n - ev_n1[:-1]).min(), (ev_n1[1:] - ev_n).min()))
-
-
-def gap_properties(n_dim: int) -> GapReport:
-    """Margins of the consecutive-gap lower bound and of interlacing with order N+1.
-
-    The gap margin is > 0 when every gap between consecutive positive
-    eigenvalues exceeds the minimal forbidden cell of the smallest positive
-    one, and the interlacing margin when the order-N and order-N+1 spectra
-    strictly interlace.
+    The bound holds when every gap between consecutive positive eigenvalues
+    exceeds the minimal forbidden cell of the smallest positive one; with a
+    single positive eigenvalue there is no gap, and the margin is infinite.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
-    ev_n = eig_all(position_tridiagonal(n_dim))
-    ev_n1 = eig_all(position_tridiagonal(n_dim + 1))
-    pos = ev_n[_extreme_indices(n_dim)[0]:]  # eig_all's spectrum is exactly sign-symmetric
-    bound = _forbidden_cell(n_dim, float(pos[0]))
-    if pos.size >= 2:
-        worst_gap = float(np.min(np.diff(pos)) - bound)
-    else:
-        worst_gap = math.inf
-    return GapReport(dim=n_dim, worst_gap_margin=worst_gap,
-                     worst_interlacing_margin=_interlacing_margin(ev_n, ev_n1))
+    ev = eig_all(position_tridiagonal(n_dim))
+    pos = ev[_extreme_indices(n_dim)[0]:]  # eig_all's spectrum is exactly sign-symmetric
+    if pos.size < 2:
+        return math.inf
+    return float(np.min(np.diff(pos)) - _forbidden_cell(n_dim, float(pos[0])))
 
 
 def semicircle_density(n_dim: int, x1: float, x2: float) -> float:

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -29,7 +28,7 @@ class TestSpectrumCommand:
         values = sorted(float(line.split(",")[1]) for line in lines[1:])
         assert values == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
-    def test_bisect_summary(self, tmp_path):
+    def test_summary_row_beyond_cap(self, tmp_path):
         # beyond the cap the extremes are certified guesses proved by one count
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--n", "20001", "--out", str(out)]) == 0
@@ -39,7 +38,7 @@ class TestSpectrumCommand:
         assert row["N"] == "20001"
         assert float(row["sigma"]) < TWO_PI
 
-    def test_auto_switches_to_bisect_beyond_cap(self, tmp_path):
+    def test_switches_to_the_summary_row_beyond_cap(self, tmp_path):
         # every eigenvalue up to the cap, the sigma-table row beyond it
         full, beyond, table = (tmp_path / name for name in ("f.csv", "b.csv", "t.csv"))
         assert main(["spectrum", "--n", "20000", "--out", str(full)]) == 0
@@ -306,19 +305,13 @@ class TestVerifyCommand:
         assert "1 check(s) failed: sigma_below_two_pi" in captured.err
 
     def test_nan_gap_margin_fails_by_name(self, monkeypatch):
-        gap_properties = spectra.gap_properties
-
-        def nan_at_12(n_dim):
-            report = gap_properties(n_dim)
-            if n_dim != 12:
-                return report
-            return dataclasses.replace(report, worst_gap_margin=math.nan)
-
-        monkeypatch.setattr(spectra, "gap_properties", nan_at_12)
+        gap_margin = spectra.gap_margin
+        monkeypatch.setattr(spectra, "gap_margin",
+                            lambda n_dim: math.nan if n_dim == 12 else gap_margin(n_dim))
         failed = [r for r in verify.run_verification() if not r.passed]
         assert [(r.name, r.detail) for r in failed] == [("gap", "smallest gap margin nan")]
 
-    def test_symmetry_reads_the_sturm_counts(self, monkeypatch):
+    def test_sturm_qr_reads_the_sturm_counts(self, monkeypatch):
         assert verify._check_sturm_qr(np.random.default_rng(0)).passed
         count = spectra.sturm_count
         for fault in (lambda t, lam: count(t, lam - 0.5), lambda t, lam: count(t, lam) + 1):
@@ -327,7 +320,7 @@ class TestVerifyCommand:
                 result = verify._check_sturm_qr(np.random.default_rng(seed))
                 assert not result.passed and result.detail != "0 count mismatches", seed
 
-    def test_symmetry_counts_the_zero_eigenvalue(self, monkeypatch):
+    def test_sturm_qr_counts_the_zero_eigenvalue(self, monkeypatch):
         # sturm_qr counts at +-1e-9 on every seed, so a count that is off on
         # either side of the odd-N zero fails whatever shifts are drawn
         count = spectra.sturm_count

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dstebz
 
-from planequant import cli, frame, spectra
+from planequant import cli, frame, spectra, verify
 from planequant.cli import _TABLE_DIMS as TABLE_DIMS
 from planequant.errors import ConvergenceError, MissingDependencyError, VerificationError
 from planequant.operators import momentum_operator
@@ -36,7 +36,7 @@ from planequant.spectra import (
     SymTridiagonal,
     eig_all,
     extreme_eigenvalues,
-    gap_properties,
+    gap_margin,
     gnuplot_extremes_script,
     gnuplot_sigma_script,
     position_tridiagonal,
@@ -115,12 +115,6 @@ class TestSymTridiagonal:
         with pytest.raises(ValueError, match="1-D"):
             SymTridiagonal(np.ones((2, 2)))
 
-    def test_zero_diagonal_is_read_only_zeros(self):
-        diag = position_tridiagonal(7)._zero_diag
-        assert diag.tolist() == [0.0] * 7
-        with pytest.raises(ValueError):
-            diag[0] = 1.0
-
 
 class TestEigAll:
     def test_two_by_two(self):
@@ -152,12 +146,12 @@ class TestEigAll:
         ev_p = np.linalg.eigvalsh(momentum_operator(n).entries)
         assert np.max(np.abs(ev_q - ev_p)) <= 1e-12
 
-    def test_matches_bisection_and_interlaces_neighbors(self):
+    def test_sturm_counts_its_extremes_and_interlaces_neighbors(self):
         n = 12
-        ev = eig_all(position_tridiagonal(n))
-        lam_min, lam_max = extreme_eigenvalues(n)
-        assert ev[-1] == pytest.approx(lam_max, abs=1e-12)
-        assert ev[n // 2] == pytest.approx(lam_min, abs=1e-12)
+        t = position_tridiagonal(n)
+        ev = eig_all(t)
+        for i in _extreme_indices(n):
+            _assert_counted(t, float(ev[i]), i, 8.0 * EPS)
         ev_lo = eig_all(position_tridiagonal(n - 1))
         ev_hi = eig_all(position_tridiagonal(n + 1))
         assert np.all(ev_lo > ev[:-1]) and np.all(ev_lo < ev[1:])
@@ -226,17 +220,17 @@ def _hide_numpy_lapack(monkeypatch):
     monkeypatch.setattr(spectra, "_NUMPY_LAPACK_SYMBOLS", ("no_dlaebz_", "no_dlasq1_"))
 
 
-def _brackets(n: int) -> list:
-    """Both asymptotic brackets of dimension n as dlaebz intervals."""
-    return [spectra._Interval(guess * (1.0 - half_width), guess * (1.0 + half_width))
+def _brackets(n: int) -> list[tuple[float, float]]:
+    """Both asymptotic (lo, hi] brackets of dimension n."""
+    return [(guess * (1.0 - half_width), guess * (1.0 + half_width))
             for guess, half_width in spectra._extreme_guesses(n)]
 
 
-def _isolating_intervals(t: SymTridiagonal, indices) -> list:
-    """For each index i, eigenvalue i alone in an interval cut at eig_all's midpoints."""
+def _isolating_brackets(t: SymTridiagonal, indices) -> list[tuple[float, float]]:
+    """For each index i, eigenvalue i alone in a bracket cut at eig_all's midpoints."""
     ev = eig_all(t)
     cuts = np.concatenate(([ev[0] - 1.0], 0.5 * (ev[1:] + ev[:-1]), [ev[-1] + 1.0]))
-    return [spectra._Interval(float(cuts[i]), float(cuts[i + 1])) for i in indices]
+    return [(float(cuts[i]), float(cuts[i + 1])) for i in indices]
 
 
 class TestLapackBinding:
@@ -246,39 +240,36 @@ class TestLapackBinding:
     @pytest.mark.parametrize("n", [100, 101, 1000, 4606, 4607, 5555, 10**4, 10**5 + 1, 10**6])
     def test_counts_match_the_oracle_and_dstebz_on_both_brackets(self, n):
         t = position_tridiagonal(n)
-        for counted in spectra._dlaebz(t, _brackets(n)):
-            lo, hi = counted.lo, counted.hi
-            assert (counted.at_lo, counted.at_hi) == (sturm_count(t, lo), sturm_count(t, hi)), n
-            # a count-only dstebz call (a tolerance wider than the interval) counts the same matrix
+        brackets = _brackets(n)
+        for (lo, hi), (at_lo, at_hi) in zip(brackets, spectra._dlaebz(t, brackets)):
+            assert (at_lo, at_hi) == (sturm_count(t, lo), sturm_count(t, hi)), n
+            # a count-only dstebz call (a tolerance wider than the bracket) counts the same matrix
             m, _, info = _scipy_stebz(t, b"V", lo, hi, 0, 0, 4.0 * hi)
-            assert (m, info) == (counted.at_hi - counted.at_lo, 0), (n, lo, hi)
+            assert (m, info) == (at_hi - at_lo, 0), (n, lo, hi)
 
     def test_counts_between_every_eigenvalue_of_small_dims(self):
         for n in range(1, 61):
             t = position_tridiagonal(n)
             ev = eig_all(t)
             pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
-            shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad]))
-            intervals = [spectra._Interval(lo, hi) for lo, hi in zip(shifts[:-1], shifts[1:])]
-            intervals.append(spectra._Interval(-pad, pad))
-            counted = spectra._dlaebz(t, intervals)
-            assert [(c.lo, c.hi) for c in counted] == [(c.lo, c.hi) for c in intervals], n
-            assert [(c.at_lo, c.at_hi) for c in counted] == (
-                [(sturm_count(t, c.lo), sturm_count(t, c.hi)) for c in intervals]), n
-            assert (counted[-1].at_lo, counted[-1].at_hi) == (0, n)
+            shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad])).tolist()
+            brackets = [*zip(shifts[:-1], shifts[1:]), (-pad, pad)]
+            counted = spectra._dlaebz(t, brackets)
+            assert counted == [(sturm_count(t, lo), sturm_count(t, hi)) for lo, hi in brackets], n
+            assert counted[-1] == (0, n)
 
     def test_threads_sharing_one_matrix(self):
         # the GIL is released inside dlaebz; each call must still see its own
         # arguments and results
         t = position_tridiagonal(3000)
-        intervals = dict(zip(range(1500, 3000, 100),
-                             _isolating_intervals(t, range(1500, 3000, 100))))
-        expected = {i: spectra._dlaebz(t, [interval])[0] for i, interval in intervals.items()}
-        assert all((c.at_lo, c.at_hi) == (i, i + 1) for i, c in expected.items())
+        brackets = dict(zip(range(1500, 3000, 100),
+                            _isolating_brackets(t, range(1500, 3000, 100))))
+        expected = {i: spectra._dlaebz(t, [bracket])[0] for i, bracket in brackets.items()}
+        assert all(counts == (i, i + 1) for i, counts in expected.items())
 
         def work(seed):
             indices = list(expected)[seed % 3::3] * 4
-            return [(i, spectra._dlaebz(t, [intervals[i]])[0]) for i in indices]
+            return [(i, spectra._dlaebz(t, [brackets[i]])[0]) for i in indices]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -344,6 +335,14 @@ class TestSturmCount:
     def test_half_below_zero_for_even_dim(self):
         for n in (2, 10, 64):
             assert sturm_count(position_tridiagonal(n), 0.0) == n // 2
+
+    def test_counts_the_zero_eigenvalue_of_odd_dim_at_zero(self):
+        # both counts take the eigenvalues at or below the shift, as LAPACK's do
+        for n in (1, 3, 11, 101):
+            t = position_tridiagonal(n)
+            (_, at_zero), = spectra._dlaebz(t, [(0.0, 0.0)])
+            below_or_at = int(np.searchsorted(eig_all(t), 0.0, side="right"))
+            assert sturm_count(t, 0.0) == at_zero == below_or_at == (n + 1) // 2, n
 
     def test_zero_eigenvalue_straddle_for_odd_dim(self):
         for n in (3, 11, 101):
@@ -471,19 +470,24 @@ class TestBracketedRoute:
         assert [r.getMessage() for r in caplog.records] == []
 
     def test_matches_dstebz_by_index_to_two_ulp(self):
-        # lambda_M is held to f2py dstebz by index; lambda_m's count changes
-        # up to N eps / 27 away from its true zero, so both are held to the
-        # 40-digit reference where it has the dimension.  Below N = 100 the
-        # truth is test_within_six_ulp_of_newton_below_threshold
+        # both extremes are held to the 40-digit reference where it has the
+        # dimension, and on 100..1320 off the ladder the reference alone is
+        # the truth.  Elsewhere lambda_M is also held to f2py dstebz by index;
+        # lambda_m's count changes up to N eps / 27 away from its true zero.
+        # Below N = 100 the truth is test_within_six_ulp_of_newton_below_threshold
         dims = [n for n in TABLE_DIMS if n >= spectra._BRACKET_MIN_DIM]
+        reference_only = set(range(spectra._BRACKET_MIN_DIM, 1321)) - set(dims)
         for n in list(range(spectra._BRACKET_MIN_DIM, 3001)) + dims:
-            t = position_tridiagonal(n)
-            exact = self._dstebz_by_index(t)
             extremes = extreme_eigenvalues(n)
             if n in _reference_zeros():
                 _assert_near_reference(n, extremes)
-            assert abs(extremes[1] - exact[1]) <= 2.0 * np.spacing(exact[1]), (n, extremes, exact)
-            # margin of at least 2: dstebz's value lies within half of its
+            if n in reference_only:
+                exact = _reference_zeros()[n]
+            else:
+                exact = self._dstebz_by_index(position_tridiagonal(n))
+                assert abs(extremes[1] - exact[1]) <= 2.0 * np.spacing(exact[1]), (
+                    n, extremes, exact)
+            # margin of at least 2: the exact value lies within half of its
             # bracket's half-width of the guess
             for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
                 assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
@@ -518,7 +522,7 @@ class TestBracketedRoute:
 
     @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001])
     @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
-    def test_missed_bracket_falls_back_to_index_route(self, n, miss, monkeypatch, caplog):
+    def test_missed_bracket_falls_back_to_full_spectrum(self, n, miss, monkeypatch, caplog):
         t = position_tridiagonal(n)
         ev = eig_all(t)
         idx_m, idx_max = _extreme_indices(n)
@@ -572,8 +576,7 @@ class TestBracketedRoute:
         (99, []), (100, [(1, 2)]), (1311, [(1, 2)]), (1312, [(1, 2)]),
         (4606, [(1, 2)]), (4607, [(1, 2)]), (10000, [(1, 2)]), (10001, [(1, 2)]),
     ])
-    def test_one_dlaebz_call_per_certified_dim_and_two_per_bisected(self, n, calls,
-                                                                    monkeypatch):
+    def test_one_dlaebz_call_per_certified_dim(self, n, calls, monkeypatch):
         # every dim from 100 on is certified: (ijob, minp) of each LAPACK
         # call, one count (ijob = 1) of both brackets
         lapack = spectra._lapack()
@@ -641,8 +644,8 @@ class TestSpectrumSummary:
         lambda: spectrum_summary(np.True_),
         lambda: sigma_table([3, True]),
         lambda: sigma_table([3, 4.0]),
-        lambda: gap_properties(True),
-        lambda: gap_properties(2.5),
+        lambda: gap_margin(True),
+        lambda: gap_margin(2.5),
         lambda: semicircle_density(0, 0.0, 1.0),
         lambda: semicircle_count_deviation(-2, 0.0, 1.0),
         lambda: spectrum_summary("200"),
@@ -690,7 +693,7 @@ class TestSpectrumSummary:
         finally:
             tracemalloc.stop()
 
-    def test_memory_guard_covers_the_bisection_workspaces(self):
+    def test_memory_guard_covers_both_routes(self):
         # eig_all sets the guard; the count of LAPACK's bisection kernel
         # needs less than half of it
         n = 1311
@@ -706,15 +709,19 @@ class TestSpectrumSummary:
         assert peak <= 32 * n, peak / n
 
     def test_matrix_holds_no_lapack_workspace_between_calls(self):
+        # after one count of each kind the matrix still holds its 8-byte
+        # off-diagonal alone: no zero diagonal, squares or pivot floor
         n = 10**5
         tracemalloc.start()
         try:
             t = position_tridiagonal(n)
             spectra._dlaebz(t, _brackets(n))
+            sturm_count(t, 1.0)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained <= 16 * n, retained / n
+        assert list(vars(t)) == ["offdiag"]
+        assert retained <= 9 * n, retained / n
 
     def test_invariant_guard(self):
         with pytest.raises(VerificationError, match="lambda_m <= lambda_M"):
@@ -770,9 +777,11 @@ class TestSigmaTable:
 class TestGapProperties:
     @pytest.mark.parametrize("n", [5, 12, 100, 101])
     def test_gaps_and_interlacing_pass(self, n):
-        report = gap_properties(n)
-        assert report.worst_gap_margin > 0.0
-        assert report.worst_interlacing_margin > 0.0
+        assert gap_margin(n) > 0.0
+        assert verify._check_interlacing(n, inject_fault=False).passed
+
+    def test_one_positive_eigenvalue_has_no_gap(self):
+        assert gap_margin(2) == gap_margin(3) == math.inf
 
     def test_interlacing_is_strict_for_ten_eleven(self):
         ev10 = eig_all(position_tridiagonal(10))
