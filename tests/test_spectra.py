@@ -522,7 +522,7 @@ class TestBracketedRoute:
 
     @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001])
     @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
-    def test_missed_bracket_falls_back_to_full_spectrum(self, n, miss, monkeypatch, caplog):
+    def test_missed_bracket_falls_back_to_eig_all(self, n, miss, monkeypatch, caplog):
         t = position_tridiagonal(n)
         ev = eig_all(t)
         idx_m, idx_max = _extreme_indices(n)
