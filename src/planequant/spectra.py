@@ -18,7 +18,9 @@ ceil(N/2), so its eigenvalues are exactly +- the singular values of B
                             there on the two asymptotic guesses, certified
                             by one Sturm count of LAPACK's bisection kernel
                             dlaebz (O(N), practical to N = 10^6) and within
-                            1.17 ulp of 40-digit Newton on 100..6606.
+                            1.17 ulp of 40-digit Newton on 100..6606; a
+                            bracket the count does not prove raises
+                            ConvergenceError at every N.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.  Both
@@ -72,7 +74,7 @@ _log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
-# Largest dimension eig_all accepts; beyond it only certified extremes are given.
+# Largest dimension eig_all accepts: its dqds takes O(N^2) work.
 DENSE_SPECTRUM_CAP = 20_000
 
 _EPS = float(np.finfo(float).eps)
@@ -245,9 +247,9 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
     sigma of B (Demmel & Kahan 1990), which dqds (LAPACK dlasq1, Fernando &
     Parlett 1994) computes to high relative accuracy.  O(N^2) work; the
     spectrum is exactly sign-symmetric and the odd-N middle value is +0.0.
-    Dimensions beyond ``DENSE_SPECTRUM_CAP`` are rejected; there
-    ``extreme_eigenvalues`` gives the position matrix's extremes and
-    ``sturm_count`` counts any matrix's eigenvalues.
+    Dimensions beyond ``DENSE_SPECTRUM_CAP`` are rejected.
+    ``extreme_eigenvalues`` reads it below N = 100 only, and ``sturm_count``
+    counts any matrix's eigenvalues at any dimension.
     """
     if t.dim > DENSE_SPECTRUM_CAP:
         raise ValueError(
@@ -408,9 +410,8 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     is N eps / 8: the drift is at most N eps / 27 on N = 100..3000 and on
     the default ladder to 10^6.  For lambda_M it is 3 sqrt(N) eps, 30 eps
     at N = 100: bisection to the point finds it within 2.1 ulp of the true
-    zero on N = 100..1311.  A bracket that misses costs a full spectrum up to
-    ``DENSE_SPECTRUM_CAP`` and a ConvergenceError beyond it, never a wrong
-    result.
+    zero on N = 100..1311.  A bracket that misses raises ConvergenceError
+    at every N, never a wrong result.
     """
     nu = 2.0 * n_dim + 1.0
     a, c, t = _AIRY_A1, 2.0 ** (1.0 / 3.0), nu ** (-2.0 / 3.0)
@@ -458,35 +459,24 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     and returns its guess, whose bound in ``_guess_errors`` is at most eps.
     Against 40-digit Newton these certified values are within 1.17 ulp
     (lambda_m, at N = 101) and 0.52 ulp (lambda_M, at N = 522) on every N in
-    100..6606.  A bracket the counts do not prove is logged and answered by
-    ``eig_all`` up to ``DENSE_SPECTRUM_CAP``; beyond it, it raises
-    ConvergenceError.
+    100..6606.  A bracket the counts do not prove raises ConvergenceError
+    naming N, the index, the bracket and both counts.
     Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     t = position_tridiagonal(n_dim)
     indices = _extreme_indices(n_dim)
-    values, missed = {}, []
     if n_dim < _BRACKET_MIN_DIM:
-        missed = list(indices)
-    else:
-        guesses = _extreme_guesses(n_dim)
-        brackets = [(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
-        for i, (guess, _), (lo, hi), counts in zip(indices, guesses, brackets,
-                                                   _dlaebz(t, brackets)):
-            if counts == (i, i + 1):
-                values[i] = guess
-                continue
-            miss = (f"dim {n_dim}, index {i}: bracket ({lo!r}, {hi!r}] has "
-                    f"{counts[0]} and {counts[1]} eigenvalue(s) at or below its ends")
-            if n_dim > DENSE_SPECTRUM_CAP:
-                raise ConvergenceError(f"{miss}, beyond the full-spectrum cap {DENSE_SPECTRUM_CAP}")
-            _log.debug("%s; using the full spectrum", miss)
-            missed.append(i)
-    if missed:
         spectrum = eig_all(t)
-        values.update((i, float(spectrum[i])) for i in missed)
-    return values[indices[0]], values[indices[1]]
+        return float(spectrum[indices[0]]), float(spectrum[indices[1]])
+    guesses = _extreme_guesses(n_dim)
+    brackets = [(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
+    for i, (lo, hi), counts in zip(indices, brackets, _dlaebz(t, brackets)):
+        if counts != (i, i + 1):
+            raise ConvergenceError(
+                f"dim {n_dim}, index {i}: bracket ({lo!r}, {hi!r}] has "
+                f"{counts[0]} and {counts[1]} eigenvalue(s) at or below its ends")
+    return guesses[0][0], guesses[1][0]
 
 
 # ---------------------------------------------------------------------------

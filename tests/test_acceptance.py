@@ -104,10 +104,10 @@ def test_criterion_2_bound_and_monotonicity(exhaustive_table, base_table, extend
     assert all(v < TWO_PI for v in sigmas.values())
     for s in list(base_table[0]) + list(extended_table[0]):
         assert s.sigma < TWO_PI
-    for n in range(2, 199):
+    for n in range(2, 1999):
         assert sigmas[n + 2] > sigmas[n], f"parity monotonicity fails at {n}"
     print("\nACCEPTANCE 2 PASS: sigma < 2*pi on 2..2000 and the ladder; "
-          "parity-monotone on 2..200")
+          "parity-monotone on 2..2000")
 
 
 def test_criterion_3_commutator_identity():

@@ -253,9 +253,14 @@ class TestLapackBinding:
             ev = eig_all(t)
             pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
             shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad])).tolist()
-            brackets = [*zip(shifts[:-1], shifts[1:]), (-pad, pad)]
+            # and each eigenvalue's own ends, 8 eps relative out (8 eps for the
+            # zero of odd N), where a count on a perturbed diagonal changes
+            half = 8.0 * EPS * np.maximum(np.abs(ev), 1.0)
+            ends = list(zip((ev - half).tolist(), (ev + half).tolist()))
+            brackets = [*zip(shifts[:-1], shifts[1:]), *ends, (-pad, pad)]
             counted = spectra._dlaebz(t, brackets)
             assert counted == [(sturm_count(t, lo), sturm_count(t, hi)) for lo, hi in brackets], n
+            assert counted[n:2 * n] == [(i, i + 1) for i in range(n)], n
             assert counted[-1] == (0, n)
 
     def test_threads_sharing_one_matrix(self):
@@ -281,7 +286,7 @@ class TestLapackBinding:
             sys.setswitchinterval(interval)
         assert all(counted == expected[i] for i, counted in results)
 
-    @pytest.mark.parametrize("n, info", [(1000, -1)], ids=["bisection"])
+    @pytest.mark.parametrize("n, info", [(1000, -1)], ids=["count"])
     def test_dlaebz_failure_is_convergence_error(self, n, info, monkeypatch):
         # LAPACK's bisection kernel reports info = -1 on a count (ijob 1) only
         # for an ijob out of range; whatever it reports, the route stops
@@ -436,22 +441,24 @@ class TestExtremeEigenvalues:
             assert lam_min == pytest.approx(positive[0], abs=1e-12)
 
 
+def _dstebz_by_index(t: SymTridiagonal, indices) -> tuple[float, ...]:
+    """scipy's f2py dstebz (RANGE='I') on each 0-based index, the independent oracle."""
+    return tuple(float.fromhex(_scipy_stebz(t, b"I", 0.0, 0.0, i + 1, i + 1, 2.0 * TINY)[1])
+                 for i in indices)
+
+
+@cache
+def _extremes_and_neighbours(n: int) -> tuple[float, float, float, float]:
+    """Eigenvalues i_m, i_m + 1, i_M - 1 and i_M of dimension n by dstebz, once per n."""
+    i_m, i_max = _extreme_indices(n)
+    return _dstebz_by_index(position_tridiagonal(n), (i_m, i_m + 1, i_max - 1, i_max))
+
+
 class TestBracketedRoute:
     """The asymptotic bracket must hit on every dimension it serves, its
-    guess must match the reference, and the route must fall back to the
-    full spectrum exactly when LAPACK's counts do not prove the bracketed
-    index.  Below N = 100 the extremes are eig_all's entries."""
-
-    @staticmethod
-    def _full_spectrum(t: SymTridiagonal) -> tuple[float, float]:
-        ev = eig_all(t)
-        return tuple(float(ev[i]) for i in _extreme_indices(t.dim))
-
-    @staticmethod
-    def _dstebz_by_index(t: SymTridiagonal) -> tuple[float, float]:
-        """scipy's f2py dstebz (RANGE='I') on both extreme indices, the independent oracle."""
-        return tuple(float.fromhex(_scipy_stebz(t, b"I", 0.0, 0.0, i + 1, i + 1, 2.0 * TINY)[1])
-                     for i in _extreme_indices(t.dim))
+    guess must match the reference, and a bracket LAPACK's counts do not
+    prove must raise ConvergenceError at every N.  Below N = 100 the
+    extremes are eig_all's entries, and from there on eig_all is not called."""
 
     def test_guesses_within_a_tenth_of_the_half_width(self):
         # held to the 40-digit reference, not to dqds, whose lambda_M is
@@ -462,7 +469,7 @@ class TestBracketedRoute:
             for (guess, half_width), ref in zip(guesses, _reference_zeros()[n]):
                 assert abs(guess / ref - 1.0) <= 0.1 * half_width, (n, guess, ref)
 
-    def test_no_fallback_on_ladder_and_survey(self, caplog):
+    def test_ladder_and_survey_return_without_logging(self, caplog):
         dims = TABLE_DIMS + list(range(spectra._BRACKET_MIN_DIM, 2001))
         spectra._lapack()  # bound outside the capture, whatever test ran before
         with caplog.at_level(logging.DEBUG, logger=spectra.__name__):
@@ -484,7 +491,7 @@ class TestBracketedRoute:
             if n in reference_only:
                 exact = _reference_zeros()[n]
             else:
-                exact = self._dstebz_by_index(position_tridiagonal(n))
+                exact = _dstebz_by_index(position_tridiagonal(n), _extreme_indices(n))
                 assert abs(extremes[1] - exact[1]) <= 2.0 * np.spacing(exact[1]), (
                     n, extremes, exact)
             # margin of at least 2: the exact value lies within half of its
@@ -516,52 +523,61 @@ class TestBracketedRoute:
         monkeypatch.setattr(spectra, "_dlaebz", no_dlaebz)
         for n in range(2, 100):
             got = extreme_eigenvalues(n)
-            assert [v.hex() for v in got] == [
-                v.hex() for v in self._full_spectrum(position_tridiagonal(n))], n
+            ev = eig_all(position_tridiagonal(n))
+            assert [v.hex() for v in got] == [float(ev[i]).hex() for i in _extreme_indices(n)], n
             assert all(type(v) is float for v in got)
 
-    @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001])
-    @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
-    def test_missed_bracket_falls_back_to_eig_all(self, n, miss, monkeypatch, caplog):
-        t = position_tridiagonal(n)
-        ev = eig_all(t)
-        idx_m, idx_max = _extreme_indices(n)
-        exact = self._full_spectrum(t)
-        counted = self._dstebz_by_index(t)
-        width = 1e-9
-        guesses = {
-            # one eigenvalue in the bracket, but not the wanted one
-            "neighbour": ((ev[idx_m + 1], width), (ev[idx_max - 1], width)),
-            # several eigenvalues in the bracket
-            "wide": ((3.0 * ev[idx_m], 0.9), (0.5 * ev[idx_max], 0.9)),
-            # none in the bracket
-            "empty": ((1.5 * ev[idx_m], width), (2.0 * ev[idx_max], width)),
-            # just above the point where the count changes, too narrow to reach it
-            "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in counted),
-            # no interval at all
-            "degenerate": ((exact[0], 0.0), (-exact[1], width)),
-        }[miss]
-        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: guesses)
-        with caplog.at_level(logging.DEBUG, logger=spectra.__name__):
-            assert extreme_eigenvalues(n) == exact
-        lines = [r.getMessage() for r in caplog.records]
-        assert len(lines) == 2
-        for line, index in zip(lines, (idx_m, idx_max)):
-            assert line.startswith(f"dim {n}, index {index}: bracket (")
-            assert line.endswith("; using the full spectrum")
+    def test_no_full_spectrum_from_threshold(self, monkeypatch):
+        def no_eig_all(t):
+            raise AssertionError("eig_all called from the threshold on")
 
-    def test_missed_bracket_beyond_the_cap_raises(self, monkeypatch):
-        # no full spectrum to fall back on: an error naming N, the index and
-        # the counts, never an unproved value
-        cap = spectra.DENSE_SPECTRUM_CAP
-        n = cap + 1
-        (guess_m, width_m), (guess_max, width_max) = spectra._extreme_guesses(n)
-        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: (
-            (guess_m, width_m), (2.0 * guess_max, width_max)))
-        with pytest.raises(ConvergenceError, match=(
-                rf"^dim {n}, index {n - 1}: bracket \(.*\] has {n} and {n} eigenvalue\(s\) "
-                rf"at or below its ends, beyond the full-spectrum cap {cap}$")):
+        monkeypatch.setattr(spectra, "eig_all", no_eig_all)
+        for n in list(range(100, 301)) + [n for n in TABLE_DIMS if n >= 100]:
             extreme_eigenvalues(n)
+        # nor for a bracket the counts do not prove
+        (guess_m, width_m), _ = spectra._extreme_guesses(1000)
+        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: (
+            (guess_m, width_m), (guess_m, width_m)))
+        with pytest.raises(ConvergenceError, match="^dim 1000, index 999: "):
+            extreme_eigenvalues(1000)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001, spectra.DENSE_SPECTRUM_CAP + 1])
+    @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
+    def test_unproved_bracket_raises(self, n, miss, monkeypatch, tmp_path, capsys):
+        # for either extreme, at every N: an error naming N, the index, the
+        # bracket and the counts at its ends, never a value, and exit 2 from
+        # the CLI
+        t = position_tridiagonal(n)
+        ev_m, next_m, prev_max, ev_max = _extremes_and_neighbours(n)
+        width = 1e-9
+        misses = {
+            # one eigenvalue in the bracket, but not the wanted one
+            "neighbour": ((next_m, width), (prev_max, width)),
+            # several eigenvalues in the bracket
+            "wide": ((3.0 * ev_m, 0.9), (0.5 * ev_max, 0.9)),
+            # none in the bracket
+            "empty": ((1.5 * ev_m, width), (2.0 * ev_max, width)),
+            # just above the point where the count changes, too narrow to reach it
+            "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in (ev_m, ev_max)),
+            # no interval at all
+            "degenerate": ((ev_m, 0.0), (-ev_max, width)),
+        }[miss]
+        proved = spectra._extreme_guesses(n)
+        monkeypatch.chdir(tmp_path)
+        for k, index in enumerate(_extreme_indices(n)):
+            guesses = tuple(misses[j] if j == k else proved[j] for j in range(2))
+            monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim, g=guesses: g)
+            guess, half_width = misses[k]
+            lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
+            message = (f"dim {n}, index {index}: bracket ({lo!r}, {hi!r}] has "
+                       f"{sturm_count(t, lo)} and {sturm_count(t, hi)} eigenvalue(s) "
+                       "at or below its ends")
+            with pytest.raises(ConvergenceError) as raised:
+                extreme_eigenvalues(n)
+            assert str(raised.value) == message
+            assert cli.main(["sigma-table", "--n-list", str(n), "--out", "s.csv"]) == cli.EXIT_USAGE
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not (tmp_path / "s.csv").exists()
 
     def test_certified_extremes_within_two_ulp_of_reference(self):
         # both error bounds are at most eps from N = 100 on, so every
