@@ -22,9 +22,7 @@ from .frame import (
     PhasePoint,
     QuadratureSpec,
     coherent_state,
-    coherent_state_log,
     gauss_laguerre_rule,
-    log_normalization_factor,
     normalization_factor,
     overlap,
     verify_identity_resolution,
@@ -88,7 +86,6 @@ __all__ = [
     "VerificationError",
     "bounds_report",
     "coherent_state",
-    "coherent_state_log",
     "commutator",
     "corrective_factor",
     "eig_all",
@@ -98,7 +95,6 @@ __all__ = [
     "hall_coordinates",
     "hamiltonian",
     "last_level_projector",
-    "log_normalization_factor",
     "lower_symbol",
     "momentum_operator",
     "normalization_factor",

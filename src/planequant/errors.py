@@ -6,11 +6,8 @@ class PlanequantError(Exception):
 
 
 class RangeOverflowError(PlanequantError, OverflowError):
-    """Raised when |z|^2 is too large for the direct (linear-scale) routines.
-
-    The log-domain variants (``log_normalization_factor``,
-    ``coherent_state_log``) remain usable in this regime.
-    """
+    """Raised when |z|^2 is past the linear-scale limit of ``coherent_state``
+    and ``normalization_factor``, where e^{|z|^2} overflows a double."""
 
 
 class DimensionMismatchError(PlanequantError, ValueError):

@@ -11,9 +11,8 @@ Every coefficient vector comes from ``monomial_state_matrix``, the running
 product c_n = c_{n-1} z / sqrt(n) from c_0 = 1, and a state is that column
 over its own 2-norm.  Every quadrature integral over the frame is the one
 sum of ``frame_sandwich``, which takes the plane rule's angular DFT on each
-radial circle and builds the matrix one diagonal at a time, and every
-linear-scale partial sum S_m of the exponential series comes from
-``exp_partial_sums``.
+radial circle and builds the matrix one diagonal at a time.  N(x) is
+``normalization_factor``'s running sum.
 
 A dimension is a plain ``int`` N >= 1, checked by ``as_dimension``.  All
 functions are pure and keep no caches, so concurrent use from multiple
@@ -22,8 +21,6 @@ threads is safe.
 
 from __future__ import annotations
 
-import cmath
-import copy
 import math
 import operator
 import os
@@ -33,8 +30,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, QuadratureOrderError, RangeOverflowError
 
-# Largest |z|^2 accepted by the linear-scale routines.  exp(710) overflows a
-# double; we reject a little earlier and point callers at the log variants.
+# Largest |z|^2 accepted by ``coherent_state`` and ``normalization_factor``.
+# exp(710) overflows a double; they refuse a little earlier.
 OVERFLOW_R2 = 700.0
 
 # Unit-norm tolerance for coherent-state coefficient vectors.
@@ -104,11 +101,6 @@ class PhasePoint:
         return cls(q=math.sqrt(2.0) * z.real, p=math.sqrt(2.0) * z.imag)
 
 
-def half_log_fact(n_dim: int) -> np.ndarray:
-    """0.5 * log(n!) for n = 0..N-1, the package's one log-factorial table."""
-    return 0.5 * np.array([math.lgamma(n + 1.0) for n in range(n_dim)])
-
-
 @dataclass(frozen=True, eq=False)
 class CoherentState:
     """Unit-norm coefficient vector of a truncated coherent state, held as a read-only copy.
@@ -133,93 +125,38 @@ class CoherentState:
         return self.coeffs.shape[0]
 
 
-def _check_linear_range(r2: float, log_variant: str) -> None:
+def _check_linear_range(r2: float) -> None:
     """Raise ``RangeOverflowError`` if |z|^2 = ``r2`` is past the linear-scale limit."""
     if r2 > OVERFLOW_R2:
-        raise RangeOverflowError(
-            f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}; use {log_variant}"
-        )
-
-
-def exp_partial_sums(n_dim: int, r2):
-    """(S_{N-2}, S_{N-1}, S_N) of S_m = sum_{j<m} r2^j / j!, elementwise; S_m = 0 for m <= 0.
-
-    The running product t_j = t_{j-1} r2 / j from t_0 = 1, summed in order,
-    over a nonnegative float or array ``r2``; a Python float stays one.  An
-    array keeps one term and one total buffer, updated in place, and takes
-    S_{N-2} and S_{N-1} as copies; the bits are those of the scalar loop.
-    Once every term is 0.0 no later sum changes, so the loop stops there
-    (checked every 64 terms) with the same bits.  Rejects r2 beyond
-    ``OVERFLOW_R2``; the log-domain variants go on.
-    """
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    low, high = (r2.min(), r2.max()) if isinstance(r2, np.ndarray) else (r2, r2)
-    if not (low >= 0.0):
-        raise ValueError(f"r2 must be nonnegative, got {low!r}")
-    _check_linear_range(high, "the log-domain variants")
-    s_nm2 = s_nm1 = 0.0 * r2
-    total = s_nm2 + 0.0  # its own buffer: the augmented assignments below update arrays in place
-    term = s_nm2 + 1.0
-    for j in range(n_dim):
-        if j:
-            term *= r2
-            term /= j
-            if j % 64 == 0 and j < n_dim - 1 and not np.any(term):
-                return total, total, total
-        total += term
-        if j == n_dim - 3:
-            s_nm2 = copy.copy(total)
-        elif j == n_dim - 2:
-            s_nm1 = copy.copy(total)
-    return s_nm2, s_nm1, total
+        raise RangeOverflowError(f"|z|^2 = {r2} exceeds the linear-scale limit {OVERFLOW_R2}")
 
 
 def normalization_factor(n_dim: int, r2: float) -> float:
-    """Truncated exponential series sum_{n<N} r2^n / n!.
+    """Truncated exponential series sum_{n<N} r2^n / n!, for 0 <= r2 <= ``OVERFLOW_R2``.
 
-    S_N of ``exp_partial_sums``.  Rejects r2 beyond the overflow threshold;
-    use ``log_normalization_factor`` there instead.
+    The running product t_n = t_{n-1} r2 / n from t_0 = 1, summed in order.
+    A term of 0.0 adds nothing, and neither does any after it, so the sum
+    stops at the first one.
     """
-    return float(exp_partial_sums(n_dim, r2)[2])
-
-
-def log_normalization_factor(n_dim: int, r2: float) -> float:
-    """log of the truncated exponential series, stable for any finite r2 >= 0."""
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    if not (0.0 <= r2 < math.inf):
-        raise ValueError(f"r2 must be nonnegative and finite, got {r2!r}")
-    if r2 == 0.0:
-        return 0.0
-    n = np.arange(n_dim)
-    logs = n * math.log(r2) - 2.0 * half_log_fact(n_dim)
-    top = logs.max()
-    return top + math.log(np.exp(logs - top).sum())
+    if not (r2 >= 0.0):
+        raise ValueError(f"r2 must be nonnegative, got {r2!r}")
+    _check_linear_range(r2)
+    total = term = 1.0
+    for n in range(1, n_dim):
+        term = term * r2 / n
+        if not term:
+            break
+        total += term
+    return float(total)
 
 
 def coherent_state(n_dim: int, x: PhasePoint) -> CoherentState:
     """Normalized truncated coherent state attached to the phase point x."""
     n_dim = as_dimension(n_dim, 1, "n_dim")
-    _check_linear_range(x.r2, "coherent_state_log")
+    _check_linear_range(x.r2)
     raw = monomial_state_matrix(n_dim, [x.z])[:, 0]
     return CoherentState(raw / np.linalg.norm(raw))
-
-
-def coherent_state_log(n_dim: int, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Log-domain coherent state: (log-magnitude, phase) coefficient pairs.
-
-    Valid for any |z|^2, including beyond the linear-scale overflow limit.
-    """
-    n = as_dimension(n_dim, 1, "n_dim")
-    z = x.z
-    ns = np.arange(n)
-    if z == 0:
-        logmag = np.full(n, -np.inf)
-        logmag[0] = 0.0
-        return logmag, np.zeros(n)
-    log_norm = log_normalization_factor(n, x.r2)
-    logmag = ns * math.log(abs(z)) - half_log_fact(n) - 0.5 * log_norm
-    phase = ns * cmath.phase(z)
-    return logmag, phase
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:

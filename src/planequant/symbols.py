@@ -1,17 +1,17 @@
 """Lower symbols (coherent-state expectation values) and phase-space grids.
 
 The authoritative definition of a lower symbol is the matrix sandwich
-<z|A|z>.  For the position/momentum family there are closed forms built
-from truncated exponential sums:
+<z|A|z>.  For the position/momentum family there are closed forms in the
+partial sums S_m = sum_{j<m} t_j of t_j = |z|^{2j}/j!:
 
-    <z|Q|z> = C(|z|) q,   <z|P|z> = C(|z|) p
+    <z|Q|z> = C q,   <z|P|z> = C p
     <z|Q^2|z> = A + B,    <z|P^2|z> = A - B,    <z|H|z> = A
 
-with C = S_{N-1}/S_N, B = (q^2 - p^2)/2 * S_{N-2}/S_N and
-A = (|z|^2 + N/2) C - (N-1)/2, where S_m = sum_{j<m} |z|^{2j}/j! comes from
-``frame.exp_partial_sums``.  The closed forms are fast paths, cross-validated
-against the sandwich and 50-digit mpmath in the tests; B depends on the
-complex point through q^2 - p^2, not only on |z|.
+with C = S_{N-1}/S_N, d = S_{N-2}/S_N, B = d (q^2 - p^2)/2 and
+A = |z|^2 d + (C + (N-1) t_{N-1}/S_N)/2, all ratios that ``_closed_forms``
+takes from one recurrence at any finite |z|^2.  They are cross-validated
+against the sandwich and mpmath in the tests; B depends on the complex
+point through q^2 - p^2, not only on |z|.
 
 Grid sweeps are pure and row-major deterministic.
 """
@@ -25,16 +25,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frame import PhasePoint, as_dimension, check_memory, coherent_state, exp_partial_sums
+from .frame import PhasePoint, as_dimension, check_memory, coherent_state
 from .operators import OperatorMatrix
 
-# Tiny negative variances from roundoff are clamped to zero; anything more
-# negative indicates a genuine fault and is raised.
+# A variance is ``half`` less a nonnegative term: down to this fraction of
+# ``half`` it is roundoff and clamped to zero, and anything lower is raised.
 _VARIANCE_CLAMP = -1e-14
 
 # Peak bytes per cell of ``symbol_grid``: the tracemalloc peak of an 801 x 801
-# grid is 56.5 MB, 88 bytes (11 doubles) per cell, for every kind and N.
-_GRID_BYTES_PER_CELL = 88
+# grid is at most 36.1 MB, 56 bytes (7 doubles) per cell, for every kind and N.
+_GRID_BYTES_PER_CELL = 56
 
 
 def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
@@ -43,36 +43,71 @@ def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
     return complex(np.vdot(state.coeffs, op.entries @ state.coeffs))
 
 
-def _closed_forms(n_dim: int, r2, q, p):
-    """(C, A, B) at the points (q, p) with r2 = (q^2 + p^2)/2, vectorized.
+def _closed_forms(n_dim: int, q, p):
+    """(r2, C, d, half, g) at the point (q, p) of floats, or at the points of
+    arrays q and p broadcast against each other.
 
-    A = sum_k t_k e_k / S_N over the terms t_k = r2^k/k! and the diagonal
-    energies e_k = k + 1/2, except e_{N-1} = (N-1)/2, which sits N/2 lower.
-    With sum_{k<N-1} k t_k = r2 S_{N-2} and t_{N-1} = S_N - S_{N-1} that is
-    r2 S_{N-2}/S_N + (C + (N-1) t_{N-1}/S_N)/2 = (r2 + N/2) C - (N-1)/2.
-    The first form is the one evaluated: its terms are all nonnegative, so
-    nothing cancels (the second loses ulp(N/2) for r2 << N), and it is
-    exactly 1/2 at the origin.
+    half = (C + (N-1) t_{N-1}/S_N)/2 and g = (t_{N-2} - C t_{N-1})/S_N =
+    C^2 - d >= 0.  y_m = r2 t_{m-1}/S_m runs from y_1 = r2 by
+    y_{m+1} = r2 y_m/(y_m + m), and S_m/S_{m+1} = m/(y_m + m).  A step
+    divides before it multiplies and subtracts nothing, so no finite r2
+    overflows; one that is not finite raises ``ValueError``.  Once every y
+    is 0.0 it stays so, and the loop stops (checked every 64 steps) with
+    the same bits: C = d = 1 and both last terms are 0.  Arrays are updated
+    in place, apart from each step's denominator.
     """
-    s_nm2, s_nm1, s_n = exp_partial_sums(n_dim, r2)
-    c, d = s_nm1 / s_n, s_nm2 / s_n
-    a_val = r2 * d + (c + (n_dim - 1) * ((s_n - s_nm1) / s_n)) / 2.0
-    return c, a_val, d * (q * q - p * p) / 2.0
+    with np.errstate(over="ignore"):
+        r2 = (q * q + p * p) / 2.0
+    if not float(np.max(r2)) < math.inf:
+        raise ValueError(f"|z|^2 = (q^2 + p^2)/2 must be finite, got {np.max(r2)}")
+    if n_dim == 1:  # C = d = 0, and no variance
+        zero = 0.0 * r2
+        return r2, zero, zero, zero, zero
+    # S_{N-2}/S_{N-1} and t_{N-2}/S_{N-1}, as they are at N = 2 and after a stop
+    y, d, t2 = r2 + 0.0, float(n_dim > 2), float(n_dim == 2)
+    for m in range(1, n_dim - 1):
+        den = y + m
+        y /= den
+        if m == n_dim - 2:
+            t2, d = y + 0.0, m / den
+        y *= r2
+        if m % 64 == 0 and not np.any(y):
+            break
+    den = y + (n_dim - 1)
+    y /= den  # t_{N-1}/S_N
+    c = (n_dim - 1) / den
+    d *= c
+    t2 *= c
+    t2 -= y * c
+    y *= n_dim - 1  # y becomes half
+    y += c
+    y /= 2.0
+    return r2, c, d, y, t2
 
 
-def _spread_product(c, a_val, b_val, q, p):
-    """(dQ)(dP) from the closed forms at the points (q, p), vectorized.
+def _energy(q, p, r2, c, d, half, g):
+    """A = r2 d + half, a sum of nonnegative terms and exactly 1/2 at the origin."""
+    return r2 * d + half
 
-    Variances down to ``_VARIANCE_CLAMP`` are roundoff and count as zero; a
-    more negative one raises ``ArithmeticError``.
-    """
-    var_q = a_val + b_val - (c * q) ** 2
-    var_p = a_val - b_val - (c * p) ** 2
+
+def _anisotropy(q, p, r2, c, d, half, g):
+    """B = d (q^2 - p^2)/2."""
+    return d * (q * q - p * p) / 2.0
+
+
+def _spread_product(q, p, r2, c, d, half, g):
+    """(dQ)(dP) = sqrt(var_Q var_P), with var_Q = A + B - (C q)^2 = half - q^2 g
+    and var_P = half - p^2 g; a variance below ``_VARIANCE_CLAMP`` times
+    ``half`` raises ``ArithmeticError``."""
+    # 0-d arrays at one point, so that the updates below stay in place
+    var_q, var_p = np.asarray(q * q * g), np.asarray(p * p * g)
     for name, var in (("Q", var_q), ("P", var_p)):
-        lowest = float(np.min(var))
-        if lowest < _VARIANCE_CLAMP:
-            raise ArithmeticError(f"negative {name} variance {lowest} beyond roundoff clamp")
-    return np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_p, 0.0))
+        np.subtract(half, var, out=var)
+        if np.min(var) < 0.0 and np.any(var < _VARIANCE_CLAMP * half):
+            raise ArithmeticError(f"negative {name} variance {np.min(var)} beyond roundoff clamp")
+        np.maximum(var, 0.0, out=var)
+    var_q *= var_p
+    return np.sqrt(var_q, out=var_q)
 
 
 class GridKind(NamedTuple):
@@ -80,16 +115,22 @@ class GridKind(NamedTuple):
 
     label: str
     default_dim: int
-    value: Callable  # (C, A, B, q, p) of the closed forms -> the grid's values
+    value: Callable  # (q, p, *_closed_forms(N, q, p)) -> the grid's values
 
 
 GRID_KINDS = {
-    "Q2": GridKind("position-squared symbol", 12, lambda c, a, b, q, p: a + b),
-    "P2": GridKind("momentum-squared symbol", 12, lambda c, a, b, q, p: a - b),
-    "H": GridKind("energy symbol", 5, lambda c, a, b, q, p: a),
+    "Q2": GridKind("position-squared symbol", 12, lambda *f: _energy(*f) + _anisotropy(*f)),
+    "P2": GridKind("momentum-squared symbol", 12, lambda *f: _energy(*f) - _anisotropy(*f)),
+    "H": GridKind("energy symbol", 5, _energy),
     "UNCERTAINTY": GridKind("spread product", 10, _spread_product),
-    "C": GridKind("corrective factor", 12, lambda c, a, b, q, p: c),
+    "C": GridKind("corrective factor", 12, lambda q, p, r2, c, *_: c),
 }
+
+
+def _at_point(n_dim: int, q: float, p: float, value: Callable):
+    """``value`` at the one point (q, p), by the grids' own code on floats."""
+    q, p = float(q), float(p)
+    return value(q, p, *_closed_forms(as_dimension(n_dim, 1, "n_dim"), q, p))
 
 
 def corrective_factor(n_dim: int, r: float) -> float:
@@ -99,13 +140,13 @@ def corrective_factor(n_dim: int, r: float) -> float:
     """
     if not (r >= 0.0):
         raise ValueError(f"r must be nonnegative, got {r!r}")
-    c, _, _ = _closed_forms(n_dim, r * r, r, 0.0)
-    return float(c)
+    # C depends on |z|^2 alone, which at (q, p) = (r, r) is r^2 exactly (finite below r = 9.4e153)
+    return float(_at_point(n_dim, r, r, GRID_KINDS["C"].value))
 
 
 def quadratic_symbols(n_dim: int, x: PhasePoint) -> tuple[float, float]:
     """The pair (A, B) with <z|Q^2|z> = A + B, <z|P^2|z> = A - B, <z|H|z> = A."""
-    _, a_val, b_val = _closed_forms(n_dim, x.r2, x.q, x.p)
+    a_val, b_val = _at_point(n_dim, x.q, x.p, lambda *f: (_energy(*f), _anisotropy(*f)))
     return float(a_val), float(b_val)
 
 
@@ -115,8 +156,7 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     Equals exactly 1/2 at the origin for every N >= 2; for N = 2 the value
     1/2 is a supremum approached from below at large |z|.
     """
-    c, a_val, b_val = _closed_forms(n_dim, x.r2, x.q, x.p)
-    return float(_spread_product(c, a_val, b_val, x.q, x.p))
+    return float(_at_point(n_dim, x.q, x.p, _spread_product))
 
 
 def _check_kind(which: str) -> None:
@@ -197,9 +237,8 @@ def symbol_grid(
                  f"the arrays of a {q_range[2]} x {p_range[2]} grid")
     q = np.linspace(*q_range[:2], q_range[2])
     p = np.linspace(*p_range[:2], p_range[2])
-    qg, pg = np.meshgrid(q, p, indexing="ij")
-    r2 = (qg * qg + pg * pg) / 2.0
-    vals = GRID_KINDS[which].value(*_closed_forms(n_dim, r2, qg, pg), qg, pg)
+    q, p = q[:, None], p[None, :]
+    vals = GRID_KINDS[which].value(q, p, *_closed_forms(n_dim, q, p))
     return SymbolGrid(which=which, n_dim=n_dim, q_range=q_range, p_range=p_range, values=vals)
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +12,13 @@ import pytest
 
 from planequant import spectra, symbols, verify
 from planequant.cli import main
+from planequant.frame import PhasePoint
 from planequant.operators import OperatorMatrix
 from planequant.symbols import GRID_KINDS
 
 TWO_PI = 2.0 * math.pi
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(symbols.__file__)))
 
 
 def _read(path) -> str:
@@ -168,10 +174,28 @@ class TestLowerSymbolsCommand:
         assert "splot 'q2.csv'" in _read(tmp_path / "q2.gp")
 
     def test_overflowing_grid_is_usage_error(self, tmp_path):
-        assert main([
-            "lower-symbols", "--which", "H", "--q-min", "-60", "--q-max", "60",
-            "--out", str(tmp_path / "x.csv"),
-        ]) == 2
+        # (q^2 + p^2)/2 overflows a double at q = 1e200: one line on stderr and
+        # exit 2, without numpy's overflow warning
+        out = tmp_path / "x.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from planequant.cli import main; sys.exit(main())",
+             "lower-symbols", "--q-min=-1e200", "--q-max=1e200", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC})
+        assert run.returncode == 2
+        assert "RuntimeWarning" not in run.stderr
+        assert run.stderr.splitlines() == [
+            "error: |z|^2 = (q^2 + p^2)/2 must be finite, got inf"]
+        assert not out.exists()
+
+    def test_grid_past_the_linear_scale_limit(self, tmp_path):
+        # |z|^2 reaches 3600 at the corners; each cell prints the library's value
+        out = tmp_path / "h.csv"
+        assert main(["lower-symbols", "--which", "H", "--q-min", "-60", "--q-max", "60",
+                     "--p-min", "-60", "--p-max", "60", "--out", str(out)]) == 0
+        for line in _read(out).strip().splitlines()[1:]:
+            q, p, value = line.split(",")
+            a_val, _ = symbols.quadratic_symbols(5, PhasePoint(float(q), float(p)))
+            assert value == f"{a_val:.9g}", line
 
     def test_huge_dimension_finishes(self, tmp_path):
         # every series term is 0.0 long before N = 3e6, where the sum stops
@@ -196,7 +220,7 @@ class TestLowerSymbolsCommand:
         out = tmp_path / "x.csv"
         assert main(["lower-symbols", "--which", "H", "--n", "5", "--steps", "100000",
                      "--out", str(out)]) == 2
-        assert "100000 x 100000 grid need about 820 GiB" in capsys.readouterr().err
+        assert "100000 x 100000 grid need about 522 GiB" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds, message", [

@@ -16,11 +16,8 @@ from planequant.frame import (
     PhasePoint,
     QuadratureSpec,
     coherent_state,
-    coherent_state_log,
-    exp_partial_sums,
     frame_sandwich,
     gauss_laguerre_rule,
-    log_normalization_factor,
     monomial_state_matrix,
     normalization_factor,
     overlap,
@@ -83,84 +80,27 @@ class TestNormalizationFactor:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             normalization_factor(0, 1.0)
-        with pytest.raises(ValueError):
-            normalization_factor(3, -0.5)
+        for bad in (-0.5, -1e-300, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                normalization_factor(3, bad)
 
     def test_overflow_domain(self):
-        with pytest.raises(RangeOverflowError):
+        with pytest.raises(RangeOverflowError, match="800.0 exceeds the linear-scale limit"):
             normalization_factor(4, 800.0)
 
-    def test_log_variant_matches_direct(self):
-        for n, r2 in ((1, 0.0), (7, 2.5), (60, 48.0)):
-            assert log_normalization_factor(n, r2) == pytest.approx(
-                math.log(normalization_factor(n, r2)), abs=1e-12
-            )
-
-    def test_log_variant_rejects_infinite_r2(self):
-        with pytest.raises(ValueError, match="nonnegative and finite, got inf"):
-            log_normalization_factor(5, math.inf)
-        # r2 of this point overflows to inf
-        with pytest.raises(ValueError, match="nonnegative and finite, got inf"):
-            coherent_state_log(5, PhasePoint(1e200, 0.0))
-
-    def test_log_variant_beyond_overflow(self):
-        # 60-digit oracle: ln sum_{n<50} 800^n/n!
-        assert log_normalization_factor(50, 800.0) == pytest.approx(
-            183.0433501551417945, rel=1e-14
-        )
-
-
-def _full_partial_sums(n_dim, r2):
-    """(S_{N-2}, S_{N-1}, S_N) by the running product over every one of the N terms."""
-    total = 0.0 * r2
-    term, sums = total + 1.0, [total, total]
-    for j in range(n_dim):
-        if j:
-            term = term * r2 / j
-        total = total + term
-        sums.append(total)
-    return tuple(sums[-3:])
-
-
-class TestExpPartialSums:
-    def test_first_dimensions(self):
-        assert exp_partial_sums(1, 2.0) == (0.0, 0.0, 1.0)
-        assert exp_partial_sums(2, 2.0) == (0.0, 1.0, 3.0)
-        assert exp_partial_sums(3, 2.0) == (1.0, 3.0, 5.0)
-
-    def test_python_float_stays_python_float(self):
-        assert all(type(s) is float for s in exp_partial_sums(7, 1.5))
-
-    # At r2 = 1 the terms 1/j! reach 0.0 before j = 192, the first exit
-    # check that sees it.  That check is the last step at N = 193, so the
-    # loop just ends; N = 194 and 195 exit at their second- and
-    # third-to-last step, and N = 1000 stops at j = 192 too.
-    @pytest.mark.parametrize("n_dim", [64, 65, 66, 191, 192, 193, 194, 195, 257, 1000])
-    def test_early_return_matches_the_full_loop_bit_for_bit(self, n_dim):
-        got = exp_partial_sums(n_dim, 1.0)
-        assert got == _full_partial_sums(n_dim, 1.0)
-        r2 = np.array([0.0, 0.5, 1.0, 7.5, 30.0])
-        for a, b in zip(exp_partial_sums(n_dim, r2), _full_partial_sums(n_dim, r2)):
-            assert np.array_equal(a, b)
-
     def test_huge_dimension_returns_early(self):
-        assert exp_partial_sums(10**9, 1.0) == _full_partial_sums(1000, 1.0)
         assert normalization_factor(10**9, 1.0) == pytest.approx(math.e, rel=1e-15)
 
-    @pytest.mark.parametrize("n_dim", [1, 2, 3, 64, 200])
-    def test_array_path_matches_the_scalar_path_bit_for_bit(self, n_dim):
-        r2 = np.array([0.0, 1e-300, 0.25, 1.0, 7.5, 63.0, 200.0, 700.0])
-        sums = exp_partial_sums(n_dim, r2)
-        for i, x in enumerate(r2.tolist()):
-            for got, want in zip(sums, exp_partial_sums(n_dim, x)):
-                assert got[i].tobytes() == np.float64(want).tobytes(), (n_dim, x)
-
-    def test_range_is_checked_on_every_entry(self):
-        with pytest.raises(RangeOverflowError, match="800.0 exceeds"):
-            exp_partial_sums(4, np.array([1.0, 800.0, 2.0]))
-        for bad in (np.array([1.0, -0.5]), np.array([np.nan, 2.0]), -1e-300):
-            with pytest.raises(ValueError, match="nonnegative"):
-                exp_partial_sums(4, bad)
+    # At r2 = 1 the term 1/j! is first 0.0 at j = 178, where the sum stops:
+    # N = 179, 180, 1000 and 10^9 stop there, and N = 177 and 178 end before.
+    @pytest.mark.parametrize("n_dim", [177, 178, 179, 180, 1000, 10**9])
+    def test_early_stop_matches_the_full_loop_bit_for_bit(self, n_dim):
+        full = 0.0
+        term = 1.0
+        for j in range(min(n_dim, 1000)):
+            term = term * 1.0 / j if j else 1.0
+            full += term
+        assert normalization_factor(n_dim, 1.0).hex() == full.hex()
 
 
 class TestCoherentState:
@@ -212,20 +152,9 @@ class TestCoherentState:
                 err = np.abs(got[keep] - ref[keep]) / np.abs(ref[keep])
                 assert err.max() <= 1e-14, (n, r2, err.max())
 
-    def test_log_variant_matches_linear_state(self):
-        # coherent_state_log rebuilds the linear-scale state at N = 171
-        x = PhasePoint(q=3.0, p=-2.0)
-        small = coherent_state(171, x).coeffs
-        logmag, phase = coherent_state_log(171, x)
-        rebuilt = np.exp(logmag) * np.exp(1j * phase)
-        assert np.max(np.abs(small - rebuilt)) < 1e-12
-
     def test_overflow_domain(self):
-        with pytest.raises(RangeOverflowError):
+        with pytest.raises(RangeOverflowError, match=r"\|z\|\^2 = 1800\.0 exceeds the linear"):
             coherent_state(4, PhasePoint(q=60.0, p=0.0))
-        # the log variant still works there
-        logmag, _ = coherent_state_log(4, PhasePoint(q=60.0, p=0.0))
-        assert np.all(np.isfinite(logmag))
 
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError):

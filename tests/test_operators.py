@@ -14,9 +14,6 @@ from planequant.frame import (
     PhasePoint,
     QuadratureSpec,
     coherent_state,
-    coherent_state_log,
-    exp_partial_sums,
-    log_normalization_factor,
     monomial_state_matrix,
     normalization_factor,
     verify_identity_resolution,
@@ -352,14 +349,11 @@ _DIMENSION_TAKERS = {
     "position_operator": position_operator,
     "hamiltonian": hamiltonian,
     "normalization_factor": lambda n: normalization_factor(n, 1.0),
-    "exp_partial_sums": lambda n: exp_partial_sums(n, 1.0),
-    "log_normalization_factor": lambda n: log_normalization_factor(n, 1.0),
     "corrective_factor": lambda n: corrective_factor(n, 1.0),
     "quadratic_symbols": lambda n: quadratic_symbols(n, PhasePoint(1.0, 0.5)),
     "uncertainty_product": lambda n: uncertainty_product(n, PhasePoint(1.0, 0.5)),
     "symbol_grid": lambda n: symbol_grid(n, "C", (-1.0, 1.0, 3), (-1.0, 1.0, 3)),
     "coherent_state": lambda n: coherent_state(n, PhasePoint(1.0, 0.5)),
-    "coherent_state_log": lambda n: coherent_state_log(n, PhasePoint(1.0, 0.5)),
     "verify_identity_resolution": verify_identity_resolution,
     "monomial_state_matrix": lambda n: monomial_state_matrix(n, [0.3 + 0.4j, 2.0]),
     "QuadratureSpec.default_for": QuadratureSpec.default_for,

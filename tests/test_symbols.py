@@ -6,6 +6,8 @@ cross-checked against it here.
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from planequant.operators import (
     position_operator,
 )
 from planequant.symbols import (
+    GRID_KINDS,
     SymbolGrid,
     corrective_factor,
     grid_gnuplot_script,
@@ -111,6 +114,13 @@ def _mp_sample() -> list:
     return points
 
 
+# (N, |z|^2) past the linear-scale limit |z|^2 = 700, where e^{|z|^2} overflows
+_BEYOND_THE_LIMIT = [(n, r2) for n in (3, 10, 64, 2000) for r2 in (900.0, 2000.0, 5e5)]
+
+# the value of each grid kind in ``_mp_closed_forms``
+_MP_KEYS = {"C": "C", "H": "A", "Q2": "A+B", "P2": "A-B", "UNCERTAINTY": "spread"}
+
+
 def _mp_closed_forms(n_dim: int, q: float, p: float) -> dict:
     """C, A, A +- B and (dQ)(dP) at 50 digits, straight from their definitions:
     partial sums S_m and the energy-weighted sum over the diagonal of H."""
@@ -129,6 +139,37 @@ def _mp_closed_forms(n_dim: int, q: float, p: float) -> dict:
         var_q, var_p = a_val + b_val - (c * q) ** 2, a_val - b_val - (c * p) ** 2
         return {"C": c, "A": a_val, "A+B": a_val + b_val, "A-B": a_val - b_val,
                 "spread": mpmath.sqrt(var_q * var_p)}
+
+
+def _full_recurrence(n_dim: int, r2: float) -> tuple:
+    """(C, d, half, g) by every step of the ratio recurrence, on Python floats."""
+    if n_dim == 1:
+        return 0.0, 0.0, 0.0, 0.0
+    y, d, t2 = r2, float(n_dim > 2), float(n_dim == 2)
+    for m in range(1, n_dim - 1):
+        den = y + m
+        y = y / den
+        if m == n_dim - 2:
+            t2, d = y, m / den
+        y = y * r2
+    den = y + (n_dim - 1)
+    t1, c = y / den, (n_dim - 1) / den
+    return c, d * c, (c + (n_dim - 1) * t1) / 2.0, t2 * c - t1 * c
+
+
+def _relative_error(got: float, want) -> float:
+    with mpmath.workdps(50):
+        return float(abs((got - want) / want)) if want else abs(got)
+
+
+def _traced_peak(build) -> int:
+    """The tracemalloc peak of ``build()``."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLowerSymbol:
@@ -196,8 +237,12 @@ class TestCorrectiveFactor:
         assert corrective_factor(400, r) == pytest.approx(1.0, abs=1e-12)
 
     def test_overflow_domain(self):
-        with pytest.raises(RangeOverflowError):
-            corrective_factor(5, 40.0)
+        # past |z|^2 = 700 the ratio is still accurate, as at r = 40 (|z|^2 = 1600)
+        for n, r2 in _BEYOND_THE_LIMIT + [(5, 1600.0)]:
+            r = math.sqrt(r2)
+            with mpmath.workdps(50):
+                want = _mp_closed_forms(n, r * mpmath.sqrt(2), 0.0)["C"]
+            assert _relative_error(corrective_factor(n, r), want) <= 1e-15, (n, r2)
 
 
 class TestQuadraticSymbols:
@@ -299,9 +344,11 @@ class TestUncertaintyProduct:
 
 
 class TestHighPrecisionClosedForms:
-    # worst relative error over the sample: C 3.3e-16, A 2.8e-16,
-    # A + B 7.2e-15, A - B 1.6e-14, (dQ)(dP) 8.0e-14
-    BOUNDS = {"C": 1e-14, "A": 1e-14, "A+B": 3e-14, "A-B": 3e-14, "spread": 1.5e-13}
+    # worst relative error over the sample: C 3.0e-16, A 3.1e-16,
+    # A + B 7.2e-15, A - B 8.3e-15 (the sum of A and B as a caller forms it),
+    # (dQ)(dP) 1.2e-14 at N = 2 beside the zero of var_Q, where the product
+    # itself is ill-conditioned (1.5e-15 at every other point)
+    BOUNDS = {"C": 1e-15, "A": 1e-15, "A+B": 1e-14, "A-B": 1e-14, "spread": 2e-14}
 
     def test_closed_forms_against_mpmath(self):
         worst = dict.fromkeys(self.BOUNDS, 0.0)
@@ -319,6 +366,33 @@ class TestHighPrecisionClosedForms:
                 for key, value in got.items():
                     worst[key] = max(worst[key], float(abs((value - ref[key]) / ref[key])))
         assert all(worst[key] <= bound for key, bound in self.BOUNDS.items()), worst
+
+    def test_spread_product_sweep_against_mpmath(self):
+        # 12 random points with |z|^2 <= 700 per N; the summed route was
+        # 1.7e-13 off at N = 1600
+        rng = np.random.default_rng(1)
+        for n in (2, 10, 64, 200, 1600):
+            kept = 0
+            while kept < 12:
+                q, p = rng.uniform(-37.5, 37.5, 2).tolist()
+                if (q * q + p * p) / 2.0 <= 700.0:
+                    kept += 1
+                    got = uncertainty_product(n, PhasePoint(q, p))
+                    want = _mp_closed_forms(n, q, p)["spread"]
+                    assert _relative_error(got, want) <= 2e-15, (n, q, p)
+
+    def test_symbols_beyond_the_linear_scale_limit(self):
+        # one point at 30 degrees for each (N, |z|^2) past 700; worst 2.3e-15
+        # for the product at N = |z|^2 = 2000, on the truncation edge, and
+        # 4.2e-16 elsewhere
+        for n, r2 in _BEYOND_THE_LIMIT:
+            x = PhasePoint(math.sqrt(1.5 * r2), math.sqrt(0.5 * r2))
+            ref = _mp_closed_forms(n, x.q, x.p)
+            a_val, b_val = quadratic_symbols(n, x)
+            got = {"A": a_val, "A+B": a_val + b_val, "A-B": a_val - b_val,
+                   "spread": uncertainty_product(n, x)}
+            for key, value in got.items():
+                assert _relative_error(value, ref[key]) <= 4e-15, (n, r2, key)
 
     def test_energy_symbol_at_large_dimension(self):
         # A is evaluated as a sum of nonnegative terms, which keeps full
@@ -378,7 +452,7 @@ class TestSymbolGrid:
         assert grid.values.shape == (3, 3)
 
     def test_numpy_integer_steps_cannot_wrap_the_memory_check(self, monkeypatch):
-        # in int64, 88 bytes x (2^32)^2 cells wraps to 0 bytes
+        # in int64, 56 bytes x (2^32)^2 cells wraps to 0 bytes
         def no_axis(*args, **kwargs):
             raise AssertionError("axis allocated before the memory check")
 
@@ -389,8 +463,48 @@ class TestSymbolGrid:
             symbol_grid(5, "H", (-1.0, 1.0, steps), (-1.0, 1.0, steps))
 
     def test_overflow_domain(self):
-        with pytest.raises(RangeOverflowError):
-            symbol_grid(5, "H", (-60.0, 60.0, 5), (-1.0, 1.0, 5))
+        # every kind at every cell against mpmath, with |z|^2 = 900, 2000 and
+        # 5e5 at the ends of the q axis: worst 4.3e-16
+        for n in (3, 64):
+            for r2 in (900.0, 2000.0, 5e5):
+                q_max = math.sqrt(2.0 * r2)
+                for which, key in _MP_KEYS.items():
+                    grid = symbol_grid(n, which, (-q_max, q_max, 3), (-1.0, 1.0, 3))
+                    for i, q in enumerate(grid.q_axis.tolist()):
+                        for j, p in enumerate(grid.p_axis.tolist()):
+                            want = _mp_closed_forms(n, q, p)[key]
+                            assert _relative_error(grid.values[i, j], want) <= 1e-15, \
+                                (n, r2, which, q, p)
+
+    # At r2 = 1 every y is 0.0 by the step 192 check, and N = 193 ends with
+    # that step; N = 1000 stops there too.  Together with r2 = 900 no entry
+    # stops below N = 1000, so the whole array runs every step.
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 64, 65, 66, 191, 192, 193, 194, 195, 257, 1000])
+    def test_early_stop_matches_the_full_recurrence_bit_for_bit(self, n_dim):
+        q = np.sqrt(2.0 * np.array([0.0, 1e-300, 0.5, 1.0, 7.5, 30.0, 900.0]))
+        _, *whole = symbols._closed_forms(n_dim, q, np.zeros(1))
+        for i, qi in enumerate(q.tolist()):
+            _, *alone = symbols._closed_forms(n_dim, q[i:i + 1], np.zeros(1))
+            want = [w.hex() for w in _full_recurrence(n_dim, qi * qi / 2.0)]
+            assert [v[i].hex() for v in whole] == want, (n_dim, qi)
+            assert [v[0].hex() for v in alone] == want, (n_dim, qi)
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 64, 200])
+    def test_every_kind_equals_the_scalar_path_bit_for_bit(self, n_dim):
+        # |z|^2 reaches 1800 at the corners, past the old linear-scale limit
+        grids = {which: symbol_grid(n_dim, which, (-42.0, 42.0, 15), (-42.0, 42.0, 15))
+                 for which in GRID_KINDS}
+        axis = grids["C"].q_axis.tolist()
+        for i, q in enumerate(axis):
+            for j, p in enumerate(axis):
+                x = PhasePoint(q, p)
+                a_val, b_val = quadratic_symbols(n_dim, x)
+                assert grids["H"].values[i, j] == a_val
+                assert grids["Q2"].values[i, j] == a_val + b_val
+                assert grids["P2"].values[i, j] == a_val - b_val
+                assert grids["UNCERTAINTY"].values[i, j] == uncertainty_product(n_dim, x)
+                if abs(q) == abs(p):  # where |z|^2 is q^2, the radius corrective_factor takes
+                    assert grids["C"].values[i, j] == corrective_factor(n_dim, abs(q))
 
     def test_uncertainty_grid_equals_the_scalar_product_bit_for_bit(self):
         grid = symbol_grid(12, "UNCERTAINTY", (-8.0, 8.0, 17), (-6.0, 6.0, 13))
@@ -399,22 +513,43 @@ class TestSymbolGrid:
                 assert grid.values[i, j] == uncertainty_product(12, PhasePoint(q, p))
 
     def test_negative_variance_raises_on_both_paths(self, monkeypatch):
-        # shift A by -1: the Q variance at the origin becomes -1/2, far
+        # shift half by -1: the Q variance at the origin becomes -1/2, far
         # below the roundoff clamp, and neither path may clamp it to zero
         real = symbols._closed_forms
-        monkeypatch.setattr(symbols, "_closed_forms",
-                            lambda *args: (lambda c, a, b: (c, a - 1.0, b))(*real(*args)))
+        monkeypatch.setattr(symbols, "_closed_forms", lambda *args: (
+            lambda r2, c, d, half, g: (r2, c, d, half - 1.0, g))(*real(*args)))
         for call in (lambda: uncertainty_product(6, PhasePoint(0.0, 0.0)),
                      lambda: symbol_grid(6, "UNCERTAINTY", (-1.0, 1.0, 3), (-1.0, 1.0, 3))):
             with pytest.raises(ArithmeticError, match="negative Q variance"):
                 call()
 
     def test_overflow_message_is_shared(self):
-        message = r"\|z\|\^2 = 800\.0 exceeds the linear-scale limit 700\.0"
-        for call in (lambda: uncertainty_product(5, PhasePoint(40.0, 0.0)),
-                     lambda: symbol_grid(5, "UNCERTAINTY", (-40.0, 40.0, 3), (-1e-200, 1e-200, 2))):
-            with pytest.raises(RangeOverflowError, match=message):
-                call()
+        # an |z|^2 that overflows a double is refused by one check, without
+        # numpy's overflow warning, on every path
+        message = r"\|z\|\^2 = \(q\^2 \+ p\^2\)/2 must be finite, got inf"
+        for call in (lambda: uncertainty_product(5, PhasePoint(1e200, 0.0)),
+                     lambda: quadratic_symbols(5, PhasePoint(0.0, -1e200)),
+                     lambda: corrective_factor(5, 1e200),
+                     lambda: symbol_grid(5, "UNCERTAINTY", (-1e200, 1e200, 3), (-1.0, 1.0, 2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_peak_memory_of_the_default_grid(self):
+        # the benchmark's 801 x 801 spread grid at N = 64 peaks at 36.1 MB;
+        # the summed route held 11 doubles per cell, 56.5 MB
+        peak = _traced_peak(
+            lambda: symbol_grid(64, "UNCERTAINTY", (-6.0, 6.0, 801), (-6.0, 6.0, 801)))
+        assert peak <= 40e6, peak
+
+    @pytest.mark.parametrize("which", sorted(GRID_KINDS))
+    def test_memory_guard_covers_the_peak(self, which):
+        # 7 doubles per cell plus a fixed ufunc buffer of about 150 kB
+        cells = 401 * 401
+        for n in (1, 2, 64):
+            peak = _traced_peak(lambda: symbol_grid(n, which, (-6.0, 6.0, 401), (-6.0, 6.0, 401)))
+            assert peak <= symbols._GRID_BYTES_PER_CELL * cells + 2**18, (n, peak / cells)
 
 
 class TestGridExports:
@@ -479,22 +614,23 @@ class TestOverflowEdge:
     @settings(max_examples=30, deadline=None)
     @given(angle=st.floats(0.0, 2.0 * math.pi), n=st.sampled_from([1, 2, 12, 64]))
     def test_range_error_just_above(self, angle, n):
-        x = _edge_point(angle, above=True)
+        # the coherent state stops at the limit; the closed forms go on
+        # without a step
+        x, below = _edge_point(angle, above=True), _edge_point(angle, above=False)
         assert x.r2 > OVERFLOW_R2
-        for call in (lambda: coherent_state(n, x),
-                     lambda: uncertainty_product(n, x),
-                     lambda: quadratic_symbols(n, x)):
-            with pytest.raises(RangeOverflowError):
-                call()
+        with pytest.raises(RangeOverflowError):
+            coherent_state(n, x)
+        assert uncertainty_product(n, x) == pytest.approx(
+            uncertainty_product(n, below), rel=1e-12, abs=1e-12)
+        assert quadratic_symbols(n, x) == pytest.approx(
+            quadratic_symbols(n, below), rel=1e-12, abs=1e-12)
 
     def test_grid_on_both_sides(self):
         for n in (2, 64):
-            below = _edge_point(0.0, above=False).q
-            grid = symbol_grid(n, "UNCERTAINTY", (-below, below, 3), (-1e-200, 1e-200, 2))
-            assert np.all(np.isfinite(grid.values))
-            above = _edge_point(0.0, above=True).q
-            with pytest.raises(RangeOverflowError):
-                symbol_grid(n, "UNCERTAINTY", (-above, above, 3), (-1e-200, 1e-200, 2))
+            grids = [symbol_grid(n, "UNCERTAINTY", (-edge, edge, 3), (-1e-200, 1e-200, 2))
+                     for edge in (_edge_point(0.0, above).q for above in (False, True))]
+            assert all(np.all(np.isfinite(grid.values)) for grid in grids)
+            assert np.allclose(grids[0].values, grids[1].values, rtol=1e-12, atol=0.0)
 
 
 class TestSmallestDimensions:
