@@ -74,7 +74,9 @@ def _parse_dims(args) -> list[int]:
         return sorted({int(round(lo * ratio**i)) for i in range(count)})
     if args.n_list is None:
         return list(_TABLE_DIMS)
-    return [int(s) for s in args.n_list.split(",") if s.strip()]
+    # an entry of anything but decimal digits reaches as_dimension as text, which it refuses
+    return [as_dimension(int(s) if s.strip().isdecimal() else s, 2, "--n-list")
+            for s in args.n_list.split(",") if s.strip()]
 
 
 def _cmd_sigma_table(args) -> int:
@@ -155,10 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_spectrum)
 
     st = sub.add_parser("sigma-table", help="forbidden-cell/width product table")
-    st.add_argument("--n-list", default=None,
-                    help="comma-separated dimensions (default: the built-in ladder to 10^6)")
-    st.add_argument("--geometric", nargs=3, type=int, default=None,
-                    metavar=("LO", "HI", "COUNT"), help="geometric ladder of dimensions")
+    dims = st.add_mutually_exclusive_group()
+    dims.add_argument("--n-list", default=None,
+                      help="comma-separated dimensions (default: the built-in ladder to 10^6)")
+    dims.add_argument("--geometric", nargs=3, type=int, default=None,
+                      metavar=("LO", "HI", "COUNT"), help="geometric ladder of dimensions")
     _add_output_flags(st, "sigma_table.csv", "also write gnuplot scripts next to the table")
     st.set_defaults(func=_cmd_sigma_table)
 

@@ -4,23 +4,22 @@ The authoritative definition of a lower symbol is the matrix sandwich
 <z|A|z>.  For the position/momentum family there are closed forms in the
 partial sums S_m = sum_{j<m} t_j of t_j = |z|^{2j}/j!:
 
-    <z|Q|z> = C q,   <z|P|z> = C p
-    <z|Q^2|z> = A + B,    <z|P^2|z> = A - B,    <z|H|z> = A
+    <z|Q|z> = C q,   <z|P|z> = C p,   <z|H|z> = A = |z|^2 d + half
+    <z|Q^2|z> = A + B = half + d q^2,   <z|P^2|z> = A - B = half + d p^2
 
-with C = S_{N-1}/S_N, d = S_{N-2}/S_N, B = d (q^2 - p^2)/2 and
-A = |z|^2 d + (C + (N-1) t_{N-1}/S_N)/2, all ratios that ``_closed_forms``
-takes from one recurrence at any finite |z|^2.  They are cross-validated
-against the sandwich and mpmath in the tests; B depends on the complex
-point through q^2 - p^2, not only on |z|.
-
-Grid sweeps are pure and row-major deterministic.
+with C = S_{N-1}/S_N, d = S_{N-2}/S_N, half = (C + (N-1) t_{N-1}/S_N)/2
+and B = d (q^2 - p^2)/2, ratios that ``_closed_forms`` takes from one
+recurrence at any finite |z|^2, so each symbol is a sum of nonnegative
+terms.  The tests hold them to the sandwich and to mpmath.  A
+``SymbolGrid`` is its kind, dimension and axes; it evaluates its values
+once, pure and row-major deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,9 +31,11 @@ from .operators import OperatorMatrix
 # ``half`` it is roundoff and clamped to zero, and anything lower is raised.
 _VARIANCE_CLAMP = -1e-14
 
-# Peak bytes per cell of ``symbol_grid``: the tracemalloc peak of an 801 x 801
+# Peak bytes per cell of a ``SymbolGrid``: the tracemalloc peak of an 801 x 801
 # grid is at most 36.1 MB, 56 bytes (7 doubles) per cell, for every kind and N.
 _GRID_BYTES_PER_CELL = 56
+
+_Axis = tuple[float, float, int]  # (min, max, steps) of a grid axis
 
 
 def lower_symbol(op: OperatorMatrix, x: PhasePoint) -> complex:
@@ -90,9 +91,10 @@ def _energy(q, p, r2, c, d, half, g):
     return r2 * d + half
 
 
-def _anisotropy(q, p, r2, c, d, half, g):
-    """B = d (q^2 - p^2)/2."""
-    return d * (q * q - p * p) / 2.0
+def _square(x, r2, c, d, half, g):
+    """half + d x^2: <z|Q^2|z> = A + B at x = q and <z|P^2|z> = A - B at x = p,
+    each a sum of nonnegative terms where A + B cancels when B < 0."""
+    return d * (x * x) + half
 
 
 def _spread_product(q, p, r2, c, d, half, g):
@@ -119,8 +121,8 @@ class GridKind(NamedTuple):
 
 
 GRID_KINDS = {
-    "Q2": GridKind("position-squared symbol", 12, lambda *f: _energy(*f) + _anisotropy(*f)),
-    "P2": GridKind("momentum-squared symbol", 12, lambda *f: _energy(*f) - _anisotropy(*f)),
+    "Q2": GridKind("position-squared symbol", 12, lambda q, p, *f: _square(q, *f)),
+    "P2": GridKind("momentum-squared symbol", 12, lambda q, p, *f: _square(p, *f)),
     "H": GridKind("energy symbol", 5, _energy),
     "UNCERTAINTY": GridKind("spread product", 10, _spread_product),
     "C": GridKind("corrective factor", 12, lambda q, p, r2, c, *_: c),
@@ -146,7 +148,10 @@ def corrective_factor(n_dim: int, r: float) -> float:
 
 def quadratic_symbols(n_dim: int, x: PhasePoint) -> tuple[float, float]:
     """The pair (A, B) with <z|Q^2|z> = A + B, <z|P^2|z> = A - B, <z|H|z> = A."""
-    a_val, b_val = _at_point(n_dim, x.q, x.p, lambda *f: (_energy(*f), _anisotropy(*f)))
+    def pair(q, p, r2, c, d, half, g):
+        return _energy(q, p, r2, c, d, half, g), d * (q * q - p * p) / 2.0
+
+    a_val, b_val = _at_point(n_dim, x.q, x.p, pair)
     return float(a_val), float(b_val)
 
 
@@ -159,87 +164,58 @@ def uncertainty_product(n_dim: int, x: PhasePoint) -> float:
     return float(_at_point(n_dim, x.q, x.p, _spread_product))
 
 
-def _check_kind(which: str) -> None:
-    """ValueError unless ``which`` is one of ``GRID_KINDS``."""
-    if which not in GRID_KINDS:
-        raise ValueError(f"unknown grid kind {which!r}; expected one of {tuple(GRID_KINDS)}")
-
-
-def _check_axes(*ranges: tuple[float, float, int]) -> list[tuple[float, float, int]]:
-    """Every (min, max, steps) axis as Python (float, float, int); ValueError
-    unless min < max are finite and steps is an integer (not bool) >= 2."""
-    for lo, hi, steps in ranges:
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-            raise ValueError(f"grid steps must be an integer, got {steps!r}")
-        if steps < 2:
-            raise ValueError(f"grid needs at least 2 steps per axis, got {steps}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"grid range must be finite, got ({lo}, {hi})")
-        if not lo < hi:
-            raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
-    return [(float(lo), float(hi), int(steps)) for lo, hi, steps in ranges]
-
-
 @dataclass(frozen=True, eq=False)
 class SymbolGrid:
-    """Dense phase-space evaluation of one symbol family member.
+    """One kind of ``GRID_KINDS`` over a (q, p) grid, which is its four inputs.
 
-    ``values[i, j]`` is the value at (q_i, p_j); CSV export is row-major in
-    that order.  The grid holds a read-only copy of the values it is given,
-    and compares and hashes by identity, as the array cannot.
+    They are checked once: the kind, the dimension, and two (min, max, steps)
+    axes with finite min < max and an integer steps >= 2; then the memory,
+    before any axis is allocated.  ``values[i, j]``, the value at (q_i, p_j),
+    is the read-only array the kind's rule returned, not a copy, and CSV
+    export is row-major in that order.  A grid compares and hashes by
+    identity, as its array cannot.
     """
 
     which: str
     n_dim: int
-    q_range: tuple[float, float, int]
-    p_range: tuple[float, float, int]
-    values: np.ndarray
+    q_range: _Axis
+    p_range: _Axis
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _check_kind(self.which)
-        q_range, p_range = _check_axes(self.q_range, self.p_range)
+        if self.which not in GRID_KINDS:
+            raise ValueError(f"unknown grid kind {self.which!r}; expected one of {tuple(GRID_KINDS)}")
         object.__setattr__(self, "n_dim", as_dimension(self.n_dim, 1, "n_dim"))
-        object.__setattr__(self, "q_range", q_range)
-        object.__setattr__(self, "p_range", p_range)
-        vals = np.array(self.values, dtype=float)
-        expected = (self.q_range[2], self.p_range[2])
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} does not match grid {expected}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        for name in ("q_range", "p_range"):
+            lo, hi, steps = getattr(self, name)
+            if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+                raise ValueError(f"grid steps must be an integer, got {steps!r}")
+            if steps < 2:
+                raise ValueError(f"grid needs at least 2 steps per axis, got {steps}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid range must be finite, got ({lo}, {hi})")
+            if not lo < hi:
+                raise ValueError(f"grid range must satisfy min < max, got ({lo}, {hi})")
+            object.__setattr__(self, name, (float(lo), float(hi), int(steps)))
+        check_memory(_GRID_BYTES_PER_CELL * self.q_range[2] * self.p_range[2],
+                     f"the arrays of a {self.q_range[2]} x {self.p_range[2]} grid")
+        q, p = self.q_axis[:, None], self.p_axis[None, :]
+        values = GRID_KINDS[self.which].value(q, p, *_closed_forms(self.n_dim, q, p))
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def q_axis(self) -> np.ndarray:
-        lo, hi, steps = self.q_range
-        return np.linspace(lo, hi, steps)
+        return np.linspace(*self.q_range)
 
     @property
     def p_axis(self) -> np.ndarray:
-        lo, hi, steps = self.p_range
-        return np.linspace(lo, hi, steps)
+        return np.linspace(*self.p_range)
 
 
-def symbol_grid(
-    n_dim: int,
-    which: str,
-    q_range: tuple[float, float, int],
-    p_range: tuple[float, float, int],
-) -> SymbolGrid:
-    """Evaluate one kind of ``GRID_KINDS`` over a (q, p) grid.
-
-    Every argument, and the memory the grid needs, is checked before the
-    grid is allocated.
-    """
-    _check_kind(which)
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    q_range, p_range = _check_axes(q_range, p_range)
-    check_memory(_GRID_BYTES_PER_CELL * q_range[2] * p_range[2],
-                 f"the arrays of a {q_range[2]} x {p_range[2]} grid")
-    q = np.linspace(*q_range[:2], q_range[2])
-    p = np.linspace(*p_range[:2], p_range[2])
-    q, p = q[:, None], p[None, :]
-    vals = GRID_KINDS[which].value(q, p, *_closed_forms(n_dim, q, p))
-    return SymbolGrid(which=which, n_dim=n_dim, q_range=q_range, p_range=p_range, values=vals)
+def symbol_grid(n_dim: int, which: str, q_range: _Axis, p_range: _Axis) -> SymbolGrid:
+    """Evaluate one kind of ``GRID_KINDS`` over a (q, p) grid; see ``SymbolGrid``."""
+    return SymbolGrid(which, n_dim, q_range, p_range)
 
 
 def grid_to_csv(grid: SymbolGrid) -> str:
@@ -272,8 +248,6 @@ def grid_to_json(grid: SymbolGrid) -> str:
 
 def grid_gnuplot_script(grid: SymbolGrid, csv_name: str) -> str:
     """Gnuplot surface-plot script rendering a grid CSV."""
-    steps_q = grid.q_range[2]
-    steps_p = grid.p_range[2]
     label = GRID_KINDS[grid.which].label
     return "\n".join(
         [
@@ -283,7 +257,7 @@ def grid_gnuplot_script(grid: SymbolGrid, csv_name: str) -> str:
             "set ylabel 'p'",
             f"set zlabel '{label}'",
             "set hidden3d",
-            f"set dgrid3d {steps_q},{steps_p}",
+            f"set dgrid3d {grid.q_range[2]},{grid.p_range[2]}",
             f"splot '{csv_name}' every ::1 using 1:2:3 with lines notitle",
         ]
     ) + "\n"

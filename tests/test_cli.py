@@ -108,6 +108,22 @@ class TestSigmaTableCommand:
     def test_bad_dim_is_usage_error(self, tmp_path):
         assert main(["sigma-table", "--n-list", "5,1", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("n_list, got", [("10,abc", "'abc'"), ("1", "1"), ("10,-3", "'-3'")])
+    def test_bad_n_list_entry_names_the_flag(self, tmp_path, capsys, n_list, got):
+        out = tmp_path / "x.csv"
+        assert main(["sigma-table", "--n-list", n_list, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --n-list must be an integer >= 2, got {got}\n"
+        assert not out.exists()
+
+    def test_n_list_and_geometric_exclude_each_other(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma-table", "--n-list", "10,20", "--geometric", "2", "100", "5",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--geometric: not allowed with argument --n-list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emit_plot_writes_scripts(self, tmp_path):
         out = tmp_path / "sigma.csv"
         assert main([

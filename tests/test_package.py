@@ -1,5 +1,6 @@
 """Tests of the package as a whole."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -79,9 +80,7 @@ def test_every_export_resolves_once():
     (lambda a: planequant.SymTridiagonal(a), "offdiag", np.ones(3)),
     (lambda a: planequant.OperatorMatrix(a), "entries", np.eye(2, dtype=complex)),
     (lambda a: planequant.CoherentState(a), "coeffs", np.array([1.0, 0.0], dtype=complex)),
-    (lambda a: planequant.SymbolGrid("C", 2, (0.0, 1.0, 2), (0.0, 1.0, 2), a), "values",
-     np.ones((2, 2))),
-], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState", "SymbolGrid"])
+], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState"])
 def test_frozen_containers_keep_a_private_copy(build, field, given):
     # the container is read-only, but the caller's array stays writable and
     # writing to it does not reach the container
@@ -92,11 +91,23 @@ def test_frozen_containers_keep_a_private_copy(build, field, given):
     assert np.array_equal(held, before)
 
 
+@pytest.mark.parametrize("which", sorted(planequant.symbols.GRID_KINDS))
+def test_symbol_grid_is_its_inputs_and_owns_read_only_values(which):
+    # a grid takes no values: it evaluates them itself, into an array that
+    # no caller holds and no one can write
+    init = [f.name for f in dataclasses.fields(planequant.SymbolGrid) if f.init]
+    assert init == ["which", "n_dim", "q_range", "p_range"]
+    for n_dim in (1, 2, 12):
+        values = planequant.SymbolGrid(which, n_dim, (0.0, 1.0, 3), (-1.0, 1.0, 2)).values
+        assert values.shape == (3, 2) and values.dtype == np.float64
+        assert values.flags.owndata and not values.flags.writeable
+
+
 @pytest.mark.parametrize("build", [
     lambda: planequant.SymTridiagonal(np.ones(3)),
     lambda: planequant.OperatorMatrix(np.eye(2)),
     lambda: planequant.CoherentState(np.array([1.0, 0.0])),
-    lambda: planequant.SymbolGrid("C", 2, (0.0, 1.0, 2), (0.0, 1.0, 2), np.ones((2, 2))),
+    lambda: planequant.SymbolGrid("C", 2, (0.0, 1.0, 2), (0.0, 1.0, 2)),
     lambda: planequant.position_operator(3),
     lambda: planequant.position_tridiagonal(4),
 ], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState", "SymbolGrid",

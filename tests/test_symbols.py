@@ -81,11 +81,8 @@ def _per_value_json(grid: SymbolGrid) -> str:
 
 
 def _export_grids() -> list:
-    """Non-square grids whose axes cross -0.0/0.0 and whose values print in
-    fixed and exponent form."""
-    odd = np.array([[-0.0, 0.0, 1e-300, -5e-7, 123456789.0],
-                    [1.5e20, -2.5e-5, 1e-4, 0.1, 999999999.5],
-                    [math.pi, -math.e, 1.0 / 3.0, 7.0, 1e9]])
+    """Non-square grids whose axes cross -0.0/0.0 and whose axes and values
+    print in fixed and exponent form."""
     return [
         pytest.param(symbol_grid(12, "Q2", (-6.0, 6.0, 7), (-6.0, 6.0, 4)), id="q2-7x4"),
         pytest.param(symbol_grid(5, "UNCERTAINTY", (-1.0, 1.0, 5), (-1e-5, -0.0, 3)),
@@ -93,8 +90,11 @@ def _export_grids() -> list:
         pytest.param(symbol_grid(2, "C", (-37.0, 37.0, 3), (-0.0, 2e-5, 6)), id="c-large-z"),
         pytest.param(symbol_grid(3, "UNCERTAINTY", (-37.0, 37.0, 4), (-1e-9, 1e-9, 5)),
                      id="spread-tiny-p"),
-        pytest.param(SymbolGrid(which="H", n_dim=3, q_range=(-1e-7, 0.0, 3),
-                                p_range=(-2.0, 2.0, 5), values=odd), id="exponent-values"),
+        # C falls like (N - 1)/|z|^2, to about 1e-200 and 1e-240
+        pytest.param(symbol_grid(3, "C", (1e100, 1e120, 3), (-2.0, 2.0, 5)), id="c-tiny-values"),
+        # Q2 saturates at (N - 1)/2 = 5.5 far out, on axes in exponent form
+        pytest.param(symbol_grid(12, "Q2", (-1e12, 1e12, 5), (-1e-7, 0.0, 3)),
+                     id="q2-exponent-axes"),
     ]
 
 
@@ -367,6 +367,19 @@ class TestHighPrecisionClosedForms:
                     worst[key] = max(worst[key], float(abs((value - ref[key]) / ref[key])))
         assert all(worst[key] <= bound for key, bound in self.BOUNDS.items()), worst
 
+    @pytest.mark.parametrize("which", ["Q2", "P2"])
+    def test_square_grid_cells_against_mpmath(self, which):
+        # half + d q^2 and half + d p^2 add nonnegative terms: worst 3.6e-16
+        # (Q2) and 3.7e-16 (P2) over the sample, where A + B and A - B reach
+        # 7.2e-15 and 8.3e-15.  Each point is the first cell of its own grid.
+        worst = 0.0
+        for n, q, p in _mp_sample():
+            grid = symbol_grid(n, which, (q, q + 1.0, 2), (p, p + 1.0, 2))
+            assert (grid.q_axis[0], grid.p_axis[0]) == (q, p)
+            want = _mp_closed_forms(n, q, p)[_MP_KEYS[which]]
+            worst = max(worst, _relative_error(grid.values[0, 0], want))
+        assert worst <= 1e-15, worst
+
     def test_spread_product_sweep_against_mpmath(self):
         # 12 random points with |z|^2 <= 700 per N; the summed route was
         # 1.7e-13 off at N = 1600
@@ -440,7 +453,7 @@ class TestSymbolGrid:
     def test_grid_rejects_an_unknown_kind(self):
         # checked by the dataclass itself, before any export reads the kind
         with pytest.raises(ValueError, match="unknown grid kind 'nope'; expected one of"):
-            SymbolGrid("nope", 10, (0.0, 1.0, 2), (0.0, 1.0, 2), np.zeros((2, 2)))
+            SymbolGrid("nope", 10, (0.0, 1.0, 2), (0.0, 1.0, 2))
 
     @pytest.mark.parametrize("steps", [2.5, np.float64(3.0), True, np.True_],
                              ids=["float", "numpy-float", "bool", "numpy-bool"])
@@ -497,11 +510,12 @@ class TestSymbolGrid:
         axis = grids["C"].q_axis.tolist()
         for i, q in enumerate(axis):
             for j, p in enumerate(axis):
+                for which, grid in grids.items():
+                    cell = symbols._at_point(n_dim, q, p, GRID_KINDS[which].value)
+                    assert float(grid.values[i, j]).hex() == float(cell).hex(), (which, q, p)
                 x = PhasePoint(q, p)
-                a_val, b_val = quadratic_symbols(n_dim, x)
+                a_val, _ = quadratic_symbols(n_dim, x)
                 assert grids["H"].values[i, j] == a_val
-                assert grids["Q2"].values[i, j] == a_val + b_val
-                assert grids["P2"].values[i, j] == a_val - b_val
                 assert grids["UNCERTAINTY"].values[i, j] == uncertainty_product(n_dim, x)
                 if abs(q) == abs(p):  # where |z|^2 is q^2, the radius corrective_factor takes
                     assert grids["C"].values[i, j] == corrective_factor(n_dim, abs(q))
@@ -535,6 +549,16 @@ class TestSymbolGrid:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=message):
                     call()
+
+    def test_values_are_the_array_the_rule_returned(self, monkeypatch):
+        # the grid holds its rule's result itself, frozen, not a copy of it
+        returned = []
+        rule = GRID_KINDS["H"]
+        monkeypatch.setitem(GRID_KINDS, "H", rule._replace(
+            value=lambda *f: returned.append(rule.value(*f)) or returned[-1]))
+        grid = symbol_grid(5, "H", (-1.0, 1.0, 3), (-2.0, 2.0, 4))
+        assert len(returned) == 1 and grid.values is returned[0]
+        assert grid.values.shape == (3, 4) and not grid.values.flags.writeable
 
     def test_peak_memory_of_the_default_grid(self):
         # the benchmark's 801 x 801 spread grid at N = 64 peaks at 36.1 MB;
@@ -590,7 +614,7 @@ class TestGridExports:
         grids = [symbol_grid(10, "C", q_range, (0.0, 1.0, 3))
                  for q_range in ((0.0, 1.0, np.int64(3)), (0.0, np.float32(1.0), 3))]
         grids.append(SymbolGrid("C", np.int64(10), (np.float32(0.0), 1.0, np.int64(3)),
-                                twin.p_range, twin.values))
+                                twin.p_range))
         for grid in grids:
             assert grid_to_json(grid) == grid_to_json(twin)
 
