@@ -9,7 +9,8 @@ the noncommutative-plane reading the minimal area theta plays the role of
 l_m^2.
 
 A ``BoundsReport`` stores only its inputs, the scales and sigma, owns the
-check 0 < sigma <= 2*pi and derives l_max and the planar-coordinate values.
+check 0 < sigma <= 2*pi and derives l_max and the planar-coordinate values;
+scales whose derived values leave the positive finite doubles are refused.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ class BoundsReport:
     def __post_init__(self):
         if not (0.0 < self.sigma <= TWO_PI):
             raise ValueError(f"sigma must lie in (0, 2*pi], got {self.sigma!r}")
+        for name, value in self._derived().items():
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"derived value {name} = {value!r} is not a positive finite number")
+
+    def _derived(self) -> dict[str, float]:
+        """The values derived from the scales, by their names in ``lines``."""
+        s = self.scales
+        values = {"l_c/l_m": s.rho_u, "2*pi*l_c^2": TWO_PI * (s.l_c * s.l_c),
+                  "2*pi*p_c^2": TWO_PI * (s.p_c * s.p_c), "l_max": self.l_max,
+                  "2*pi*(l_c/sqrt(theta))*l_c": self.hall_l_max}
+        return {name: value for name, value in values.items() if value is not None}
 
     @property
     def l_max(self) -> float:
@@ -80,15 +92,15 @@ class BoundsReport:
         return None if lm is None else TWO_PI * (l_c / lm) * l_c
 
     def lines(self) -> list[str]:
-        s = self.scales
+        s, derived = self.scales, self._derived()
         out = [
             f"characteristic length  l_c = {s.l_c:.9g} m",
             f"characteristic momentum p_c = {s.p_c:.9g}",
             f"minimal length         l_m = {s.l_m:.9g} m   (ratio l_c/l_m = {s.rho_u:.9g})",
             f"position inequality:  delta_N(Q) * Delta_N(Q) <= 2*pi*l_c^2 "
-            f"= {TWO_PI * s.l_c**2:.9g} m^2",
+            f"= {derived['2*pi*l_c^2']:.9g} m^2",
             f"momentum inequality:  delta_N(P) * Delta_N(P) <= 2*pi*p_c^2 "
-            f"= {TWO_PI * s.p_c**2:.9g}",
+            f"= {derived['2*pi*p_c^2']:.9g}",
             f"maximal observable length (sigma = {self.sigma:.9g}): "
             f"l_max = sigma * (l_c/l_m) * l_c = {self.l_max:.9g} m",
         ]

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-spectrum       full spectrum (N <= 20000) or extreme-value summary (larger N)
+spectrum       full spectrum (N <= 20000; sigma-table gives larger N's extremes)
 sigma-table    forbidden-cell/width products for a list or ladder of N
 lower-symbols  phase-space grids of the symbol family, optional plot script
 bounds         dimensioned inequalities for concrete physical scales
@@ -53,12 +53,11 @@ def _write_data(args, data, to_csv, to_json) -> None:
 
 def _cmd_spectrum(args) -> int:
     n = as_dimension(args.n, 2, "--n")
-    if n <= spectra.DENSE_SPECTRUM_CAP:
-        _write_data(args, spectra.eig_all(spectra.position_tridiagonal(n)),
-                    spectra.spectrum_to_csv, spectra.spectrum_to_json)
-    else:
-        _write_data(args, [spectra.spectrum_summary(n)],
-                    spectra.summaries_to_csv, spectra.summaries_to_json)
+    if n > spectra.DENSE_SPECTRUM_CAP:
+        raise ValueError(f"--n {n} exceeds the full-spectrum cap {spectra.DENSE_SPECTRUM_CAP}; "
+                         f"sigma-table --n-list {n} gives its extremes")
+    _write_data(args, spectra.eig_all(spectra.position_tridiagonal(n)),
+                spectra.spectrum_to_csv, spectra.spectrum_to_json)
     return EXIT_OK
 
 
@@ -120,7 +119,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verification(seed=args.seed, inject_fault=args.inject_fault)
+    results = run_verification(seed=as_dimension(args.seed, 0, "--seed"),
+                               inject_fault=args.inject_fault)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -150,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "spectrum", help="eigenvalues of the position matrix",
         description="Every eigenvalue (index,eigenvalue) by dqds on the half-size "
-                    "bidiagonal for n <= 20000; beyond, the extreme-eigenvalue "
-                    "summary from LAPACK Sturm counts, the same row as sigma-table.")
-    sp.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
+                    "bidiagonal, for n <= 20000; sigma-table gives the extreme "
+                    "eigenvalues of any n.")
+    sp.add_argument("--n", type=int, required=True, help="matrix dimension (2..20000)")
     _add_output_flags(sp, "spectrum.csv")
     sp.set_defaults(func=_cmd_spectrum)
 

@@ -13,7 +13,7 @@ fallback handles black-box symbols and doubles as an independent oracle for
 the closed form.  Named constructors
 build the position, momentum and truncated-oscillator matrices plus the
 noncommutative-plane coordinates scaled by a minimal area theta, the
-tridiagonal ones from ``spectra.position_tridiagonal``'s off-diagonal.
+tridiagonal ones from the root of ``spectra.position_tridiagonal``'s e2.
 
 Matrices are immutable after construction; all functions are pure.
 """
@@ -225,12 +225,12 @@ def _hermitian_tridiagonal(upper: np.ndarray) -> OperatorMatrix:
 
 def position_operator(n_dim: int) -> OperatorMatrix:
     """Symmetric tridiagonal position matrix with off-diagonal sqrt(k/2)."""
-    return _hermitian_tridiagonal(position_tridiagonal(_check_dim(n_dim)).offdiag)
+    return _hermitian_tridiagonal(np.sqrt(position_tridiagonal(_check_dim(n_dim)).e2))
 
 
 def momentum_operator(n_dim: int) -> OperatorMatrix:
     """Hermitian momentum matrix: -i sqrt(k/2) above, +i sqrt(k/2) below."""
-    return _hermitian_tridiagonal(-1j * position_tridiagonal(_check_dim(n_dim)).offdiag)
+    return _hermitian_tridiagonal(-1j * np.sqrt(position_tridiagonal(_check_dim(n_dim)).e2))
 
 
 def hamiltonian(n_dim: int) -> OperatorMatrix:
@@ -269,5 +269,5 @@ def hall_coordinates(n_dim: int, theta: float) -> tuple[OperatorMatrix, Operator
     """
     if not (0.0 < theta < math.inf):
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
-    off = math.sqrt(theta) * position_tridiagonal(_check_dim(n_dim)).offdiag
+    off = math.sqrt(theta) * np.sqrt(position_tridiagonal(_check_dim(n_dim)).e2)
     return _hermitian_tridiagonal(off), _hermitian_tridiagonal(-1j * off)

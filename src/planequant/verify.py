@@ -125,9 +125,9 @@ def _check_sturm_qr(rng: np.random.Generator) -> CheckResult:
 def _check_interlacing(n: int, inject_fault: bool) -> CheckResult:
     t = spectra.position_tridiagonal(n)
     if inject_fault:
-        off = t.offdiag.copy()
-        off[n // 2] *= 1.25  # the test hook: one perturbed coupling
-        t = spectra.SymTridiagonal(off)
+        e2 = t.e2.copy()
+        e2[n // 2] *= 1.5625  # the test hook: one coupling perturbed by 1.25 = sqrt(1.5625)
+        t = spectra.SymTridiagonal(e2)
     ev_n = spectra.eig_all(t)
     ev_n1 = spectra.eig_all(spectra.position_tridiagonal(n + 1))
     # > 0 when the spectra strictly interlace, ev_n1[i] < ev_n[i] < ev_n1[i + 1]

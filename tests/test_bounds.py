@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -71,6 +72,18 @@ class TestBoundsReport:
         # the report owns the (0, 2*pi] check, not only bounds_report
         with pytest.raises(ValueError):
             BoundsReport(PhysicalScales(l_c=1.0, p_c=1.0, l_m=1.0), sigma=sigma)
+
+    @pytest.mark.parametrize("scales, name", [
+        (dict(l_c=1.0, p_c=1e200, l_m=1.0), "2*pi*p_c^2 = inf"),
+        (dict(l_c=1e-200, p_c=1.0, l_m=1e-200), "2*pi*l_c^2 = 0.0"),
+        (dict(l_c=1e150, p_c=1.0, l_m=1e-160), "l_c/l_m = inf"),
+        (dict(l_c=1e150, p_c=1.0, l_m=1e140, theta=1e-300), "2*pi*(l_c/sqrt(theta))*l_c = inf"),
+    ], ids=["momentum-cell", "position-cell", "ratio", "planar-l-max"])
+    def test_report_refuses_derived_values_out_of_range(self, scales, name):
+        # every value the report derives is a positive finite number, so no
+        # report prints inf or writes the non-JSON Infinity
+        with pytest.raises(ValueError, match=f"^derived value {re.escape(name)} is not"):
+            BoundsReport(PhysicalScales(**scales))
 
     def test_report_derives_from_its_inputs(self):
         scales = PhysicalScales(l_c=2.0, p_c=1.0, l_m=1.0, theta=4.0)

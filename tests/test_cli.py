@@ -34,24 +34,18 @@ class TestSpectrumCommand:
         values = sorted(float(line.split(",")[1]) for line in lines[1:])
         assert values == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
-    def test_summary_row_beyond_cap(self, tmp_path):
-        # beyond the cap the extremes are certified guesses proved by one count
-        out = tmp_path / "s.csv"
-        assert main(["spectrum", "--n", "20001", "--out", str(out)]) == 0
-        lines = _read(out).strip().splitlines()
-        header = lines[0].split(",")
-        row = dict(zip(header, lines[1].split(",")))
-        assert row["N"] == "20001"
-        assert float(row["sigma"]) < TWO_PI
+    def test_beyond_the_cap_names_sigma_table(self, tmp_path, monkeypatch, capsys):
+        # one route per output: the extremes beyond the full-spectrum cap are
+        # sigma-table's, and spectrum refuses before it builds anything
+        def no_matrix(n_dim):
+            raise AssertionError("built a matrix beyond the cap")
 
-    def test_switches_to_the_summary_row_beyond_cap(self, tmp_path):
-        # every eigenvalue up to the cap, the sigma-table row beyond it
-        full, beyond, table = (tmp_path / name for name in ("f.csv", "b.csv", "t.csv"))
-        assert main(["spectrum", "--n", "20000", "--out", str(full)]) == 0
-        assert _read(full).startswith("index,eigenvalue\n0,")
-        assert main(["spectrum", "--n", "20001", "--out", str(beyond)]) == 0
-        assert main(["sigma-table", "--n-list", "20001", "--out", str(table)]) == 0
-        assert beyond.read_bytes() == table.read_bytes()
+        monkeypatch.setattr(spectra, "position_tridiagonal", no_matrix)
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--n", "20001", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: --n 20001 exceeds the full-spectrum cap 20000; "
+                                           "sigma-table --n-list 20001 gives its extremes\n")
+        assert not out.exists()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -69,9 +63,10 @@ class TestSpectrumCommand:
     def test_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
         from planequant import frame
 
-        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 8 * 2**30)
+        # spectrum --n 20000 needs 0.96 MB
+        monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 900_000)
         out = tmp_path / "x.csv"
-        assert main(["spectrum", "--n", "1000000000", "--out", str(out)]) == 2
+        assert main(["spectrum", "--n", "20000", "--out", str(out)]) == 2
         assert main(["sigma-table", "--n-list", "10,1000000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.count("physical memory") == 2
         assert not out.exists()
@@ -298,6 +293,21 @@ class TestBoundsCommand:
             in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--l-c", "1", "--l-m", "1", "--p-c", "1e200"], "2*pi*p_c^2 = inf"),
+        (["--l-c", "1e150", "--l-m", "1e-160"], "l_c/l_m = inf"),
+    ], ids=["momentum-cell", "ratio"])
+    def test_overflowing_derived_value_is_usage_error(self, argv, message, tmp_path, capsys):
+        # refused by name before any output, never printed as inf or written
+        # as the non-JSON Infinity
+        out = tmp_path / "b.json"
+        assert main(["bounds", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: derived value {message} is not a positive "
+                                "finite number\n")
+        assert not out.exists()
+
     def test_finite_dim_sigma_flag(self, capsys):
         assert main(["bounds", "--l-c", "1.0", "--l-m", "1.0", "--sigma-n", "10"]) == 0
         out = capsys.readouterr().out
@@ -369,6 +379,10 @@ class TestVerifyCommand:
                                 lambda t, lam, bumped=bumped: count(t, lam) + bumped(lam))
             for seed in range(20):
                 assert not verify._check_sturm_qr(np.random.default_rng(seed)).passed, seed
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be an integer >= 0, got -1\n")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         assert main(["verify", "--seed", "7"]) == 0
@@ -455,8 +469,8 @@ GOLDEN = Path(__file__).parent / "data" / "cli"
 
 # (output file, argv without --out): every file a run writes equals its
 # namesake in tests/data/cli, byte for byte.  The sigma-table dimensions
-# cover the dqds, bracketed and certified routes; 20001 is spectrum's
-# summary row beyond the dense cap.  Full-precision JSON of a spectrum
+# cover the dqds, bracketed and certified routes; 20001 is the first one
+# beyond spectrum's full-spectrum cap.  Full-precision JSON of a spectrum
 # depends on the LAPACK build, so only 9-digit CSVs and the pure-Python
 # bounds report are pinned.  The files are the output of
 # `planequant <argv> --out <file>` run in tests/data/cli.
@@ -464,7 +478,7 @@ GOLDEN_RUNS = [
     ("sigma_table.csv", ["sigma-table", "--n-list", "2,3,10,55,99,100,551,1000,4606,4607,5555",
                          "--emit-plot"]),
     ("spectrum_50.csv", ["spectrum", "--n", "50"]),
-    ("spectrum_20001.csv", ["spectrum", "--n", "20001"]),
+    ("sigma_table_20001.csv", ["sigma-table", "--n-list", "20001"]),
     *((f"lower_symbols_{kind}.csv", ["lower-symbols", "--which", kind, "--n", "10",
                                      "--steps", "9"]) for kind in GRID_KINDS),
     ("bounds.json", ["bounds", "--l-c", "2e-6", "--l-m", "1e-6", "--theta", "1e-12"]),

@@ -77,7 +77,7 @@ def test_every_export_resolves_once():
 
 
 @pytest.mark.parametrize("build, field, given", [
-    (lambda a: planequant.SymTridiagonal(a), "offdiag", np.ones(3)),
+    (lambda a: planequant.SymTridiagonal(a), "e2", np.ones(3)),
     (lambda a: planequant.OperatorMatrix(a), "entries", np.eye(2, dtype=complex)),
     (lambda a: planequant.CoherentState(a), "coeffs", np.array([1.0, 0.0], dtype=complex)),
 ], ids=["SymTridiagonal", "OperatorMatrix", "CoherentState"])

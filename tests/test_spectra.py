@@ -73,7 +73,7 @@ def _assert_sturm_bracketed(t: SymTridiagonal, lam_min: float, lam_max: float) -
     """Exactly one eigenvalue, the expected one, near each result.
 
     Within 8 ulps, except for lambda_m from N = 100 on: that is the guess,
-    near the true zero, while the oracle's count changes up to N eps / 27
+    near the true zero, while the oracle's count changes up to N eps / 24.5
     relative away from it, so it is counted within the guess's half-width.
     """
     rels = [8.0 * EPS, 8.0 * EPS]
@@ -98,9 +98,13 @@ def _assert_near_reference(n: int, extremes) -> None:
 
 class TestSymTridiagonal:
     def test_position_data(self):
-        t = position_tridiagonal(5)
-        assert t.dim == 5
-        assert t.offdiag == pytest.approx(np.sqrt(np.arange(1, 5) / 2.0))
+        # the matrix is its squared off-diagonal k/2, exact in binary
+        for n in (1, 2, 5, 1001, 10**6):
+            t = position_tridiagonal(n)
+            assert t.dim == n and list(vars(t)) == ["e2"]
+            assert t.e2.tobytes() == (np.arange(1, n) / 2).tobytes(), n
+        with pytest.raises(TypeError):
+            SymTridiagonal(offdiag=np.ones(2))
 
     def test_rejects_nonpositive_offdiag(self):
         with pytest.raises(ValueError):
@@ -168,7 +172,7 @@ class TestEigAll:
         tiny = np.finfo(float).tiny
         for n in range(2, 301):
             t = position_tridiagonal(n)
-            m, w, _, _, info = dstebz(np.zeros(n), t.offdiag, 1, 0.0, math.inf, 0, 0,
+            m, w, _, _, info = dstebz(np.zeros(n), np.sqrt(t.e2), 1, 0.0, math.inf, 0, 0,
                                       2.0 * tiny, b"E")
             assert info == 0 and m == n // 2
             positive = eig_all(t)[n - m:]
@@ -200,9 +204,10 @@ def _scipy_stebz(t: SymTridiagonal, kind: bytes, vl: float, vu: float, il: int, 
                  abstol: float) -> tuple[int, str | None, int]:
     """(m, lowest eigenvalue as float.hex, info) from scipy's f2py dstebz, the oracle.
 
-    f2py wants a nonempty off-diagonal; at dim 1 LAPACK reads none.
+    dstebz takes the off-diagonal and squares it itself.  f2py wants a
+    nonempty off-diagonal; at dim 1 LAPACK reads none.
     """
-    off = t.offdiag if t.dim > 1 else np.zeros(1)
+    off = np.sqrt(t.e2) if t.dim > 1 else np.zeros(1)
     m, w, _, _, info = dstebz(np.zeros(t.dim), off, {b"V": 1, b"I": 2}[kind],
                               vl, vu, il, iu, abstol, b"E")
     return m, float(w[0]).hex() if m else None, info
@@ -251,7 +256,7 @@ class TestLapackBinding:
         for n in range(1, 61):
             t = position_tridiagonal(n)
             ev = eig_all(t)
-            pad = 1.0 + 2.0 * max(t.offdiag, default=0.0)
+            pad = 1.0 + 2.0 * math.sqrt(t.e2.max(initial=0.0))
             shifts = np.concatenate(([-pad], 0.5 * (ev[1:] + ev[:-1]), [pad])).tolist()
             # and each eigenvalue's own ends, 8 eps relative out (8 eps for the
             # zero of odd N), where a count on a perturbed diagonal changes
@@ -290,17 +295,40 @@ class TestLapackBinding:
     def test_dlaebz_failure_is_convergence_error(self, n, info, monkeypatch):
         # LAPACK's bisection kernel reports info = -1 on a count (ijob 1) only
         # for an ijob out of range; whatever it reports, the route stops
-        # rather than read its counts
+        # rather than read its counts.  The count it was handed reads the
+        # matrix's e2, passed as e2 and in e's place
         lapack = spectra._lapack()
+        e_is_e2 = []
 
         @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
         def failing_dlaebz(*args):
+            e_is_e2.append(args[10] == args[11])
             lapack.dlaebz(*args)
             lapack.integer.from_address(args[-1]).value = info
 
         monkeypatch.setattr(spectra, "_lapack", lambda: lapack._replace(dlaebz=failing_dlaebz))
         with pytest.raises(ConvergenceError, match=f"info = {info} for dim {n}"):
             extreme_eigenvalues(n)
+        assert e_is_e2 == [True]
+
+    @pytest.mark.parametrize("n", [100, 1001, 55255])
+    def test_count_reads_no_e(self, n, monkeypatch):
+        # with ijob = 1 dlaebz reads d, e2 and pivmin alone, which is why
+        # _dlaebz may pass e2 in e's place: a NaN e gives the same counts
+        t = position_tridiagonal(n)
+        edge = math.sqrt(2.0 * n) + 1.0
+        shifts = np.linspace(-edge, edge, 151).tolist()
+        brackets = list(zip(shifts[:-1], shifts[1:]))
+        counts = spectra._dlaebz(t, brackets)
+        lapack, nan_e = spectra._lapack(), np.full(n, math.nan)
+
+        @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)
+        def nan_e_dlaebz(*args):
+            lapack.dlaebz(*args[:10], nan_e.ctypes.data, *args[11:])
+
+        monkeypatch.setattr(spectra, "_lapack", lambda: lapack._replace(dlaebz=nan_e_dlaebz))
+        assert spectra._dlaebz(t, brackets) == counts
+        assert counts[0][0] == 0 and counts[-1][1] == n
 
     def test_binding_is_logged_once_with_its_source(self, rebind_lapack, caplog):
         source = "numpy" if spectra._numpy_routines() is not None else "scipy"
@@ -354,9 +382,19 @@ class TestSturmCount:
             t = position_tridiagonal(n)
             assert sturm_count(t, 1e-9) - sturm_count(t, -1e-9) == 1
 
+    def test_tiny_positive_pivot_keeps_its_sign(self):
+        # the oracle floors a pivot of magnitude below pivmin to the floor of
+        # its own sign, dlaebz to -pivmin: on the 1 x 1 zero matrix at
+        # lam = -1e-310 the pivot is +1e-310, so the oracle counts 0, exactly,
+        # and dlaebz counts 1
+        t = SymTridiagonal(np.empty(0))
+        assert sturm_count(t, -1e-310) == 0
+        assert spectra._dlaebz(t, [(-1e-310, 1e-310)]) == [(1, 1)]
+        assert sturm_count(t, 1e-310) == 1
+
     def test_everything_below_gershgorin_bound(self):
         t = position_tridiagonal(50)
-        bound = 2.0 * float(t.offdiag.max())  # no row of |entries| sums to more
+        bound = 2.0 * math.sqrt(t.e2.max())  # no row of |entries| sums to more
         assert sturm_count(t, bound + 1.0) == 50
         assert sturm_count(t, -bound - 1.0) == 0
 
@@ -469,6 +507,33 @@ class TestBracketedRoute:
             for (guess, half_width), ref in zip(guesses, _reference_zeros()[n]):
                 assert abs(guess / ref - 1.0) <= 0.1 * half_width, (n, guess, ref)
 
+    @pytest.mark.parametrize("n", [100, 101, 102, 340, 1001, 1320, 10**4, 10**5])
+    def test_counts_change_within_half_the_room_of_the_zero(self, n):
+        # each count changes at the least double of its proved bracket that
+        # counts index + 1, found by bisecting the bracket's doubles with
+        # dlaebz and confirmed by the oracle; that point lies within half the
+        # bracket's room (its half-width less the guess's error) of the
+        # 40-digit zero: lambda_m's is N eps / 24.5 away at worst (N = 102)
+        # against a room of N eps / 8
+        t = position_tridiagonal(n)
+        indices, brackets = _extreme_indices(n), _brackets(n)
+        assert spectra._dlaebz(t, brackets) == [(i, i + 1) for i in indices]
+        bits = [[int(np.float64(x).view(np.int64)) for x in b] for b in brackets]
+        while any(hi - lo > 1 for lo, hi in bits):
+            mids = [float(np.int64((lo + hi) // 2).view(np.float64)) for lo, hi in bits]
+            # one interval whose two ends are the two midpoints counts both
+            (at_m, at_max), = spectra._dlaebz(t, [tuple(mids)])
+            for b, mid, count, i in zip(bits, mids, (at_m, at_max), indices):
+                if b[1] - b[0] > 1:
+                    # the upper end keeps count i + 1, the lower end count i
+                    b[1 if count > i else 0] = int(np.float64(mid).view(np.int64))
+        for (lo, hi), i, (guess, half_width), error, ref in zip(
+                bits, indices, spectra._extreme_guesses(n), spectra._guess_errors(n),
+                _reference_zeros()[n]):
+            below, point = (float(np.int64(b).view(np.float64)) for b in (lo, hi))
+            assert (sturm_count(t, below), sturm_count(t, point)) == (i, i + 1), (n, i)
+            assert abs(point / ref - 1.0) <= 0.5 * (half_width - error), (n, i, point, ref)
+
     def test_ladder_and_survey_return_without_logging(self, caplog):
         dims = TABLE_DIMS + list(range(spectra._BRACKET_MIN_DIM, 2001))
         spectra._lapack()  # bound outside the capture, whatever test ran before
@@ -480,7 +545,7 @@ class TestBracketedRoute:
         # both extremes are held to the 40-digit reference where it has the
         # dimension, and on 100..1320 off the ladder the reference alone is
         # the truth.  Elsewhere lambda_M is also held to f2py dstebz by index;
-        # lambda_m's count changes up to N eps / 27 away from its true zero.
+        # lambda_m's count changes up to N eps / 24.5 away from its true zero.
         # Below N = 100 the truth is test_within_six_ulp_of_newton_below_threshold
         dims = [n for n in TABLE_DIMS if n >= spectra._BRACKET_MIN_DIM]
         reference_only = set(range(spectra._BRACKET_MIN_DIM, 1321)) - set(dims)
@@ -506,7 +571,8 @@ class TestBracketedRoute:
         newton_zero = _reference_script().newton_zero
         for n in range(2, 100):
             t = position_tridiagonal(n)
-            dense = np.linalg.eigvalsh(np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1))
+            off = np.sqrt(t.e2)
+            dense = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
             for got, i in zip(extreme_eigenvalues(n), _extreme_indices(n)):
                 ref = newton_zero(n, float(dense[i]))
                 ulp = np.spacing(float(ref))
@@ -719,14 +785,24 @@ class TestSpectrumSummary:
 
     @pytest.mark.parametrize("n", [10**5], ids=["certified"])
     def test_extreme_route_peaks_at_32_bytes_per_dim(self, n):
-        # the off-diagonal and the squared off-diagonal of the dlaebz count,
-        # with no 10 N bisection workspace (93 bytes per dim at 4606 with one)
+        # e2 and the array it is copied from (17 bytes per dim), which the
+        # dlaebz count reads in place, with no 10 N bisection workspace (93
+        # bytes per dim at 4606 with one)
         peak = self._peak_bytes(lambda: extreme_eigenvalues(n))
         assert peak <= 32 * n, peak / n
 
+    def test_dlaebz_count_allocates_no_per_dimension_array(self):
+        # the count reads e2 in place and maps its zero diagonal, so one
+        # count allocates a few cells per bracket and no array of N entries
+        n = 10**5
+        t, brackets = position_tridiagonal(n), _brackets(n)
+        spectra._lapack()  # bound outside the trace
+        peak = self._peak_bytes(lambda: spectra._dlaebz(t, brackets))
+        assert peak <= n, peak / n
+
     def test_matrix_holds_no_lapack_workspace_between_calls(self):
         # after one count of each kind the matrix still holds its 8-byte
-        # off-diagonal alone: no zero diagonal, squares or pivot floor
+        # e2 alone: no zero diagonal, root or pivot floor
         n = 10**5
         tracemalloc.start()
         try:
@@ -736,7 +812,7 @@ class TestSpectrumSummary:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert list(vars(t)) == ["offdiag"]
+        assert list(vars(t)) == ["e2"]
         assert retained <= 9 * n, retained / n
 
     def test_invariant_guard(self):
