@@ -119,8 +119,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verification(seed=as_dimension(args.seed, 0, "--seed"),
-                               inject_fault=args.inject_fault)
+    results = run_verification(seed=as_dimension(args.seed, 0, "--seed"))
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -191,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run the invariant suite")
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--inject-fault", action="store_true",
-                    help="perturb one coupling to prove the harness can fail")
     vf.set_defaults(func=_cmd_verify)
 
     return parser

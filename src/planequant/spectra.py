@@ -5,13 +5,13 @@ off-diagonal sqrt(k/2); its eigenvalues are the zeros of the degree-N
 Hermite polynomial, symmetric about the origin.  A zero-diagonal
 tridiagonal's spectrum depends only on its squared off-diagonal e2, which
 for the position matrix is k/2, exact in binary, so a ``SymTridiagonal``
-holds e2 alone.  It is permutation-similar to [[0, B], [B^T, 0]] with B
-bidiagonal of size ceil(N/2), so its eigenvalues are exactly +- the
-singular values of B (Demmel & Kahan 1990).  Two independent routes are
-provided, both LAPACK.  ``eig_all`` gives the full spectrum as +- the
-singular values of B by dqds (dlasq1, Fernando & Parlett 1994), every
-eigenvalue to high relative accuracy, O(N^2) work, for N up to
-``DENSE_SPECTRUM_CAP`` = 20000.  ``extreme_eigenvalues`` gives the
+is its dimension and builds e2 from it.  It is permutation-similar to
+[[0, B], [B^T, 0]] with B bidiagonal of size ceil(N/2), so its eigenvalues
+are exactly +- the singular values of B (Demmel & Kahan 1990).  Two
+independent routes are provided, both LAPACK.  ``eig_all`` gives the full
+spectrum as +- the singular values of B by dqds (dlasq1, Fernando &
+Parlett 1994), every eigenvalue to high relative accuracy, O(N^2) work,
+for N up to ``DENSE_SPECTRUM_CAP`` = 20000.  ``extreme_eigenvalues`` gives the
 smallest positive and the largest eigenvalue of the position matrix of
 dimension N: below N = 100 the two entries of ``eig_all``, from there on
 two asymptotic guesses, certified by one Sturm count of LAPACK's
@@ -37,8 +37,8 @@ for the reference extremes and acceptance criterion 7's residual.
 
 Both routes are deterministic: dlasq1 and dlaebz are serial LAPACK code,
 so identical inputs give identical results whatever the thread count.
-Before building a tridiagonal, ``position_tridiagonal`` checks that the
-arrays of either route fit in physical memory.
+Before building its e2, a ``SymTridiagonal`` checks that the arrays of
+either route fit in physical memory.
 
 The two LAPACK routines come from ``_lapack``, which binds them with
 ctypes on the first spectral computation of a process: from numpy's own
@@ -46,9 +46,9 @@ LAPACK where numpy exports them, as its scipy-openblas wheels do, and from
 scipy.linalg.cython_lapack otherwise.  With numpy's, no command imports
 scipy; with scipy's, only a spectral computation pays its ~0.3 s import.
 Both are plain calls that allocate their own workspaces, and a
-``SymTridiagonal`` holds only its read-only e2: a count reads it in place
-and builds only a zero-diagonal mapping per call, so no matrix keeps state
-between calls.
+``SymTridiagonal`` holds only its dimension and read-only e2: a count reads
+e2 in place and builds only a zero-diagonal mapping per call, so no matrix
+keeps state between calls.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import logging
 import math
 import mmap
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -91,9 +91,8 @@ _PI_SQUARED = (9.869604401089358, 6.265295508739711e-16)
 
 # Peak bytes per dimension of the larger route, with room: eig_all holds
 # 40 N (e2, B's two halves, 4 * ceil(N/2) work, output).  The extreme
-# eigenvalues need e2 and the array it is copied from (16 N) and a few cells
-# per bracket: a count reads e2 in place, and its zero diagonal is a mapping
-# whose pages are only read.
+# eigenvalues hold e2 once (8 N) and a few cells per bracket: a count reads
+# e2 in place, and its zero diagonal is a mapping whose pages are only read.
 _BYTES_PER_DIM = 48
 
 # The bound LAPACK routines, in the order of _Lapack's fields.
@@ -190,48 +189,35 @@ def _lapack() -> _Lapack:
 
 @dataclass(frozen=True, eq=False)
 class SymTridiagonal:
-    """Symmetric tridiagonal matrix with zero diagonal, held as its squared off-diagonal alone.
+    """The position matrix of dimension ``dim``, held as its squared off-diagonal e2 = k/2.
 
-    Every matrix here has a zero diagonal, so its spectrum is symmetric about
-    the origin, the precondition of ``eig_all``'s dqds split and of the
-    indices ``extreme_eigenvalues`` looks for, and depends only on the
-    squares e2 of the off-diagonal entries, LAPACK's E2.  The squares must
-    be finite and strictly positive (an unreduced matrix); ``dim`` is
-    len(e2) + 1.  The matrix holds a read-only copy of the array it is given
-    and nothing else, and compares and hashes by identity, as the array
-    cannot.
+    The matrix has a zero diagonal, so its spectrum is symmetric about the
+    origin, the precondition of ``eig_all``'s dqds split and of the indices
+    ``extreme_eigenvalues`` looks for, and depends only on the squares e2 of
+    the off-diagonal entries sqrt(k/2), LAPACK's E2, which are exact in
+    binary.  ``dim`` is an integer >= 1; anything else raises ValueError
+    naming ``n_dim``, as does a dimension whose spectral arrays would not
+    fit in physical memory, before anything is allocated.  The matrix builds
+    its read-only e2 once and holds it uncopied beside ``dim``, and compares
+    and hashes by identity, as the array cannot.
     """
 
-    e2: np.ndarray
+    dim: int
+    e2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        e2 = np.array(self.e2, dtype=float)
-        if e2.ndim != 1:
-            raise ValueError(f"need a 1-D e2, got shape {e2.shape}")
-        if not np.all(np.isfinite(e2)):
-            raise ValueError("squared off-diagonal entries must be finite")
-        if e2.size and not np.all(e2 > 0.0):
-            raise ValueError("squared off-diagonal entries must be strictly positive "
-                             "(unreduced matrix)")
+        dim = as_dimension(self.dim, 1, "n_dim")
+        check_memory(_BYTES_PER_DIM * dim, f"the spectral arrays of dim {dim}")
+        e2 = np.arange(1.0, dim)
+        e2 *= 0.5  # in place: no integer temporary
         e2.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "e2", e2)
-
-    @property
-    def dim(self) -> int:
-        return self.e2.shape[0] + 1
 
 
 def position_tridiagonal(n_dim: int) -> SymTridiagonal:
-    """Tridiagonal data of the position matrix: zero diagonal, sqrt(k/2) off, so e2 = k/2 exactly.
-
-    Raises ValueError if the arrays of either spectral route at this
-    dimension would not fit in physical memory.
-    """
-    n_dim = as_dimension(n_dim, 1, "n_dim")
-    check_memory(_BYTES_PER_DIM * n_dim, f"the spectral arrays of dim {n_dim}")
-    e2 = np.arange(1.0, n_dim)
-    e2 *= 0.5  # in place: no integer temporary
-    return SymTridiagonal(e2)
+    """The position matrix of dimension ``n_dim``; see ``SymTridiagonal``."""
+    return SymTridiagonal(n_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,7 @@ def position_tridiagonal(n_dim: int) -> SymTridiagonal:
 # ---------------------------------------------------------------------------
 
 def eig_all(t: SymTridiagonal) -> np.ndarray:
-    """All eigenvalues of a (zero-diagonal) ``SymTridiagonal``, in ascending order.
+    """All eigenvalues of the position matrix ``t``, in ascending order.
 
     Ordering the rows odd indices first turns T into [[0, B], [B^T, 0]],
     with B bidiagonal of size ceil(N/2): diagonal sqrt(e2[0::2]),
@@ -251,7 +237,7 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
     spectrum is exactly sign-symmetric and the odd-N middle value is +0.0.
     Dimensions beyond ``DENSE_SPECTRUM_CAP`` are rejected.
     ``extreme_eigenvalues`` reads it below N = 100 only, and ``sturm_count``
-    counts any matrix's eigenvalues at any dimension.
+    counts eigenvalues at any dimension.
     """
     if t.dim > DENSE_SPECTRUM_CAP:
         raise ValueError(
@@ -288,9 +274,10 @@ def eig_all(t: SymTridiagonal) -> np.ndarray:
 def _pivot_floor(t: SymTridiagonal) -> float:
     """tiny * max(1, max e2), the pivot floor of LAPACK's bisection driver, which both counts use.
 
-    A Python float, so ``sturm_count``'s pivot tests compare plain floats.
+    The largest of e2 = k/2 is (N - 1)/2, so no scan of e2 is needed.  A
+    Python float, so ``sturm_count``'s pivot tests compare plain floats.
     """
-    return _TINY * float(t.e2.max(initial=1.0))
+    return _TINY * max(1.0, (t.dim - 1) / 2)
 
 
 def sturm_count(t: SymTridiagonal, lam: float) -> int:
@@ -456,7 +443,7 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     (lambda_m, at N = 101) and 0.52 ulp (lambda_M, at N = 522) on every N in
     100..6606.  A bracket the counts do not prove raises ConvergenceError
     naming N, the index, the bracket and both counts.
-    Other zero-diagonal matrices take ``eig_all`` and ``sturm_count``.
+    ``eig_all`` and ``sturm_count`` take the matrix itself.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
     t = position_tridiagonal(n_dim)

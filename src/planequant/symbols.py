@@ -224,13 +224,14 @@ def grid_to_csv(grid: SymbolGrid) -> str:
     Each axis value is formatted once and the values are read as Python
     floats, which format about four times faster than numpy scalars and
     print the same digits.  A q-row is one ``%`` template over its values,
-    which ``"%.9g"`` prints as ``f"{v:.9g}"`` does.
+    which ``"%.9g"`` prints as ``f"{v:.9g}"`` does, joined from the grid's
+    row tails ``,p,%.9g`` with the row's q between them.
     """
-    ps = [f"{pv:.9g}" for pv in grid.p_axis.tolist()]
+    tails = [f",{pv:.9g},%.9g\n" for pv in grid.p_axis.tolist()]
     lines = ["q,p,value\n"]
     for qv, row in zip(grid.q_axis.tolist(), grid.values.tolist()):
         q = f"{qv:.9g}"
-        lines.append("".join([f"{q},{p},%.9g\n" for p in ps]) % tuple(row))
+        lines.append((q + q.join(tails)) % tuple(row))
     return "".join(lines)
 
 

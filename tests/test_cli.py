@@ -293,6 +293,18 @@ class TestBoundsCommand:
             in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scales, l_c", [
+        (["--l-c", "1", "--l-m", "1e-300", "--universe-size", "1e-300"], "0.0"),
+        (["--l-c", "1e10", "--l-m", "1e10", "--universe-size", "1e300"], "inf"),
+    ], ids=["underflow", "overflow"])
+    def test_derived_l_c_out_of_range_is_usage_error(self, scales, l_c, tmp_path, capsys):
+        # l_m * universe_size leaves the doubles; every other value is valid
+        out = tmp_path / "b.json"
+        assert main(["bounds", *scales, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: derived value l_c = {l_c} is not a positive finite number\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--l-c", "1", "--l-m", "1", "--p-c", "1e200"], "2*pi*p_c^2 = inf"),
         (["--l-c", "1e150", "--l-m", "1e-160"], "l_c/l_m = inf"),
@@ -322,13 +334,13 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert out.splitlines()[-1] == "all 8 checks passed"
 
-    def test_injected_fault_fails_by_name(self, capsys):
-        assert main(["verify", "--inject-fault"]) == 1
+    def test_inject_fault_is_not_an_option(self, capsys):
+        # the checks' faults live in the tests' FAULTS table alone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--inject-fault"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "FAIL interlacing" in captured.out
-        assert [line.split(":")[0] for line in captured.out.splitlines()
-                if line.startswith("FAIL")] == ["FAIL interlacing"]
-        assert "interlacing" in captured.err
+        assert captured.out == "" and "unrecognized arguments: --inject-fault" in captured.err
 
     def test_nan_identity_deviation_fails_by_name(self, monkeypatch):
         monkeypatch.setattr(verify, "verify_identity_resolution", lambda n: math.nan)
@@ -391,10 +403,9 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
 
 
-def _wrap(monkeypatch, module, name, make) -> dict:
-    """Replace ``module.name`` by ``make(original)``; no run_verification options."""
+def _wrap(monkeypatch, module, name, make) -> None:
+    """Replace ``module.name`` by ``make(original)``."""
     monkeypatch.setattr(module, name, make(getattr(module, name)))
-    return {}
 
 
 def _nan_last_entry(commutator):
@@ -428,6 +439,18 @@ def _top_two_swapped_at_150(eig_all):
     return patched
 
 
+def _middle_zero_moved_at_201(eig_all):
+    # only interlacing's order N + 1 = 201 spectrum has this dimension
+    def patched(t):
+        ev = eig_all(t)
+        if t.dim != 201:
+            return ev
+        ev = ev.copy()
+        ev[100] = 1.0
+        return ev
+    return patched
+
+
 def _lambda_m_shrunk_at_odd_n_above_150(extreme_eigenvalues):
     def patched(n_dim):
         lam_m, lam_max = extreme_eigenvalues(n_dim)
@@ -448,7 +471,7 @@ FAULTS = {
         mp, symbols, "corrective_factor", lambda f: lambda n_dim, r: f(n_dim, r) + 1e-6),
     "sturm_qr": lambda mp: _wrap(
         mp, spectra, "sturm_count", lambda f: lambda t, lam: f(t, lam) + (0.0 <= lam < 1e-3)),
-    "interlacing": lambda mp: {"inject_fault": True},
+    "interlacing": lambda mp: _wrap(mp, spectra, "eig_all", _middle_zero_moved_at_201),
     "gap": lambda mp: _wrap(mp, spectra, "eig_all", _top_two_swapped_at_150),
     "sigma_below_two_pi": lambda mp: _wrap(
         mp, spectra, "extreme_eigenvalues", _lambda_m_shrunk_at_odd_n_above_150),
@@ -461,8 +484,8 @@ def test_every_check_has_a_fault():
 
 @pytest.mark.parametrize("check", list(FAULTS))
 def test_fault_fails_its_check_alone(check, monkeypatch):
-    options = FAULTS[check](monkeypatch)
-    assert {r.name for r in verify.run_verification(**options) if not r.passed} == {check}
+    FAULTS[check](monkeypatch)
+    assert {r.name for r in verify.run_verification() if not r.passed} == {check}
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli"

@@ -101,23 +101,11 @@ class TestSymTridiagonal:
         # the matrix is its squared off-diagonal k/2, exact in binary
         for n in (1, 2, 5, 1001, 10**6):
             t = position_tridiagonal(n)
-            assert t.dim == n and list(vars(t)) == ["e2"]
+            assert t.dim == n and list(vars(t)) == ["dim", "e2"]
             assert t.e2.tobytes() == (np.arange(1, n) / 2).tobytes(), n
+            assert not t.e2.flags.writeable
         with pytest.raises(TypeError):
             SymTridiagonal(offdiag=np.ones(2))
-
-    def test_rejects_nonpositive_offdiag(self):
-        with pytest.raises(ValueError):
-            SymTridiagonal(np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("offdiag", [[math.inf, 1.0], [1.0, math.nan]])
-    def test_rejects_non_finite_entries(self, offdiag):
-        with pytest.raises(ValueError, match="finite"):
-            SymTridiagonal(np.array(offdiag))
-
-    def test_rejects_non_vector_offdiag(self):
-        with pytest.raises(ValueError, match="1-D"):
-            SymTridiagonal(np.ones((2, 2)))
 
 
 class TestEigAll:
@@ -387,7 +375,7 @@ class TestSturmCount:
         # its own sign, dlaebz to -pivmin: on the 1 x 1 zero matrix at
         # lam = -1e-310 the pivot is +1e-310, so the oracle counts 0, exactly,
         # and dlaebz counts 1
-        t = SymTridiagonal(np.empty(0))
+        t = position_tridiagonal(1)
         assert sturm_count(t, -1e-310) == 0
         assert spectra._dlaebz(t, [(-1e-310, 1e-310)]) == [(1, 1)]
         assert sturm_count(t, 1e-310) == 1
@@ -735,6 +723,7 @@ class TestSpectrumSummary:
         lambda: extreme_eigenvalues(True),
         lambda: extreme_eigenvalues(2.5),
         lambda: extreme_eigenvalues(position_tridiagonal(10)),
+        lambda: SymTridiagonal(np.ones(3)),
     ])
     def test_rejects_bool_and_float_dimensions(self, call):
         with pytest.raises(ValueError, match="integer"):
@@ -785,11 +774,16 @@ class TestSpectrumSummary:
 
     @pytest.mark.parametrize("n", [10**5], ids=["certified"])
     def test_extreme_route_peaks_at_32_bytes_per_dim(self, n):
-        # e2 and the array it is copied from (17 bytes per dim), which the
-        # dlaebz count reads in place, with no 10 N bisection workspace (93
-        # bytes per dim at 4606 with one)
+        # no 10 N bisection workspace (93 bytes per dim at 4606 with one)
         peak = self._peak_bytes(lambda: extreme_eigenvalues(n))
         assert peak <= 32 * n, peak / n
+
+    def test_extreme_route_holds_e2_once(self):
+        # e2 is built in place and held uncopied (8 bytes per dim), and the
+        # dlaebz count reads it in place; a private copy of it peaked at 17
+        n = 10**5
+        peak = self._peak_bytes(lambda: extreme_eigenvalues(n))
+        assert peak <= 9 * n, peak / n
 
     def test_dlaebz_count_allocates_no_per_dimension_array(self):
         # the count reads e2 in place and maps its zero diagonal, so one
@@ -812,7 +806,7 @@ class TestSpectrumSummary:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert list(vars(t)) == ["e2"]
+        assert list(vars(t)) == ["dim", "e2"]
         assert retained <= 9 * n, retained / n
 
     def test_invariant_guard(self):
@@ -870,7 +864,7 @@ class TestGapProperties:
     @pytest.mark.parametrize("n", [5, 12, 100, 101])
     def test_gaps_and_interlacing_pass(self, n):
         assert gap_margin(n) > 0.0
-        assert verify._check_interlacing(n, inject_fault=False).passed
+        assert verify._check_interlacing(n).passed
 
     def test_one_positive_eigenvalue_has_no_gap(self):
         assert gap_margin(2) == gap_margin(3) == math.inf
