@@ -138,12 +138,12 @@ def solve_characteristic_length(l_m: float, universe_size: float) -> float:
 
     Given a minimal length and a largest observable size, returns the
     characteristic length that makes the bound tight.  Both must be positive
-    finite numbers, and so must l_c: a product that underflows to 0 or
-    overflows to inf raises ValueError naming l_c.
+    finite numbers.  Formed from their roots, l_c cannot overflow; one that
+    rounds to 0 raises ValueError naming it.
     """
     _check_positive_finite("l_m", l_m)
     _check_positive_finite("universe_size", universe_size)
-    l_c = math.sqrt(l_m * universe_size / TWO_PI)
-    if not (0.0 < l_c < math.inf):
+    l_c = math.sqrt(l_m) * math.sqrt(universe_size) / math.sqrt(TWO_PI)
+    if l_c == 0.0:
         raise ValueError(f"derived value l_c = {l_c!r} is not a positive finite number")
     return l_c

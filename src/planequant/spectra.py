@@ -14,10 +14,10 @@ Parlett 1994), every eigenvalue to high relative accuracy, O(N^2) work,
 for N up to ``DENSE_SPECTRUM_CAP`` = 20000.  ``extreme_eigenvalues`` gives the
 smallest positive and the largest eigenvalue of the position matrix of
 dimension N: below N = 100 the two entries of ``eig_all``, from there on
-two asymptotic guesses, certified by one Sturm count of LAPACK's
-bisection kernel dlaebz (O(N), practical to N = 10^6) and within 1.17 ulp
-of 40-digit Newton on 100..6606; a bracket the count does not prove
-raises ConvergenceError at every N.
+two asymptotic guesses, and at every N both proved by one Sturm count of
+LAPACK's bisection kernel dlaebz (O(N), practical to N = 10^6) on
+brackets of one relative room; a bracket the count does not prove raises
+ConvergenceError.
 
 ``sturm_count`` is a pure-Python pivot count kept as the independent oracle
 that the tests and the ``verify`` checks hold both routes against.  Both
@@ -78,9 +78,9 @@ DENSE_SPECTRUM_CAP = 20_000
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-# From this dimension on, extreme_eigenvalues counts the asymptotic brackets
-# of _extreme_guesses; below it reads eig_all, as at N = 3 the two brackets
-# return the one positive eigenvalue 1 ulp apart, out of order.
+# From this dimension on, extreme_eigenvalues takes its values from the guesses,
+# within eps of the zeros there, and below it from eig_all (at N = 3 the two
+# guesses are 1 ulp apart, out of order); one count proves either.
 _BRACKET_MIN_DIM = 100
 
 # First zero of the Airy function Ai, for the largest-zero expansion.
@@ -340,17 +340,6 @@ def _dlaebz(t: SymTridiagonal, brackets: list[tuple[float, float]]) -> list[tupl
     return [(nab[j], nab[m + j]) for j in range(m)]
 
 
-def _guess_errors(n_dim: int) -> tuple[float, float]:
-    """Relative error bounds of the (lambda_m, lambda_M) guesses, N >= _BRACKET_MIN_DIM.
-
-    In nu = 2N + 1 the errors are at most 312.4 nu^-8 (N = 101) and
-    0.083 nu^(-22/3) (N = 100), against 40-digit Newton; both bounds are at
-    most eps from N = 100 on.
-    """
-    nu = 2.0 * n_dim + 1.0
-    return 400.0 * nu**-8, 0.1 * nu ** (-20.0 / 3.0)
-
-
 def _halves(x: float) -> tuple[float, float]:
     """x as hi + lo, exactly, each of at most 26 bits (Veltkamp), so products of halves are exact."""
     scaled = 134217729.0 * x
@@ -365,8 +354,8 @@ def _sqrt_of_sum(terms: list[float]) -> float:
     return root + math.fsum([*terms, -hi * hi, -2.0 * hi * lo, -lo * lo]) / (2.0 * root)
 
 
-def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Asymptotic ((lambda_m, half-width), (lambda_M, half-width)) of the position matrix.
+def _extreme_guesses(n_dim: int) -> tuple[float, float]:
+    """Asymptotic (lambda_m, lambda_M) of the position matrix, within eps of the zeros from N = 100.
 
     The position eigenvalues are the Hermite zeros, whose squares are the
     zeros of the Laguerre polynomial L_k^(alpha) with k = floor(N/2) and
@@ -383,17 +372,10 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     them, nu^(1/3) nu^(-2k/3) for k = 6..9, float fits to 90-digit zeros on
     N = 300..30000.  Each square is summed exactly from doubles, pi^2 and
     j^2/nu split in two, and ``_sqrt_of_sum`` roots it, so a guess is within
-    about 0.5 ulp of its expansion.
-
-    Each guess comes with the relative half-width of the bracket whose
-    LAPACK counts prove the result: ``_guess_errors`` plus room for the
-    point where the count on the exact e2 changes, which drifts from the
-    true zero within the O(N eps) relative-perturbation bound of a
-    zero-diagonal tridiagonal (Demmel & Kahan 1990).  On N = 100..3000 and
-    the default ladder to 10^6 that point lies at most N eps / 24.5 (N =
-    102) from lambda_m, whose room is N eps / 8, and within 1.06 ulp of
-    lambda_M, whose room is 3 sqrt(N) eps, 30 eps at N = 100.  A bracket
-    that misses raises ConvergenceError at every N, never a wrong result.
+    about 0.5 ulp of its expansion.  Evaluated exactly, the expansions' own
+    relative errors against 40-digit Newton are at most 312.4 nu^-8
+    (lambda_m, N = 101) and 0.083 nu^(-22/3) (lambda_M, N = 100), both
+    below eps from N = 100 on.
     """
     nu = 2.0 * n_dim + 1.0
     a, c, t = _AIRY_A1, 2.0 ** (1.0 / 3.0), nu ** (-2.0 / 3.0)
@@ -412,10 +394,22 @@ def _extreme_guesses(n_dim: int) -> tuple[tuple[float, float], tuple[float, floa
     quotient = j2 / nu
     # j^2/nu - quotient from the remainder j^2 - quotient * nu, exact while nu < 2^27
     remainder = math.fsum([*j2_parts, *(-half * nu for half in _halves(quotient))]) / nu
-    small = _sqrt_of_sum([quotient, remainder, quotient * series])
-    error_m, error_max = _guess_errors(n_dim)
-    return ((small, error_m + n_dim * _EPS / 8.0),
-            (big, error_max + 3.0 * math.sqrt(n_dim) * _EPS))
+    return _sqrt_of_sum([quotient, remainder, quotient * series]), big
+
+
+def _room(n_dim: int) -> float:
+    """Relative half-width r = (N/2 + 8) eps of both brackets v(1 - r, 1 + r].
+
+    A count on the exact e2 rounds once in the division and once in the
+    subtraction per pivot: it is the exact count of a matrix whose e2 moved
+    by at most eps relative, the off-diagonal by eps/2, beside the pivot
+    floor (Kahan 1966; Demmel, Dhillon & Ren 1995), which moves every
+    eigenvalue by at most (N - 1) eps / 2 relative (Demmel & Kahan 1990).
+    r covers that drift, the value's own error (eps for a guess, 6 ulp for
+    dqds) and eps for rounding the ends.  It decides only whether a proof
+    succeeds: a proved v is within r + (N - 1) eps / 2 of the true zero.
+    """
+    return (n_dim / 2.0 + 8.0) * _EPS
 
 
 def _extreme_indices(n_dim: int) -> tuple[int, int]:
@@ -434,15 +428,14 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     ``n_dim`` is an integer >= 2; anything else, a matrix included, raises
     ValueError.  The matrix is ``position_tridiagonal(n_dim)``, and the
     route follows from N alone; its zero diagonal makes the spectrum
-    symmetric, which fixes the index i of each eigenvalue.  Below N = 100
-    both values are entries i of ``eig_all``, bit for bit.  From there on
-    one dlaebz call counts both asymptotic brackets, and a bracket with
-    counts i and i + 1 at its ends proves that it holds eigenvalue i alone
-    and returns its guess, whose bound in ``_guess_errors`` is at most eps.
-    Against 40-digit Newton these certified values are within 1.17 ulp
-    (lambda_m, at N = 101) and 0.52 ulp (lambda_M, at N = 522) on every N in
-    100..6606.  A bracket the counts do not prove raises ConvergenceError
-    naming N, the index, the bracket and both counts.
+    symmetric, which fixes the index i of each eigenvalue.  The values v
+    are entries i of ``eig_all``, bit for bit, below N = 100 and the
+    asymptotic guesses from there on.  At every N one dlaebz call counts
+    both brackets v(1 - r, 1 + r], r = ``_room(N)``; counts i and i + 1 at
+    a bracket's ends prove that it holds eigenvalue i alone.  Against
+    40-digit Newton the values are within 6 ulp below N = 100 and 1.17 ulp
+    on 100..6606.  A bracket the counts do not prove raises
+    ConvergenceError naming N, the index, the bracket and both counts.
     ``eig_all`` and ``sturm_count`` take the matrix itself.
     """
     n_dim = as_dimension(n_dim, 2, "n_dim")
@@ -450,15 +443,17 @@ def extreme_eigenvalues(n_dim: int) -> tuple[float, float]:
     indices = _extreme_indices(n_dim)
     if n_dim < _BRACKET_MIN_DIM:
         spectrum = eig_all(t)
-        return float(spectrum[indices[0]]), float(spectrum[indices[1]])
-    guesses = _extreme_guesses(n_dim)
-    brackets = [(g * (1.0 - h), g * (1.0 + h)) for g, h in guesses]
+        values = float(spectrum[indices[0]]), float(spectrum[indices[1]])
+    else:
+        values = _extreme_guesses(n_dim)
+    room = _room(n_dim)
+    brackets = [(v * (1.0 - room), v * (1.0 + room)) for v in values]
     for i, (lo, hi), counts in zip(indices, brackets, _dlaebz(t, brackets)):
         if counts != (i, i + 1):
             raise ConvergenceError(
                 f"dim {n_dim}, index {i}: bracket ({lo!r}, {hi!r}] has "
                 f"{counts[0]} and {counts[1]} eigenvalue(s) at or below its ends")
-    return guesses[0][0], guesses[1][0]
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra, symbols
-from .errors import VerificationError
+from .errors import ConvergenceError, VerificationError
 from .frame import PhasePoint, verify_identity_resolution
 from .operators import (
     OperatorMatrix,
@@ -134,9 +134,9 @@ def _check_gaps() -> CheckResult:
 
 def _check_sigma() -> CheckResult:
     try:
-        # every summary holds sigma < 2*pi, or raises VerificationError
+        # each summary proves its extremes and holds sigma < 2*pi, or raises
         summaries = spectra.sigma_table(range(2, 201))
-    except VerificationError as exc:
+    except (VerificationError, ConvergenceError) as exc:
         return CheckResult("sigma_below_two_pi", False, str(exc))
     sigmas = {s.dim: s.sigma for s in summaries}
     monotone = all(sigmas[n + 2] > sigmas[n] for n in sigmas if n + 2 in sigmas)

@@ -12,9 +12,9 @@ that is good to 1e-9 relative to the working precision; the script fails if
 the last step is not below 1e-30 relative.
 
 The dimensions are the sigma-table ladder from 100 on, N = 1001 and 5000
-(the other dimensions at which the guesses are held to their bracket
-half-widths), every N in 100..1320, the first dimensions that return
-certified guesses, where the guesses' truncation errors are largest, and
+(the other dimensions at which the guesses are held to a tenth of their
+bracket's room), every N in 100..1320, the first dimensions that return
+the guesses, where the guesses' truncation errors are largest, and
 every N in 4600..4620, with 40 dimensions of both parities spread
 geometrically over 111..4606 and 36 over 4621..20001.  Each zero is written
 as a 35-significant-digit string.
@@ -92,7 +92,7 @@ def _written(x: Decimal) -> str:
 
 def hermite_extremes(n_dim: int) -> dict[str, str]:
     """{"lambda_m": ..., "lambda_M": ...} of dimension ``n_dim`` as written to the file."""
-    (guess_m, _), (guess_max, _) = _extreme_guesses(n_dim)
+    guess_m, guess_max = _extreme_guesses(n_dim)
     return {"lambda_m": _written(newton_zero(n_dim, guess_m)),
             "lambda_M": _written(newton_zero(n_dim, guess_max))}
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import mpmath
 import pytest
 
 from planequant.bounds import (
@@ -121,3 +122,11 @@ class TestInverseProblem:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             solve_characteristic_length(0.0, 1.0)
+
+    @pytest.mark.parametrize("l_m, size", [(1e-300, 1e-20), (1e-300, 1e-300), (1e10, 1e300)])
+    def test_l_c_beyond_the_products_range_to_two_ulp(self, l_m, size):
+        # l_m * size is subnormal, 0 or inf here, while l_c is an ordinary double
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(mpmath.mpf(l_m) * mpmath.mpf(size) / (2 * mpmath.pi))
+            l_c = solve_characteristic_length(l_m, size)
+            assert abs(l_c - exact) <= 2 * math.ulp(float(exact)), (l_c, exact)

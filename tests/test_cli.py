@@ -294,11 +294,11 @@ class TestBoundsCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("scales, l_c", [
-        (["--l-c", "1", "--l-m", "1e-300", "--universe-size", "1e-300"], "0.0"),
-        (["--l-c", "1e10", "--l-m", "1e10", "--universe-size", "1e300"], "inf"),
-    ], ids=["underflow", "overflow"])
+        (["--l-c", "1", "--l-m", "5e-324", "--universe-size", "5e-324"], "0.0"),
+    ], ids=["underflow"])
     def test_derived_l_c_out_of_range_is_usage_error(self, scales, l_c, tmp_path, capsys):
-        # l_m * universe_size leaves the doubles; every other value is valid
+        # l_c itself, 1.97e-324, rounds to 0; every other value is valid.  No
+        # positive finite l_m and universe size overflow l_c
         out = tmp_path / "b.json"
         assert main(["bounds", *scales, "--out", str(out)]) == 2
         assert capsys.readouterr() == (
@@ -365,6 +365,24 @@ class TestVerifyCommand:
         assert failed[0].startswith("FAIL sigma_below_two_pi: sigma = ")
         assert failed[0].endswith("violates the 2*pi bound at dim 2")
         assert "1 check(s) failed: sigma_below_two_pi" in captured.err
+
+    def test_unproved_bracket_fails_the_sigma_check_alone(self, monkeypatch, capsys):
+        # a count that misses at one N fails sigma_below_two_pi by name with
+        # the error's message; every other check still runs and prints
+        dlaebz = spectra._dlaebz
+
+        def miscounted_at_57(t, brackets):
+            counts = dlaebz(t, brackets)
+            return [(lo, lo) for lo, _ in counts] if t.dim == 57 else counts
+
+        monkeypatch.setattr(spectra, "_dlaebz", miscounted_at_57)
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 8 and all(line.startswith("PASS") for line in lines[:-1])
+        assert lines[-1].startswith("FAIL sigma_below_two_pi: dim 57, index 29: bracket (")
+        assert lines[-1].endswith("] has 29 and 29 eigenvalue(s) at or below its ends")
+        assert captured.err == "1 check(s) failed: sigma_below_two_pi\n"
 
     def test_nan_gap_margin_fails_by_name(self, monkeypatch):
         gap_margin = spectra.gap_margin

@@ -74,11 +74,12 @@ def _assert_sturm_bracketed(t: SymTridiagonal, lam_min: float, lam_max: float) -
 
     Within 8 ulps, except for lambda_m from N = 100 on: that is the guess,
     near the true zero, while the oracle's count changes up to N eps / 24.5
-    relative away from it, so it is counted within the guess's half-width.
+    relative away from it, so it is counted within N eps / 8, and eps for
+    the guess's own error.
     """
     rels = [8.0 * EPS, 8.0 * EPS]
     if t.dim >= spectra._BRACKET_MIN_DIM:
-        (_, rels[0]), _ = spectra._extreme_guesses(t.dim)
+        rels[0] = (t.dim / 8.0 + 1.0) * EPS
     for lam, index, rel in zip((lam_min, lam_max), _extreme_indices(t.dim), rels):
         _assert_counted(t, lam, index, rel)
 
@@ -214,9 +215,9 @@ def _hide_numpy_lapack(monkeypatch):
 
 
 def _brackets(n: int) -> list[tuple[float, float]]:
-    """Both asymptotic (lo, hi] brackets of dimension n."""
-    return [(guess * (1.0 - half_width), guess * (1.0 + half_width))
-            for guess, half_width in spectra._extreme_guesses(n)]
+    """Both (lo, hi] brackets that prove the extremes of dimension n, of the one room."""
+    room = spectra._room(n)
+    return [(v * (1.0 - room), v * (1.0 + room)) for v in extreme_eigenvalues(n)]
 
 
 def _isolating_brackets(t: SymTridiagonal, indices) -> list[tuple[float, float]]:
@@ -451,8 +452,8 @@ class TestExtremeEigenvalues:
     def test_sturm_brackets_at_one_million(self):
         # lambda_m is the certified guess, the true zero, while the oracle's
         # count changes 4.5e-12 relative away from it, beyond 8 ulps; the
-        # oracle must still count it within the guess's half-width, and the
-        # reference holds its digits
+        # oracle must still count it within N eps / 8, and the reference
+        # holds its digits
         n = 1_000_000
         extremes = extreme_eigenvalues(n)
         _assert_sturm_bracketed(position_tridiagonal(n), *extremes)
@@ -481,28 +482,27 @@ def _extremes_and_neighbours(n: int) -> tuple[float, float, float, float]:
 
 
 class TestBracketedRoute:
-    """The asymptotic bracket must hit on every dimension it serves, its
-    guess must match the reference, and a bracket LAPACK's counts do not
+    """At every N one count of one room must prove both extremes, the
+    guesses must match the reference, and a bracket LAPACK's counts do not
     prove must raise ConvergenceError at every N.  Below N = 100 the
-    extremes are eig_all's entries, and from there on eig_all is not called."""
+    values are eig_all's entries, and from there on eig_all is not called."""
 
     def test_guesses_within_a_tenth_of_the_half_width(self):
         # held to the 40-digit reference, not to dqds, whose lambda_M is
         # 21 ulp off at N = 5000 where the guess is within 1
         for n in (spectra._BRACKET_MIN_DIM, spectra._BRACKET_MIN_DIM + 1, 1000, 1001, 1311, 1312,
                   5000):
-            guesses = spectra._extreme_guesses(n)
-            for (guess, half_width), ref in zip(guesses, _reference_zeros()[n]):
-                assert abs(guess / ref - 1.0) <= 0.1 * half_width, (n, guess, ref)
+            for guess, ref in zip(spectra._extreme_guesses(n), _reference_zeros()[n]):
+                assert abs(guess / ref - 1.0) <= 0.1 * spectra._room(n), (n, guess, ref)
 
-    @pytest.mark.parametrize("n", [100, 101, 102, 340, 1001, 1320, 10**4, 10**5])
+    @pytest.mark.parametrize("n", [100, 101, 102, 340, 1001, 1320, 10**4, 10**5, 2, 3, 55, 99])
     def test_counts_change_within_half_the_room_of_the_zero(self, n):
         # each count changes at the least double of its proved bracket that
         # counts index + 1, found by bisecting the bracket's doubles with
-        # dlaebz and confirmed by the oracle; that point lies within half the
-        # bracket's room (its half-width less the guess's error) of the
-        # 40-digit zero: lambda_m's is N eps / 24.5 away at worst (N = 102)
-        # against a room of N eps / 8
+        # dlaebz and confirmed by the oracle.  That point lies within the
+        # (N - 1) eps / 2 drift of the 40-digit zero that the room is derived
+        # from, lambda_M's within 2 ulp, and lambda_m's within N eps / 16
+        # (N eps / 24.5 at worst, N = 102) or 1 ulp, as the point is a double
         t = position_tridiagonal(n)
         indices, brackets = _extreme_indices(n), _brackets(n)
         assert spectra._dlaebz(t, brackets) == [(i, i + 1) for i in indices]
@@ -515,15 +515,23 @@ class TestBracketedRoute:
                 if b[1] - b[0] > 1:
                     # the upper end keeps count i + 1, the lower end count i
                     b[1 if count > i else 0] = int(np.float64(mid).view(np.int64))
-        for (lo, hi), i, (guess, half_width), error, ref in zip(
-                bits, indices, spectra._extreme_guesses(n), spectra._guess_errors(n),
-                _reference_zeros()[n]):
+        if n in _reference_zeros():
+            refs = _reference_zeros()[n]
+        else:
+            newton_zero = _reference_script().newton_zero
+            refs = [float(newton_zero(n, v)) for v in extreme_eigenvalues(n)]
+        for (lo, hi), i, ref, largest in zip(bits, indices, refs, (False, True)):
             below, point = (float(np.int64(b).view(np.float64)) for b in (lo, hi))
             assert (sturm_count(t, below), sturm_count(t, point)) == (i, i + 1), (n, i)
-            assert abs(point / ref - 1.0) <= 0.5 * (half_width - error), (n, i, point, ref)
+            drift, ulp = abs(point / ref - 1.0), np.spacing(ref)
+            assert drift <= (n - 1) * EPS / 2.0, (n, i, point, ref)
+            if largest:
+                assert abs(point - ref) <= 2.0 * ulp, (n, i, point, ref)
+            else:
+                assert drift <= n * EPS / 16.0 or abs(point - ref) <= ulp, (n, i, point, ref)
 
     def test_ladder_and_survey_return_without_logging(self, caplog):
-        dims = TABLE_DIMS + list(range(spectra._BRACKET_MIN_DIM, 2001))
+        dims = TABLE_DIMS + list(range(2, 2001))
         spectra._lapack()  # bound outside the capture, whatever test ran before
         with caplog.at_level(logging.DEBUG, logger=spectra.__name__):
             sigma_table(dims)
@@ -547,10 +555,11 @@ class TestBracketedRoute:
                 exact = _dstebz_by_index(position_tridiagonal(n), _extreme_indices(n))
                 assert abs(extremes[1] - exact[1]) <= 2.0 * np.spacing(exact[1]), (
                     n, extremes, exact)
-            # margin of at least 2: the exact value lies within half of its
-            # bracket's half-width of the guess
-            for (guess, half_width), want in zip(spectra._extreme_guesses(n), exact):
-                assert abs(guess / want - 1.0) <= 0.5 * half_width, (n, guess, want, half_width)
+            # margin of at least 2: the exact value lies within half of the
+            # room of the guess
+            room = spectra._room(n)
+            for guess, want in zip(spectra._extreme_guesses(n), exact):
+                assert abs(guess / want - 1.0) <= 0.5 * room, (n, guess, want, room)
 
     def test_within_six_ulp_of_newton_below_threshold(self):
         # dqds is not held to dstebz by index here, as the two differ by up
@@ -566,20 +575,21 @@ class TestBracketedRoute:
                 ulp = np.spacing(float(ref))
                 assert abs(Decimal(got) - ref) <= 6 * Decimal(ulp), (n, i, got, ref)
 
-    def test_largest_eigenvalue_has_a_narrow_bracket(self):
-        _, (_, half_width) = spectra._extreme_guesses(10**4)
-        assert half_width <= 1e-13
-
     def test_full_spectrum_below_threshold(self, monkeypatch):
-        def no_dlaebz(*args):
-            raise AssertionError("dlaebz called below the threshold")
+        # eig_all's entries, bit for bit, each proved by one count
+        counted, dlaebz = [], spectra._dlaebz
 
-        monkeypatch.setattr(spectra, "_dlaebz", no_dlaebz)
+        def recorded(t, brackets):
+            counted.append(t.dim)
+            return dlaebz(t, brackets)
+
+        monkeypatch.setattr(spectra, "_dlaebz", recorded)
         for n in range(2, 100):
             got = extreme_eigenvalues(n)
             ev = eig_all(position_tridiagonal(n))
             assert [v.hex() for v in got] == [float(ev[i]).hex() for i in _extreme_indices(n)], n
             assert all(type(v) is float for v in got)
+        assert counted == list(range(2, 100))
 
     def test_no_full_spectrum_from_threshold(self, monkeypatch):
         def no_eig_all(t):
@@ -589,40 +599,53 @@ class TestBracketedRoute:
         for n in list(range(100, 301)) + [n for n in TABLE_DIMS if n >= 100]:
             extreme_eigenvalues(n)
         # nor for a bracket the counts do not prove
-        (guess_m, width_m), _ = spectra._extreme_guesses(1000)
-        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: (
-            (guess_m, width_m), (guess_m, width_m)))
+        guess_m, _ = spectra._extreme_guesses(1000)
+        monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim: (guess_m, guess_m))
         with pytest.raises(ConvergenceError, match="^dim 1000, index 999: "):
             extreme_eigenvalues(1000)
 
-    @pytest.mark.parametrize("n", [1000, 1001, 10000, 10001, spectra.DENSE_SPECTRUM_CAP + 1])
-    @pytest.mark.parametrize("miss", ["neighbour", "wide", "empty", "narrow", "degenerate"])
-    def test_unproved_bracket_raises(self, n, miss, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("miss, n", [
+        *((miss, n) for miss in ("neighbour", "wide", "empty", "narrow", "degenerate")
+          for n in (1000, 1001, 10000, 10001, spectra.DENSE_SPECTRUM_CAP + 1, 99)),
+        *((miss, n) for miss in ("empty", "narrow", "degenerate") for n in (2, 3)),
+    ])
+    def test_unproved_bracket_raises(self, miss, n, monkeypatch, tmp_path, capsys):
         # for either extreme, at every N: an error naming N, the index, the
         # bracket and the counts at its ends, never a value, and exit 2 from
-        # the CLI
+        # the CLI.  Both brackets share one room, so each miss sets the room
+        # and the missing value, eig_all's entry below N = 100 and the guess
+        # from there on; the other value stays proved.  N = 2 and 3 have one
+        # positive eigenvalue, with no positive neighbour and no other to
+        # share a wide bracket with
         t = position_tridiagonal(n)
-        ev_m, next_m, prev_max, ev_max = _extremes_and_neighbours(n)
+        proved, room = extreme_eigenvalues(n), spectra._room(n)
+        ev_m, ev_max = _dstebz_by_index(t, _extreme_indices(n))
         width = 1e-9
-        misses = {
+        if miss == "neighbour":
             # one eigenvalue in the bracket, but not the wanted one
-            "neighbour": ((next_m, width), (prev_max, width)),
-            # several eigenvalues in the bracket
-            "wide": ((3.0 * ev_m, 0.9), (0.5 * ev_max, 0.9)),
-            # none in the bracket
-            "empty": ((1.5 * ev_m, width), (2.0 * ev_max, width)),
-            # just above the point where the count changes, too narrow to reach it
-            "narrow": tuple((v * (1.0 + 4.0 * EPS), EPS) for v in (ev_m, ev_max)),
-            # no interval at all
-            "degenerate": ((ev_m, 0.0), (-ev_max, width)),
-        }[miss]
-        proved = spectra._extreme_guesses(n)
+            room, misses = width, _extremes_and_neighbours(n)[1:3]
+        else:
+            room, misses = {
+                # several eigenvalues in the bracket
+                "wide": (0.5, (4.5 * ev_m, 0.5 * ev_max)),
+                # none in the bracket
+                "empty": (width, (1.5 * ev_m, 2.0 * ev_max)),
+                # the bracket of the room one room above the zero: just above
+                # the point where the count changes, too narrow to reach it
+                "narrow": (room, tuple(v * (1.0 + 3.0 * room) for v in (ev_m, ev_max))),
+                # no interval at all: its ends reversed
+                "degenerate": (width, (-ev_m, -ev_max)),
+            }[miss]
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(spectra, "_room", lambda n_dim: room)
         for k, index in enumerate(_extreme_indices(n)):
-            guesses = tuple(misses[j] if j == k else proved[j] for j in range(2))
-            monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim, g=guesses: g)
-            guess, half_width = misses[k]
-            lo, hi = guess * (1.0 - half_width), guess * (1.0 + half_width)
+            values = tuple(misses[j] if j == k else proved[j] for j in range(2))
+            if n < spectra._BRACKET_MIN_DIM:
+                monkeypatch.setattr(spectra, "eig_all", lambda t, i=index, v=misses[k]: (
+                    np.where(np.arange(t.dim) == i, v, eig_all(t))))
+            else:
+                monkeypatch.setattr(spectra, "_extreme_guesses", lambda n_dim, g=values: g)
+            lo, hi = misses[k] * (1.0 - room), misses[k] * (1.0 + room)
             message = (f"dim {n}, index {index}: bracket ({lo!r}, {hi!r}] has "
                        f"{sturm_count(t, lo)} and {sturm_count(t, hi)} eigenvalue(s) "
                        "at or below its ends")
@@ -634,20 +657,23 @@ class TestBracketedRoute:
             assert not (tmp_path / "s.csv").exists()
 
     def test_certified_extremes_within_two_ulp_of_reference(self):
-        # both error bounds are at most eps from N = 100 on, so every
-        # reference dim returns its certified guesses
+        # the guesses, the values from N = 100 on, are within eps of the
+        # 40-digit zeros, the error the room allows them, and within 2 ulp
         dims = sorted(_reference_zeros())
-        assert max(spectra._guess_errors(spectra._BRACKET_MIN_DIM)) <= EPS
         assert dims[0] == 100 and set(range(100, 1321)) <= set(dims) and len(dims) == 1298
         for n in dims:
-            _assert_near_reference(n, extreme_eigenvalues(n))
+            extremes = extreme_eigenvalues(n)
+            _assert_near_reference(n, extremes)
+            for got, ref in zip(extremes, _reference_zeros()[n]):
+                assert abs(got / ref - 1.0) <= EPS, (n, got, ref)
 
     @pytest.mark.parametrize("n, calls", [
-        (99, []), (100, [(1, 2)]), (1311, [(1, 2)]), (1312, [(1, 2)]),
+        (99, [(1, 2)]), (100, [(1, 2)]), (1311, [(1, 2)]), (1312, [(1, 2)]),
         (4606, [(1, 2)]), (4607, [(1, 2)]), (10000, [(1, 2)]), (10001, [(1, 2)]),
+        (2, [(1, 2)]), (3, [(1, 2)]),
     ])
     def test_one_dlaebz_call_per_certified_dim(self, n, calls, monkeypatch):
-        # every dim from 100 on is certified: (ijob, minp) of each LAPACK
+        # every dim from 2 on is certified: (ijob, minp) of each LAPACK
         # call, one count (ijob = 1) of both brackets
         lapack = spectra._lapack()
         recorded_calls = []
