@@ -6,8 +6,8 @@ class PlanequantError(Exception):
 
 
 class RangeOverflowError(PlanequantError, OverflowError):
-    """Raised when |z|^2 is past the linear-scale limit of ``coherent_state``
-    and ``normalization_factor``, where e^{|z|^2} overflows a double."""
+    """Raised when the sum of ``normalization_factor`` overflows a double, as at
+    N = 1000 and |z|^2 = 800; coherent states and symbols hold at every finite |z|^2."""
 
 
 class DimensionMismatchError(PlanequantError, ValueError):

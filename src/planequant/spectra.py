@@ -113,9 +113,10 @@ class _Lapack(NamedTuple):
     off-diagonal e2 (n - 1), every pivot of magnitude below pivmin set to
     -pivmin.  With ijob = 1 it counts both ends of each interval into
     nab(j, 1) and nab(j, 2), and reads neither e nor the tolerances, nitmax,
-    nbmin, nval, c, work or iwork.  dlasq1(n, d, e, work, info): d (n) holds
-    the diagonal on entry and the singular values in descending order on
-    exit, e (n) the off-diagonal in its first n - 1 entries, work 4 n doubles.
+    nbmin, nval, c, work or iwork, so those four arrays go in as NULL.
+    dlasq1(n, d, e, work, info): d (n) holds the diagonal on entry and the
+    singular values in descending order on exit, e (n) the off-diagonal in
+    its first n - 1 entries, work 4 n doubles.
     """
 
     dlaebz: Callable[..., None]
@@ -331,9 +332,8 @@ def _dlaebz(t: SymTridiagonal, brackets: list[tuple[float, float]]) -> list[tupl
     lapack.dlaebz(byref(integer(1)), byref(zero), byref(integer(t.dim)),
                   byref(integer(m)), byref(integer(m)), byref(zero),
                   byref(double(0.0)), byref(double(0.0)), byref(double(_pivot_floor(t))),
-                  zero_diag.ctypes.data, e2, e2,
-                  (integer * m)(), ab, (double * m)(), byref(mout), nab, (double * m)(),
-                  (integer * m)(), byref(info))
+                  zero_diag.ctypes.data, e2, e2, None, ab, None, byref(mout), nab, None, None,
+                  byref(info))
     if info.value != 0:
         raise ConvergenceError(
             f"Sturm count (dlaebz, ijob = 1) failed with info = {info.value} for dim {t.dim}")

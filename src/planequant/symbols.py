@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frame import PhasePoint, as_dimension, check_memory, coherent_state
+from .frame import PhasePoint, as_dimension, check_memory, coherent_state, squared_radius
 from .operators import OperatorMatrix
 
 # A variance is ``half`` less a nonnegative term: down to this fraction of
@@ -52,15 +52,12 @@ def _closed_forms(n_dim: int, q, p):
     C^2 - d >= 0.  y_m = r2 t_{m-1}/S_m runs from y_1 = r2 by
     y_{m+1} = r2 y_m/(y_m + m), and S_m/S_{m+1} = m/(y_m + m).  A step
     divides before it multiplies and subtracts nothing, so no finite r2
-    overflows; one that is not finite raises ``ValueError``.  Once every y
-    is 0.0 it stays so, and the loop stops (checked every 64 steps) with
-    the same bits: C = d = 1 and both last terms are 0.  Arrays are updated
-    in place, apart from each step's denominator.
+    overflows, and ``squared_radius`` refuses one that is not finite.  Once
+    every y is 0.0 it stays so, and the loop stops (checked every 64 steps)
+    with the same bits: C = d = 1 and both last terms are 0.  Arrays are
+    updated in place, apart from each step's denominator.
     """
-    with np.errstate(over="ignore"):
-        r2 = (q * q + p * p) / 2.0
-    if not float(np.max(r2)) < math.inf:
-        raise ValueError(f"|z|^2 = (q^2 + p^2)/2 must be finite, got {np.max(r2)}")
+    r2 = squared_radius(q, p)
     if n_dim == 1:  # C = d = 0, and no variance
         zero = 0.0 * r2
         return r2, zero, zero, zero, zero

@@ -82,8 +82,8 @@ def _check_sandwich(rng: np.random.Generator) -> CheckResult:
         p = momentum_operator(n)
         p2 = p.entries @ p.entries
         h = hamiltonian(n)
-        for _ in range(20):
-            qq, pp = rng.uniform(-4.0, 4.0, size=2)
+        # 20 drawn points and, off the seed's stream, one at |z|^2 = 5000
+        for qq, pp in [*rng.uniform(-4.0, 4.0, size=(20, 2)), (60.0, 80.0)]:
             x = PhasePoint(qq, pp)
             c = symbols.corrective_factor(n, math.sqrt(x.r2))
             a_val, b_val = symbols.quadratic_symbols(n, x)

@@ -15,7 +15,6 @@ import pytest
 from planequant.frame import (
     PhasePoint,
     QuadratureSpec,
-    monomial_state_matrix,
     phase_plane_quadrature,
     verify_identity_resolution,
 )
@@ -257,12 +256,15 @@ def test_criterion_8_asymptotics_and_semicircle():
 def test_criterion_9_monomial_oracle_equivalence():
     # deviation is scaled by the largest entry of each operator: for a = b = 5
     # at N = 32 the entries reach ~5e7, where an unscaled 1e-10 would demand
-    # more significant digits than doubles carry
+    # more significant digits than doubles carry.  v_j[n] = z_j^n / sqrt(n!)
+    # is the test's own unanchored running product.
     devs = []
     for n in range(1, 33):
         quad = QuadratureSpec.default_for(n + 10)  # headroom for degree-5 factors
         z, w = phase_plane_quadrature(quad)
-        v = monomial_state_matrix(n, z)
+        steps = np.ones((n, z.size), dtype=complex)
+        steps[1:] = z[None, :] / np.sqrt(np.arange(1.0, n))[:, None]
+        v = np.multiply.accumulate(steps, axis=0)
         for a in range(6):
             for b in range(6):
                 f = z**a * np.conj(z) ** b

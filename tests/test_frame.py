@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from planequant.errors import DimensionMismatchError, QuadratureOrderError, RangeOverflowError
 from planequant.frame import (
-    OVERFLOW_R2,
     CoherentState,
     PhasePoint,
     QuadratureSpec,
@@ -80,13 +79,19 @@ class TestNormalizationFactor:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             normalization_factor(0, 1.0)
-        for bad in (-0.5, -1e-300, math.nan):
+        for bad in (-0.5, -1e-300, math.nan, math.inf):
             with pytest.raises(ValueError, match="nonnegative"):
                 normalization_factor(3, bad)
 
     def test_overflow_domain(self):
-        with pytest.raises(RangeOverflowError, match="800.0 exceeds the linear-scale limit"):
-            normalization_factor(4, 800.0)
+        # every finite r2 is accepted; only a sum past the largest double raises
+        with mpmath.workdps(40):
+            want = sum(mpmath.mpf(800) ** n / mpmath.factorial(n) for n in range(4))
+        assert normalization_factor(4, 800.0) == pytest.approx(float(want), rel=1e-15)
+        # each term divides before it multiplies, so none overflows before the sum
+        assert normalization_factor(1000, 709.0) == pytest.approx(math.exp(709.0), rel=1e-14)
+        with pytest.raises(RangeOverflowError, match="N = 1000, r2 = 800.0 overflows a double"):
+            normalization_factor(1000, 800.0)
 
     def test_huge_dimension_returns_early(self):
         assert normalization_factor(10**9, 1.0) == pytest.approx(math.e, rel=1e-15)
@@ -141,20 +146,17 @@ class TestCoherentState:
 
     def test_coefficients_against_mpmath(self):
         # relative error of every entry above 1e-290, against the 40-digit
-        # column normalized by its exactly rounded norm: worst 4.5e-15
-        for n in (12, 64, 300, 4096):
-            for r2 in (0.3, 5.0, 80.0, 699.0):
-                x = PhasePoint.from_z(math.sqrt(r2) * complex(math.cos(0.7), math.sin(0.7)))
-                ref = _mp_monomials(x.z, n)
-                ref /= math.sqrt(math.fsum(np.abs(ref) ** 2))
-                got = coherent_state(n, x).coeffs[: ref.size]
-                keep = np.abs(ref) > 1e-290
-                err = np.abs(got[keep] - ref[keep]) / np.abs(ref[keep])
-                assert err.max() <= 1e-14, (n, r2, err.max())
-
-    def test_overflow_domain(self):
-        with pytest.raises(RangeOverflowError, match=r"\|z\|\^2 = 1800\.0 exceeds the linear"):
-            coherent_state(4, PhasePoint(q=60.0, p=0.0))
+        # column normalized by its exactly rounded norm: worst 4.9e-15 on the
+        # grid and 7.8e-15 at N = 4096, |z|^2 = 3000
+        cases = [(n, r2) for n in (12, 64, 300, 4096) for r2 in (0.3, 5.0, 80.0, 699.0)]
+        for n, r2 in cases + _FAR_POINTS:
+            x = PhasePoint.from_z(math.sqrt(r2) * complex(math.cos(0.7), math.sin(0.7)))
+            ref = _mp_anchored_column(x.z, n)
+            ref /= math.sqrt(math.fsum(np.abs(ref) ** 2))
+            got = coherent_state(n, x).coeffs
+            keep = np.abs(ref) > 1e-290
+            err = np.abs(got[keep] - ref[keep]) / np.abs(ref[keep])
+            assert err.max() <= 1e-14, (n, r2, err.max())
 
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError):
@@ -175,6 +177,11 @@ class TestCoherentState:
         assert coherent_state(7, PhasePoint(0.3, -0.2)).dim == 7
 
 
+# (N, |z|^2) past the old linear-scale limit |z|^2 = 700, where the
+# unanchored running product overflowed
+_FAR_POINTS = [(64, 5000.0), (1000, 2000.0), (4096, 3000.0)]
+
+
 @functools.cache
 def _mp_inv_sqrt() -> list:
     """1/sqrt(n) at 40 digits for n = 1..4095 (index 0 unused)."""
@@ -182,20 +189,23 @@ def _mp_inv_sqrt() -> list:
         return [None] + [1 / mpmath.sqrt(n) for n in range(1, 4096)]
 
 
-def _mp_monomials(z: complex, n_dim: int) -> np.ndarray:
-    """z^n / sqrt(n!) at 40 digits, from n = 0 until the entries fall below 1e-290 past the peak."""
+def _mp_anchored_column(z: complex, n_dim: int) -> np.ndarray:
+    """z^n / sqrt(n!) for n < N at 40 digits, over the largest of their moduli."""
     inv = _mp_inv_sqrt()
     with mpmath.workdps(40):
         zz = mpmath.mpc(z.real, z.imag)
-        tiny = mpmath.mpf("1e-290")
-        c = mpmath.mpc(1)
-        rows = [1.0]
+        col = [mpmath.mpc(1)]
         for n in range(1, n_dim):
-            c = c * zz * inv[n]
-            if n > abs(z) ** 2 and abs(c) < tiny:
-                break
-            rows.append(complex(c))
-    return np.array(rows)
+            col.append(col[-1] * zz * inv[n])
+        peak = max(abs(c) for c in col)
+        return np.array([complex(c / peak) for c in col])
+
+
+def _running_product(n_dim: int, z: np.ndarray) -> np.ndarray:
+    """z^n / sqrt(n!) as the unanchored running product, one column per node."""
+    steps = np.ones((n_dim, z.size), dtype=complex)
+    steps[1:] = z[None, :] / np.sqrt(np.arange(1.0, n_dim))[:, None]
+    return np.multiply.accumulate(steps, axis=0)
 
 
 class TestMonomialStateMatrix:
@@ -204,9 +214,9 @@ class TestMonomialStateMatrix:
         v = monomial_state_matrix(n_dim, z)
         worst = 0.0
         for j, zj in enumerate(z):
-            ref = _mp_monomials(zj, n_dim)
+            ref = _mp_anchored_column(zj, n_dim)
             keep = np.abs(ref) > 1e-290
-            err = np.abs(v[: ref.size, j][keep] - ref[keep]) / np.abs(ref[keep])
+            err = np.abs(v[:, j][keep] - ref[keep]) / np.abs(ref[keep])
             worst = max(worst, float(err.max()))
         return worst
 
@@ -222,13 +232,17 @@ class TestMonomialStateMatrix:
                 nodes = np.concatenate([z[::3, 1], z[-6:, quad.angular_order // 3]])
             assert self._worst_relative_error(n, nodes) <= 1e-13, n
 
-    def test_points_up_to_the_overflow_limit_against_mpmath(self):
+    def test_random_and_far_points_against_mpmath(self):
+        # random points with |z|^2 <= 700, and one at each of _FAR_POINTS
         rng = np.random.default_rng(3)
         for n, count in ((171, 6), (1000, 4), (4096, 3)):
-            r = np.sqrt(rng.uniform(0.0, OVERFLOW_R2, count))
-            r[0] = math.sqrt(OVERFLOW_R2)
+            r = np.sqrt(rng.uniform(0.0, 700.0, count))
+            r[0] = math.sqrt(700.0)
             z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
             assert self._worst_relative_error(n, z) <= 1e-13, n
+        for n, r2 in _FAR_POINTS:
+            z = np.array([math.sqrt(r2) * complex(math.cos(0.7), math.sin(0.7))])
+            assert self._worst_relative_error(n, z) <= 1e-13, (n, r2)
 
     def test_scalar_node_is_one_column(self):
         v = monomial_state_matrix(4, 0.5)
@@ -238,7 +252,7 @@ class TestMonomialStateMatrix:
             monomial_state_matrix(4, [[0.5, 1.0]])
 
     def test_no_overflow_at_the_largest_quadrature_node(self):
-        # the order-186 rule reaches |z|^2 = 712.6, above OVERFLOW_R2
+        # the order-186 rule reaches |z|^2 = 712.6
         z = np.sqrt(gauss_laguerre_rule(186)[0][-1:]).astype(complex)
         assert np.all(np.isfinite(monomial_state_matrix(4096, z)))
 
@@ -246,7 +260,7 @@ class TestMonomialStateMatrix:
 def _node_by_node_sandwich(dim, quad, g):
     """sum_j w_j g_j v_j v_j^H as the explicit product V (w g) V^H over every node."""
     z, w = phase_plane_quadrature(quad)
-    v = monomial_state_matrix(dim, z)
+    v = _running_product(dim, z)
     return (v * (w * g)) @ v.conj().T
 
 

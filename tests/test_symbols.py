@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planequant.errors import RangeOverflowError
-from planequant.frame import OVERFLOW_R2, PhasePoint, coherent_state
+from planequant.frame import PhasePoint, coherent_state
 from planequant import frame, symbols
 from planequant.operators import (
     OperatorMatrix,
@@ -42,20 +41,6 @@ SQRT2 = math.sqrt(2.0)
 
 def _squared(op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.entries @ op.entries)
-
-
-def _edge_point(angle: float, above: bool) -> PhasePoint:
-    """The point at ``angle`` whose |z|^2 is the last double at or below
-    OVERFLOW_R2 (above=False) or the first beyond it (above=True)."""
-    def point(radius):
-        return PhasePoint(radius * math.cos(angle), radius * math.sin(angle))
-
-    radius = math.sqrt(2.0 * OVERFLOW_R2)
-    while point(radius).r2 > OVERFLOW_R2:
-        radius = math.nextafter(radius, 0.0)
-    while point(math.nextafter(radius, math.inf)).r2 <= OVERFLOW_R2:
-        radius = math.nextafter(radius, math.inf)
-    return point(math.nextafter(radius, math.inf) if above else radius)
 
 
 def _per_cell_csv(grid: SymbolGrid) -> str:
@@ -203,6 +188,17 @@ class TestLowerSymbol:
             for x in (PhasePoint(0, 0), PhasePoint(2.2, 1.1), PhasePoint(-3.0, 0.4)):
                 a_val, _ = quadratic_symbols(n, x)
                 assert abs(lower_symbol(h, x) - a_val) <= 1e-12
+
+    def test_sandwiches_past_the_old_limit(self):
+        # at |z|^2 = 5000 the sandwich holds every closed form as it does
+        # below |z|^2 = 700, where the coherent state used to stop
+        n, x = 64, PhasePoint(60.0, 80.0)
+        c = corrective_factor(n, math.sqrt(x.r2))
+        a_val, b_val = quadratic_symbols(n, x)
+        q_op, p_op = position_operator(n), momentum_operator(n)
+        for op, want in [(q_op, c * x.q), (p_op, c * x.p), (_squared(q_op), a_val + b_val),
+                         (_squared(p_op), a_val - b_val), (hamiltonian(n), a_val)]:
+            assert abs(lower_symbol(op, x) - want) <= 1e-12
 
 
 class TestCorrectiveFactor:
@@ -624,37 +620,24 @@ class TestGridExports:
         assert "set dgrid3d 3,3" in script
 
 
-class TestOverflowEdge:
-    @settings(max_examples=30, deadline=None)
-    @given(angle=st.floats(0.0, 2.0 * math.pi), n=st.sampled_from([1, 2, 12, 64, 171, 400]))
-    def test_unit_norm_state_just_below(self, angle, n):
-        x = _edge_point(angle, above=False)
-        assert x.r2 <= OVERFLOW_R2
+class TestOneDomain:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 12, 64, 400]),
+           q=st.floats(-1e150, 1e150), p=st.floats(-1e150, 1e150))
+    def test_every_point_has_a_unit_norm_state(self, n, q, p):
+        # every PhasePoint has a finite |z|^2, and there the state, the
+        # sandwich and the closed forms are finite: there is no other limit
+        x = PhasePoint(q, p)
         state = coherent_state(n, x)
+        assert np.all(np.isfinite(state.coeffs))
         assert abs(float(np.linalg.norm(state.coeffs)) - 1.0) <= 1e-14
+        assert math.isfinite(abs(lower_symbol(position_operator(n), x)))
         assert math.isfinite(uncertainty_product(n, x))
         assert all(math.isfinite(v) for v in quadratic_symbols(n, x))
 
-    @settings(max_examples=30, deadline=None)
-    @given(angle=st.floats(0.0, 2.0 * math.pi), n=st.sampled_from([1, 2, 12, 64]))
-    def test_range_error_just_above(self, angle, n):
-        # the coherent state stops at the limit; the closed forms go on
-        # without a step
-        x, below = _edge_point(angle, above=True), _edge_point(angle, above=False)
-        assert x.r2 > OVERFLOW_R2
-        with pytest.raises(RangeOverflowError):
-            coherent_state(n, x)
-        assert uncertainty_product(n, x) == pytest.approx(
-            uncertainty_product(n, below), rel=1e-12, abs=1e-12)
-        assert quadratic_symbols(n, x) == pytest.approx(
-            quadratic_symbols(n, below), rel=1e-12, abs=1e-12)
-
-    def test_grid_on_both_sides(self):
-        for n in (2, 64):
-            grids = [symbol_grid(n, "UNCERTAINTY", (-edge, edge, 3), (-1e-200, 1e-200, 2))
-                     for edge in (_edge_point(0.0, above).q for above in (False, True))]
-            assert all(np.all(np.isfinite(grid.values)) for grid in grids)
-            assert np.allclose(grids[0].values, grids[1].values, rtol=1e-12, atol=0.0)
+    def test_phase_point_refuses_an_overflowing_radius(self):
+        with pytest.raises(ValueError, match=r"\|z\|\^2 = \(q\^2 \+ p\^2\)/2 must be finite, got inf"):
+            PhasePoint(1e200, 0.0)
 
 
 class TestSmallestDimensions:
