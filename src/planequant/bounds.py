@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .spectra import TWO_PI
+TWO_PI = 2.0 * math.pi
 
 
 def _check_positive_finite(name: str, v) -> None:

@@ -14,6 +14,13 @@ Dimension flags are checked by ``as_dimension`` under the flag's name;
 every other check is the library's own, and ``main`` maps its exception
 to an exit code.
 
+A command imports only the modules it runs, inside its own function, so
+``bounds`` (without ``--sigma-n``) and ``--help`` load no numpy,
+``sigma-table`` and ``spectrum`` load no ``symbols``, ``operators`` or
+``verify``, and ``lower-symbols`` no ``spectra``, ``operators`` or
+``verify``.  ``symbols.GRID_KINDS``, the one table of grid kinds, is read
+only when lower-symbols parses its flags or prints its help.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 I/O failure.  Output is deterministic for fixed flags (and seed), so CSV
 artifacts are byte-identical across runs.  To pin the linear-algebra
@@ -23,13 +30,12 @@ thread pool, set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before launch.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
-from . import bounds, spectra, symbols
+from . import bounds
 from .errors import PlanequantError, VerificationError
-from .frame import as_dimension
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -52,6 +58,9 @@ def _write_data(args, data, to_csv, to_json) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import spectra
+    from .frame import as_dimension
+
     n = as_dimension(args.n, 2, "--n")
     if n > spectra.DENSE_SPECTRUM_CAP:
         raise ValueError(f"--n {n} exceeds the full-spectrum cap {spectra.DENSE_SPECTRUM_CAP}; "
@@ -62,6 +71,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _parse_dims(args) -> list[int]:
+    from .frame import as_dimension
+
     if args.geometric is not None:
         lo, hi, count = args.geometric
         if lo < 2 or hi <= lo or count < 2:
@@ -79,6 +90,8 @@ def _parse_dims(args) -> list[int]:
 
 
 def _cmd_sigma_table(args) -> int:
+    from . import spectra
+
     _write_data(args, spectra.sigma_table(_parse_dims(args)),
                 spectra.summaries_to_csv, spectra.summaries_to_json)
     if args.emit_plot:
@@ -89,6 +102,9 @@ def _cmd_sigma_table(args) -> int:
 
 
 def _cmd_lower_symbols(args) -> int:
+    from . import symbols
+    from .frame import as_dimension
+
     n = args.n if args.n is not None else symbols.GRID_KINDS[args.which].default_dim
     grid = symbols.symbol_grid(as_dimension(n, 2, "--n"), args.which,
                                (args.q_min, args.q_max, args.steps),
@@ -104,8 +120,11 @@ def _cmd_bounds(args) -> int:
     scales = bounds.PhysicalScales(l_c=args.l_c, p_c=args.p_c, l_m=args.l_m, theta=args.theta)
     if args.universe_size is not None:
         l_c = bounds.solve_characteristic_length(args.l_m, args.universe_size)
-    sigma = spectra.TWO_PI
+    sigma = bounds.TWO_PI
     if args.sigma_n is not None:
+        from . import spectra
+        from .frame import as_dimension
+
         sigma = spectra.spectrum_summary(as_dimension(args.sigma_n, 2, "--sigma-n")).sigma
     report = bounds.bounds_report(scales, sigma=sigma)
     for line in report.lines():
@@ -119,6 +138,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .frame import as_dimension
+    from .verify import run_verification
+
     results = run_verification(seed=as_dimension(args.seed, 0, "--seed"))
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -137,6 +159,30 @@ def _add_output_flags(parser, out: str, plot_help: str | None = None) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if plot_help:
         parser.add_argument("--emit-plot", action="store_true", help=plot_help)
+
+
+def _grid_kind(which: str) -> str:
+    """``--which``'s type: a key of ``symbols.GRID_KINDS``, read only once the
+    lower-symbols flags are parsed."""
+    from .symbols import GRID_KINDS
+
+    if which not in GRID_KINDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown grid kind {which!r}; expected one of {', '.join(GRID_KINDS)}")
+    return which
+
+
+class _GridHelp(argparse.HelpFormatter):
+    """Lists each kind's default N after ``--n``'s help, from ``symbols.GRID_KINDS``,
+    so the table is read only when that help is printed."""
+
+    def _get_help_string(self, action):
+        if action.dest != "n":
+            return action.help
+        from .symbols import GRID_KINDS
+
+        return f"{action.help} (defaults: " + ", ".join(
+            f"{kind} {row.default_dim}" for kind, row in GRID_KINDS.items()) + ")"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(st, "sigma_table.csv", "also write gnuplot scripts next to the table")
     st.set_defaults(func=_cmd_sigma_table)
 
-    ls = sub.add_parser("lower-symbols", help="phase-space grid of a symbol")
-    ls.add_argument("--n", type=int, default=None, help="dimension (defaults: " + ", ".join(
-        f"{kind} {row.default_dim}" for kind, row in symbols.GRID_KINDS.items()) + ")")
-    ls.add_argument("--which", choices=tuple(symbols.GRID_KINDS), default="Q2")
+    ls = sub.add_parser("lower-symbols", help="phase-space grid of a symbol",
+                        formatter_class=_GridHelp)
+    ls.add_argument("--n", type=int, default=None, help="dimension")
+    ls.add_argument("--which", type=_grid_kind, default="Q2", metavar="KIND",
+                    help="grid kind, one of those under --n (default: Q2)")
     ls.add_argument("--q-min", type=float, default=-6.0)
     ls.add_argument("--q-max", type=float, default=6.0)
     ls.add_argument("--p-min", type=float, default=-6.0)
@@ -196,8 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The parser is garbage now, held by its own cycles (argparse links each
+    # action to its container).  Collecting them before the command imports
+    # numpy lets that import reuse their memory, which keeps about 0.1 MB off
+    # sigma-table's peak.
+    gc.collect(1)
     try:
         return args.func(args)
     except VerificationError as exc:

@@ -65,12 +65,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import TWO_PI
 from .errors import ConvergenceError, MissingDependencyError, VerificationError
 from .frame import as_dimension, check_memory
 
 _log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * math.pi
 
 # Largest dimension eig_all accepts: its dqds takes O(N^2) work.
 DENSE_SPECTRUM_CAP = 20_000
@@ -624,11 +623,18 @@ def summaries_to_json(summaries) -> str:
     return json.dumps([_summary_row(s) for s in summaries])
 
 
-def spectrum_to_csv(eigenvalues) -> str:
-    """Full-spectrum dump with schema index,eigenvalue."""
-    lines = ["index,eigenvalue"]
-    lines.extend(f"{i},{v:.9g}" for i, v in enumerate(eigenvalues))
-    return "\n".join(lines) + "\n"
+def spectrum_to_csv(eigenvalues: np.ndarray) -> str:
+    """Full-spectrum dump with schema index,eigenvalue.
+
+    The values are formatted as Python floats, which print the digits numpy
+    scalars do, 4096 at a time, so that only one block's floats and lines
+    live beside the text.
+    """
+    lines = ["index,eigenvalue\n"]
+    for lo in range(0, len(eigenvalues), 4096):
+        block = eigenvalues[lo:lo + 4096].tolist()
+        lines.append("".join([f"{i},{v:.9g}\n" for i, v in enumerate(block, lo)]))
+    return "".join(lines)
 
 
 def spectrum_to_json(eigenvalues) -> str:

@@ -12,7 +12,8 @@ and B = d (q^2 - p^2)/2, ratios that ``_closed_forms`` takes from one
 recurrence at any finite |z|^2, so each symbol is a sum of nonnegative
 terms.  The tests hold them to the sandwich and to mpmath.  A
 ``SymbolGrid`` is its kind, dimension and axes; it evaluates its values
-once, pure and row-major deterministic.
+once, pure and row-major deterministic, in blocks of q-rows whose
+temporaries stay in cache, and CSV export reads it in the same blocks.
 """
 
 from __future__ import annotations
@@ -20,20 +21,29 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .frame import PhasePoint, as_dimension, check_memory, coherent_state, squared_radius
-from .operators import OperatorMatrix
+
+if TYPE_CHECKING:  # a grid needs no operator, so lower-symbols loads no operators or spectra
+    from .operators import OperatorMatrix
 
 # A variance is ``half`` less a nonnegative term: down to this fraction of
 # ``half`` it is roundoff and clamped to zero, and anything lower is raised.
 _VARIANCE_CLAMP = -1e-14
 
-# Peak bytes per cell of a ``SymbolGrid``: the tracemalloc peak of an 801 x 801
-# grid is at most 36.1 MB, 56 bytes (7 doubles) per cell, for every kind and N.
-_GRID_BYTES_PER_CELL = 56
+# Peak bytes per cell of the lower-symbols command, which a ``SymbolGrid``
+# checks before it allocates.  Under tracemalloc, at 801 x 801: the grid
+# alone peaks at 9.5 bytes per cell (its values, 8, and one block's
+# temporaries), and the command with its export at 41.0 as CSV and 59.3 as
+# JSON.  Python 3.11's json encoder also holds formatted values in batches
+# before it joins them, up to 3.4 MB more, most at about 50,000 cells.
+_GRID_BYTES_PER_CELL = 64
+
+# Cells in one block of q-rows: a block's seven doubles per cell fit in cache.
+_BLOCK_CELLS = 16384
 
 _Axis = tuple[float, float, int]  # (min, max, steps) of a grid axis
 
@@ -167,10 +177,12 @@ class SymbolGrid:
 
     They are checked once: the kind, the dimension, and two (min, max, steps)
     axes with finite min < max and an integer steps >= 2; then the memory,
-    before any axis is allocated.  ``values[i, j]``, the value at (q_i, p_j),
-    is the read-only array the kind's rule returned, not a copy, and CSV
-    export is row-major in that order.  A grid compares and hashes by
-    identity, as its array cannot.
+    before any axis is allocated; then |z|^2 at the axes' farthest corner,
+    the largest of the grid, before any value is computed.  ``values[i, j]``,
+    the value at (q_i, p_j), is one read-only array that the grid allocates
+    and fills in blocks of about ``_BLOCK_CELLS`` cells, whole q-rows each,
+    from the kind's rule on each block; CSV export is row-major in that
+    order.  A grid compares and hashes by identity, as its array cannot.
     """
 
     which: str
@@ -196,8 +208,14 @@ class SymbolGrid:
             object.__setattr__(self, name, (float(lo), float(hi), int(steps)))
         check_memory(_GRID_BYTES_PER_CELL * self.q_range[2] * self.p_range[2],
                      f"the arrays of a {self.q_range[2]} x {self.p_range[2]} grid")
-        q, p = self.q_axis[:, None], self.p_axis[None, :]
-        values = GRID_KINDS[self.which].value(q, p, *_closed_forms(self.n_dim, q, p))
+        q_axis, p = self.q_axis, self.p_axis[None, :]
+        # |z|^2 grows with |q| and |p|, so the corner farthest out has the largest
+        squared_radius(np.max(np.abs(q_axis)), np.max(np.abs(p)))
+        rule = GRID_KINDS[self.which].value
+        values = np.empty((q_axis.size, p.size))
+        for rows in _row_blocks(self):
+            q = q_axis[rows, None]
+            values[rows] = rule(q, p, *_closed_forms(self.n_dim, q, p))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -210,6 +228,13 @@ class SymbolGrid:
         return np.linspace(*self.p_range)
 
 
+def _row_blocks(grid: SymbolGrid) -> list[slice]:
+    """The grid's q-rows in blocks of about ``_BLOCK_CELLS`` cells, whole rows each."""
+    q_steps, p_steps = grid.q_range[2], grid.p_range[2]
+    step = max(1, _BLOCK_CELLS // p_steps)
+    return [slice(lo, lo + step) for lo in range(0, q_steps, step)]
+
+
 def symbol_grid(n_dim: int, which: str, q_range: _Axis, p_range: _Axis) -> SymbolGrid:
     """Evaluate one kind of ``GRID_KINDS`` over a (q, p) grid; see ``SymbolGrid``."""
     return SymbolGrid(which, n_dim, q_range, p_range)
@@ -219,16 +244,18 @@ def grid_to_csv(grid: SymbolGrid) -> str:
     """Row-major CSV with header q,p,value; 9 significant digits.
 
     Each axis value is formatted once and the values are read as Python
-    floats, which format about four times faster than numpy scalars and
-    print the same digits.  A q-row is one ``%`` template over its values,
-    which ``"%.9g"`` prints as ``f"{v:.9g}"`` does, joined from the grid's
-    row tails ``,p,%.9g`` with the row's q between them.
+    floats, one block of q-rows at a time (the grid's own blocks), which
+    format about four times faster than numpy scalars and print the same
+    digits.  A q-row is one ``%`` template over its values, which ``"%.9g"``
+    prints as ``f"{v:.9g}"`` does, joined from the grid's row tails
+    ``,p,%.9g`` with the row's q between them.
     """
     tails = [f",{pv:.9g},%.9g\n" for pv in grid.p_axis.tolist()]
-    lines = ["q,p,value\n"]
-    for qv, row in zip(grid.q_axis.tolist(), grid.values.tolist()):
-        q = f"{qv:.9g}"
-        lines.append((q + q.join(tails)) % tuple(row))
+    q_axis, lines = grid.q_axis, ["q,p,value\n"]
+    for rows in _row_blocks(grid):
+        for qv, row in zip(q_axis[rows].tolist(), grid.values[rows].tolist()):
+            q = f"{qv:.9g}"
+            lines.append((q + q.join(tails)) % tuple(row))
     return "".join(lines)
 
 

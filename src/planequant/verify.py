@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra, symbols
+from .bounds import TWO_PI
 from .errors import ConvergenceError, VerificationError
 from .frame import PhasePoint, verify_identity_resolution
 from .operators import (
@@ -28,7 +29,6 @@ from .operators import (
     momentum_operator,
     position_operator,
 )
-from .spectra import TWO_PI
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,11 +228,44 @@ class TestLowerSymbolsCommand:
             raise AssertionError("grid allocated before the memory check")
 
         monkeypatch.setattr(frame, "_physical_memory_bytes", lambda: 8 * 2**30)
-        monkeypatch.setattr(np, "meshgrid", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
         out = tmp_path / "x.csv"
         assert main(["lower-symbols", "--which", "H", "--n", "5", "--steps", "100000",
                      "--out", str(out)]) == 2
-        assert "100000 x 100000 grid need about 522 GiB" in capsys.readouterr().err
+        # 64 bytes per cell, the command's peak with its export
+        assert "100000 x 100000 grid need about 596 GiB" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, steps", [("csv", 401), ("json", 801)])
+    def test_peak_memory_is_under_the_guard(self, tmp_path, fmt, steps):
+        # 9.5 bytes per cell for the values and one block, 39-41 with the CSV
+        # export at any size from 201 x 201 on, and 59.3 with the JSON one at
+        # the benchmark's 801 x 801, where the up to 3.4 MB of formatted values
+        # that json's encoder holds before joining them weigh least
+        cells = steps * steps
+        argv = ["lower-symbols", "--which", "UNCERTAINTY", "--n", "64", "--steps", str(steps),
+                "--format", fmt, "--out", str(tmp_path / f"u.{fmt}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= symbols._GRID_BYTES_PER_CELL * cells, peak / cells
+
+    def test_unknown_kind_names_the_kinds_and_does_no_work(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def no_grid(*args):
+            raise AssertionError("a grid was computed")
+
+        monkeypatch.setattr(symbols, "symbol_grid", no_grid)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["lower-symbols", "--which", "Q3", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --which: unknown grid kind 'Q3'; expected one of " \
+               + ", ".join(GRID_KINDS) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds, message", [

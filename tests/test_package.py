@@ -15,10 +15,11 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(planequant.__file__)))
 
 
 def _modules_after(statement: str, cwd=None, package: str = "scipy") -> list[str]:
-    """The modules of ``package`` loaded after ``statement`` in a new interpreter."""
+    """The modules of ``package`` loaded after ``statement``, one or more lines,
+    in a new interpreter."""
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import planequant; "
-        f"{statement}; "
+        "import sys; sys.path.insert(0, sys.argv[1]); import planequant\n"
+        f"{statement}\n"
         f"print(*sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})), "
         "sep=',')"
     )
@@ -66,6 +67,44 @@ def test_commands_with_a_spectrum_leave_scipy_unloaded(argv, tmp_path):
     # dlaebz and dlasq1 come from numpy's own LAPACK
     statement = f"from planequant import cli; cli.main({argv!r})"
     assert _modules_after(statement, cwd=tmp_path) == []
+
+
+@pytest.mark.parametrize("statement", [
+    "pass",
+    "from planequant import cli; cli.main(['bounds', '--l-c', '1e-10', '--l-m', '1e-35'])",
+    "from planequant import cli\ntry:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass",
+], ids=["import", "bounds", "help"])
+def test_numpy_free_paths_leave_numpy_unloaded(statement, tmp_path):
+    # bounds computes with math alone, and a name of the package is imported
+    # on first use
+    assert _modules_after(statement, cwd=tmp_path, package="numpy") == []
+
+
+@pytest.mark.parametrize("argv, runs, skips", [
+    (["sigma-table", "--n-list", "10"], {"spectra", "frame"}, {"symbols", "operators", "verify"}),
+    (["lower-symbols", "--steps", "3"], {"symbols", "frame"}, {"spectra", "operators", "verify"}),
+], ids=["sigma-table", "lower-symbols"])
+def test_a_command_loads_only_the_modules_it_runs(argv, runs, skips, tmp_path):
+    statement = f"from planequant import cli; cli.main({argv!r})"
+    loaded = {name.removeprefix("planequant.")
+              for name in _modules_after(statement, cwd=tmp_path, package="planequant")}
+    assert runs <= loaded and not skips & loaded
+
+
+def test_star_import_and_dir_give_every_export():
+    # each name is the class or function its own module defines
+    namespace = {}
+    exec("from planequant import *", namespace)
+    for name in planequant.__all__:
+        obj = namespace[name]
+        assert obj.__name__ == name and getattr(sys.modules[obj.__module__], name) is obj
+        assert getattr(planequant, name) is obj
+    assert set(planequant.__all__) <= set(dir(planequant))
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="module 'planequant' has no attribute 'nope'"):
+        planequant.nope  # noqa: B018
 
 
 def test_every_export_resolves_once():

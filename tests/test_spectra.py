@@ -994,6 +994,12 @@ class TestExports:
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 4
 
+    def test_spectrum_csv_blocks_match_per_value_reference(self):
+        # 10001 values are three blocks of formatting, the last one ragged
+        ev = eig_all(position_tridiagonal(10001))
+        reference = "\n".join(["index,eigenvalue", *(f"{i},{v:.9g}" for i, v in enumerate(ev))])
+        assert spectrum_to_csv(ev) == reference + "\n"
+
     def test_gnuplot_scripts_reference_csv(self):
         assert "'s.csv'" in gnuplot_sigma_script("s.csv")
         assert "strcol(7)" in gnuplot_extremes_script("s.csv")

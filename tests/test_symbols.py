@@ -461,7 +461,7 @@ class TestSymbolGrid:
         assert grid.values.shape == (3, 3)
 
     def test_numpy_integer_steps_cannot_wrap_the_memory_check(self, monkeypatch):
-        # in int64, 56 bytes x (2^32)^2 cells wraps to 0 bytes
+        # in int64, 64 bytes x (2^32)^2 cells wraps to 0 bytes
         def no_axis(*args, **kwargs):
             raise AssertionError("axis allocated before the memory check")
 
@@ -546,30 +546,63 @@ class TestSymbolGrid:
                 with pytest.raises(ValueError, match=message):
                     call()
 
-    def test_values_are_the_array_the_rule_returned(self, monkeypatch):
-        # the grid holds its rule's result itself, frozen, not a copy of it
+    def test_overflowing_grid_is_refused_before_any_block(self, monkeypatch):
+        # the farthest corner decides the domain of the whole grid
+        def no_block(*args):
+            raise AssertionError("a block ran before the domain check")
+
+        monkeypatch.setattr(symbols, "_closed_forms", no_block)
+        for q_range, p_range in (((-1.0, 1e200, 3), (-1.0, 1.0, 2)),
+                                 ((-1.0, 1.0, 2), (-1e200, 0.0, 3))):
+            with pytest.raises(ValueError, match="must be finite, got inf"):
+                symbol_grid(5, "UNCERTAINTY", q_range, p_range)
+
+    def test_values_are_filled_from_the_rule_block_by_block(self, monkeypatch):
+        # blocks of 2 q-rows: the rule sees rows 0-1, 2-3 and 4, and the grid
+        # copies each result into the one array it owns, then freezes it
         returned = []
         rule = GRID_KINDS["H"]
         monkeypatch.setitem(GRID_KINDS, "H", rule._replace(
             value=lambda *f: returned.append(rule.value(*f)) or returned[-1]))
-        grid = symbol_grid(5, "H", (-1.0, 1.0, 3), (-2.0, 2.0, 4))
-        assert len(returned) == 1 and grid.values is returned[0]
-        assert grid.values.shape == (3, 4) and not grid.values.flags.writeable
+        monkeypatch.setattr(symbols, "_BLOCK_CELLS", 2 * 4)
+        grid = symbol_grid(5, "H", (-1.0, 1.0, 5), (-2.0, 2.0, 4))
+        assert [r.shape for r in returned] == [(2, 4), (2, 4), (1, 4)]
+        assert np.array_equal(grid.values, np.concatenate(returned))
+        assert not any(np.shares_memory(grid.values, r) for r in returned)
+        assert grid.values.flags.owndata and not grid.values.flags.writeable
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("which", sorted(GRID_KINDS))
+    def test_every_block_size_gives_the_same_bytes(self, which, rows, monkeypatch):
+        # 7 q-rows end in a ragged block at 2 and 3 rows; the default blocks
+        # hold the whole grid
+        axes = [((-42.0, 42.0, 7), (-6.0, 6.0, 5)), ((-1.0, 1.0, 7), (-1e-5, -0.0, 5))]
+        whole = [(grid, grid_to_csv(grid), grid_to_json(grid))
+                 for grid in (symbol_grid(n, which, *ax) for n in (1, 2, 64) for ax in axes)]
+        monkeypatch.setattr(symbols, "_BLOCK_CELLS", rows * 5)
+        for one, csv, js in whole:
+            blocked = symbol_grid(one.n_dim, which, one.q_range, one.p_range)
+            assert len(symbols._row_blocks(blocked)) == {1: 7, 2: 4, 3: 3}[rows]
+            assert blocked.values.tobytes() == one.values.tobytes()
+            assert grid_to_csv(blocked) == csv and grid_to_json(blocked) == js
 
     def test_peak_memory_of_the_default_grid(self):
-        # the benchmark's 801 x 801 spread grid at N = 64 peaks at 36.1 MB;
-        # the summed route held 11 doubles per cell, 56.5 MB
+        # the benchmark's 801 x 801 spread grid at N = 64 peaks at 6.1 MB: its
+        # 5.1 MB of values and one block's temporaries
         peak = _traced_peak(
             lambda: symbol_grid(64, "UNCERTAINTY", (-6.0, 6.0, 801), (-6.0, 6.0, 801)))
-        assert peak <= 40e6, peak
+        assert peak <= 8e6, peak
 
     @pytest.mark.parametrize("which", sorted(GRID_KINDS))
     def test_memory_guard_covers_the_peak(self, which):
-        # 7 doubles per cell plus a fixed ufunc buffer of about 150 kB
+        # the values, 8 bytes per cell, and one block of at most 8 doubles per
+        # cell (its temporaries and ufunc buffers), plus the axes: 0.98 MB
+        # above the values at 401 x 401, well under the command's guard
         cells = 401 * 401
         for n in (1, 2, 64):
             peak = _traced_peak(lambda: symbol_grid(n, which, (-6.0, 6.0, 401), (-6.0, 6.0, 401)))
-            assert peak <= symbols._GRID_BYTES_PER_CELL * cells + 2**18, (n, peak / cells)
+            assert peak <= 8 * cells + 64 * symbols._BLOCK_CELLS + 2**16, (n, peak / cells)
+            assert peak <= symbols._GRID_BYTES_PER_CELL * cells, (n, peak / cells)
 
 
 class TestGridExports:
